@@ -66,13 +66,10 @@ class RunConfig:
     depth: int
     window: Optional[tuple]
     json_output: bool
-    jobs: int
 
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise UsageError(f"depth must be >= 1, got {self.depth}")
-        if self.jobs < 1:
-            raise UsageError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _run_config(args) -> RunConfig:
@@ -84,7 +81,6 @@ def _run_config(args) -> RunConfig:
         depth=getattr(args, "depth", 1),
         window=window,
         json_output=bool(getattr(args, "json", False)),
-        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -290,7 +286,6 @@ def _cmd_lipschitz(args, ctx: PrimeContext) -> int:
         Window(lo, hi, args.depth),
         ctx,
         depth=args.depth,
-        jobs=args.jobs,
         region_text=args.region or "true",
     )
     c_str = _norm_str(ctx.p, report.constant_exponent) if report.constant_exponent is not None else "0 (f constant on region)"
@@ -489,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--function", required=True)
     p.add_argument("--region", default=None, help="condition (default: true)")
     p.add_argument("--window", required=True, metavar="A:B")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_lipschitz)
 
     p = sub.add_parser("certify", help="certified per-cell Lipschitz constant")

@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import enum
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
-from .qp_core import PadicScalar, PrimeContext, tuple_norm
-from .regions import Window, enumerate_window
+from .qp_core import PadicScalar, PrimeContext
+from .regions import (
+    Window,
+    enumerate_window,
+    least_cross_pair,
+    least_ord_break,
+    splitting_classes,
+)
 from .cells import Cell, format_cell
 from .terms import (
     BuiltinDomainError,
@@ -205,30 +211,46 @@ def _value_at(f, binding, ctx) -> PadicScalar:
     return evaluate(f, binding, ctx)
 
 
-def _scan_chunk(points, values, start, stop):
-    """Best (ratio exponent, witness) over pair blocks i in [start, stop).
+def _tree_scan(points, values, v_min: int, p: int):
+    """Best (ratio exponent, witness) over all pairs of distinct points.
 
-    Pairs are visited in lexicographic order of the sorted point list, so
-    keeping the first maximum yields the lexicographically least witness;
-    merging partial results in block order preserves that choice.
+    Window points times p^shift, shift = max(0, -v_min), are integers, so
+    they sit in a ball tree (tuples under the max norm).  Every pair across
+    a class C that splits at level k has ord(x - y) = k - shift, and the
+    largest |f(x) - f(y)| over those pairs is the diameter of f(C).  When
+    no first member of a child of C reaches that diameter from the first
+    member of C, a child reaches it inside itself, and a split below C
+    gives a larger ratio.  So the best ratio is the largest
+    k - shift - ord(f(first of child) - f(first of C)), p values per class.
+    In a class reaching it, the first member therefore has a partner, and
+    the least pair there is (first, least j at that ord); such a j lies in
+    another child, or its pair would beat the best ratio.  The least of
+    these pairs over the classes is the pair an all-pairs scan in index
+    order would keep.
     """
-    best = None
-    best_witness = None
-    for i in range(start, stop):
-        for j in range(i + 1, len(points)):
-            df = values[i] - values[j]
-            ef = df.norm_exponent()
-            if ef is None:
-                continue
-            if isinstance(points[i], tuple):
-                ex = tuple_norm([a - b for a, b in zip(points[i], points[j])])
-            else:
-                ex = (points[i] - points[j]).norm_exponent()
-            ratio = ef - ex
-            if best is None or ratio > best:
-                best = ratio
-                best_witness = (points[i], points[j])
-    return best, best_witness
+    shift = max(0, -v_min)
+    scale = p**shift
+    keys = [
+        tuple(int(c.value * scale) for c in (pt if isinstance(pt, tuple) else (pt,)))
+        for pt in points
+    ]
+    candidates = []
+    for split in splitting_classes(keys, p):
+        anchor = values[split.members[0]]
+        d = min((values[child[0]] - anchor).ord() for child in split.children[1:])
+        if d.is_finite:
+            candidates.append((split.level - shift - d.value, d, split))
+    if not candidates:
+        return None, None
+    best = max(ratio for ratio, _, _ in candidates)
+    witnesses = []
+    for ratio, d, split in candidates:
+        if ratio == best:
+            first = split.members[0]
+            j = next(j for j in split.members if (values[j] - values[first]).ord() == d)
+            witnesses.append((first, j))
+    i, j = min(witnesses)
+    return best, (points[i], points[j])
 
 
 def empirical_lipschitz(
@@ -237,7 +259,6 @@ def empirical_lipschitz(
     window: Window,
     ctx: PrimeContext,
     depth: Optional[int] = None,
-    jobs: int = 1,
     region_text: Optional[str] = None,
 ) -> LipschitzReport:
     """Largest ratio |f(x1)-f(x2)| / |x1-x2| over all representative pairs.
@@ -245,12 +266,12 @@ def empirical_lipschitz(
     This is a lower bound on any valid Lipschitz constant for the region,
     verified to the stated depth; the reported witness is the
     lexicographically least pair achieving it.  Multi-variable functions
-    are scanned on tuple grids with the max-norm distance.
+    are scanned on tuple grids with the max-norm distance.  The pairs are
+    not visited one by one: a pass over the ball tree of the points finds
+    the best ratio in O(N * levels) (see _tree_scan).
     """
     if depth is None:
         depth = window.depth
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     variables = _function_variables(f)
     axis = sorted(enumerate_window(Window(window.v_min, window.v_max, depth), ctx))
     if len(variables) == 1:
@@ -269,22 +290,7 @@ def empirical_lipschitz(
     if not points:
         raise EmptyRegion(f"no representative satisfies {format_condition(region)}")
 
-    blocks = []
-    if jobs == 1 or len(points) < 2 * jobs:
-        blocks.append(_scan_chunk(points, values, 0, len(points)))
-    else:
-        bounds = [round(i * len(points) / jobs) for i in range(jobs + 1)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_scan_chunk, points, values, bounds[i], bounds[i + 1])
-                for i in range(jobs)
-            ]
-            blocks = [fut.result() for fut in futures]
-
-    best, best_witness = None, None
-    for ratio, witness in blocks:
-        if ratio is not None and (best is None or ratio > best):
-            best, best_witness = ratio, witness
+    best, best_witness = _tree_scan(points, values, window.v_min, ctx.p)
     return LipschitzReport(
         mode=Mode.EMPIRICAL_LOWER_BOUND,
         constant_exponent=best,
@@ -372,7 +378,9 @@ def check_bounded_derivative_local_lipschitz(
     the gate fails the test is skipped (reported as such, with the gate
     witness).  Pairs "in a common ball" are representative pairs x, y with
     ord(x - y) > ord(x), i.e. sharing the depth-1 granularity ball of
-    their valuation level.
+    their valuation level.  Each such ball is checked level by level over
+    its ball tree (see _local_break); the witness is the first failing pair
+    in the order of an all-pairs scan.
     """
     if depth is None:
         depth = window.depth
@@ -398,24 +406,77 @@ def check_bounded_derivative_local_lipschitz(
 
     groups: dict = {}
     for x in pts:
-        key = (x.ord().value, x.ac(1).residue)
-        groups.setdefault(key, []).append(x)
-    for group in groups.values():
-        vals = {x: evaluate(f, {var: x}, ctx) for x in group}
-        for x, y in itertools.combinations(group, 2):
-            if (vals[x] - vals[y]).ord() < (x - y).ord():
-                return LocalLipschitzCheck(
-                    "failed",
-                    (x, y),
-                    f"|f({x})-f({y})| > |{x}-{y}|",
-                )
+        groups.setdefault((x.ord().value, x.ac(1).residue), []).append(x)
+    for (level, _), group in groups.items():
+        vals = [evaluate(f, {var: x}, ctx) for x in group]
+        pair = _local_break(group, vals, level, ctx.p)
+        if pair is not None:
+            x, y = group[pair[0]], group[pair[1]]
+            return LocalLipschitzCheck(
+                "failed",
+                (x, y),
+                f"|f({x})-f({y})| > |{x}-{y}|",
+            )
     return LocalLipschitzCheck(
         "passed", None, f"checked {len(pts)} representatives at depth {depth}"
     )
 
 
+def _local_break(group, vals, level: int, p: int) -> Optional[tuple]:
+    """Least (i, j) with ord(vals_i - vals_j) < ord(group_i - group_j), or None.
+
+    The points of a group are p^level times units that agree mod p.  In the
+    ball tree of those units, the pairs across a class that splits at level
+    k are at ord distance level + k, and such a pair breaks the bound
+    exactly when its values differ mod p^(level + k).  Some pair of the
+    class does exactly when some value differs from the first one there.
+    """
+    scale = Fraction(p) ** -level
+    found = []
+    for split in splitting_classes([(int(x.value * scale),) for x in group], p):
+        bound = level + split.level
+        anchor = vals[split.members[0]]
+        if all((vals[n] - anchor).ord() >= bound for n in split.members[1:]):
+            continue
+        residues = [vals[n].reduce_mod_power(bound).value for n in split.members]
+        found.append(least_cross_pair(split.members, split.labels, residues, same=False))
+    return min(found, default=None)
+
+
 # ---------------------------------------------------------------------------
 # counterexample families
+
+
+def _exloc_break(points, values) -> Optional[tuple]:
+    """The first pair (i, j), in index order, that breaks an exloc identity,
+    with 0 for the value identity and 1 for the distance identity; or None.
+
+    points ascend by valuation level.  A pair with ord x_i = a < b = ord x_j
+    needs ord(f_i - f_j) = -b, checked before ord(x_i - x_j) = a.  Let c_v
+    be the value at the first point of level v.  If ord(c_a - c_b) = -b for
+    all levels a < b and every value of level v is within p^(1-v) of c_v,
+    every pair has ord(f_i - f_j) = -b.  Otherwise each level b is searched
+    for the least broken pair between the lower levels and b, a cross-pair
+    condition (least_ord_break).  The distance identity is the strict
+    triangle law; it is checked on the first points of each pair of levels.
+    """
+    levels = [x.ord().value for x in points]
+    first: dict = {}
+    for n, v in enumerate(levels):
+        first.setdefault(v, n)
+    anchors = list(itertools.combinations(sorted(first.items()), 2))
+    breaks = [((i, j), 1) for (a, i), (_, j) in anchors if (points[i] - points[j]).ord() != a]
+    if not (
+        all((values[i] - values[j]).ord() == -b for (_, i), (b, j) in anchors)
+        and all((values[n] - values[first[v]]).ord() > -v for n, v in enumerate(levels))
+    ):
+        for b in first:
+            members = [n for n, v in enumerate(levels) if v <= b]
+            sides = [levels[n] == b for n in members]
+            pair = least_ord_break(members, sides, [values[n] for n in members], -b)
+            if pair is not None:
+                breaks.append((pair, 0))
+    return min(breaks, default=None)
 
 
 def counterexample_exloc(
@@ -426,9 +487,10 @@ def counterexample_exloc(
     f(t) = normval(t) is constant on every granularity ball, yet
     |f(x1) - f(x2)| = |x2|^(-1) exactly whenever |x2| < |x1|: the ratio
     against |x1 - x2| = |x1| is unbounded as x1 approaches 0.  Both facts
-    are verified exhaustively over the window before the trace is emitted;
-    the trace follows the diagonal pairs (p^(n-1), p^n) so the ratio
-    exponents 2n - 1 grow while the witnesses shrink to 0.
+    are verified over the window before the trace is emitted, the first on
+    every pair, one valuation level at a time (see _exloc_break); the trace
+    follows the diagonal pairs (p^(n-1), p^n) so the ratio exponents 2n - 1
+    grow while the witnesses shrink to 0.
     """
     if window.v_min < 0:
         raise ValueError("the construction lives inside Z_p: require v_min >= 0")
@@ -445,15 +507,13 @@ def counterexample_exloc(
                 raise RuntimeError(f"local constancy broke at {x} vs {probe}")
 
     # the exact pair identity, stronger than the defining inequality
-    for x1, x2 in itertools.combinations(rset.points, 2):
-        if x1.ord() > x2.ord():
-            x1, x2 = x2, x1
-        if x1.ord() == x2.ord():
-            continue
-        if (values[x1] - values[x2]).norm_exponent() != x2.ord().value:
+    broken = _exloc_break(rset.points, [values[x] for x in rset.points])
+    if broken is not None:
+        (i, j), identity = broken
+        x1, x2 = rset.points[i], rset.points[j]
+        if identity == 0:
             raise RuntimeError(f"|f(x1)-f(x2)| != |x2|^-1 at ({x1}, {x2})")
-        if (x1 - x2).norm_exponent() != -x1.ord().value:
-            raise RuntimeError(f"|x1-x2| != |x1| at ({x1}, {x2})")
+        raise RuntimeError(f"|x1-x2| != |x1| at ({x1}, {x2})")
 
     entries = []
     for n in range(window.v_min + 1, window.v_max + 1):

@@ -9,8 +9,9 @@ at which it was verified.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .qp_core import PadicScalar, PrimeContext
 
@@ -22,6 +23,10 @@ __all__ = [
     "ball_contains",
     "ball_relation",
     "enumerate_window",
+    "SplitClass",
+    "splitting_classes",
+    "least_cross_pair",
+    "least_ord_break",
 ]
 
 
@@ -154,3 +159,94 @@ def enumerate_window(window: Window, ctx: PrimeContext) -> RepresentativeSet:
             points.append(rep)
             granularity[rep] = Ball(rep, v + depth)
     return RepresentativeSet(tuple(points), granularity)
+
+
+# ---------------------------------------------------------------------------
+# the ball tree of a finite point set
+
+
+class SplitClass(NamedTuple):
+    """Points that agree mod p^level and fall into two or more classes mod
+    p^(level+1).  labels[n] is the residue mod p^(level+1) of members[n];
+    children lists the members of each residue in order of first appearance.
+    """
+
+    level: int
+    members: list
+    labels: list
+    children: list
+
+
+def splitting_classes(keys: Sequence[tuple], p: int) -> list:
+    """Every class of the ultrametric ball tree of keys that splits.
+
+    keys[i] is a tuple of integers, and two keys agree mod p^k when every
+    coordinate does: the ball of radius p^(-k) of the max norm.  A pair of
+    keys at ord distance exactly k (the least coordinate ord) is a pair
+    across two children of the level-k class holding both, so every pair
+    lies across exactly one split class.  Members ascend, and a class comes
+    before its descendants.  Costs O(len(keys) * levels).
+    """
+    if len(set(keys)) != len(keys):
+        raise ValueError("ball tree keys must be distinct")
+    out = []
+    stack = [(0, list(range(len(keys))))]
+    while stack:
+        level, members = stack.pop()
+        modulus = p ** (level + 1)
+        labels = [tuple(c % modulus for c in keys[i]) for i in members]
+        children: dict = {}
+        for i, label in zip(members, labels):
+            children.setdefault(label, []).append(i)
+        if len(children) > 1:
+            out.append(SplitClass(level, members, labels, list(children.values())))
+        stack.extend((level + 1, child) for child in children.values() if len(child) > 1)
+    return out
+
+
+def least_cross_pair(
+    members: Sequence[int], labels: Sequence, keys: Sequence, same: bool
+) -> Optional[tuple]:
+    """The lexicographically least (i, j), i before j in members, with
+    labels that differ and keys that are equal when `same` (differ when
+    not); None if no pair qualifies.
+
+    labels and keys are aligned with members.  One pass counts the labels
+    and keys still ahead of each i, so the first i with a partner is found
+    in linear time, and one more pass finds its least partner.
+    """
+    ahead_label = Counter(labels)
+    ahead_key = Counter(keys)
+    ahead_both = Counter(zip(labels, keys))
+    ahead = len(members)
+    for pos, (label, key) in enumerate(zip(labels, keys)):
+        ahead -= 1
+        ahead_label[label] -= 1
+        ahead_key[key] -= 1
+        ahead_both[label, key] -= 1
+        partners = ahead_key[key] - ahead_both[label, key]  # other label, same key
+        if not same:
+            partners = ahead - ahead_label[label] - partners
+        if partners:
+            for n in range(pos + 1, len(members)):
+                if labels[n] != label and (keys[n] == key) == same:
+                    return members[pos], members[n]
+    return None
+
+
+def least_ord_break(
+    members: Sequence[int], labels: Sequence, values: Sequence[PadicScalar], level: int
+) -> Optional[tuple]:
+    """The lexicographically least (i, j) across labels with
+    ord(values_i - values_j) != level, or None.
+
+    The ord is below level exactly when the residues mod p^level differ,
+    and above it exactly when the residues mod p^(level+1) agree.
+    """
+    low = [v.reduce_mod_power(level).value for v in values]
+    high = [v.reduce_mod_power(level + 1).value for v in values]
+    pairs = (
+        least_cross_pair(members, labels, low, same=False),
+        least_cross_pair(members, labels, high, same=True),
+    )
+    return min((pair for pair in pairs if pair is not None), default=None)

@@ -288,11 +288,12 @@ class PiecewiseFunction:
 
 @dataclass(frozen=True)
 class BuiltinSpec:
-    """A named builtin: evaluator, domain note, and derivative rule.
+    """A named unary builtin: evaluator, domain note, and derivative rule.
 
     derivative is "zero" for locally constant builtins, a callable taking
     the argument terms and returning a Term, or None when no derivative is
     declared (differentiation then fails with UnknownDerivativeError).
+    arity must be 1: differentiation chains through the single argument.
     """
 
     name: str
@@ -306,6 +307,8 @@ _BUILTINS: dict = {}
 
 
 def register_builtin(spec: BuiltinSpec) -> None:
+    if spec.arity != 1:
+        raise ValueError(f"builtin {spec.name!r} has arity {spec.arity}; builtins are unary")
     _BUILTINS[spec.name] = spec
 
 
@@ -1000,9 +1003,6 @@ def differentiate(t: Term, var: str) -> Term:
             raise UnknownDerivativeError(f"builtin {t.name!r} has no declared derivative")
         if spec.derivative == "zero":
             return _ZERO
-        outer = spec.derivative(t.args)
         # registered rule gives d/d(arg); chain through the single argument
-        if spec.arity == 1:
-            return _mul(outer, differentiate(t.args[0], var))
-        return outer
+        return _mul(spec.derivative(t.args), differentiate(t.args[0], var))
     raise TypeError(f"not a term node: {t!r}")

@@ -72,13 +72,6 @@ class TestEmpirical:
         deep = empirical_lipschitz(f, TrueCond(), Window(-1, 1, 1), ctx3, depth=2)
         assert deep.constant_exponent >= shallow.constant_exponent
 
-    def test_jobs_merge_is_deterministic(self, ctx3):
-        f = parse_term("t^2")
-        one = empirical_lipschitz(f, TrueCond(), Window(0, 2, 2), ctx3, jobs=1)
-        four = empirical_lipschitz(f, TrueCond(), Window(0, 2, 2), ctx3, jobs=4)
-        assert one.constant_exponent == four.constant_exponent
-        assert one.witness == four.witness
-
     def test_empty_region(self, ctx3):
         with pytest.raises(EmptyRegion):
             empirical_lipschitz(

@@ -188,6 +188,32 @@ class TestDifferentiation:
         with pytest.raises(UnknownDerivativeError):
             differentiate(BuiltinCall("opaque", (Variable("t"),)), "t")
 
+    def test_builtin_chain_rule(self, ctx5, monkeypatch):
+        import ultralip.terms as terms
+        from ultralip.terms import BuiltinCall, BuiltinSpec, register_builtin
+
+        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
+        register_builtin(
+            BuiltinSpec(
+                "cubed",
+                1,
+                lambda ctx, a: a[0] ** 3,
+                lambda args: Mul(RationalConst(3), IntPow(args[0], 2)),
+            )
+        )
+        d = differentiate(BuiltinCall("cubed", (parse_term("2*t+1"),)), "t")
+        self._check_equal(d, parse_term("6*(2*t+1)^2"), ctx5)
+
+    def test_builtins_must_be_unary(self, monkeypatch):
+        import ultralip.terms as terms
+        from ultralip.terms import BuiltinSpec, register_builtin
+
+        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
+        with pytest.raises(ValueError):
+            register_builtin(BuiltinSpec("pairwise", 2, lambda ctx, a: a[0], "zero"))
+        with pytest.raises(ParseError):
+            parse_term("pairwise(t, t)")
+
 
 # random integer-coefficient polynomial terms for the gradient check
 poly_terms = st.recursive(
