@@ -266,13 +266,16 @@ def _greedy_progressions(levels: frozenset) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# A full exact search over 16 levels memoizes about 6,000 subsets, so this
+# bound keeps one search in the cache while capping what stays resident.
+@lru_cache(maxsize=8192)
 def _min_progressions(levels: frozenset) -> tuple:
-    """Minimal partition of a finite integer set into arithmetic progressions.
+    """Partition of a finite integer set into arithmetic progressions.
 
     Each progression (lo, hi, step) stands for {lo, lo+step, ..., hi}; a
-    singleton is (a, a, 1).  Exact search with memoization; inputs beyond 16
-    levels fall back to a greedy cover.
+    singleton is (a, a, 1).  Up to 16 levels the search is exact and the
+    partition minimal; above 16 levels a greedy cover is returned, which
+    need not be minimal.
     """
     if not levels:
         return ()
@@ -302,13 +305,15 @@ def fit_cell(
     candidate_centers: Iterable[PadicScalar],
     fiber_var: str = "t",
 ) -> list:
-    """Fit a minimal list of point-base cells whose balls are exactly the input.
+    """Fit a list of point-base cells whose balls are exactly the input.
 
     The first candidate center d lying outside every ball is used.  Each
     ball then has the unique description {w : ord(w-d) = b, ac_m(w-d) = xi}
     with m forced by the radius; balls are grouped by (m, xi) and each
-    group's level set is split into a minimal number of arithmetic
-    progressions, one cell per progression.
+    group's level set is split into arithmetic progressions, one cell per
+    progression.  The list is minimal when every group has at most 16
+    levels; a group with more levels is split by a greedy cover, which may
+    use more cells than needed.
     """
     balls = list(balls)
     for i, b1 in enumerate(balls):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .qp_core import PadicScalar, PrimeContext
@@ -431,9 +430,12 @@ def _local_break(group, vals, level: int, p: int) -> Optional[tuple]:
     exactly when its values differ mod p^(level + k).  Some pair of the
     class does exactly when some value differs from the first one there.
     """
-    scale = Fraction(p) ** -level
+    if level >= 0:
+        keys = [(x.value // p**level,) for x in group]
+    else:
+        keys = [(int(x.value * p**-level),) for x in group]
     found = []
-    for split in splitting_classes([(int(x.value * scale),) for x in group], p):
+    for split in splitting_classes(keys, p):
         bound = level + split.level
         anchor = vals[split.members[0]]
         if all((vals[n] - anchor).ord() >= bound for n in split.members[1:]):

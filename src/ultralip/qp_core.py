@@ -6,11 +6,22 @@ approximation: the valuation of a/b is the multiplicity of p in a minus
 the multiplicity of p in b, and unit parts are reduced by exact modular
 inversion.  Norms are never materialized as reals; they travel as
 integer exponents of p, with a separate flag for zero.
+
+Representation.  ``PadicScalar.value`` is an ``int`` when the scalar is an
+integer and a ``Fraction`` (denominator > 1) otherwise; every constructor
+normalises to that form, and no float ever appears.  Integer operands stay
+on ``int`` through ``+``, ``-``, ``*`` and ``**`` with a non-negative
+exponent; ``/`` and negative powers go through ``Fraction``.  Because
+``3 == Fraction(3)`` with equal hashes and strings, values, hashes,
+equality and printing are those of the plain ``Fraction`` representation.
+A scalar computes its ``ord`` once and keeps it.  Prime contexts are
+interned per p, so context checks are identity tests, and the finite
+valuations in ``[-32, 96)`` are interned; both tables have a fixed size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -53,24 +64,44 @@ def _int_multiplicity(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
+# interned contexts, one per prime, up to a fixed number of primes
+_CONTEXTS: dict = {}
+_MAX_CONTEXTS = 64
+
+
+@dataclass(frozen=True, init=False)
 class PrimeContext:
-    """The ambient field Q_p; p doubles as residue cardinality and uniformizer."""
+    """The ambient field Q_p; p doubles as residue cardinality and uniformizer.
+
+    ``PrimeContext(p)`` returns one shared instance per int prime, for the
+    first 64 primes asked for; later ones are built fresh and still compare
+    equal by p.
+    """
 
     p: int
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be a prime >= 2, got {self.p!r}")
+    def __new__(cls, p: int) -> "PrimeContext":
+        ctx = _CONTEXTS.get(p) if p.__class__ is int else None
+        if ctx is None:
+            if not _is_prime(p):
+                raise ValueError(f"p must be a prime >= 2, got {p!r}")
+            ctx = super().__new__(cls)
+            object.__setattr__(ctx, "p", p)
+            if p.__class__ is int and len(_CONTEXTS) < _MAX_CONTEXTS:
+                _CONTEXTS[p] = ctx
+        return ctx
+
+    def __getnewargs__(self) -> tuple:
+        return (self.p,)
 
     def scalar(self, value: RationalLike, den: int | None = None) -> PadicScalar:
         if den is not None:
             value = Fraction(value, den)
-        return PadicScalar(Fraction(value), self)
+        return PadicScalar(value, self)
 
-    def power(self, k: int) -> Fraction:
-        """p^k as an exact rational; k may be negative."""
-        return Fraction(self.p) ** k
+    def power(self, k: int) -> "int | Fraction":
+        """p^k exactly: an int for k >= 0, a Fraction for k < 0."""
+        return self.p**k if k >= 0 else Fraction(1, self.p**-k)
 
     def units_mod(self, n: int) -> list[int]:
         """All residues in [1, p^n) that are units mod p, in ascending order."""
@@ -80,24 +111,25 @@ class PrimeContext:
         return [u for u in range(1, pn) if u % self.p != 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Valuation:
     """An element of the value group Z extended by +infinity (the ord of 0).
 
     Infinity compares greater than every finite valuation, and addition with
     anything saturates to infinity, so zero results propagate without
     sentinel integers.  Reading ``.value`` on the infinite element raises.
+    Comparisons accept a Valuation or an int on either side.
     """
 
     _raw: "int | None"
 
     @staticmethod
     def finite(v: int) -> "Valuation":
-        return Valuation(int(v))
+        return _valuation(int(v))
 
     @staticmethod
     def infinity() -> "Valuation":
-        return Valuation(None)
+        return INFINITE_ORD
 
     @property
     def is_finite(self) -> bool:
@@ -109,48 +141,53 @@ class Valuation:
             raise ValueError("the infinite valuation has no integer value")
         return self._raw
 
-    def _key(self) -> tuple[int, int]:
-        return (1, 0) if self._raw is None else (0, self._raw)
-
-    @staticmethod
-    def _coerce(other: "Valuation | int") -> "Valuation":
-        if isinstance(other, Valuation):
-            return other
-        if isinstance(other, int):
-            return Valuation(other)
-        return NotImplemented  # type: ignore[return-value]
-
+    # None (infinity) sorts above every int
     def __lt__(self, other: "Valuation | int") -> bool:
-        other = self._coerce(other)
-        return self._key() < other._key()
+        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
+        if b is NotImplemented:
+            return NotImplemented
+        a = self._raw
+        return a is not None and (b is None or a < b)
 
     def __le__(self, other: "Valuation | int") -> bool:
-        other = self._coerce(other)
-        return self._key() <= other._key()
+        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
+        if b is NotImplemented:
+            return NotImplemented
+        a = self._raw
+        return b is None or (a is not None and a <= b)
 
     def __gt__(self, other: "Valuation | int") -> bool:
-        other = self._coerce(other)
-        return self._key() > other._key()
+        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
+        if b is NotImplemented:
+            return NotImplemented
+        a = self._raw
+        return b is not None and (a is None or a > b)
 
     def __ge__(self, other: "Valuation | int") -> bool:
-        other = self._coerce(other)
-        return self._key() >= other._key()
+        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
+        if b is NotImplemented:
+            return NotImplemented
+        a = self._raw
+        return a is None or (b is not None and a >= b)
 
     def __eq__(self, other: object) -> bool:
+        if other.__class__ is Valuation:
+            return self._raw == other._raw
         if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        return self._raw == other._raw
+            return self._raw == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._raw)
 
     def __add__(self, other: "Valuation | int") -> "Valuation":
-        other = self._coerce(other)
-        if self._raw is None or other._raw is None:
+        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
+        if b is NotImplemented:
+            return NotImplemented
+        a = self._raw
+        if a is None or b is None:
             return INFINITE_ORD
-        return Valuation(self._raw + other._raw)
+        return _valuation(a + b)
 
     __radd__ = __add__
 
@@ -161,7 +198,20 @@ class Valuation:
         return f"Valuation({self})"
 
 
-INFINITE_ORD = Valuation.infinity()
+def _int_or_not(other: object) -> object:
+    return other if isinstance(other, int) else NotImplemented
+
+
+INFINITE_ORD = Valuation(None)
+
+# interned finite valuations: exponents in [_LOW, _HIGH)
+_LOW = -32
+_HIGH = 96
+_FINITE = tuple(Valuation(v) for v in range(_LOW, _HIGH))
+
+
+def _valuation(v: int) -> Valuation:
+    return _FINITE[v - _LOW] if _LOW <= v < _HIGH else Valuation(v)
 
 
 @dataclass(frozen=True)
@@ -200,20 +250,49 @@ class AngularComponent:
         return f"{self.residue} mod {self.p}^{self.n}"
 
 
-@dataclass(frozen=True)
+def _normalise(value: object) -> "int | Fraction":
+    """value as an int when it is an integer, else as a Fraction."""
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class PadicScalar:
     """An exact rational viewed p-adically.
 
-    Carries its prime context; valuation, norm exponent and angular
-    components are computed on demand and are exact.
+    ``value`` is an int when the scalar is an integer and a Fraction
+    otherwise; ``context`` is its PrimeContext.  Scalars are immutable and
+    hash and compare equal by (value, context).  The valuation is computed
+    on first use and cached; norm exponent and angular components are
+    computed on demand and are exact.
     """
 
-    value: Fraction
-    context: PrimeContext
+    __slots__ = ("value", "context", "_ord")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: object, context: PrimeContext) -> None:
+        if value.__class__ is not int:
+            value = _normalise(value)
+        _set_value(self, value)
+        _set_context(self, context)
+        _set_ord(self, None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (PadicScalar, (self.value, self.context))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PadicScalar:
+            return NotImplemented
+        ctx = other.context
+        return self.value == other.value and (ctx is self.context or ctx == self.context)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.context))
 
     # -- valuation-layer queries -------------------------------------
 
@@ -223,91 +302,144 @@ class PadicScalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.value == 0
+        return not self.value
 
     def ord(self) -> Valuation:
         """Exact p-adic valuation; +infinity iff the scalar is zero."""
-        if self.value == 0:
-            return INFINITE_ORD
-        p = self.context.p
-        return Valuation.finite(
-            _int_multiplicity(self.value.numerator, p)
-            - _int_multiplicity(self.value.denominator, p)
-        )
+        v = self._ord
+        if v is None:
+            value = self.value
+            if not value:
+                v = INFINITE_ORD
+            elif value.__class__ is int:
+                # _int_multiplicity inlined; the hottest path of the library
+                p = self.context.p
+                n = 0
+                while value % p == 0:
+                    value //= p
+                    n += 1
+                v = _FINITE[n - _LOW] if n < _HIGH else Valuation(n)
+            else:
+                p = self.context.p
+                v = _valuation(
+                    _int_multiplicity(value.numerator, p) - _int_multiplicity(value.denominator, p)
+                )
+            _set_ord(self, v)
+        return v
 
     def norm_exponent(self) -> "int | None":
         """The exponent e with |x| = p^e, or None for x = 0 (the zero flag)."""
-        v = self.ord()
-        return None if not v.is_finite else -v.value
+        v = self.ord()._raw
+        return None if v is None else -v
 
-    def norm_value(self) -> Fraction:
-        """|x| as an exact rational number (0 for the zero scalar)."""
+    def norm_value(self) -> "int | Fraction":
+        """|x| as an exact number: 0 for the zero scalar, else p^e (an int
+        for e >= 0, a Fraction for e < 0)."""
         e = self.norm_exponent()
-        return Fraction(0) if e is None else self.context.power(e)
+        return 0 if e is None else self.context.power(e)
 
-    def unit_part(self) -> Fraction:
-        """x / p^ord(x) as an exact rational; requires x != 0."""
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no unit part")
-        return self.value / self.context.power(self.ord().value)
+    def _unit(self, v: int) -> tuple:
+        """(numerator, denominator) of the unit part x / p^v, v = ord(x)."""
+        value = self.value
+        p = self.context.p
+        if value.__class__ is int:
+            return value // p**v, 1
+        if v >= 0:
+            return value.numerator // p**v, value.denominator
+        return value.numerator, value.denominator // p**-v
 
     def ac(self, n: int) -> AngularComponent:
         """Angular component mod p^n: unit part reduced exactly; 0 maps to 0."""
         if n < 1:
             raise ValueError("angular component depth must be >= 1")
-        if self.value == 0:
-            return AngularComponent(self.context.p, n, 0)
-        pn = self.context.p**n
-        u = self.unit_part()
-        inv_den = pow(u.denominator, -1, pn)
-        return AngularComponent(self.context.p, n, (u.numerator * inv_den) % pn)
+        p = self.context.p
+        if not self.value:
+            return AngularComponent(p, n, 0)
+        pn = p**n
+        num, den = self._unit(self.ord()._raw)
+        if den != 1:
+            num *= pow(den, -1, pn)
+        return AngularComponent(p, n, num % pn)
 
     def reduce_mod_power(self, k: int) -> PadicScalar:
         """Canonical representative of x + p^k Z_p: the smallest nonnegative
         integer multiple of p^ord(x) in the class (0 when ord(x) >= k)."""
-        v = self.ord()
-        if not v.is_finite or v.value >= k:
-            return PadicScalar(Fraction(0), self.context)
-        span = self.context.p ** (k - v.value)
-        u = self.unit_part()
-        r = (u.numerator * pow(u.denominator, -1, span)) % span
-        return PadicScalar(r * self.context.power(v.value), self.context)
+        value = self.value
+        ctx = self.context
+        p = ctx.p
+        if value.__class__ is int:
+            # ord >= 0, so the representative is value mod p^k
+            r = value % p**k if k > 0 else 0
+            return self if r == value else _scalar(r, ctx)
+        v = self.ord()._raw
+        if v >= k:
+            return _scalar(0, ctx)
+        span = p ** (k - v)
+        num, den = self._unit(v)
+        r = num * pow(den, -1, span) % span
+        return _scalar(r * p**v if v >= 0 else Fraction(r, p**-v), ctx)
 
     # -- exact field arithmetic ---------------------------------------
 
     def _check(self, other: "PadicScalar") -> None:
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ValueError("scalars from different prime contexts")
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value + other.value, self.context)
+        ctx = self.context
+        if other.context is not ctx:
+            self._check(other)
+        r = self.value + other.value
+        if r.__class__ is not int and r.denominator == 1:
+            r = r.numerator
+        return _scalar(r, ctx)
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value - other.value, self.context)
+        ctx = self.context
+        if other.context is not ctx:
+            self._check(other)
+        r = self.value - other.value
+        if r.__class__ is not int and r.denominator == 1:
+            r = r.numerator
+        return _scalar(r, ctx)
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value * other.value, self.context)
+        ctx = self.context
+        if other.context is not ctx:
+            self._check(other)
+        r = self.value * other.value
+        if r.__class__ is not int and r.denominator == 1:
+            r = r.numerator
+        return _scalar(r, ctx)
 
     def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value / other.value, self.context)
+        ctx = self.context
+        if other.context is not ctx:
+            self._check(other)
+        r = Fraction(self.value, other.value)
+        return _scalar(r.numerator if r.denominator == 1 else r, ctx)
 
     def __neg__(self) -> "PadicScalar":
-        return PadicScalar(-self.value, self.context)
+        s = _scalar(-self.value, self.context)
+        _set_ord(s, self._ord)
+        return s
 
     def __pow__(self, k: int) -> "PadicScalar":
-        return PadicScalar(self.value**k, self.context)
+        value = self.value
+        if k >= 0 and value.__class__ is int:
+            return _scalar(value**k, self.context)
+        r = Fraction(value) ** k
+        return _scalar(r.numerator if r.denominator == 1 else r, self.context)
 
     # Rational-value ordering; used for reproducible witness selection.
     def __lt__(self, other: "PadicScalar") -> bool:
-        self._check(other)
+        if other.context is not self.context:
+            self._check(other)
         return self.value < other.value
 
     def __le__(self, other: "PadicScalar") -> bool:
-        self._check(other)
+        if other.context is not self.context:
+            self._check(other)
         return self.value <= other.value
 
     def __str__(self) -> str:
@@ -315,6 +447,22 @@ class PadicScalar:
 
     def __repr__(self) -> str:
         return f"PadicScalar({self.value}, p={self.context.p})"
+
+
+# Slot setters that bypass the frozen __setattr__.
+_set_value = PadicScalar.__dict__["value"].__set__
+_set_context = PadicScalar.__dict__["context"].__set__
+_set_ord = PadicScalar.__dict__["_ord"].__set__
+_new = object.__new__
+
+
+def _scalar(value: "int | Fraction", context: PrimeContext) -> PadicScalar:
+    """A scalar from a value already in normal form (module-private)."""
+    s = _new(PadicScalar)
+    _set_value(s, value)
+    _set_context(s, context)
+    _set_ord(s, None)
+    return s
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .qp_core import PadicScalar, PrimeContext
 
@@ -61,7 +61,7 @@ class Ball:
         return (x - self.center).ord() >= self.radius_ord
 
     def relation(self, other: "Ball") -> BallRelation:
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ValueError("balls from different prime contexts")
         d = (self.center - other.center).ord()
         if self.radius_ord == other.radius_ord:
@@ -124,12 +124,13 @@ class Window:
 class RepresentativeSet:
     """Canonical representatives of the residue classes of a window.
 
-    The granularity map sends each point to the ball it represents; the
-    balls are pairwise disjoint and partition the window exactly.
+    Each point x stands for its granularity ball x + p^(ord(x) + depth) Z_p
+    (built on demand by ball_of); the balls are pairwise disjoint and
+    partition the window exactly.
     """
 
     points: tuple[PadicScalar, ...]
-    granularity: Mapping[PadicScalar, Ball] = field(hash=False, compare=False)
+    depth: int
 
     def __iter__(self) -> Iterator[PadicScalar]:
         return iter(self.points)
@@ -138,7 +139,7 @@ class RepresentativeSet:
         return len(self.points)
 
     def ball_of(self, x: PadicScalar) -> Ball:
-        return self.granularity[x]
+        return Ball(x, x.ord().value + self.depth)
 
 
 def enumerate_window(window: Window, ctx: PrimeContext) -> RepresentativeSet:
@@ -149,16 +150,12 @@ def enumerate_window(window: Window, ctx: PrimeContext) -> RepresentativeSet:
     enumerated: callers that need it add it explicitly.  The number of
     points is (v_max - v_min + 1) * (p^M - p^(M-1)).
     """
-    depth = window.depth
-    points: list[PadicScalar] = []
-    granularity: dict[PadicScalar, Ball] = {}
+    units = ctx.units_mod(window.depth)
+    points = []
     for v in window.levels():
         scale = ctx.power(v)
-        for u in ctx.units_mod(depth):
-            rep = PadicScalar(u * scale, ctx)
-            points.append(rep)
-            granularity[rep] = Ball(rep, v + depth)
-    return RepresentativeSet(tuple(points), granularity)
+        points.extend(PadicScalar(u * scale, ctx) for u in units)
+    return RepresentativeSet(tuple(points), window.depth)
 
 
 # ---------------------------------------------------------------------------

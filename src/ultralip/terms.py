@@ -159,12 +159,14 @@ class Variable(Term):
 
 @dataclass(frozen=True)
 class RationalConst(Term):
-    value: Fraction
+    """A rational constant; value is an int when integral, else a Fraction."""
+
+    value: "int | Fraction"
     pos: Optional[SourcePos] = _posfield()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+        value = self.value if isinstance(self.value, Fraction) else Fraction(self.value)
+        object.__setattr__(self, "value", value.numerator if value.denominator == 1 else value)
 
 
 @dataclass(frozen=True)
@@ -812,7 +814,7 @@ def free_variables(node) -> tuple:
 
 def _infer_context(point: Mapping, ctx: Optional[PrimeContext]) -> PrimeContext:
     for v in point.values():
-        if ctx is not None and v.context != ctx:
+        if ctx is not None and v.context is not ctx and v.context != ctx:
             raise EvaluationError("point values disagree with the supplied context")
         ctx = v.context
     if ctx is None:

@@ -1,9 +1,16 @@
-"""All-pairs reference scans for the ball-tree algorithms of the library.
+"""Slow reference implementations that the tests compare the library with.
 
-Each function visits every pair (i, j), i < j, in index order and keeps the
-first pair that decides the answer, which is the lexicographically least
-one.  They are quadratic and exist only as oracles for the tests.
+The all-pairs scans are references for the ball-tree algorithms: each
+visits every pair (i, j), i < j, in index order and keeps the first pair
+that decides the answer, which is the lexicographically least one.  They
+are quadratic.
+
+The frac_* functions are references for the scalar kernel: the Q_p
+formulas of qp_core computed on Fractions only, with no integer fast path
+and no caching.
 """
+
+from fractions import Fraction
 
 from ultralip.qp_core import tuple_norm
 
@@ -70,3 +77,62 @@ def exloc_pairs(points, values):
             if (points[a] - points[b]).norm_exponent() != -points[a].ord().value:
                 return (i, j), 1
     return None
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel on Fractions only
+
+
+def frac_multiplicity(n, p):
+    """Multiplicity of p in the nonzero integer n."""
+    v = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def frac_ord(x, p):
+    """ord_p of the rational x, or None for 0."""
+    x = Fraction(x)
+    if x == 0:
+        return None
+    return frac_multiplicity(x.numerator, p) - frac_multiplicity(x.denominator, p)
+
+
+def frac_unit_part(x, p):
+    """x / p^ord(x) for nonzero x."""
+    return Fraction(x) / Fraction(p) ** frac_ord(x, p)
+
+
+def frac_ac(x, p, n):
+    """The angular component residue of x mod p^n; 0 for x = 0."""
+    if Fraction(x) == 0:
+        return 0
+    pn = p**n
+    u = frac_unit_part(x, p)
+    return (u.numerator * pow(u.denominator, -1, pn)) % pn
+
+
+def frac_reduce_mod_power(x, p, k):
+    """The smallest nonnegative multiple of p^ord(x) congruent to x mod p^k."""
+    v = frac_ord(x, p)
+    if v is None or v >= k:
+        return Fraction(0)
+    span = p ** (k - v)
+    u = frac_unit_part(x, p)
+    r = (u.numerator * pow(u.denominator, -1, span)) % span
+    return r * Fraction(p) ** v
+
+
+FRAC_OPS = {
+    "+": lambda a, b: Fraction(a) + Fraction(b),
+    "-": lambda a, b: Fraction(a) - Fraction(b),
+    "*": lambda a, b: Fraction(a) * Fraction(b),
+    "/": lambda a, b: Fraction(a) / Fraction(b),
+}
+
+
+def frac_pow(x, k):
+    return Fraction(x) ** k

@@ -181,9 +181,11 @@ class TestDifferentiation:
     def test_levelspike_derivative_zero(self):
         assert differentiate(parse_term("levelspike(t)"), "t") == RationalConst(0)
 
-    def test_unknown_derivative(self):
+    def test_unknown_derivative(self, monkeypatch):
+        import ultralip.terms as terms
         from ultralip.terms import BuiltinCall, BuiltinSpec, register_builtin
 
+        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
         register_builtin(BuiltinSpec("opaque", 1, lambda ctx, a: a[0], None))
         with pytest.raises(UnknownDerivativeError):
             differentiate(BuiltinCall("opaque", (Variable("t"),)), "t")
