@@ -32,8 +32,6 @@ from .terms import (
 )
 from .cells import (
     Cell,
-    CellBallIndex,
-    Comparison,
     NoCandidateFits,
     ZeroCellHasNoBalls,
     ball_of_cell,

@@ -12,7 +12,6 @@ t - c(y); a 0-cell (lambda = 0) is the graph t = c(y) and has no balls.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,25 +35,17 @@ from .terms import (
 )
 
 __all__ = [
-    "Comparison",
     "Cell",
-    "CellBallIndex",
     "ZeroCellHasNoBalls",
     "NoCandidateFits",
     "cell_contains",
     "ball_of_cell",
     "enumerate_balls",
-    "cell_ball_index",
     "fit_cell",
     "point_cell",
     "parse_cell",
     "format_cell",
 ]
-
-
-class Comparison(enum.Enum):
-    STRICT_LESS = "<"
-    NO_CONDITION = "none"
 
 
 class ZeroCellHasNoBalls(Exception):
@@ -84,15 +75,7 @@ class Cell:
     center: Term
     alpha: Optional[Term]
     beta: Optional[Term]
-    cmp1: Comparison
-    cmp2: Comparison
     coset: CosetSpec
-
-    def __post_init__(self) -> None:
-        if (self.alpha is None) != (self.cmp1 is Comparison.NO_CONDITION):
-            raise ValueError("alpha term must be present iff cmp1 is a comparison")
-        if (self.beta is None) != (self.cmp2 is Comparison.NO_CONDITION):
-            raise ValueError("beta term must be present iff cmp2 is a comparison")
 
     @property
     def is_zero_cell(self) -> bool:
@@ -189,23 +172,6 @@ def enumerate_balls(cell: Cell, y: Optional[Mapping], window: Window) -> list:
     return balls
 
 
-@dataclass(frozen=True)
-class CellBallIndex:
-    """The nonempty ball levels of a cell fiber, as computed over a window."""
-
-    cell: Cell
-    base_point: tuple  # sorted (name, PadicScalar) pairs
-    ball_ords: frozenset
-
-
-def cell_ball_index(cell: Cell, y: Optional[Mapping], window: Window) -> CellBallIndex:
-    y = y or {}
-    levels = frozenset(
-        b.radius_ord - cell.coset.m for b in enumerate_balls(cell, y, window)
-    )
-    return CellBallIndex(cell, tuple(sorted(y.items())), levels)
-
-
 # ---------------------------------------------------------------------------
 # cell fitting (balls -> cells around a candidate center)
 
@@ -224,13 +190,10 @@ def point_cell(
     """
     ctx = center.context
     alpha = beta = None
-    cmp1 = cmp2 = Comparison.NO_CONDITION
     if level_max is not None:
         alpha = RationalConst(ctx.power(level_max + 1))
-        cmp1 = Comparison.STRICT_LESS
     if level_min is not None:
         beta = RationalConst(ctx.power(level_min - 1))
-        cmp2 = Comparison.STRICT_LESS
     return Cell(
         base_vars=(),
         fiber_var=fiber_var,
@@ -238,8 +201,6 @@ def point_cell(
         center=RationalConst(center.value),
         alpha=alpha,
         beta=beta,
-        cmp1=cmp1,
-        cmp2=cmp2,
         coset=coset,
     )
 
@@ -431,8 +392,6 @@ def parse_cell(text: str, ctx: PrimeContext) -> Cell:
         center=center,
         alpha=alpha,
         beta=beta,
-        cmp1=Comparison.NO_CONDITION if alpha is None else Comparison.STRICT_LESS,
-        cmp2=Comparison.NO_CONDITION if beta is None else Comparison.STRICT_LESS,
         coset=coset,
     )
 

@@ -2,22 +2,24 @@
 
 Exit codes: 0 for success / a passing analysis, 1 when the analysis is
 negative (a violation, a failed correspondence, a failed verification),
-2 for usage errors.  Norms are printed as p^k strings and witnesses as
-exact rationals; --json output is schema-stable and byte-reproducible.
+2 for usage errors, 3 for an internal error (a broken invariant, reported
+with its traceback on stderr).  Norms are printed as p^k strings and
+witnesses as exact rationals; --json output is schema-stable and
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
+import traceback
 from fractions import Fraction
-from typing import Optional
 
-from .qp_core import PrimeContext
+from .qp_core import PadicScalar, PrimeContext
 from .regions import Ball, Window
-from .cells import Cell, enumerate_balls, parse_cell, format_cell, ball_of_cell
+from .cells import Cell, ZeroCellHasNoBalls, enumerate_balls, parse_cell, format_cell, ball_of_cell
 from .jacobian import (
     BallCorrespondence,
     CertificationFailed,
@@ -41,7 +43,6 @@ from .lipschitz import (
 from .prepare import parse_factored, prepare, verify_prepared
 from .terms import (
     Condition,
-    ParseError,
     PiecewiseFunction,
     TermError,
     TrueCond,
@@ -51,37 +52,16 @@ from .terms import (
     parse_term,
 )
 
-__all__ = ["main", "dispatch", "RunConfig"]
+__all__ = ["main", "dispatch"]
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated shared run parameters; invalid configurations exit with 2."""
-
-    prime: int
-    depth: int
-    window: Optional[tuple]
-    json_output: bool
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise UsageError(f"depth must be >= 1, got {self.depth}")
-
-
-def _run_config(args) -> RunConfig:
-    window = None
-    if getattr(args, "window", None) is not None:
-        window = _parse_window(args.window)
-    return RunConfig(
-        prime=args.prime,
-        depth=getattr(args, "depth", 1),
-        window=window,
-        json_output=bool(getattr(args, "json", False)),
-    )
+# Errors that describe bad input, reported as "error: ..." with exit 2;
+# ValueError is the type the library raises when it validates arguments.
+_USAGE_ERRORS = (UsageError, TermError, ValueError, EmptyRegion, CenterNotZero, ZeroCellHasNoBalls)
 
 
 def _parse_window(text: str) -> tuple:
@@ -109,16 +89,21 @@ def _parse_ball(text: str, ctx: PrimeContext) -> Ball:
         raise UsageError(f"malformed ball literal {text!r}") from None
 
 
+def _scalar(text: str, ctx: PrimeContext) -> PadicScalar:
+    """A rational command-line argument such as "-3/4" as a scalar."""
+    try:
+        return ctx.scalar(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad rational {text!r}") from None
+
+
 def _parse_point(pairs, ctx: PrimeContext) -> dict:
     point = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise UsageError(f"--at expects name=rational, got {pair!r}")
         name, value = pair.split("=", 1)
-        try:
-            point[name.strip()] = ctx.scalar(Fraction(value.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"bad rational {value!r}") from None
+        point[name.strip()] = _scalar(value, ctx)
     return point
 
 
@@ -170,14 +155,14 @@ def _cmd_eval(args, ctx: PrimeContext) -> int:
 
 
 def _cmd_ord(args, ctx: PrimeContext) -> int:
-    x = ctx.scalar(Fraction(args.value))
+    x = _scalar(args.value, ctx)
     v = x.ord()
     _emit({"ord": str(v)}, str(v), args.json)
     return 0
 
 
 def _cmd_ac(args, ctx: PrimeContext) -> int:
-    x = ctx.scalar(Fraction(args.value))
+    x = _scalar(args.value, ctx)
     a = x.ac(args.n)
     _emit({"residue": a.residue, "modulus": a.modulus}, str(a), args.json)
     return 0
@@ -185,7 +170,7 @@ def _cmd_ac(args, ctx: PrimeContext) -> int:
 
 def _cmd_ball_of_cell(args, ctx: PrimeContext) -> int:
     cell = _cell_from_args(args, ctx)
-    t = ctx.scalar(Fraction(args.t))
+    t = _scalar(args.t, ctx)
     ball = ball_of_cell(cell, t)
     _emit({"ball": _ball_dict(ball)}, str(ball), args.json)
     return 0
@@ -256,7 +241,7 @@ def _cmd_correspondence(args, ctx: PrimeContext) -> int:
     f = parse_term(args.function)
     cell = _cell_from_args(args, ctx)
     lo, hi = _parse_window(args.window)
-    extras = [ctx.scalar(Fraction(c)) for c in args.candidate or ()]
+    extras = [_scalar(c, ctx) for c in args.candidate or ()]
     result = check_ball_correspondence(
         f, cell, {}, Window(lo, hi, 1), args.depth, extra_candidates=extras
     )
@@ -312,7 +297,7 @@ def _cmd_certify(args, ctx: PrimeContext) -> int:
     f = parse_term(args.function)
     cell = _cell_from_args(args, ctx)
     lo, hi = _parse_window(args.window)
-    extras = [ctx.scalar(Fraction(c)) for c in args.candidate or ()]
+    extras = [_scalar(c, ctx) for c in args.candidate or ()]
     corr = check_ball_correspondence(
         f, cell, {}, Window(lo, hi, 1), args.depth, extra_candidates=extras
     )
@@ -376,8 +361,8 @@ def _cmd_prepare(args, ctx: PrimeContext) -> int:
 
 
 def _cmd_example(args, ctx: PrimeContext) -> int:
+    lo, hi = _parse_window(args.window)
     if args.which == "exloc":
-        lo, hi = _parse_window(args.window)
         trace = counterexample_exloc(Window(lo, hi, args.depth), ctx)
         lines = [
             f"locally constant, nowhere piecewise Lipschitz: f(t) = |t| in Q_{ctx.p}",
@@ -408,6 +393,9 @@ def _cmd_example(args, ctx: PrimeContext) -> int:
 # parser assembly
 
 
+# Built once per process: assembling the parser costs more than most one-line
+# commands, and parse_args leaves the parser unchanged, so callers can share it.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ultralip",
@@ -514,21 +502,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _run_config(args)
-        ctx = PrimeContext(args.prime)
-        return args.handler(args, ctx)
-    except (UsageError, ParseError, EmptyRegion, ValueError) as err:
+        if args.depth < 1:
+            raise UsageError(f"depth must be >= 1, got {args.depth}")
+        return args.handler(args, PrimeContext(args.prime))
+    except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except CenterNotZero as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except TermError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a bug in ultralip, not in the input", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> int:

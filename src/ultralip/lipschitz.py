@@ -25,8 +25,6 @@ from .regions import (
 )
 from .cells import Cell, format_cell
 from .terms import (
-    BuiltinDomainError,
-    BuiltinSpec,
     Condition,
     NormVal,
     PiecewiseFunction,
@@ -38,7 +36,7 @@ from .terms import (
     evaluate_piecewise,
     format_condition,
     free_variables,
-    register_builtin,
+    _levelspike_value,
 )
 from .jacobian import (
     BallCorrespondence,
@@ -163,34 +161,6 @@ class CounterexampleTrace:
                 {"n": n, "quotient_exponent": q} for n, q in self.derivative_entries
             ]
         return out
-
-
-# ---------------------------------------------------------------------------
-# the locally constant spike used by the second counterexample family
-
-
-def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
-    """0 on all of p Z_p except the marked ball p^n + p^(3n) Z_p of each
-    level n >= 1, where the value is p^(2n); 0 at 0."""
-    if x.is_zero:
-        return ctx.scalar(0)
-    n = x.ord().value
-    if n < 1:
-        raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
-    if x.ac(2 * n).residue == 1:
-        return PadicScalar(ctx.power(2 * n), ctx)
-    return ctx.scalar(0)
-
-
-register_builtin(
-    BuiltinSpec(
-        name="levelspike",
-        arity=1,
-        evaluate=lambda ctx, args: _levelspike_value(ctx, args[0]),
-        derivative="zero",
-        domain_note="p*Z_p together with 0; locally constant, derivative 0 everywhere",
-    )
-)
 
 
 # ---------------------------------------------------------------------------

@@ -30,24 +30,12 @@ __all__ = [
     "FactoredTerm",
     "PreparedPiece",
     "PrepareCheck",
-    "WindowContainsOnlyCenters",
-    "InsufficientDepth",
     "parse_factored",
     "prepare",
     "verify_prepared",
     "piece_contains",
     "value_unit_class",
 ]
-
-
-class WindowContainsOnlyCenters(Exception):
-    """The scan domain is empty apart from the centers themselves."""
-
-
-class InsufficientDepth(Exception):
-    """An angular split failed to freeze some factor (kept for API
-    compatibility; the tie handoff below always resolves, so this is not
-    raised by the current sweep)."""
 
 
 @dataclass(frozen=True)
@@ -220,7 +208,7 @@ class _Geometry:
             elif d < lo:
                 h += self.exps[i] * d
             else:
-                raise ValueError(f"run [{lo},{hi}] crosses the tie at {d}")
+                raise AssertionError(f"run [{lo},{hi}] crosses the tie at {d}")
         return e, h
 
     def tie_profile(self, j: int, a: int, xi: int, m: int) -> tuple:
@@ -244,7 +232,7 @@ class _Geometry:
                 w = self.tie_residue(j, i, m)
                 delta = (xi - w) % pm
                 if delta == 0:
-                    raise ValueError(f"class {xi} points at center {i}: not resolvable")
+                    raise AssertionError(f"class {xi} points at center {i}: not resolvable")
                 r = 0
                 while delta % self.ctx.p == 0:
                     delta //= self.ctx.p
@@ -482,7 +470,9 @@ def verify_prepared(
                 # desired failure for inconsistent pieces
                 hi_for_profile = max([piece.level_min] + [d + 1 for d in criticals])
             expected = geo.run_profile(j, piece.level_min, hi_for_profile)
-    except ValueError as err:
+    except AssertionError as err:
+        # the profiles assert the sweep's invariants, which a piece handed in
+        # from outside the sweep need not satisfy
         return PrepareCheck(False, None, f"piece geometry is inconsistent: {err}")
     if expected != (piece.exponent, piece.h_exponent):
         witness = PadicScalar(center.value + piece.residue * ctx.power(piece.level_min), ctx)

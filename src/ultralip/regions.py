@@ -20,8 +20,6 @@ __all__ = [
     "BallRelation",
     "Window",
     "RepresentativeSet",
-    "ball_contains",
-    "ball_relation",
     "enumerate_window",
     "SplitClass",
     "splitting_classes",
@@ -88,14 +86,6 @@ class Ball:
 
     def __str__(self) -> str:
         return f"{self.center} + {self.context.p}^{self.radius_ord}"
-
-
-def ball_contains(ball: Ball, x: PadicScalar) -> bool:
-    return ball.contains(x)
-
-
-def ball_relation(first: Ball, second: Ball) -> BallRelation:
-    return first.relation(second)
 
 
 @dataclass(frozen=True)

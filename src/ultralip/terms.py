@@ -52,14 +52,12 @@ __all__ = [
     "PiecewiseFunction",
     "BuiltinSpec",
     "register_builtin",
-    "builtin_spec",
     "parse",
     "parse_term",
     "parse_condition",
     "parse_piecewise",
     "format_term",
     "format_condition",
-    "format_piecewise",
     "evaluate",
     "evaluate_piecewise",
     "eval_condition",
@@ -290,36 +288,48 @@ class PiecewiseFunction:
 
 @dataclass(frozen=True)
 class BuiltinSpec:
-    """A named unary builtin: evaluator, domain note, and derivative rule.
+    """A named unary builtin: evaluator and derivative rule.
 
     derivative is "zero" for locally constant builtins, a callable taking
     the argument terms and returning a Term, or None when no derivative is
     declared (differentiation then fails with UnknownDerivativeError).
-    arity must be 1: differentiation chains through the single argument.
+    Builtins take exactly one argument, so differentiation chains through it.
     """
 
     name: str
-    arity: int
     evaluate: Callable
     derivative: Union[str, Callable, None]
-    domain_note: str = ""
 
 
 _BUILTINS: dict = {}
 
 
 def register_builtin(spec: BuiltinSpec) -> None:
-    if spec.arity != 1:
-        raise ValueError(f"builtin {spec.name!r} has arity {spec.arity}; builtins are unary")
     _BUILTINS[spec.name] = spec
 
 
-def builtin_spec(name: str) -> BuiltinSpec:
-    return _BUILTINS[name]
+def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
+    """0 on all of p Z_p except the marked ball p^n + p^(3n) Z_p of each
+    level n >= 1, where the value is p^(2n); 0 at 0."""
+    if x.is_zero:
+        return ctx.scalar(0)
+    n = x.ord().value
+    if n < 1:
+        raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
+    if x.ac(2 * n).residue == 1:
+        return PadicScalar(ctx.power(2 * n), ctx)
+    return ctx.scalar(0)
 
 
-def known_builtins() -> tuple:
-    return tuple(sorted(_BUILTINS))
+# the locally constant spike of the second counterexample family: defined on
+# p*Z_p together with 0, with derivative 0 everywhere
+register_builtin(
+    BuiltinSpec(
+        name="levelspike",
+        evaluate=lambda ctx, args: _levelspike_value(ctx, args[0]),
+        derivative="zero",
+    )
+)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +496,10 @@ class _Parser:
         num = int(tok.text)
         if self.peek().text == "/" and self.peek(1).kind == "int":
             self.next()
-            den = int(self.next().text)
-            return Fraction(sign * num, den)
+            den = self.next()
+            if int(den.text) == 0:
+                raise ParseError("rational literal with denominator 0", den.line, den.col)
+            return Fraction(sign * num, int(den.text))
         return Fraction(sign * num)
 
     def atom(self) -> Term:
@@ -516,10 +528,9 @@ class _Parser:
                 while self.accept(","):
                     args.append(self.term())
                 self.expect(")")
-                spec = _BUILTINS[name]
-                if len(args) != spec.arity:
+                if len(args) != 1:
                     raise ParseError(
-                        f"builtin {name!r} takes {spec.arity} argument(s), got {len(args)}",
+                        f"builtin {name!r} takes 1 argument, got {len(args)}",
                         tok.line,
                         tok.col,
                     )
@@ -753,14 +764,6 @@ def format_condition(c: Condition) -> str:
     if isinstance(c, Or):
         return f"{format_condition(c.left)} || {format_condition(c.right)}"
     raise TypeError(f"not a condition node: {c!r}")
-
-
-def format_piecewise(pf: PiecewiseFunction) -> str:
-    head = ",".join(pf.variables)
-    body = " ; ".join(
-        f"{format_condition(cond)} -> {format_term(body)}" for cond, body in pf.pieces
-    )
-    return f"piecewise({head}) {{ {body} }}"
 
 
 # ---------------------------------------------------------------------------

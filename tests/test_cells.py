@@ -7,11 +7,9 @@ from ultralip.qp_core import CosetSpec, PrimeContext
 from ultralip.regions import Ball, BallRelation, Window, enumerate_window
 from ultralip.cells import (
     Cell,
-    Comparison,
     NoCandidateFits,
     ZeroCellHasNoBalls,
     ball_of_cell,
-    cell_ball_index,
     cell_contains,
     enumerate_balls,
     fit_cell,
@@ -46,8 +44,6 @@ class TestMembership:
             center=parse_term("y^2"),
             alpha=None,
             beta=None,
-            cmp1=Comparison.NO_CONDITION,
-            cmp2=Comparison.NO_CONDITION,
             coset=CosetSpec(ctx3.scalar(1), 1, 1),
         )
         y = {"y": ctx3.scalar(2)}
@@ -134,8 +130,8 @@ class TestEnumerateBalls:
 
     def test_cell_ball_index(self, ctx3):
         cell = unit_coset_cell(ctx3, m=1, n=2)
-        idx = cell_ball_index(cell, {}, Window(0, 4, 1))
-        assert idx.ball_ords == frozenset({0, 2, 4})
+        balls = enumerate_balls(cell, {}, Window(0, 4, 1))
+        assert [b.radius_ord - cell.coset.m for b in balls] == [0, 2, 4]
 
     def test_balls_above_a_base_point(self, ctx3):
         cell = Cell(
@@ -145,8 +141,6 @@ class TestEnumerateBalls:
             center=parse_term("y^2"),
             alpha=None,
             beta=None,
-            cmp1=Comparison.NO_CONDITION,
-            cmp2=Comparison.NO_CONDITION,
             coset=CosetSpec(ctx3.scalar(1), 1, 1),
         )
         y = {"y": ctx3.scalar(2)}

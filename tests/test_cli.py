@@ -76,6 +76,19 @@ class TestRegionsCommands:
         code, _, err = run(capsys, "enumerate-balls", "-p", "3", "--window=0:1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate-balls", "--window=0:2"],
+            ["ball-of-cell", "--t", "1"],
+        ],
+    )
+    def test_zero_cell_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "-p", "3", "--coset", "0*Q(1,1)")
+        assert code == 2
+        assert out == ""
+        assert err == "error: a 0-cell has no balls\n"
+
 
 class TestJacobianCommands:
     def test_certificate_exit_zero(self, capsys):
@@ -195,6 +208,38 @@ class TestContract:
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "-p", "3", "-f", "t +* 1", "--at", "t=1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord", "-p", "3", "abc"],
+            ["ord", "-p", "3", "1/0"],
+            ["ord", "-p", "3", "-M", "0", "5"],
+            ["eval", "-p", "3", "-f", "1/0"],
+            ["enumerate-balls", "-p", "3", "--coset", "1/0*Q(1,1)", "--window=0:1"],
+        ],
+    )
+    def test_bad_input_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        import ultralip.cli as cli
+
+        def broken(*args, **kwargs):
+            raise AssertionError("sweep invariant broken")
+
+        monkeypatch.setattr(cli, "prepare", broken)
+        code, out, err = run(
+            capsys, "prepare", "-p", "5", "-f", "1 * (t - 0)", "--window=0:1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err
+        assert "AssertionError: sweep invariant broken" in err
+        assert "internal error" in err
 
     def test_depth_zero_exit_two(self, capsys):
         code, _, err = run(

@@ -203,7 +203,7 @@ class TestCorrespondence:
         assert corr.kind == "no_balls_in_window"
 
     def test_correspondence_above_a_base_point(self, ctx3):
-        from ultralip.cells import Cell, Comparison
+        from ultralip.cells import Cell
         from ultralip.terms import parse_condition
 
         cell = Cell(
@@ -213,8 +213,6 @@ class TestCorrespondence:
             center=parse_term("y"),
             alpha=None,
             beta=None,
-            cmp1=Comparison.NO_CONDITION,
-            cmp2=Comparison.NO_CONDITION,
             coset=CosetSpec(ctx3.scalar(1), 1, 1),
         )
         corr = check_ball_correspondence(

@@ -164,6 +164,17 @@ class TestMutationSensitivity:
             check = verify_prepared(f, bad, 3)
             assert not check.passed
 
+    def test_piece_across_a_tie_fails(self, ctx5):
+        """A run piece stretched over the tie at level 0 passes the direct
+        check on its own balls but has no single profile: it is reported as
+        a failed check, not raised."""
+        f = parse_factored("1 * (t - 0) * (t - 1)", ctx5)
+        piece = next(p for p in prepare(f, Window(-2, 1, 1)) if p.level_min == -2)
+        stretched = dataclasses.replace(piece, level_max=0, residue=2)
+        check = verify_prepared(f, stretched, 2)
+        assert not check.passed
+        assert "crosses the tie at 0" in check.detail
+
     def test_unrefined_tie_piece_fails(self, ctx5):
         """A tie-annulus piece whose class straddles the handoff (no ac
         refinement) cannot satisfy the identity: coset refinement is

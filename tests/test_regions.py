@@ -9,8 +9,6 @@ from ultralip.regions import (
     Ball,
     BallRelation,
     Window,
-    ball_contains,
-    ball_relation,
     enumerate_window,
 )
 
@@ -20,16 +18,16 @@ from conftest import random_rational
 class TestBall:
     def test_contains_examples(self, ctx3):
         b = Ball(ctx3.scalar(1), 1)
-        assert ball_contains(b, ctx3.scalar(4))
-        assert not ball_contains(b, ctx3.scalar(2))
-        assert ball_contains(Ball(ctx3.scalar(1), 2), ctx3.scalar(10))
+        assert b.contains(ctx3.scalar(4))
+        assert not b.contains(ctx3.scalar(2))
+        assert Ball(ctx3.scalar(1), 2).contains(ctx3.scalar(10))
 
     def test_relation_examples(self, ctx3):
         one = Ball(ctx3.scalar(1), 1)
-        assert ball_relation(one, Ball(ctx3.scalar(4), 2)) is BallRelation.SECOND_INSIDE_FIRST
-        assert ball_relation(Ball(ctx3.scalar(4), 2), one) is BallRelation.FIRST_INSIDE_SECOND
-        assert ball_relation(one, Ball(ctx3.scalar(2), 1)) is BallRelation.DISJOINT
-        assert ball_relation(one, Ball(ctx3.scalar(4), 1)) is BallRelation.EQUAL
+        assert one.relation(Ball(ctx3.scalar(4), 2)) is BallRelation.SECOND_INSIDE_FIRST
+        assert Ball(ctx3.scalar(4), 2).relation(one) is BallRelation.FIRST_INSIDE_SECOND
+        assert one.relation(Ball(ctx3.scalar(2), 1)) is BallRelation.DISJOINT
+        assert one.relation(Ball(ctx3.scalar(4), 1)) is BallRelation.EQUAL
 
     def test_equality_is_set_equality(self, ctx3):
         assert Ball(ctx3.scalar(4), 1) == Ball(ctx3.scalar(1), 1)

@@ -1,4 +1,8 @@
+import importlib
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +54,8 @@ class TestParsing:
     def test_rational_literals(self):
         assert parse_term("3/2") == RationalConst(Fraction(3, 2))
         assert parse_term("-3/2") == RationalConst(Fraction(-3, 2))
+        with pytest.raises(ParseError, match="denominator 0"):
+            parse_term("1/0")
 
     def test_power_forms(self):
         assert parse_term("t^-2") == IntPow(Variable("t"), -2)
@@ -73,6 +79,20 @@ class TestParsing:
     def test_known_builtin_parses(self):
         t = parse_term("levelspike(t)")
         assert t.name == "levelspike"
+
+    def test_levelspike_needs_only_the_terms_module(self, monkeypatch):
+        """The builtin is registered by terms itself, not by importing the
+        package (whose __init__ also loads lipschitz)."""
+        pkg = types.ModuleType("_ul")
+        pkg.__path__ = [str(Path(__file__).resolve().parents[1] / "src" / "ultralip")]
+        monkeypatch.setitem(sys.modules, "_ul", pkg)
+        try:
+            terms = importlib.import_module("_ul.terms")
+            assert "_ul.lipschitz" not in sys.modules
+            assert terms.parse_term("levelspike(t)").name == "levelspike"
+        finally:
+            for name in [n for n in sys.modules if n.startswith("_ul.")]:
+                del sys.modules[name]
 
     def test_piecewise_and_unbound_variable(self):
         pf = parse_piecewise("piecewise(t) { ord(t) % 2 = 0 -> t^2 ; ord(t) % 2 = 1 -> 3*t }")
@@ -186,7 +206,7 @@ class TestDifferentiation:
         from ultralip.terms import BuiltinCall, BuiltinSpec, register_builtin
 
         monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
-        register_builtin(BuiltinSpec("opaque", 1, lambda ctx, a: a[0], None))
+        register_builtin(BuiltinSpec("opaque", lambda ctx, a: a[0], None))
         with pytest.raises(UnknownDerivativeError):
             differentiate(BuiltinCall("opaque", (Variable("t"),)), "t")
 
@@ -198,7 +218,6 @@ class TestDifferentiation:
         register_builtin(
             BuiltinSpec(
                 "cubed",
-                1,
                 lambda ctx, a: a[0] ** 3,
                 lambda args: Mul(RationalConst(3), IntPow(args[0], 2)),
             )
@@ -206,15 +225,9 @@ class TestDifferentiation:
         d = differentiate(BuiltinCall("cubed", (parse_term("2*t+1"),)), "t")
         self._check_equal(d, parse_term("6*(2*t+1)^2"), ctx5)
 
-    def test_builtins_must_be_unary(self, monkeypatch):
-        import ultralip.terms as terms
-        from ultralip.terms import BuiltinSpec, register_builtin
-
-        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
-        with pytest.raises(ValueError):
-            register_builtin(BuiltinSpec("pairwise", 2, lambda ctx, a: a[0], "zero"))
-        with pytest.raises(ParseError):
-            parse_term("pairwise(t, t)")
+    def test_builtins_must_be_unary(self):
+        with pytest.raises(ParseError, match="takes 1 argument"):
+            parse_term("levelspike(t, t)")
 
 
 # random integer-coefficient polynomial terms for the gradient check
