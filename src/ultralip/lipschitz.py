@@ -227,7 +227,6 @@ def empirical_lipschitz(
     region: Condition,
     window: Window,
     ctx: PrimeContext,
-    depth: Optional[int] = None,
     region_text: Optional[str] = None,
 ) -> LipschitzReport:
     """Largest ratio |f(x1)-f(x2)| / |x1-x2| over all representative pairs.
@@ -239,10 +238,8 @@ def empirical_lipschitz(
     not visited one by one: a pass over the ball tree of the points finds
     the best ratio in O(N * levels) (see _tree_scan).
     """
-    if depth is None:
-        depth = window.depth
     variables = _function_variables(f)
-    axis = sorted(enumerate_window(Window(window.v_min, window.v_max, depth), ctx))
+    axis = sorted(enumerate_window(window, ctx))
     if len(variables) == 1:
         candidates: list = list(axis)
     else:
@@ -264,7 +261,7 @@ def empirical_lipschitz(
         mode=Mode.EMPIRICAL_LOWER_BOUND,
         constant_exponent=best,
         witness=best_witness,
-        depth=depth,
+        depth=window.depth,
         region=region_text if region_text is not None else format_condition(region),
     )
 
@@ -339,7 +336,6 @@ def check_bounded_derivative_local_lipschitz(
     region: Condition,
     window: Window,
     ctx: PrimeContext,
-    depth: Optional[int] = None,
 ) -> LocalLipschitzCheck:
     """Check |f(x)-f(y)| <= |x-y| on pairs sharing a level-1 subball.
 
@@ -351,14 +347,12 @@ def check_bounded_derivative_local_lipschitz(
     its ball tree (see _local_break); the witness is the first failing pair
     in the order of an all-pairs scan.
     """
-    if depth is None:
-        depth = window.depth
     names = free_variables(f)
     if len(names) > 1:
         raise ValueError("the local check is univariate")
     var = names[0] if names else "t"
     deriv = differentiate(f, var)
-    reps = sorted(enumerate_window(Window(window.v_min, window.v_max, depth), ctx))
+    reps = sorted(enumerate_window(window, ctx))
     pts = [x for x in reps if eval_condition(region, {var: x}, ctx)]
     if not pts:
         return LocalLipschitzCheck("passed", None, "region has no representatives")
@@ -387,7 +381,7 @@ def check_bounded_derivative_local_lipschitz(
                 f"|f({x})-f({y})| > |{x}-{y}|",
             )
     return LocalLipschitzCheck(
-        "passed", None, f"checked {len(pts)} representatives at depth {depth}"
+        "passed", None, f"checked {len(pts)} representatives at depth {window.depth}"
     )
 
 
@@ -451,9 +445,7 @@ def _exloc_break(points, values) -> Optional[tuple]:
     return min(breaks, default=None)
 
 
-def counterexample_exloc(
-    window: Window, ctx: PrimeContext, depth: Optional[int] = None
-) -> CounterexampleTrace:
+def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTrace:
     """The locally constant norm-embedding map on Z_p minus 0.
 
     f(t) = normval(t) is constant on every granularity ball, yet
@@ -466,10 +458,8 @@ def counterexample_exloc(
     """
     if window.v_min < 0:
         raise ValueError("the construction lives inside Z_p: require v_min >= 0")
-    if depth is None:
-        depth = window.depth
     f = NormVal(Variable("t"))
-    rset = enumerate_window(Window(window.v_min, window.v_max, depth), ctx)
+    rset = enumerate_window(window, ctx)
     values = {x: evaluate(f, {"t": x}, ctx) for x in rset.points}
 
     # local constancy on every granularity ball

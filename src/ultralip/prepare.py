@@ -37,6 +37,9 @@ __all__ = [
     "value_unit_class",
 ]
 
+# levels of a piece that verify_prepared checks
+_LEVEL_CAP = 3
+
 
 @dataclass(frozen=True)
 class FactoredTerm:
@@ -420,16 +423,11 @@ def piece_contains(f: FactoredTerm, piece: PreparedPiece, t: PadicScalar) -> boo
     return delta.ac(piece.m).residue == piece.residue
 
 
-def verify_prepared(
-    f: FactoredTerm,
-    piece: PreparedPiece,
-    depth: int,
-    level_cap: int = 3,
-) -> PrepareCheck:
+def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> PrepareCheck:
     """Check a prepared piece against direct factor evaluation.
 
     For every depth-M representative t of the piece's balls (levels capped
-    at level_cap per piece), ord f(t) computed as ord(u) + sum a_i
+    at _LEVEL_CAP per piece), ord f(t) computed as ord(u) + sum a_i
     ord(t - c_i) must equal h_exponent + exponent * ord(t - c_j) exactly.
     The (exponent, h) pair is additionally checked against the geometric
     profile of the cell, which pins the exponent even on single-level
@@ -443,7 +441,7 @@ def verify_prepared(
     center = geo.centers[j]
 
     hi = piece.level_max
-    last = piece.level_min + level_cap - 1 if hi is None else min(hi, piece.level_min + level_cap - 1)
+    last = piece.level_min + _LEVEL_CAP - 1 if hi is None else min(hi, piece.level_min + _LEVEL_CAP - 1)
     for a in range(piece.level_min, last + 1):
         rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
         ball = Ball(rep, a + piece.m)

@@ -7,26 +7,39 @@ norms, test ord congruences and coset membership, and combine with the
 usual connectives.  Everything evaluates exactly at rational points, so
 every predicate is decidable.
 
-The grammar (parsed by a hand-rolled recursive descent with positions):
+The grammar (parsed by a hand-rolled recursive descent with positions).
+It is the one reader of literal text: the CLI's rationals, balls, cosets
+and cells are productions of it as well.
 
     term  := sum ;  sum := prod (("+"|"-") prod)*
     prod  := unary (("*"|"/") unary)* ;  unary := "-" unary | atom ("^" int)?
-    atom  := rational | ident | "normval(" term ")" | builtin "(" args ")"
+    atom  := rational | ident | "normval(" term ")" | builtin "(" term ")"
            | "(" term ")"
     cond  := disj ;  disj := conj ("||" conj)* ;  conj := lit ("&&" lit)*
-    lit   := "|" term "|" ("<"|"<="|"=") "|" term "|"
-           | term "in" rational "*" "Q(" int "," int ")"
+    lit   := "|" term "|" ("<"|"<="|"=") "|" term "|" | term "in" coset
            | "ord(" term ")" "%" int "=" int | "!" lit | "true" | "(" cond ")"
-    rational := int ("/" int)?
+    rational := "-"? int ("/" int)?
+    coset := rational "*" "Q(" int "," int ")"           (m, n >= 1)
+    ball  := rational "+" int "^" int                    (c + p^k Z_p)
+    cell  := "cell(" seg (";" seg)* ")"
+    seg   := "center=" term | "coset=" coset | "base=" cond | "var=" ident
+           | "alpha=" term | "beta=" term | "all"
+           | "ord" ("in" "[" int "," int "]" | ">" int | "<" int)
     piecewise := "piecewise" "(" ident ("," ident)* ")"
                  "{" cond "->" term (";" cond "->" term)* "}"
+
+An int is a run of digits, read with a leading "-" wherever a value may
+be negative (exponents, depths, levels, residues).  A cell needs its
+coset segment and names each segment at most once; "all" and "ord" are
+two forms of the one level-range segment.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset
 
@@ -213,7 +226,7 @@ class NormVal(Term):
 @dataclass(frozen=True)
 class BuiltinCall(Term):
     name: str
-    args: tuple
+    arg: Term
     pos: Optional[SourcePos] = _posfield()
 
 
@@ -290,8 +303,9 @@ class PiecewiseFunction:
 class BuiltinSpec:
     """A named unary builtin: evaluator and derivative rule.
 
+    evaluate(ctx, x) maps the argument's value to the builtin's value.
     derivative is "zero" for locally constant builtins, a callable taking
-    the argument terms and returning a Term, or None when no derivative is
+    the argument term and returning a Term, or None when no derivative is
     declared (differentiation then fails with UnknownDerivativeError).
     Builtins take exactly one argument, so differentiation chains through it.
     """
@@ -326,7 +340,7 @@ def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
 register_builtin(
     BuiltinSpec(
         name="levelspike",
-        evaluate=lambda ctx, args: _levelspike_value(ctx, args[0]),
+        evaluate=_levelspike_value,
         derivative="zero",
     )
 )
@@ -336,63 +350,57 @@ register_builtin(
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "ident", "op", "eof"
     text: str
     line: int
     col: int
 
 
-_TWO_CHAR = ("||", "&&", "<=", "->")
-_ONE_CHAR = set("+-*/^()|<>=!%,;{}[]")
+# \s, \w and \d match exactly what str.isspace, str.isalnum (or "_") and
+# str.isdecimal accept, so one pass reads the whole token language
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|[^\S\n]+|(?P<op>\|\||&&|<=|->|[-+*/^()|<>=!%,;{}\[\]])|(?P<word>\w+)|(?P<bad>.)"
+)
 
 
 def _tokenize(source: str) -> list:
+    """Tokens with 1-based line and column, ended by two eof tokens."""
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind is None:  # spaces
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
+        start = match.start()
+        if kind == "nl":
+            line, line_start = line + 1, start + 1
             continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(_Token("op", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        text, col = match.group(), start - line_start + 1
+        if kind == "word":
+            if text.isdigit():
+                kind = "int"
+            elif text[0].isalpha() or text[0] == "_":
+                kind = "ident"
+            else:
+                tokens += _split_word(text, line, col)
+                continue
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        tokens.append(_Token(kind, text, line, col))
+    eof = _Token("eof", "", line, len(source) - line_start + 1)
+    tokens += (eof, eof)
     return tokens
+
+
+def _split_word(text: str, line: int, col: int) -> list:
+    """A word that mixes digits with other characters: its leading digits
+    are an int, and the rest must be an identifier."""
+    k = next(i for i, ch in enumerate(text) if not ch.isdigit())
+    out = [_Token("int", text[:k], line, col)] if k else []
+    if not (text[k].isalpha() or text[k] == "_"):
+        raise ParseError(f"unexpected character {text[k]!r}", line, col + k)
+    return out + [_Token("ident", text[k:], line, col + k)]
 
 
 class _Parser:
@@ -403,29 +411,30 @@ class _Parser:
     # -- plumbing ---------------------------------------------------
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "eof":
             self.i += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("op", "ident")
+        # an op or identifier text; int texts are never asked for
+        return self.tokens[self.i].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.tokens[self.i].text == text:
+            self.i += 1
             return True
         return False
 
     def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if not self.at(text):
+        tok = self.tokens[self.i]
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
+        self.i += 1
+        return tok
 
     def fail(self, message: str):
         tok = self.peek()
@@ -439,6 +448,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+
+    def read(self, production: Callable):
+        """The whole input as one production, e.g. read(_Parser.term)."""
+        node = production(self)
+        self.expect_eof()
+        return node
 
     # -- terms --------------------------------------------------------
 
@@ -524,17 +539,11 @@ class _Parser:
                     raise ParseError(f"unknown builtin {name!r}", tok.line, tok.col)
                 self.next()
                 self.expect("(")
-                args = [self.term()]
-                while self.accept(","):
-                    args.append(self.term())
+                arg = self.term()
+                if self.at(","):
+                    raise ParseError(f"builtin {name!r} takes 1 argument", tok.line, tok.col)
                 self.expect(")")
-                if len(args) != 1:
-                    raise ParseError(
-                        f"builtin {name!r} takes 1 argument, got {len(args)}",
-                        tok.line,
-                        tok.col,
-                    )
-                return BuiltinCall(name, tuple(args), pos=pos)
+                return BuiltinCall(name, arg, pos=pos)
             if name in _RESERVED:
                 self.fail(f"reserved word {name!r} cannot start a term")
             self.next()
@@ -564,8 +573,7 @@ class _Parser:
         pos = (tok.line, tok.col)
         if self.accept("!"):
             return Not(self.lit(), pos=pos)
-        if tok.kind == "ident" and tok.text == "true":
-            self.next()
+        if self.accept("true"):
             return TrueCond(pos=pos)
         if self.accept("|"):
             lhs = self.term()
@@ -602,9 +610,15 @@ class _Parser:
                 return inner_cond
             except ParseError:
                 self.i = snapshot
-        # membership literal: term "in" rational "*" "Q(" m "," n ")"
         subject = self.term()
         self.expect("in")
+        return CosetMember(subject, *self.coset(), pos=pos)
+
+    # -- literals of the CLI and of cells ---------------------------------
+
+    def coset(self) -> tuple:
+        """(lam, m, n) of lam*Q(m,n)."""
+        tok = self.peek()
         lam = self.rational()
         self.expect("*")
         self.expect("Q")
@@ -615,7 +629,59 @@ class _Parser:
         self.expect(")")
         if m < 1 or n < 1:
             raise ParseError("coset depths m, n must be >= 1", tok.line, tok.col)
-        return CosetMember(subject, lam, m, n, pos=pos)
+        return lam, m, n
+
+    def ball(self) -> tuple:
+        """(center, base, k) of the ball literal c + p^k."""
+        center = self.rational()
+        self.expect("+")
+        base = self.signed_int()
+        self.expect("^")
+        return center, base, self.signed_int()
+
+    def cell(self) -> dict:
+        """The segments of a cell literal by name, each given at most once;
+        "ord" holds the (lo, hi) level range, None where unbounded."""
+        start = self.expect("cell")
+        self.expect("(")
+        segments: dict = {}
+        while True:
+            tok = self.peek()
+            key = "ord" if tok.text == "all" else tok.text
+            if key not in _CELL_SEGMENTS:
+                self.fail(f"expected a cell segment, found {tok.text or 'end of input'!r}")
+            if key in segments:
+                what = "level range" if key == "ord" else f"{key!r} segment"
+                self.fail(f"cell literal gives its {what} twice")
+            self.next()
+            if tok.text == "all":
+                segments[key] = (None, None)
+            elif key == "ord":
+                segments[key] = self._ord_range(tok)
+            else:
+                self.expect("=")
+                segments[key] = _CELL_SEGMENTS[key](self)
+            if not self.accept(";"):
+                break
+        self.expect(")")
+        if "coset" not in segments:
+            raise ParseError("cell literal requires a coset segment", start.line, start.col)
+        return segments
+
+    def _ord_range(self, tok: _Token) -> tuple:
+        if self.accept(">"):
+            return self.signed_int() + 1, None
+        if self.accept("<"):
+            return None, self.signed_int() - 1
+        self.expect("in")
+        self.expect("[")
+        lo = self.signed_int()
+        self.expect(",")
+        hi = self.signed_int()
+        self.expect("]")
+        if lo > hi:
+            raise ParseError("empty ord range", tok.line, tok.col)
+        return lo, hi
 
     # -- piecewise -------------------------------------------------------
 
@@ -654,54 +720,47 @@ class _Parser:
         return (condition, body)
 
 
+# the reader of each "name=" cell segment; "all" is read as the ord segment
+_CELL_SEGMENTS = {
+    "center": _Parser.term,
+    "coset": _Parser.coset,
+    "base": _Parser.cond,
+    "var": _Parser._var_name,
+    "alpha": _Parser.term,
+    "beta": _Parser.term,
+    "ord": None,
+}
+
+
 def parse_term(source: str) -> Term:
-    parser = _Parser(source)
-    node = parser.term()
-    parser.expect_eof()
-    return node
+    return _Parser(source).read(_Parser.term)
 
 
 def parse_condition(source: str) -> Condition:
-    parser = _Parser(source)
-    node = parser.cond()
-    parser.expect_eof()
-    return node
+    return _Parser(source).read(_Parser.cond)
 
 
 def parse_piecewise(source: str) -> PiecewiseFunction:
-    parser = _Parser(source)
-    node = parser.piecewise()
-    parser.expect_eof()
-    return node
+    return _Parser(source).read(_Parser.piecewise)
 
 
 def parse(source: str):
     """Parse a term, a condition, or a piecewise function, whichever fits.
 
-    Terms are tried first; on failure the condition reading is tried and
-    the error of whichever attempt got further is reported.
+    Terms are tried first; on failure the condition reading is tried on the
+    same tokens and the error of whichever attempt got further is reported.
     """
-    probe = _Parser(source)
-    if probe.peek().text == "piecewise":
-        return parse_piecewise(source)
-    try:
-        return parse_term(source)
-    except ParseError as term_err:
-        term_progress = _progress(source, as_condition=False)
-        try:
-            return parse_condition(source)
-        except ParseError as cond_err:
-            cond_progress = _progress(source, as_condition=True)
-            raise cond_err if cond_progress >= term_progress else term_err
-
-
-def _progress(source: str, as_condition: bool) -> int:
     parser = _Parser(source)
+    if parser.at("piecewise"):
+        return parser.read(_Parser.piecewise)
     try:
-        parser.cond() if as_condition else parser.term()
-    except ParseError:
-        pass
-    return parser.i
+        return parser.read(_Parser.term)
+    except ParseError as term_err:
+        term_end, parser.i = parser.i, 0
+        try:
+            return parser.read(_Parser.cond)
+        except ParseError as cond_err:
+            raise cond_err if parser.i >= term_end else term_err
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +779,7 @@ def _fmt(t: Term, parent: int) -> str:
     if isinstance(t, NormVal):
         return f"normval({_fmt(t.arg, 0)})"
     if isinstance(t, BuiltinCall):
-        inner = ",".join(_fmt(a, 0) for a in t.args)
-        return f"{t.name}({inner})"
+        return f"{t.name}({_fmt(t.arg, 0)})"
     if isinstance(t, IntPow):
         base = _fmt(t.base, _PREC_POW + 1)
         text = f"{base}^{t.exponent}"
@@ -783,11 +841,8 @@ def free_variables(node) -> tuple:
             walk(x.right)
         elif isinstance(x, IntPow):
             walk(x.base)
-        elif isinstance(x, NormVal):
+        elif isinstance(x, (NormVal, BuiltinCall)):
             walk(x.arg)
-        elif isinstance(x, BuiltinCall):
-            for a in x.args:
-                walk(a)
         elif isinstance(x, NormCmp):
             walk(x.lhs)
             walk(x.rhs)
@@ -867,8 +922,7 @@ def _eval(t: Term, point: Mapping, ctx: PrimeContext) -> PadicScalar:
         spec = _BUILTINS.get(t.name)
         if spec is None:
             raise EvaluationError(f"unknown builtin {t.name!r}")
-        args = tuple(_eval(a, point, ctx) for a in t.args)
-        return spec.evaluate(ctx, args)
+        return spec.evaluate(ctx, _eval(t.arg, point, ctx))
     raise TypeError(f"not a term node: {t!r}")
 
 
@@ -1009,5 +1063,5 @@ def differentiate(t: Term, var: str) -> Term:
         if spec.derivative == "zero":
             return _ZERO
         # registered rule gives d/d(arg); chain through the single argument
-        return _mul(spec.derivative(t.args), differentiate(t.args[0], var))
+        return _mul(spec.derivative(t.arg), differentiate(t.arg, var))
     raise TypeError(f"not a term node: {t!r}")

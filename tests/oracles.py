@@ -8,11 +8,15 @@ are quadratic.
 The frac_* functions are references for the scalar kernel: the Q_p
 formulas of qp_core computed on Fractions only, with no integer fast path
 and no caching.
+
+char_tokens is the reference for the term tokenizer: one character at a
+time, with the str predicates that define the token language.
 """
 
 from fractions import Fraction
 
 from ultralip.qp_core import tuple_norm
+from ultralip.terms import ParseError
 
 
 def scan_pairs(points, values):
@@ -136,3 +140,58 @@ FRAC_OPS = {
 
 def frac_pow(x, k):
     return Fraction(x) ** k
+
+
+_TWO_CHAR = ("||", "&&", "<=", "->")
+_ONE_CHAR = set("+-*/^()|<>=!%,;{}[]")
+
+
+def char_tokens(source):
+    """(kind, text, line, col) of each token, ending with one eof token.
+
+    Raises ParseError at the first character that starts no token.
+    """
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        two = source[i : i + 2]
+        if two in _TWO_CHAR:
+            tokens.append(("op", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(("int", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("ident", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _ONE_CHAR:
+            tokens.append(("op", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens

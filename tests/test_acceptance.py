@@ -303,7 +303,6 @@ def test_criterion_7_certified_constant():
         parse_condition("t in 1*Q(1,1)"),
         Window(0, 3, 3),
         ctx,
-        depth=3,
     )
     assert report.constant_exponent >= empirical.constant_exponent
     _report(

@@ -2,7 +2,9 @@
 
 Every module-level import in src/ultralip/*.py (except the package's
 __init__, which re-exports) must be used in its module or listed in the
-module's __all__.  An import left behind by a deletion fails here.
+module's __all__.  Every module-level private function or class must be
+referenced somewhere in src/ultralip outside its own body.  An import or a
+helper left behind by a deletion fails here.
 """
 
 import ast
@@ -51,3 +53,47 @@ def test_check_sees_unused_and_exported_names():
         "    return used(x)\n"
     )
     assert unused_imports(source) == [(2, "json"), (3, "unused")]
+
+
+def orphans(sources: dict) -> list:
+    """(module, name) of each module-level private function or class that no
+    code in the given modules references outside its own definition."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_") and not own.startswith("__"):
+                defined.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.asname or node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return sorted(d for d in defined if d[1] not in referenced)
+
+
+def test_private_helpers_have_a_caller():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert orphans(sources) == []
+
+
+def test_check_sees_orphaned_helpers():
+    sources = {
+        "a.py": (
+            "def _used():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Orphan:\n    pass\n"
+            "def _imported():\n    pass\n"
+            "def __getattr__(name):\n    pass\n"
+            "def public():\n    return _used()\n"
+        ),
+        "b.py": "from .a import _imported\n",
+    }
+    assert orphans(sources) == [("a.py", "_Orphan"), ("a.py", "_recursive")]

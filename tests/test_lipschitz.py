@@ -68,8 +68,8 @@ class TestEmpirical:
 
     def test_monotone_refinement(self, ctx3):
         f = parse_term("t^2 - t")
-        shallow = empirical_lipschitz(f, TrueCond(), Window(-1, 1, 1), ctx3, depth=1)
-        deep = empirical_lipschitz(f, TrueCond(), Window(-1, 1, 1), ctx3, depth=2)
+        shallow = empirical_lipschitz(f, TrueCond(), Window(-1, 1, 1), ctx3)
+        deep = empirical_lipschitz(f, TrueCond(), Window(-1, 1, 2), ctx3)
         assert deep.constant_exponent >= shallow.constant_exponent
 
     def test_empty_region(self, ctx3):
@@ -271,6 +271,5 @@ class TestCoherence:
                 parse_condition("t in 1*Q(1,1)"),
                 Window(0, 3, depth),
                 ctx3,
-                depth=depth,
             )
             assert empirical.constant_exponent <= certified.constant_exponent

@@ -206,9 +206,9 @@ class TestDifferentiation:
         from ultralip.terms import BuiltinCall, BuiltinSpec, register_builtin
 
         monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
-        register_builtin(BuiltinSpec("opaque", lambda ctx, a: a[0], None))
+        register_builtin(BuiltinSpec("opaque", lambda ctx, x: x, None))
         with pytest.raises(UnknownDerivativeError):
-            differentiate(BuiltinCall("opaque", (Variable("t"),)), "t")
+            differentiate(BuiltinCall("opaque", Variable("t")), "t")
 
     def test_builtin_chain_rule(self, ctx5, monkeypatch):
         import ultralip.terms as terms
@@ -218,11 +218,11 @@ class TestDifferentiation:
         register_builtin(
             BuiltinSpec(
                 "cubed",
-                lambda ctx, a: a[0] ** 3,
-                lambda args: Mul(RationalConst(3), IntPow(args[0], 2)),
+                lambda ctx, x: x**3,
+                lambda arg: Mul(RationalConst(3), IntPow(arg, 2)),
             )
         )
-        d = differentiate(BuiltinCall("cubed", (parse_term("2*t+1"),)), "t")
+        d = differentiate(BuiltinCall("cubed", parse_term("2*t+1")), "t")
         self._check_equal(d, parse_term("6*(2*t+1)^2"), ctx5)
 
     def test_builtins_must_be_unary(self):
