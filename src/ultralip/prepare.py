@@ -6,13 +6,20 @@ split into finitely many disjoint cells on each of which
     ord f(t) = H + e * ord(t - c_j)
 
 holds exactly for one chosen center c_j and integer constants (e, H):
-the norm of f is a monomial in the distance to the center.  The split is
-an ultrametric Voronoi sweep: away from all ties every |t - c_i| is
-frozen or tracks |t - c_j| uniformly; on a tie annulus (ord(t - c_j)
-equal to some pairwise distance) the angular classes of t - c_j resolve
-the remaining factors, and the class pointing at a nearby center hands
-its region over to that center's own (deeper) sweep.  Regions beyond the
-last tie merge into one unbounded-depth cell per angular class.
+the norm of f is a monomial in the distance to the center.
+
+The cells come from one walk down the ball tree of the centers.  The
+centers of a ball of level a have the same annuli {ord(t - c) = b} for
+a <= b < split, the ball's split level being the least distance between
+two of its centers, and on those annuli every |t - c_i| is frozen or tracks
+|t - c_o| uniformly, where c_o is the center of least index: they form
+one run of c_o.  At the split level the annulus around c_o breaks into
+the ac_m classes of t - c_o.  A class pointing at no other center is a
+tie cell, where the tie factors contribute through the residue
+difference.  The class pointing at a partner is the partner's ball of
+level split + m, where the walk goes on; c_o's own child ball goes on one
+level deeper.  A ball holding a single center ends in a tail: one
+unbounded-depth cell per angular class.
 """
 
 from __future__ import annotations
@@ -185,11 +192,21 @@ class _Geometry:
                 d = (self.centers[i] - self.centers[j]).ord().value
                 self.dist[i][j] = self.dist[j][i] = d
 
+    def balls(self, members: list, level: int) -> list:
+        """members grouped into the balls of the given level (centers at
+        distance >= level share one), each in index order."""
+        groups: list = []
+        for i in members:
+            for group in groups:
+                if self.dist[group[0]][i] >= level:
+                    group.append(i)
+                    break
+            else:
+                groups.append([i])
+        return groups
+
     def criticals(self, j: int) -> set:
         return {self.dist[i][j] for i in range(len(self.centers)) if i != j}
-
-    def tie_partners(self, j: int, a: int) -> list:
-        return [i for i in range(len(self.centers)) if i != j and self.dist[i][j] == a]
 
     def tie_residue(self, j: int, i: int, m: int) -> int:
         """ac_m residue of (c_i - c_j) / p^dist: the angular class around c_j
@@ -250,131 +267,59 @@ class _Geometry:
 
 def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
     """Disjoint prepared cells covering the union of window annuli around
-    the centers (plus the tie handoff regions), minus the centers.
+    the centers (plus the balls below a tie), minus the centers.
 
     The scan domain is D = union over centers c_j of
-    {t : v_min <= ord(t - c_j) <= v_max}; tie handoffs extend coverage to
-    the full depth below any tie, which is exactly what D requires.  All
-    cells use coset depth m_depth (ties split into ac_(m_depth) classes)
-    and step n = 1.  Output is ordered by (center index, level, residue).
+    {t : v_min <= ord(t - c_j) <= v_max}.  The walk starts at each ball of
+    level v_min of the center set.  An annulus belongs to the least-index
+    center of the smallest ball holding the centers it surrounds: the
+    annulus of level b < split is the same around all of them, and at the
+    split level the classes pointing at partners go to the partners' own
+    walks.  The window bounds only this first walk, whose run stops at
+    v_max when the ball does not split by then.  A ball that splits at a
+    level a <= v_max lies wholly in D, since each of its points is at
+    ord exactly a from one of its centers; so every walk below a split is
+    unbounded, and a center alone in its ball ends in a tail (level_max
+    None).  All cells use coset depth m_depth (ties split into
+    ac_(m_depth) classes) and step n = 1.  Output is ordered by (center
+    index, level, residue).
     """
     if m_depth < 1:
         raise ValueError("m_depth must be >= 1")
     geo = _Geometry(f)
     ctx = geo.ctx
-    k = len(geo.centers)
     v_min, v_max = window.v_min, window.v_max
-
-    all_dist = [geo.dist[i][j] for i in range(k) for j in range(i + 1, k)]
-    max_dist = max(all_dist) if all_dist else None
-    a_max = v_max if max_dist is None else max(v_max, max_dist + m_depth)
-
-    required = [set(range(v_min, v_max + 1)) for _ in range(k)]
-    # levels whose annulus around a center is required but covered by the
-    # emission of a smaller-index center (identical annulus or tie class);
-    # they are permanently out of the worklist, which makes the closure
-    # monotone and hence terminating
-    handled = [set() for _ in range(k)]
-    has_tail = [False] * k
-
-    def add_tail(j: int, start: int) -> bool:
-        wanted = set(range(start, a_max + 1)) - handled[j]
-        fresh = not has_tail[j] or not required[j].issuperset(wanted)
-        has_tail[j] = True
-        required[j] |= wanted
-        return fresh
-
-    def transfer(j: int, a: int, owner: int) -> None:
-        required[j].discard(a)
-        handled[j].add(a)
-        if a not in handled[owner]:
-            required[owner].add(a)
-
-    changed = True
-    while changed:
-        changed = False
-        # identical annuli: {ord(t-c_j) = a} = {ord(t-c_i) = a} when the
-        # centers are closer than a; keep the smallest index
-        for j in range(k):
-            for a in sorted(required[j]):
-                owner = min(
-                    [i for i in range(k) if i != j and geo.dist[i][j] > a] + [j]
-                )
-                if owner < j:
-                    transfer(j, a, owner)
-                    changed = True
-        # tie closure
-        for j in range(k):
-            for a in sorted(required[j]):
-                ties = geo.tie_partners(j, a)
-                if not ties:
-                    continue
-                cluster_min = min([j] + ties)
-                if cluster_min < j:
-                    # the tie annulus around j needs the classes around the
-                    # cluster owner plus everything deeper around it
-                    transfer(j, a, cluster_min)
-                    add_tail(cluster_min, a + 1)
-                    changed = True
-                    continue
-                # j owns the tie; in-between levels around the partners are
-                # covered by the resolved classes, deeper levels hand off
-                for i in ties:
-                    for b in range(a + 1, a + m_depth):
-                        handled[i].add(b)
-                        if b in required[i]:
-                            required[i].discard(b)
-                            changed = True
-                    if add_tail(i, a + m_depth):
-                        changed = True
-                moved = [i for i in ties if a in required[i]]
-                for i in moved:
-                    required[i].discard(a)
-                    handled[i].add(a)
-                    changed = True
-                if moved and add_tail(j, a + 1):
-                    changed = True
 
     pieces: list = []
     units = ctx.units_mod(m_depth)
-    for j in range(k):
-        if not required[j]:
-            continue
-        criticals = geo.criticals(j)
-        levels = sorted(required[j])
-        runs: list = []
-        idx = 0
-        while idx < len(levels):
-            a = levels[idx]
-            if a in criticals:
-                runs.append((a, a, True))
-                idx += 1
-                continue
-            stop = idx
-            while (
-                stop + 1 < len(levels)
-                and levels[stop + 1] == levels[stop] + 1
-                and levels[stop + 1] not in criticals
-            ):
-                stop += 1
-            runs.append((a, levels[stop], False))
-            idx = stop + 1
-        for lo, hi, is_tie in runs:
-            unbounded = has_tail[j] and hi == a_max
-            level_max = None if unbounded else hi
-            if is_tie:
-                skip = {
-                    geo.tie_residue(j, i, m_depth) for i in geo.tie_partners(j, lo)
-                }
-                for xi in units:
-                    if xi in skip:
-                        continue
-                    e, h = geo.tie_profile(j, lo, xi, m_depth)
-                    pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, e, h))
-            else:
-                e, h = geo.run_profile(j, lo, hi)
-                for xi in units:
-                    pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, e, h))
+
+    def emit(j: int, lo: int, level_max: Optional[int], profile: tuple) -> None:
+        for xi in units:
+            pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, *profile))
+
+    def walk(members: list, a: int, bounded: bool) -> None:
+        # members share the ball of level a around their least index o, so
+        # o's annuli of levels a .. split - 1 are those of every member
+        o = members[0]
+        split = min((geo.dist[o][i] for i in members[1:]), default=None)
+        if split is None or (bounded and split > v_max):
+            hi = v_max if bounded else a
+            emit(o, a, hi if bounded else None, geo.run_profile(o, a, hi))
+            return
+        if a < split:
+            emit(o, a, split - 1, geo.run_profile(o, a, split - 1))
+        partners = [i for i in members if geo.dist[o][i] == split]
+        skip = {geo.tie_residue(o, i, m_depth) for i in partners}
+        for xi in units:
+            if xi not in skip:
+                e, h = geo.tie_profile(o, split, xi, m_depth)
+                pieces.append(_make_piece(geo, o, split, split, xi, m_depth, e, h))
+        walk(geo.balls(members, split + 1)[0], split + 1, False)
+        for ball in geo.balls(partners, split + m_depth):
+            walk(ball, split + m_depth, False)
+
+    for ball in geo.balls(list(range(len(geo.centers))), v_min):
+        walk(ball, v_min, True)
     pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
     return pieces
 
@@ -446,7 +391,11 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
         rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
         ball = Ball(rep, a + piece.m)
         for t in ball.representatives(depth):
-            direct = f.ord_at(t)
+            try:
+                direct = f.ord_at(t)
+            except ZeroDivisionError as err:
+                # a piece from outside the sweep may contain a center
+                return PrepareCheck(False, t, f"{err}, inside the piece")
             predicted = piece.h_exponent + piece.exponent * a
             if not direct.is_finite or direct.value != predicted:
                 return PrepareCheck(

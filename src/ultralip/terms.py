@@ -37,7 +37,7 @@ two forms of the one level-range segment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
@@ -86,8 +86,6 @@ __all__ = [
     "PieceOverlapError",
     "PieceDomainError",
 ]
-
-SourcePos = tuple  # (line, col)
 
 _RESERVED = {"in", "normval", "ord", "true", "piecewise", "Q"}
 
@@ -158,14 +156,9 @@ class Condition:
         return format_condition(self)
 
 
-def _posfield():
-    return field(default=None, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class Variable(Term):
     name: str
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,6 @@ class RationalConst(Term):
     """A rational constant; value is an int when integral, else a Fraction."""
 
     value: "int | Fraction"
-    pos: Optional[SourcePos] = _posfield()
 
     def __post_init__(self) -> None:
         value = self.value if isinstance(self.value, Fraction) else Fraction(self.value)
@@ -184,35 +176,30 @@ class RationalConst(Term):
 class Add(Term):
     left: Term
     right: Term
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class Sub(Term):
     left: Term
     right: Term
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class Mul(Term):
     left: Term
     right: Term
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class Div(Term):
     left: Term
     right: Term
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class IntPow(Term):
     base: Term
     exponent: int
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
@@ -220,14 +207,12 @@ class NormVal(Term):
     """|t| as an element of Q_p: the rational p^(-ord t), defined on t != 0."""
 
     arg: Term
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class BuiltinCall(Term):
     name: str
     arg: Term
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
@@ -235,7 +220,6 @@ class NormCmp(Condition):
     lhs: Term
     op: str  # "<", "<=", "="
     rhs: Term
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
@@ -243,7 +227,6 @@ class OrdCongruence(Condition):
     term: Term
     modulus: int
     residue: int
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
@@ -254,32 +237,28 @@ class CosetMember(Condition):
     lam: Fraction
     m: int
     n: int
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class And(Condition):
     left: Condition
     right: Condition
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class Or(Condition):
     left: Condition
     right: Condition
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class Not(Condition):
     inner: Condition
-    pos: Optional[SourcePos] = _posfield()
 
 
 @dataclass(frozen=True)
 class TrueCond(Condition):
-    pos: Optional[SourcePos] = _posfield()
+    """The condition that always holds."""
 
 
 @dataclass(frozen=True)
@@ -440,10 +419,6 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def pos(self) -> SourcePos:
-        tok = self.peek()
-        return (tok.line, tok.col)
-
     def expect_eof(self) -> None:
         tok = self.peek()
         if tok.kind != "eof":
@@ -460,34 +435,28 @@ class _Parser:
     def term(self) -> Term:
         node = self.prod()
         while self.at("+") or self.at("-"):
-            pos = self.pos()
             op = self.next().text
             right = self.prod()
-            node = Add(node, right, pos=pos) if op == "+" else Sub(node, right, pos=pos)
+            node = Add(node, right) if op == "+" else Sub(node, right)
         return node
 
     def prod(self) -> Term:
         node = self.unary()
         while self.at("*") or self.at("/"):
-            pos = self.pos()
             op = self.next().text
             right = self.unary()
-            node = Mul(node, right, pos=pos) if op == "*" else Div(node, right, pos=pos)
+            node = Mul(node, right) if op == "*" else Div(node, right)
         return node
 
     def unary(self) -> Term:
-        if self.at("-"):
-            pos = self.pos()
-            self.next()
+        if self.accept("-"):
             inner = self.unary()
             if isinstance(inner, RationalConst):
-                return RationalConst(-inner.value, pos=pos)
-            return Mul(RationalConst(Fraction(-1), pos=pos), inner, pos=pos)
+                return RationalConst(-inner.value)
+            return Mul(RationalConst(Fraction(-1)), inner)
         node = self.atom()
-        if self.at("^"):
-            pos = self.pos()
-            self.next()
-            node = IntPow(node, self.signed_int(parens_ok=True), pos=pos)
+        if self.accept("^"):
+            node = IntPow(node, self.signed_int(parens_ok=True))
         return node
 
     def signed_int(self, parens_ok: bool = False) -> int:
@@ -496,32 +465,37 @@ class _Parser:
             self.expect(")")
             return k
         sign = -1 if self.accept("-") else 1
+        return sign * self.int_token("an integer")
+
+    def int_token(self, what: str) -> int:
+        """The next token read as a decimal integer.  The int tokens also
+        hold digits such as '²' that int() rejects; those fail here."""
         tok = self.peek()
         if tok.kind != "int":
-            self.fail("expected an integer")
+            self.fail(f"expected {what}")
+        try:
+            value = int(tok.text)
+        except ValueError:
+            raise ParseError(f"{tok.text!r} is not a decimal integer", tok.line, tok.col) from None
         self.next()
-        return sign * int(tok.text)
+        return value
 
     def rational(self) -> Fraction:
         sign = -1 if self.accept("-") else 1
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail("expected a rational literal")
-        self.next()
-        num = int(tok.text)
+        num = self.int_token("a rational literal")
         if self.peek().text == "/" and self.peek(1).kind == "int":
             self.next()
-            den = self.next()
-            if int(den.text) == 0:
-                raise ParseError("rational literal with denominator 0", den.line, den.col)
-            return Fraction(sign * num, int(den.text))
+            den_tok = self.peek()
+            den = self.int_token("a denominator")
+            if den == 0:
+                raise ParseError("rational literal with denominator 0", den_tok.line, den_tok.col)
+            return Fraction(sign * num, den)
         return Fraction(sign * num)
 
     def atom(self) -> Term:
         tok = self.peek()
-        pos = (tok.line, tok.col)
         if tok.kind == "int":
-            return RationalConst(self.rational(), pos=pos)
+            return RationalConst(self.rational())
         if self.accept("("):
             node = self.term()
             self.expect(")")
@@ -533,7 +507,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.term()
                 self.expect(")")
-                return NormVal(arg, pos=pos)
+                return NormVal(arg)
             if self.peek(1).text == "(" and name not in _RESERVED:
                 if name not in _BUILTINS:
                     raise ParseError(f"unknown builtin {name!r}", tok.line, tok.col)
@@ -543,38 +517,33 @@ class _Parser:
                 if self.at(","):
                     raise ParseError(f"builtin {name!r} takes 1 argument", tok.line, tok.col)
                 self.expect(")")
-                return BuiltinCall(name, arg, pos=pos)
+                return BuiltinCall(name, arg)
             if name in _RESERVED:
                 self.fail(f"reserved word {name!r} cannot start a term")
             self.next()
-            return Variable(name, pos=pos)
+            return Variable(name)
         self.fail("expected a term")
 
     # -- conditions ----------------------------------------------------
 
     def cond(self) -> Condition:
         node = self.conj()
-        while self.at("||"):
-            pos = self.pos()
-            self.next()
-            node = Or(node, self.conj(), pos=pos)
+        while self.accept("||"):
+            node = Or(node, self.conj())
         return node
 
     def conj(self) -> Condition:
         node = self.lit()
-        while self.at("&&"):
-            pos = self.pos()
-            self.next()
-            node = And(node, self.lit(), pos=pos)
+        while self.accept("&&"):
+            node = And(node, self.lit())
         return node
 
     def lit(self) -> Condition:
         tok = self.peek()
-        pos = (tok.line, tok.col)
         if self.accept("!"):
-            return Not(self.lit(), pos=pos)
+            return Not(self.lit())
         if self.accept("true"):
-            return TrueCond(pos=pos)
+            return TrueCond()
         if self.accept("|"):
             lhs = self.term()
             self.expect("|")
@@ -585,7 +554,7 @@ class _Parser:
             self.expect("|")
             rhs = self.term()
             self.expect("|")
-            return NormCmp(lhs, op_tok.text, rhs, pos=pos)
+            return NormCmp(lhs, op_tok.text, rhs)
         if tok.kind == "ident" and tok.text == "ord" and self.peek(1).text == "(":
             self.next()
             self.expect("(")
@@ -593,14 +562,12 @@ class _Parser:
             self.expect(")")
             self.expect("%")
             mod_tok = self.peek()
-            if mod_tok.kind != "int":
-                self.fail("expected a modulus")
-            modulus = int(self.next().text)
+            modulus = self.int_token("a modulus")
             if modulus < 1:
                 raise ParseError("ord congruence modulus must be >= 1", mod_tok.line, mod_tok.col)
             self.expect("=")
             residue = self.signed_int()
-            return OrdCongruence(inner, modulus, residue % modulus, pos=pos)
+            return OrdCongruence(inner, modulus, residue % modulus)
         if self.at("("):
             snapshot = self.i
             try:
@@ -612,7 +579,7 @@ class _Parser:
                 self.i = snapshot
         subject = self.term()
         self.expect("in")
-        return CosetMember(subject, *self.coset(), pos=pos)
+        return CosetMember(subject, *self.coset())
 
     # -- literals of the CLI and of cells ---------------------------------
 
@@ -645,6 +612,7 @@ class _Parser:
         start = self.expect("cell")
         self.expect("(")
         segments: dict = {}
+        starts: dict = {}  # token index of each segment
         while True:
             tok = self.peek()
             key = "ord" if tok.text == "all" else tok.text
@@ -653,6 +621,7 @@ class _Parser:
             if key in segments:
                 what = "level range" if key == "ord" else f"{key!r} segment"
                 self.fail(f"cell literal gives its {what} twice")
+            starts[key] = self.i
             self.next()
             if tok.text == "all":
                 segments[key] = (None, None)
@@ -666,6 +635,16 @@ class _Parser:
         self.expect(")")
         if "coset" not in segments:
             raise ParseError("cell literal requires a coset segment", start.line, start.col)
+        # a finite upper level sets alpha and a finite lower level sets beta
+        lo, hi = segments.get("ord", (None, None))
+        for bound, level in (("alpha", hi), ("beta", lo)):
+            if bound in segments and level is not None:
+                later = self.tokens[max(starts[bound], starts["ord"])]
+                raise ParseError(
+                    f"cell literal gives its {bound} bound twice: '{bound}=' and the level range",
+                    later.line,
+                    later.col,
+                )
         return segments
 
     def _ord_range(self, tok: _Token) -> tuple:

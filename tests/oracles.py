@@ -11,10 +11,14 @@ and no caching.
 
 char_tokens is the reference for the term tokenizer: one character at a
 time, with the str predicates that define the token language.
+
+worklist_prepare is the reference for prepare: the fix-point over level
+sets that the walk down the ball tree of the centers replaced.
 """
 
 from fractions import Fraction
 
+from ultralip.prepare import _Geometry, _make_piece
 from ultralip.qp_core import tuple_norm
 from ultralip.terms import ParseError
 
@@ -195,3 +199,136 @@ def char_tokens(source):
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+def tie_partners(geo, j, a):
+    return [i for i in range(len(geo.centers)) if i != j and geo.dist[i][j] == a]
+
+
+def worklist_prepare(f, window, m_depth=1):
+    """The preparation as a worklist fix-point over per-center level sets,
+    then turned back into runs: the reference for prepare's ball-tree walk.
+
+    Each center keeps the set of levels it must emit.  Identical annuli go
+    to the least index, a tie annulus goes to its cluster's least index,
+    and every tie hands the partners' deeper levels to their own tails,
+    until nothing changes.  Consecutive non-critical levels then merge into
+    runs, and a run reaching a_max on a center with a tail is unbounded.
+    """
+    geo = _Geometry(f)
+    ctx = geo.ctx
+    k = len(geo.centers)
+    v_min, v_max = window.v_min, window.v_max
+
+    all_dist = [geo.dist[i][j] for i in range(k) for j in range(i + 1, k)]
+    max_dist = max(all_dist) if all_dist else None
+    a_max = v_max if max_dist is None else max(v_max, max_dist + m_depth)
+
+    required = [set(range(v_min, v_max + 1)) for _ in range(k)]
+    # levels whose annulus around a center is required but covered by the
+    # emission of a smaller-index center (identical annulus or tie class);
+    # they are permanently out of the worklist, which makes the closure
+    # monotone and hence terminating
+    handled = [set() for _ in range(k)]
+    has_tail = [False] * k
+
+    def add_tail(j: int, start: int) -> bool:
+        wanted = set(range(start, a_max + 1)) - handled[j]
+        fresh = not has_tail[j] or not required[j].issuperset(wanted)
+        has_tail[j] = True
+        required[j] |= wanted
+        return fresh
+
+    def transfer(j: int, a: int, owner: int) -> None:
+        required[j].discard(a)
+        handled[j].add(a)
+        if a not in handled[owner]:
+            required[owner].add(a)
+
+    changed = True
+    while changed:
+        changed = False
+        # identical annuli: {ord(t-c_j) = a} = {ord(t-c_i) = a} when the
+        # centers are closer than a; keep the smallest index
+        for j in range(k):
+            for a in sorted(required[j]):
+                owner = min(
+                    [i for i in range(k) if i != j and geo.dist[i][j] > a] + [j]
+                )
+                if owner < j:
+                    transfer(j, a, owner)
+                    changed = True
+        # tie closure
+        for j in range(k):
+            for a in sorted(required[j]):
+                ties = tie_partners(geo, j, a)
+                if not ties:
+                    continue
+                cluster_min = min([j] + ties)
+                if cluster_min < j:
+                    # the tie annulus around j needs the classes around the
+                    # cluster owner plus everything deeper around it
+                    transfer(j, a, cluster_min)
+                    add_tail(cluster_min, a + 1)
+                    changed = True
+                    continue
+                # j owns the tie; in-between levels around the partners are
+                # covered by the resolved classes, deeper levels hand off
+                for i in ties:
+                    for b in range(a + 1, a + m_depth):
+                        handled[i].add(b)
+                        if b in required[i]:
+                            required[i].discard(b)
+                            changed = True
+                    if add_tail(i, a + m_depth):
+                        changed = True
+                moved = [i for i in ties if a in required[i]]
+                for i in moved:
+                    required[i].discard(a)
+                    handled[i].add(a)
+                    changed = True
+                if moved and add_tail(j, a + 1):
+                    changed = True
+
+    pieces: list = []
+    units = ctx.units_mod(m_depth)
+    for j in range(k):
+        if not required[j]:
+            continue
+        criticals = geo.criticals(j)
+        levels = sorted(required[j])
+        runs: list = []
+        idx = 0
+        while idx < len(levels):
+            a = levels[idx]
+            if a in criticals:
+                runs.append((a, a, True))
+                idx += 1
+                continue
+            stop = idx
+            while (
+                stop + 1 < len(levels)
+                and levels[stop + 1] == levels[stop] + 1
+                and levels[stop + 1] not in criticals
+            ):
+                stop += 1
+            runs.append((a, levels[stop], False))
+            idx = stop + 1
+        for lo, hi, is_tie in runs:
+            unbounded = has_tail[j] and hi == a_max
+            level_max = None if unbounded else hi
+            if is_tie:
+                skip = {
+                    geo.tie_residue(j, i, m_depth) for i in tie_partners(geo, j, lo)
+                }
+                for xi in units:
+                    if xi in skip:
+                        continue
+                    e, h = geo.tie_profile(j, lo, xi, m_depth)
+                    pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, e, h))
+            else:
+                e, h = geo.run_profile(j, lo, hi)
+                for xi in units:
+                    pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, e, h))
+    pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
+    return pieces

@@ -205,6 +205,21 @@ class TestFitCell:
         for b1, b2 in itertools.combinations(covered, 2):
             assert b1 != b2
 
+    @pytest.mark.parametrize(
+        "levels",
+        [range(20), [*range(17), 18, 21, 24, 30]],
+        ids=["one progression", "three progressions"],
+    )
+    def test_greedy_cover_above_sixteen_levels(self, ctx3, levels):
+        """More than 16 levels in one (m, xi) group take the greedy cover;
+        its cells still give back exactly the input balls."""
+        balls = [Ball(ctx3.scalar(3**b + 3 ** (b + 1)), b + 2) for b in levels]
+        cells = fit_cell(balls, [ctx3.scalar(0)])
+        covered = []
+        for c in cells:
+            covered.extend(enumerate_balls(c, {}, Window(0, max(levels), 1)))
+        assert sorted(covered, key=lambda b: b.radius_ord) == balls
+
     def test_overlapping_input_rejected(self, ctx3):
         with pytest.raises(ValueError):
             fit_cell([Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(4), 2)], [ctx3.scalar(0)])

@@ -1,5 +1,6 @@
-"""Literal text: the term tokenizer against its character-loop oracle, cell
-literals, and the rationals and balls of the command line.
+"""Literal text: the term tokenizer against its character-loop oracle, int
+tokens that are not decimal, cell literals, and the rationals and balls of
+the command line.
 
 Every property is seeded (derandomized), so a run is reproducible.
 """
@@ -13,7 +14,7 @@ from oracles import char_tokens
 from ultralip.cells import format_cell, parse_cell, point_cell
 from ultralip.cli import main
 from ultralip.qp_core import CosetSpec, PrimeContext
-from ultralip.terms import ParseError, _tokenize
+from ultralip.terms import ParseError, _tokenize, parse_condition, parse_term
 
 seeded = settings(derandomize=True, deadline=None, max_examples=400)
 
@@ -48,6 +49,29 @@ class TestTokenizer:
     )
     def test_unicode_examples(self, source):
         check_tokens(source)
+
+
+class TestNonDecimalDigits:
+    """'²' is an int token (str.isdigit) that int() cannot read: each place
+    that reads an int token rejects it at the token."""
+
+    @pytest.mark.parametrize(
+        "parse, source, col",
+        [
+            (parse_term, "x^²", 3),
+            (parse_term, "1/²", 3),
+            (parse_term, "x^(²)", 4),
+            (parse_condition, "ord(x) % ² = 1", 10),
+        ],
+    )
+    def test_parse_error_at_the_token(self, parse, source, col):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert err.value.message == "'²' is not a decimal integer"
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_other_decimal_scripts_still_read(self):
+        assert parse_term("x^٣") == parse_term("x^3")
 
 
 def point_cells():
@@ -85,6 +109,10 @@ class TestCellLiterals:
             ("cell(coset=1*Q(0,1))", "1*Q(0", "coset depths"),
             ("cell(coset=1*Q(1,1); ord in [3,2])", "ord in", "empty ord range"),
             ("cell(center=0;\n  coset=1*Q(1,1); bound=2)", "bound", "expected a cell segment"),
+            ("cell(coset=1*Q(1,1); alpha=y; ord < 3; var=x)", "ord <", "alpha bound twice"),
+            ("cell(coset=1*Q(1,1); ord in [0,2]; alpha=y)", "alpha=", "alpha bound twice"),
+            ("cell(coset=1*Q(1,1); beta=y; ord > 0)", "ord >", "beta bound twice"),
+            ("cell(coset=1*Q(1,1); beta=y;\n ord in [0,2])", "ord in", "beta bound twice"),
         ],
     )
     def test_rejection_points_at_its_column(self, ctx3, literal, marker, message):
@@ -95,6 +123,19 @@ class TestCellLiterals:
             parse_cell(literal, ctx3)
         assert message in err.value.message
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "cell(coset=1*Q(1,1); alpha=y; ord > 2; var=x)",
+            "cell(coset=1*Q(1,1); ord < 2; beta=y; var=x)",
+            "cell(coset=1*Q(1,1); alpha=y; all; var=x)",
+        ],
+    )
+    def test_one_bound_from_each_side_is_legal(self, ctx3, literal):
+        cell = parse_cell(literal, ctx3)
+        assert cell.base_vars == ("y",)
+        assert parse_cell(format_cell(cell), ctx3) == cell
 
 
 def run(capsys, *argv):
@@ -131,6 +172,12 @@ class TestCommandLineLiterals:
                 ["enumerate-balls", "-p", "3", "--window=0:6",
                  "--cell", "cell(center=0; coset=1*Q(1,1); all; var=x y)"],
                 43,
+            ),
+            (["eval", "-p", "3", "-f", "x^²", "--at", "x=1"], 3),
+            (
+                ["enumerate-balls", "-p", "3", "--window=0:6",
+                 "--cell", "cell(coset=1*Q(1,1); alpha=y; ord < 3; var=x)"],
+                31,
             ),
         ],
     )

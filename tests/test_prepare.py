@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import worklist_prepare
+from ultralip.cells import format_cell
 from ultralip.qp_core import PrimeContext
 from ultralip.regions import Window, enumerate_window
 from ultralip.prepare import (
@@ -188,6 +191,19 @@ class TestMutationSensitivity:
         check = verify_prepared(f, smeared, 2)
         assert not check.passed
 
+    def test_piece_holding_a_pole_fails(self, ctx3):
+        """A piece around 9 at level 2 in class 2 is the ball 0 + 27 Z_3, which
+        holds the pole at 0: the check fails there instead of raising."""
+        f = parse_factored("1 * (t - 0)^-1 * (t - 9)", ctx3)
+        piece = dataclasses.replace(
+            prepare(f, Window(0, 2, 1))[0],
+            chosen_center_index=1, level_min=2, level_max=2, residue=2, m=1,
+        )
+        check = verify_prepared(f, piece, 2)
+        assert not check.passed
+        assert check.witness == ctx3.scalar(0)
+        assert check.detail == "pole of f at t = 0, inside the piece"
+
 
 class TestRandomOracle:
     def _random_factored(self, rng, ctx, max_degree=4):
@@ -222,6 +238,47 @@ class TestRandomOracle:
                 check = verify_prepared(f, piece, 2)
                 assert check.passed, f"{f}: {check.detail}"
             assert_partition(f, pieces, Window(-3, 3, 1), depth=1)
+
+
+@st.composite
+def branching_terms(draw):
+    """(f, window, m_depth): each center after the first branches off an
+    earlier one at a depth in [-3, 6], so ties, clusters and nested splits
+    all occur; a branch that lands on an existing center is dropped."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = PrimeContext(p)
+    centers = [Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, p])))]
+    for _ in range(draw(st.integers(0, 5))):
+        parent = draw(st.sampled_from(centers))
+        unit = draw(st.integers(1, p - 1)) + p * draw(st.integers(-p * p, p * p))
+        center = parent + unit * Fraction(p) ** draw(st.integers(-3, 6))
+        if center not in centers:
+            centers.append(center)
+    exponents = st.sampled_from([-2, -1, 1, 2, 3])
+    factors = tuple((ctx.scalar(c), draw(exponents)) for c in centers)
+    unit = Fraction(draw(st.sampled_from([1, 2, -5]))) * Fraction(p) ** draw(st.integers(-1, 1))
+    lo = draw(st.integers(-6, 6))
+    window = Window(lo, lo + draw(st.integers(0, 8)), 1)
+    return FactoredTerm(ctx.scalar(unit), factors), window, draw(st.integers(1, 3))
+
+
+def piece_key(p):
+    return (
+        format_cell(p.cell), p.chosen_center_index, p.exponent, p.h_exponent,
+        p.level_min, p.level_max, p.residue, p.m,
+    )
+
+
+class TestWalkOracle:
+    """The walk down the ball tree of the centers gives the same pieces, in
+    the same order, as the worklist fix-point it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(branching_terms())
+    def test_walk_matches_the_worklist(self, case):
+        f, window, m_depth = case
+        walked = [piece_key(p) for p in prepare(f, window, m_depth)]
+        assert walked == [piece_key(p) for p in worklist_prepare(f, window, m_depth)]
 
 
 def random_unitish(rng, p):
