@@ -6,7 +6,6 @@ certified Lipschitz constants, and preparation of factored-linear terms.
 """
 
 from .qp_core import (
-    AngularComponent,
     CosetSpec,
     INFINITE_ORD,
     PadicScalar,
@@ -15,7 +14,7 @@ from .qp_core import (
     in_coset,
     tuple_norm,
 )
-from .regions import Ball, BallRelation, RepresentativeSet, Window, enumerate_window
+from .regions import Ball, BallRelation, Window, enumerate_window
 from .terms import (
     Condition,
     PiecewiseFunction,

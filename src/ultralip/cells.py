@@ -157,7 +157,7 @@ def enumerate_balls(cell: Cell, y: Optional[Mapping], window: Window) -> list:
     c = cell.center_at(y)
     lo, hi = cell.level_bounds(y)
     lam_ord = cell.coset.lam.ord().value
-    residue = cell.coset.lam.ac(cell.coset.m).residue
+    residue = cell.coset.lam.ac(cell.coset.m)
     m, n = cell.coset.m, cell.coset.n
     lo = window.v_min if lo is None else max(lo, window.v_min)
     hi = window.v_max if hi is None else min(hi, window.v_max)
@@ -300,7 +300,7 @@ def _fit_with_center(balls: Sequence[Ball], d: PadicScalar, fiber_var: str) -> l
         m = ball.radius_ord - b
         if m < 1:
             raise ValueError(f"candidate {d} is not separated from ball {ball}")
-        xi = delta.ac(m).residue
+        xi = delta.ac(m)
         groups.setdefault((m, xi), set()).add(b)
     cells = []
     for (m, xi), levels in sorted(groups.items()):

@@ -168,8 +168,8 @@ def _cmd_ord(args, ctx: PrimeContext) -> int:
 
 def _cmd_ac(args, ctx: PrimeContext) -> int:
     x = _scalar(args.value, ctx)
-    a = x.ac(args.n)
-    _emit({"residue": a.residue, "modulus": a.modulus}, str(a), args.json)
+    r = x.ac(args.n)
+    _emit({"residue": r, "modulus": ctx.p**args.n}, f"{r} mod {ctx.p}^{args.n}", args.json)
     return 0
 
 
@@ -403,12 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, depth_default=2):
+    def common(p, depth_default=None):
         p.add_argument("-p", "--prime", type=int, required=True, help="the prime p")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument(
-            "-M", "--depth", type=int, default=depth_default, help="verification depth"
-        )
+        if depth_default is not None:  # only the commands that read args.depth
+            p.add_argument(
+                "-M", "--depth", type=int, default=depth_default, help="verification depth"
+            )
 
     def _cell_args(p):
         p.add_argument("--cell", help="cell literal cell(...)")
@@ -468,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_correspondence)
 
     p = sub.add_parser("lipschitz", help="empirical Lipschitz lower bound with witness")
-    common(p)
+    common(p, depth_default=2)
     p.add_argument("-f", "--function", required=True)
     p.add_argument("--region", default=None, help="condition (default: true)")
     p.add_argument("--window", required=True, metavar="A:B")
@@ -492,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_prepare)
 
     p = sub.add_parser("example", help="reproduce a counterexample family")
-    common(p)
+    common(p, depth_default=2)
     p.add_argument("which", choices=["exloc", "exloc2"])
     p.add_argument("--window", default="0:4", metavar="A:B")
     p.add_argument("--levels", type=int, default=5, help="levels for exloc2")
@@ -504,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.depth < 1:
+        if getattr(args, "depth", 1) < 1:
             raise UsageError(f"depth must be >= 1, got {args.depth}")
         return args.handler(args, PrimeContext(args.prime))
     except _USAGE_ERRORS as err:

@@ -41,7 +41,6 @@ __all__ = [
     "prepare",
     "verify_prepared",
     "piece_contains",
-    "value_unit_class",
 ]
 
 # levels of a piece that verify_prepared checks
@@ -211,7 +210,7 @@ class _Geometry:
     def tie_residue(self, j: int, i: int, m: int) -> int:
         """ac_m residue of (c_i - c_j) / p^dist: the angular class around c_j
         that points at c_i."""
-        return (self.centers[i] - self.centers[j]).ac(m).residue
+        return (self.centers[i] - self.centers[j]).ac(m)
 
     def run_profile(self, j: int, lo: int, hi: int) -> tuple:
         """(exponent, H) on levels [lo, hi] around c_j, valid when no pairwise
@@ -365,7 +364,7 @@ def piece_contains(f: FactoredTerm, piece: PreparedPiece, t: PadicScalar) -> boo
         return False
     if piece.level_max is not None and o.value > piece.level_max:
         return False
-    return delta.ac(piece.m).residue == piece.residue
+    return delta.ac(piece.m) == piece.residue
 
 
 def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> PrepareCheck:
@@ -431,26 +430,3 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
         )
     return PrepareCheck(True, None, "piece matches direct factor evaluation")
 
-
-def value_unit_class(
-    f: FactoredTerm, piece: PreparedPiece, ell: int, depth: int = 1
-) -> Optional[int]:
-    """Common ac_ell residue of f on the piece, or None when it varies.
-
-    Reported per piece on request; the minimal ell making it constant is
-    not computed.
-    """
-    geo = _Geometry(f)
-    ctx = geo.ctx
-    center = geo.centers[piece.chosen_center_index]
-    last = piece.level_min + 1 if piece.level_max is None else min(piece.level_max, piece.level_min + 1)
-    residue = None
-    for a in range(piece.level_min, last + 1):
-        rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
-        for t in Ball(rep, a + piece.m).representatives(depth):
-            r = f.evaluate(t).ac(ell).residue
-            if residue is None:
-                residue = r
-            elif r != residue:
-                return None
-    return residue

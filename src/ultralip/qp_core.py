@@ -4,8 +4,10 @@ Every scalar is an exact rational number viewed p-adically, so the
 valuation, the norm and the angular components are computed without
 approximation: the valuation of a/b is the multiplicity of p in a minus
 the multiplicity of p in b, and unit parts are reduced by exact modular
-inversion.  Norms are never materialized as reals; they travel as
-integer exponents of p, with a separate flag for zero.
+inversion.  ``ac(n)`` returns that reduction as a plain int residue in
+``[0, p^n)``: 0 for the zero scalar and a unit mod p otherwise.  Norms are
+never materialized as reals; they travel as integer exponents of p, with a
+separate flag for zero.
 
 Representation.  ``PadicScalar.value`` is an ``int`` when the scalar is an
 integer and a ``Fraction`` (denominator > 1) otherwise; every constructor
@@ -30,7 +32,6 @@ __all__ = [
     "PadicScalar",
     "Valuation",
     "INFINITE_ORD",
-    "AngularComponent",
     "CosetSpec",
     "in_coset",
     "tuple_norm",
@@ -214,42 +215,6 @@ def _valuation(v: int) -> Valuation:
     return _FINITE[v - _LOW] if _LOW <= v < _HIGH else Valuation(v)
 
 
-@dataclass(frozen=True)
-class AngularComponent:
-    """The unit part of a scalar reduced mod p^n; residue 0 encodes the zero scalar."""
-
-    p: int
-    n: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("angular component depth must be >= 1")
-        pn = self.p**self.n
-        if not 0 <= self.residue < pn:
-            raise ValueError(f"residue {self.residue} outside [0, {pn})")
-        if self.residue != 0 and self.residue % self.p == 0:
-            raise ValueError("nonzero angular component must be a unit mod p")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.n
-
-    @property
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def __mul__(self, other: "AngularComponent") -> "AngularComponent":
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("angular components live at different depths")
-        if self.is_zero or other.is_zero:
-            return AngularComponent(self.p, self.n, 0)
-        return AngularComponent(self.p, self.n, (self.residue * other.residue) % self.modulus)
-
-    def __str__(self) -> str:
-        return f"{self.residue} mod {self.p}^{self.n}"
-
-
 def _normalise(value: object) -> "int | Fraction":
     """value as an int when it is an integer, else as a Fraction."""
     if not isinstance(value, Fraction):
@@ -348,18 +313,18 @@ class PadicScalar:
             return value.numerator // p**v, value.denominator
         return value.numerator, value.denominator // p**-v
 
-    def ac(self, n: int) -> AngularComponent:
-        """Angular component mod p^n: unit part reduced exactly; 0 maps to 0."""
+    def ac(self, n: int) -> int:
+        """Angular component mod p^n: the unit part reduced exactly, as a
+        residue in [0, p^n); 0 maps to 0, any other scalar to a unit."""
         if n < 1:
             raise ValueError("angular component depth must be >= 1")
-        p = self.context.p
         if not self.value:
-            return AngularComponent(p, n, 0)
-        pn = p**n
+            return 0
+        pn = self.context.p**n
         num, den = self._unit(self.ord()._raw)
         if den != 1:
             num *= pow(den, -1, pn)
-        return AngularComponent(p, n, num % pn)
+        return num % pn
 
     def reduce_mod_power(self, k: int) -> PadicScalar:
         """Canonical representative of x + p^k Z_p: the smallest nonnegative
@@ -502,7 +467,7 @@ def in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
     shift = x.ord().value - spec.lam.ord().value
     if shift % spec.n != 0:
         return False
-    return (x / spec.lam).ac(spec.m).residue == 1
+    return (x / spec.lam).ac(spec.m) == 1
 
 
 def tuple_norm(xs: Sequence[PadicScalar] | Iterable[PadicScalar]) -> "int | None":

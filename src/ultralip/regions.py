@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .qp_core import PadicScalar, PrimeContext
 
@@ -19,7 +19,6 @@ __all__ = [
     "Ball",
     "BallRelation",
     "Window",
-    "RepresentativeSet",
     "enumerate_window",
     "SplitClass",
     "splitting_classes",
@@ -109,43 +108,28 @@ class Window:
     def __str__(self) -> str:
         return f"ord in [{self.v_min},{self.v_max}] @ depth {self.depth}"
 
-
-@dataclass(frozen=True)
-class RepresentativeSet:
-    """Canonical representatives of the residue classes of a window.
-
-    Each point x stands for its granularity ball x + p^(ord(x) + depth) Z_p
-    (built on demand by ball_of); the balls are pairwise disjoint and
-    partition the window exactly.
-    """
-
-    points: tuple[PadicScalar, ...]
-    depth: int
-
-    def __iter__(self) -> Iterator[PadicScalar]:
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
     def ball_of(self, x: PadicScalar) -> Ball:
+        """The granularity ball x + p^(ord(x) + depth) Z_p of a point x."""
         return Ball(x, x.ord().value + self.depth)
 
 
-def enumerate_window(window: Window, ctx: PrimeContext) -> RepresentativeSet:
-    """One canonical representative p^v * u per residue class of the window.
+def enumerate_window(window: Window, ctx: PrimeContext) -> tuple[PadicScalar, ...]:
+    """One canonical representative p^v * u per residue class of the window,
+    as a tuple in level order.
 
-    v runs over the window levels and u over the units in [1, p^M); the
-    representative's granularity ball is rep + p^(v+M) Z_p.  Zero is never
-    enumerated: callers that need it add it explicitly.  The number of
-    points is (v_max - v_min + 1) * (p^M - p^(M-1)).
+    v runs over the window levels and u over the units in [1, p^M).  Each
+    point stands for its granularity ball rep + p^(v+M) Z_p, which
+    ``window.ball_of(rep)`` builds; these balls are pairwise disjoint and
+    partition the window exactly.  Zero is never enumerated: callers that
+    need it add it explicitly.  The number of points is
+    (v_max - v_min + 1) * (p^M - p^(M-1)).
     """
     units = ctx.units_mod(window.depth)
     points = []
     for v in window.levels():
         scale = ctx.power(v)
         points.extend(PadicScalar(u * scale, ctx) for u in units)
-    return RepresentativeSet(tuple(points), window.depth)
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
     n = x.ord().value
     if n < 1:
         raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
-    if x.ac(2 * n).residue == 1:
+    if x.ac(2 * n) == 1:
         return PadicScalar(ctx.power(2 * n), ctx)
     return ctx.scalar(0)
 
@@ -568,18 +568,27 @@ class _Parser:
             self.expect("=")
             residue = self.signed_int()
             return OrdCongruence(inner, modulus, residue % modulus)
+        # "(" opens a condition or the subject term of "term in coset"; when
+        # both readings fail, the one that got strictly further reports
+        cond_err = None
         if self.at("("):
-            snapshot = self.i
+            start = self.i
             try:
                 self.next()
                 inner_cond = self.cond()
                 self.expect(")")
                 return inner_cond
-            except ParseError:
-                self.i = snapshot
-        subject = self.term()
-        self.expect("in")
-        return CosetMember(subject, *self.coset())
+            except ParseError as err:
+                cond_err, cond_end, self.i = err, self.i, start
+        try:
+            subject = self.term()
+            self.expect("in")
+            return CosetMember(subject, *self.coset())
+        except ParseError:
+            if cond_err is None or cond_end <= self.i:
+                raise
+            self.i = cond_end
+            raise cond_err from None
 
     # -- literals of the CLI and of cells ---------------------------------
 
@@ -911,26 +920,20 @@ def eval_condition(c: Condition, point: Mapping, ctx: Optional[PrimeContext] = N
     return _eval_cond(c, point, ctx)
 
 
-def _norm_exponents_cmp(a: "int | None", b: "int | None", op: str) -> bool:
-    # None is the zero flag: |0| = 0 is strictly below every p^e.
-    if op == "=":
-        return a == b
-    if op == "<":
-        if a is None:
-            return b is not None
-        return b is not None and a < b
-    if op == "<=":
-        return a == b or _norm_exponents_cmp(a, b, "<")
-    raise ValueError(f"unknown norm comparison {op!r}")
-
-
 def _eval_cond(c: Condition, point: Mapping, ctx: PrimeContext) -> bool:
     if isinstance(c, TrueCond):
         return True
     if isinstance(c, NormCmp):
-        lhs = _eval(c.lhs, point, ctx).norm_exponent()
-        rhs = _eval(c.rhs, point, ctx).norm_exponent()
-        return _norm_exponents_cmp(lhs, rhs, c.op)
+        # |a| < |b| exactly when ord a > ord b, in Valuation's order (ord 0 = +inf)
+        lhs = _eval(c.lhs, point, ctx).ord()
+        rhs = _eval(c.rhs, point, ctx).ord()
+        if c.op == "<":
+            return lhs > rhs
+        if c.op == "<=":
+            return lhs >= rhs
+        if c.op == "=":
+            return lhs == rhs
+        raise ValueError(f"unknown norm comparison {c.op!r}")
     if isinstance(c, OrdCongruence):
         v = _eval(c.term, point, ctx).ord()
         return v.is_finite and v.value % c.modulus == c.residue

@@ -77,7 +77,7 @@ def test_criterion_1_ultrametric_laws():
                 assert os == lo
             assert (x * y).ord() == ox + oy
             n = rng.randint(1, 3)
-            assert (x * y).ac(n) == x.ac(n) * y.ac(n)
+            assert (x * y).ac(n) == x.ac(n) * y.ac(n) % p**n
     _report(1, "ultrametric, multiplicativity and ac laws on 40000 pairs", started, 10.0)
 
 
@@ -92,7 +92,7 @@ def test_criterion_2_ball_formula_equivalence():
     for m in (1, 2):
         for t in enumerate_window(Window(-2, 3, 3), ctx):
             a = t.ord().value
-            lam_residue = t.ac(m).residue
+            lam_residue = t.ac(m)
             lam = ctx.scalar(Fraction(lam_residue) * Fraction(3) ** a)
             cell = point_cell(ctx.scalar(0), CosetSpec(lam, m, 1))
             from ultralip.cells import ball_of_cell, cell_contains
@@ -154,14 +154,15 @@ def test_criterion_4_exloc_reproduction():
     f = parse_term("normval(t)")
     for p in (2, 3, 5):
         ctx = PrimeContext(p)
-        rset = enumerate_window(Window(0, 4, 2), ctx)
-        values = {x: evaluate(f, {"t": x}, ctx) for x in rset}
+        window = Window(0, 4, 2)
+        points = enumerate_window(window, ctx)
+        values = {x: evaluate(f, {"t": x}, ctx) for x in points}
         # constancy on every granularity ball
-        for x in rset:
-            for probe in rset.ball_of(x).representatives(2):
+        for x in points:
+            for probe in window.ball_of(x).representatives(2):
                 assert evaluate(f, {"t": probe}, ctx) == values[x]
         # the exact identity on every pair with |x2| < |x1|
-        for x1, x2 in itertools.combinations(rset.points, 2):
+        for x1, x2 in itertools.combinations(points, 2):
             if x1.ord() > x2.ord():
                 x1, x2 = x2, x1
             if x1.ord() == x2.ord():

@@ -91,7 +91,7 @@ class TestBallOfCell:
         set {w : ord(w) = a, ac_m(w) = ac_m(lambda)} on every representative."""
         for m in (1, 2):
             for t in enumerate_window(Window(-2, 2, m), ctx3):
-                lam_residue = t.ac(m).residue
+                lam_residue = t.ac(m)
                 lam = ctx3.scalar(Fraction(lam_residue) * Fraction(3) ** t.ord().value)
                 cell = point_cell(ctx3.scalar(0), CosetSpec(lam, m, 1))
                 assert cell_contains(cell, t)
@@ -166,7 +166,7 @@ class TestFitCell:
         balls = [Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(2), 1)]
         cells = fit_cell(balls, [ctx3.scalar(0)])
         assert len(cells) == 2
-        residues = {c.coset.lam.ac(1).residue for c in cells}
+        residues = {c.coset.lam.ac(1) for c in cells}
         assert residues == {1, 2}
 
     def test_no_candidate_fits(self, ctx3):

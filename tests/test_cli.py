@@ -214,7 +214,7 @@ class TestContract:
         [
             ["ord", "-p", "3", "abc"],
             ["ord", "-p", "3", "1/0"],
-            ["ord", "-p", "3", "-M", "0", "5"],
+            ["jacobian", "-p", "3", "-f", "x", "--ball", "1 + 3^1", "-M", "0"],
             ["eval", "-p", "3", "-f", "1/0"],
             ["enumerate-balls", "-p", "3", "--coset", "1/0*Q(1,1)", "--window=0:1"],
         ],
@@ -224,6 +224,22 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "-p", "3", "-f", "x", "--at", "x=1"],
+            ["ord", "-p", "3", "45"],
+            ["ac", "-p", "3", "45"],
+            ["ball-of-cell", "-p", "3", "--coset", "1*Q(1,1)", "--t", "4"],
+            ["enumerate-balls", "-p", "3", "--coset", "1*Q(1,1)", "--window=0:1"],
+        ],
+    )
+    def test_depth_only_where_read(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["-M", "7"])
+        assert err.value.code == 2
 
     def test_internal_error_exit_three(self, capsys, monkeypatch):
         import ultralip.cli as cli

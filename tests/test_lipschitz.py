@@ -207,10 +207,10 @@ class TestExloc:
 
     def test_local_constancy(self, ctx3):
         f = parse_term("normval(t)")
-        rset = enumerate_window(Window(0, 3, 2), ctx3)
-        for x in rset:
+        window = Window(0, 3, 2)
+        for x in enumerate_window(window, ctx3):
             expected = evaluate(f, {"t": x})
-            for probe in rset.ball_of(x).representatives(2):
+            for probe in window.ball_of(x).representatives(2):
                 assert evaluate(f, {"t": probe}) == expected
 
     def test_rejects_negative_window(self, ctx3):

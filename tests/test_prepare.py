@@ -15,7 +15,6 @@ from ultralip.prepare import (
     parse_factored,
     piece_contains,
     prepare,
-    value_unit_class,
     verify_prepared,
 )
 
@@ -287,15 +286,3 @@ def random_unitish(rng, p):
     x = Fraction(num, den)
     return x if x != 0 else Fraction(1)
 
-
-class TestValueClassReport:
-    def test_constant_class_reported(self, ctx3):
-        f = parse_factored("1 * (t - 0)^2", ctx3)
-        pieces = prepare(f, Window(0, 1, 1))
-        for piece in pieces:
-            assert value_unit_class(f, piece, 1) == 1  # squares are ac_1 = 1
-
-    def test_varying_class_is_none(self, ctx3):
-        f = parse_factored("1 * (t - 0)", ctx3)
-        piece = prepare(f, Window(0, 0, 1))[0]
-        assert value_unit_class(f, piece, 3) is None

@@ -76,16 +76,16 @@ class TestEnumeration:
         assert len(rs) == (w.v_max - w.v_min + 1) * (5**2 - 5)
 
     def test_zero_excluded_and_granularity(self, ctx3):
-        rs = enumerate_window(Window(-1, 2, 2), ctx3)
-        for x in rs:
+        w = Window(-1, 2, 2)
+        for x in enumerate_window(w, ctx3):
             assert not x.is_zero
-            ball = rs.ball_of(x)
+            ball = w.ball_of(x)
             assert ball.contains(x)
             assert ball.radius_ord == x.ord().value + 2
 
     def test_partition_disjoint(self, ctx3):
-        rs = enumerate_window(Window(0, 1, 2), ctx3)
-        balls = [rs.ball_of(x) for x in rs]
+        w = Window(0, 1, 2)
+        balls = [w.ball_of(x) for x in enumerate_window(w, ctx3)]
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
                 assert balls[i].relation(balls[j]) is BallRelation.DISJOINT
@@ -101,14 +101,13 @@ class TestEnumeration:
             if not (v.is_finite and w.v_min <= v.value <= w.v_max):
                 continue
             hits += 1
-            containing = [b for b in (rs.ball_of(r) for r in rs) if b.contains(x)]
+            containing = [b for b in (w.ball_of(r) for r in rs) if b.contains(x)]
             assert len(containing) == 1
 
     def test_refinement_coherence(self, ctx3):
-        coarse = enumerate_window(Window(0, 1, 2), ctx3)
-        fine = enumerate_window(Window(0, 1, 3), ctx3)
-        coarse_balls = [coarse.ball_of(x) for x in coarse]
-        for x in fine:
+        coarse, fine = Window(0, 1, 2), Window(0, 1, 3)
+        coarse_balls = [coarse.ball_of(x) for x in enumerate_window(coarse, ctx3)]
+        for x in enumerate_window(fine, ctx3):
             inside = [
                 b for b in coarse_balls
                 if fine.ball_of(x).relation(b)
@@ -118,4 +117,4 @@ class TestEnumeration:
 
     def test_canonical_representatives(self, ctx3):
         rs = enumerate_window(Window(1, 1, 1), ctx3)
-        assert [x.value for x in rs] == [3, 6]
+        assert rs == (ctx3.scalar(3), ctx3.scalar(6))

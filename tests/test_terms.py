@@ -111,6 +111,20 @@ class TestParsing:
         c = parse_condition("(t+1) in 1*Q(1,1)")
         assert isinstance(c, CosetMember)
 
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("(ord(x) % 0 = 1)", "ord congruence modulus must be >= 1", 11),
+            ("(|x| < |y| && ord(x) % 0 = 1)", "ord congruence modulus must be >= 1", 24),
+            # here the term reading gets further, so its error is reported
+            ("(x+1) in 1*Q(0,1)", "coset depths m, n must be >= 1", 10),
+        ],
+    )
+    def test_parenthesized_condition_keeps_its_error(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_condition(text)
+        assert str(err.value) == f"{message} (line 1, column {column})"
+
 
 class TestEvaluation:
     def test_rational_example(self, ctx5):
@@ -163,6 +177,22 @@ class TestConditions:
         assert eval_condition(c, {"t": ctx3.scalar(1)})
         assert eval_condition(c, {"t": ctx3.scalar(3)})
         assert not eval_condition(parse_condition("!(|t| = |t|)"), {"t": ctx3.scalar(2)})
+
+    @pytest.mark.parametrize(
+        "a, b, lt, le, eq",
+        [
+            (0, 0, False, True, True),
+            (0, 3, True, True, False),
+            (3, 0, False, False, False),
+            (9, 3, True, True, False),  # |9| = 1/9 < |3| = 1/3
+            (3, 9, False, False, False),
+            (3, 6, False, True, True),  # equal norms, different values
+        ],
+    )
+    def test_norm_comparison_table(self, ctx3, a, b, lt, le, eq):
+        point = {"a": ctx3.scalar(a), "b": ctx3.scalar(b)}
+        for op, expected in (("<", lt), ("<=", le), ("=", eq)):
+            assert eval_condition(parse_condition(f"|a| {op} |b|"), point) is expected
 
 
 class TestPiecewise:

@@ -145,7 +145,7 @@ class TestLocalCheck:
                 return "skipped", (x,)
         groups: dict = {}
         for x in pts:
-            groups.setdefault((x.ord().value, x.ac(1).residue), []).append(x)
+            groups.setdefault((x.ord().value, x.ac(1)), []).append(x)
         for group in groups.values():
             pair = local_pairs(group, [evaluate(f, {"t": x}, ctx) for x in group])
             if pair is not None:
@@ -178,7 +178,7 @@ class TestLocalCheck:
         group = [
             x
             for x in enumerate_window(window, ctx)
-            if x.ord().value == level and x.ac(1).residue == 1
+            if x.ord().value == level and x.ac(1) == 1
         ]
         vals = data.draw(st.lists(scalars(ctx), min_size=len(group), max_size=len(group)))
         assert _local_break(group, vals, level, p) == local_pairs(group, vals)
