@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import traceback
 
@@ -393,6 +394,12 @@ def _cmd_example(args, ctx: PrimeContext) -> int:
 # parser assembly
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative int or decimal, so "-27/4" would be taken for an
+# unknown option.  Every command counts negative rationals as values too.
+_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 # Built once per process: assembling the parser costs more than most one-line
 # commands, and parse_args leaves the parser unchanged, so callers can share it.
 @functools.lru_cache(maxsize=1)
@@ -404,6 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, depth_default=None):
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.add_argument("-p", "--prime", type=int, required=True, help="the prime p")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if depth_default is not None:  # only the commands that read args.depth

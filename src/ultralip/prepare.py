@@ -367,12 +367,20 @@ def piece_contains(f: FactoredTerm, piece: PreparedPiece, t: PadicScalar) -> boo
     return delta.ac(piece.m) == piece.residue
 
 
+def _mismatch(t: PadicScalar, direct: Valuation, predicted: int) -> PrepareCheck:
+    return PrepareCheck(False, t, f"ord f({t}) = {direct} but the piece predicts {predicted}")
+
+
 def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> PrepareCheck:
     """Check a prepared piece against direct factor evaluation.
 
-    For every depth-M representative t of the piece's balls (levels capped
+    On each ball c_j + xi p^a + p^(a+m) Z_p of the piece (levels a capped
     at _LEVEL_CAP per piece), ord f(t) computed as ord(u) + sum a_i
-    ord(t - c_i) must equal h_exponent + exponent * ord(t - c_j) exactly.
+    ord(t - c_i) must equal h_exponent + exponent * a exactly.  A ball that
+    holds no center is decided exactly by one point, its canonical center:
+    every ord(t - c_i) is constant on it.  Only a ball that holds a center
+    (never one of the sweep's own pieces) is scanned at its depth-M
+    representatives, for the least failing point or the pole.
     The (exponent, h) pair is additionally checked against the geometric
     profile of the cell, which pins the exponent even on single-level
     pieces where the identity alone cannot distinguish it.
@@ -389,19 +397,24 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
     for a in range(piece.level_min, last + 1):
         rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
         ball = Ball(rep, a + piece.m)
+        predicted = piece.h_exponent + piece.exponent * a
+        t = ball.center
+        ords = [(t - c).ord() for c in geo.centers]
+        if all(o < ball.radius_ord for o in ords):
+            # no center lies in the ball, so every ord(t - c_i) is constant
+            # on it and its first representative decides the identity exactly
+            direct = geo.ord_u + sum(e * o.value for e, o in zip(geo.exps, ords))
+            if direct != predicted:
+                return _mismatch(t, Valuation.finite(direct), predicted)
+            continue
         for t in ball.representatives(depth):
             try:
                 direct = f.ord_at(t)
             except ZeroDivisionError as err:
                 # a piece from outside the sweep may contain a center
                 return PrepareCheck(False, t, f"{err}, inside the piece")
-            predicted = piece.h_exponent + piece.exponent * a
             if not direct.is_finite or direct.value != predicted:
-                return PrepareCheck(
-                    False,
-                    t,
-                    f"ord f({t}) = {direct} but the piece predicts {predicted}",
-                )
+                return _mismatch(t, direct, predicted)
 
     criticals = geo.criticals(j)
     is_tie = piece.level_max == piece.level_min and piece.level_min in criticals

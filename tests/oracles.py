@@ -14,12 +14,16 @@ time, with the str predicates that define the token language.
 
 worklist_prepare is the reference for prepare: the fix-point over level
 sets that the walk down the ball tree of the centers replaced.
+
+exhaustive_verify_prepared is the reference for verify_prepared: it
+evaluates ord f at every depth-M representative of every checked ball.
 """
 
 from fractions import Fraction
 
-from ultralip.prepare import _Geometry, _make_piece
-from ultralip.qp_core import tuple_norm
+from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _Geometry, _make_piece
+from ultralip.qp_core import PadicScalar, tuple_norm
+from ultralip.regions import Ball
 from ultralip.terms import ParseError
 
 
@@ -332,3 +336,68 @@ def worklist_prepare(f, window, m_depth=1):
                     pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, e, h))
     pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
     return pieces
+
+
+def exhaustive_verify_prepared(f, piece, depth):
+    """Check a prepared piece against direct factor evaluation: the reference
+    for verify_prepared, which decides a ball holding no center from one point.
+
+    For every depth-M representative t of the piece's balls (levels capped
+    at _LEVEL_CAP per piece), ord f(t) computed as ord(u) + sum a_i
+    ord(t - c_i) must equal h_exponent + exponent * ord(t - c_j) exactly.
+    The (exponent, h) pair is additionally checked against the geometric
+    profile of the cell, which pins the exponent even on single-level
+    pieces where the identity alone cannot distinguish it.
+    """
+    if depth < 1:
+        raise ValueError("verification depth must be >= 1")
+    geo = _Geometry(f)
+    ctx = geo.ctx
+    j = piece.chosen_center_index
+    center = geo.centers[j]
+
+    hi = piece.level_max
+    last = piece.level_min + _LEVEL_CAP - 1 if hi is None else min(hi, piece.level_min + _LEVEL_CAP - 1)
+    for a in range(piece.level_min, last + 1):
+        rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
+        ball = Ball(rep, a + piece.m)
+        for t in ball.representatives(depth):
+            try:
+                direct = f.ord_at(t)
+            except ZeroDivisionError as err:
+                # a piece from outside the sweep may contain a center
+                return PrepareCheck(False, t, f"{err}, inside the piece")
+            predicted = piece.h_exponent + piece.exponent * a
+            if not direct.is_finite or direct.value != predicted:
+                return PrepareCheck(
+                    False,
+                    t,
+                    f"ord f({t}) = {direct} but the piece predicts {predicted}",
+                )
+
+    criticals = geo.criticals(j)
+    is_tie = piece.level_max == piece.level_min and piece.level_min in criticals
+    try:
+        if is_tie:
+            expected = geo.tie_profile(j, piece.level_min, piece.residue, piece.m)
+        else:
+            hi_for_profile = piece.level_max
+            if hi_for_profile is None:
+                # an unbounded tail lies beyond every tie; a critical at or
+                # above level_min would make run_profile raise, which is the
+                # desired failure for inconsistent pieces
+                hi_for_profile = max([piece.level_min] + [d + 1 for d in criticals])
+            expected = geo.run_profile(j, piece.level_min, hi_for_profile)
+    except AssertionError as err:
+        # the profiles assert the sweep's invariants, which a piece handed in
+        # from outside the sweep need not satisfy
+        return PrepareCheck(False, None, f"piece geometry is inconsistent: {err}")
+    if expected != (piece.exponent, piece.h_exponent):
+        witness = PadicScalar(center.value + piece.residue * ctx.power(piece.level_min), ctx)
+        return PrepareCheck(
+            False,
+            witness,
+            f"profile (exponent, h) should be {expected}, piece carries "
+            f"({piece.exponent}, {piece.h_exponent})",
+        )
+    return PrepareCheck(True, None, "piece matches direct factor evaluation")

@@ -27,6 +27,29 @@ class TestScalarCommands:
         assert code == 0
         assert out.strip() == "5 mod 3^2"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["ord", "-p", "3", "-27/4"], "3"),
+            (["ord", "-p", "3", "--json", "-27/4"], '{"ord":"3"}'),
+            (["ord", "-p", "3", "-27"], "3"),
+            (["ord", "-p", "3", "--", "-27/4"], "3"),
+            (["ac", "-p", "3", "-n", "2", "-27/4"], "2 mod 3^2"),
+            (["ac", "-p", "3", "-27/4", "-n", "2"], "2 mod 3^2"),
+            (["ball-of-cell", "-p", "3", "--coset", "1*Q(1,1)", "--t", "-2/3"], "1/3 + 3^0"),
+        ],
+        ids=["ord", "ord-json", "ord-int", "ord-after-dashes", "ac", "ac-before-n", "option-value"],
+    )
+    def test_negative_rational_values(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.strip() == expected
+
+    def test_unknown_option_still_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["ord", "-p", "3", "-x"])
+        assert err.value.code == 2
+
     def test_eval(self, capsys):
         code, out, _ = run(capsys, "eval", "-p", "5", "-f", "(t-1)*t/(t+2)", "--at", "t=3")
         assert code == 0

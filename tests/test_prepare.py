@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import worklist_prepare
+from oracles import exhaustive_verify_prepared, worklist_prepare
 from ultralip.cells import format_cell
 from ultralip.qp_core import PrimeContext
-from ultralip.regions import Window, enumerate_window
+from ultralip.regions import Ball, Window, enumerate_window
 from ultralip.prepare import (
     FactoredTerm,
     parse_factored,
@@ -279,6 +279,89 @@ class TestWalkOracle:
         walked = [piece_key(p) for p in prepare(f, window, m_depth)]
         assert walked == [piece_key(p) for p in worklist_prepare(f, window, m_depth)]
 
+
+MUTATIONS = ("exponent", "h", "center", "levels", "tail", "residue", "holds a center")
+
+
+@st.composite
+def checked_pieces(draw):
+    """(f, piece): a piece of prepare's output, changed by up to two
+    mutations that take it outside the sweep.  "holds a center" moves the
+    piece so that one of its checked balls holds a center of f, a pole or a
+    zero of f by the sign of that center's exponent."""
+    f, window, m_depth = draw(branching_terms())
+    piece = draw(st.sampled_from(prepare(f, window, m_depth)))
+    centers = f.centers
+    shifts = st.sampled_from([-2, -1, 1, 2])
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        if kind == "exponent":
+            piece = dataclasses.replace(piece, exponent=piece.exponent + draw(shifts))
+        elif kind == "h":
+            piece = dataclasses.replace(piece, h_exponent=piece.h_exponent + draw(shifts))
+        elif kind == "center":
+            j = draw(st.integers(0, len(centers) - 1))
+            piece = dataclasses.replace(piece, chosen_center_index=j)
+        elif kind == "levels":
+            lo = piece.level_min + draw(st.integers(-2, 2))
+            piece = dataclasses.replace(piece, level_min=lo, level_max=lo + draw(st.integers(0, 3)))
+        elif kind == "tail":
+            piece = dataclasses.replace(piece, level_max=None)
+        elif kind == "residue":  # any class mod p^m, units or not
+            residue = draw(st.integers(0, f.context.p**piece.m - 1))
+            piece = dataclasses.replace(piece, residue=residue)
+        else:
+            j = draw(st.integers(0, len(centers) - 1))
+            held = draw(st.integers(0, len(centers) - 1))
+            if held == j:  # residue 0 puts c_j itself in every ball of the piece
+                level, residue = piece.level_min, 0
+            else:  # the ball at level ord(c - c_j) in the class of c - c_j holds c
+                gap = centers[held] - centers[j]
+                level, residue = gap.ord().value, gap.ac(piece.m)
+            lo = level - draw(st.integers(0, 2))
+            hi = draw(st.one_of(st.none(), st.integers(lo, lo + 3)))
+            piece = dataclasses.replace(
+                piece, chosen_center_index=j, level_min=lo, level_max=hi, residue=residue,
+            )
+    return f, piece
+
+
+class TestExhaustiveOracle:
+    """Deciding a ball that holds no center from one point gives the same
+    verdict, witness and detail as evaluating every representative."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(checked_pieces(), st.integers(1, 3))
+    def test_matches_the_exhaustive_check(self, case, depth):
+        f, piece = case
+        fast = verify_prepared(f, piece, depth)
+        slow = exhaustive_verify_prepared(f, piece, depth)
+        assert (fast.passed, fast.witness, fast.detail) == (slow.passed, slow.witness, slow.detail)
+        assert str(fast.witness) == str(slow.witness)
+
+    @pytest.mark.parametrize(
+        "p, text, window, m_depth",
+        [
+            (5, "1 * (t - 0) * (t - 1)", (-2, 3), 1),
+            (2, "1 * (t - 0) * (t - 2)", (-1, 3), 1),
+            (3, "2 * (t - 0)^-1 * (t - 1)^2", (-2, 2), 1),
+            (3, "1 * (t - 0) * (t - 9) * (t - 1)", (-1, 4), 2),
+            (3, "1/9 * (t - 1/3)^2 * (t + 5/9)^-1 * (t - 4)", (-3, 3), 3),
+        ],
+        ids=["two-centers", "tie-handoff", "negative-exponent", "cluster", "rational-centers"],
+    )
+    def test_sweep_pieces_never_enumerate(self, monkeypatch, p, text, window, m_depth):
+        """No piece of the sweep holds a center, so none of its balls is
+        scanned point by point."""
+        f = parse_factored(text, PrimeContext(p))
+        pieces = prepare(f, Window(*window, 1), m_depth)
+
+        def refuse(ball, depth):
+            raise AssertionError(f"enumerated {ball}")
+
+        monkeypatch.setattr(Ball, "representatives", refuse)
+        for piece in pieces:
+            check = verify_prepared(f, piece, 3)
+            assert check.passed, check.detail
 
 def random_unitish(rng, p):
     num = rng.randint(1, 50) * rng.choice([-1, 1])
