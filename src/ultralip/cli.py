@@ -395,9 +395,10 @@ def _cmd_example(args, ctx: PrimeContext) -> int:
 
 
 # argparse reads an argument that starts with "-" as an option unless it
-# looks like a negative int or decimal, so "-27/4" would be taken for an
-# unknown option.  Every command counts negative rationals as values too.
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# looks like a negative int or decimal, so "-27/4" and the window "-2:3"
+# would be taken for unknown options.  Every command counts negative
+# rationals and windows as values too.
+_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+|:-?\d+)?$|^-\d*\.\d+$")
 
 
 # Built once per process: assembling the parser costs more than most one-line

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional
 from .qp_core import PadicScalar
 from .regions import Ball, BallRelation, Window, least_ord_break, splitting_classes
 from .cells import Cell, NoCandidateFits, enumerate_balls, fit_cell
-from .terms import EvaluationError, Term, differentiate, evaluate, free_variables
+from .terms import EvaluationError, Term, compile_term, differentiate, free_variables
 
 __all__ = [
     "ViolationKind",
@@ -201,11 +201,11 @@ def check_jacobian_on_ball(
         raise ValueError("certification depth must be >= 1")
     var = _fiber_variable(f, var)
     ctx = ball.context
-    deriv = differentiate(f, var)
+    deriv_at = compile_term(differentiate(f, var), ctx)
     reps = ball.representatives(depth)
 
     # (c) constant, finite derivative valuation
-    ords = [evaluate(deriv, {var: x}, ctx).ord() for x in reps]
+    ords = [deriv_at({var: x}).ord() for x in reps]
     for x, o in zip(reps, ords):
         if o != ords[0]:
             return JacobianViolation(
@@ -222,7 +222,8 @@ def check_jacobian_on_ball(
     jac_ord = ords[0].value
 
     # (a) injectivity and image tiling at the forced radius
-    images = [evaluate(f, {var: x}, ctx) for x in reps]
+    f_at = compile_term(f, ctx)
+    images = [f_at({var: x}) for x in reps]
     seen: dict = {}
     for x, fx in zip(reps, images):
         if fx.value in seen:
@@ -280,7 +281,8 @@ def map_ball(f: Term, ball: Ball, depth: int, var: Optional[str] = None):
     var = _fiber_variable(f, var)
     ctx = ball.context
     reps = ball.representatives(depth)
-    images = [evaluate(f, {var: x}, ctx) for x in reps]
+    f_at = compile_term(f, ctx)
+    images = [f_at({var: x}) for x in reps]
     radius = None
     for fx in images[1:]:
         d = (fx - images[0]).ord()
@@ -330,10 +332,11 @@ def check_ball_correspondence(
             "no_balls_in_window", (), f"the cell has no balls with level in {window}"
         )
 
+    f_at = compile_term(f, ctx)
     seen: dict = {}
     for ball in source_balls:
         for x in ball.representatives(depth):
-            fx = evaluate(f, {var: x}, ctx)
+            fx = f_at({var: x})
             if fx.value in seen:
                 return CorrespondenceFailure(
                     "not_injective",
@@ -366,7 +369,7 @@ def check_ball_correspondence(
     candidates = []
     try:
         c = cell.center_at(y)
-        candidates.append(evaluate(f, {var: c}, ctx))
+        candidates.append(f_at({var: c}))
     except EvaluationError:
         pass
     candidates.append(ctx.scalar(0))

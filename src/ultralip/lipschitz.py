@@ -30,9 +30,10 @@ from .terms import (
     PiecewiseFunction,
     Term,
     Variable,
+    compile_condition,
+    compile_term,
     differentiate,
     eval_condition,
-    evaluate,
     evaluate_piecewise,
     format_condition,
     free_variables,
@@ -174,10 +175,12 @@ def _function_variables(f: Union[Term, PiecewiseFunction]) -> tuple:
     return names if names else ("t",)
 
 
-def _value_at(f, binding, ctx) -> PadicScalar:
+def _evaluator(f, ctx: PrimeContext):
+    """f as a function of a binding: a term is compiled once, a piecewise
+    function goes through evaluate_piecewise at each point."""
     if isinstance(f, PiecewiseFunction):
-        return evaluate_piecewise(f, binding, ctx)
-    return evaluate(f, binding, ctx)
+        return lambda binding: evaluate_piecewise(f, binding, ctx)
+    return compile_term(f, ctx)
 
 
 def _tree_scan(points, values, v_min: int, p: int):
@@ -245,6 +248,7 @@ def empirical_lipschitz(
     else:
         candidates = [tuple(t) for t in itertools.product(axis, repeat=len(variables))]
 
+    value_at = _evaluator(f, ctx)
     points = []
     values = []
     for pt in candidates:
@@ -252,7 +256,7 @@ def empirical_lipschitz(
         if not eval_condition(region, binding, ctx):
             continue
         points.append(pt)
-        values.append(_value_at(f, binding, ctx))
+        values.append(value_at(binding))
     if not points:
         raise EmptyRegion(f"no representative satisfies {format_condition(region)}")
 
@@ -346,14 +350,15 @@ def check_bounded_derivative_local_lipschitz(
     if len(names) > 1:
         raise ValueError("the local check is univariate")
     var = names[0] if names else "t"
-    deriv = differentiate(f, var)
+    f_at, deriv_at = compile_term(f, ctx), compile_term(differentiate(f, var), ctx)
+    in_region = compile_condition(region, ctx)
     reps = sorted(enumerate_window(window, ctx))
-    pts = [x for x in reps if eval_condition(region, {var: x}, ctx)]
+    pts = [x for x in reps if in_region({var: x})]
     if not pts:
         return LocalLipschitzCheck("passed", None, "region has no representatives")
 
     for x in pts:
-        d = evaluate(deriv, {var: x}, ctx)
+        d = deriv_at({var: x})
         e = d.norm_exponent()
         if e is not None and e > 0:
             return LocalLipschitzCheck(
@@ -366,7 +371,7 @@ def check_bounded_derivative_local_lipschitz(
     for x in pts:
         groups.setdefault((x.ord().value, x.ac(1)), []).append(x)
     for (level, _), group in groups.items():
-        vals = [evaluate(f, {var: x}, ctx) for x in group]
+        vals = [f_at({var: x}) for x in group]
         pair = _local_break(group, vals, level, ctx.p)
         if pair is not None:
             x, y = group[pair[0]], group[pair[1]]
@@ -453,14 +458,14 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
     """
     if window.v_min < 0:
         raise ValueError("the construction lives inside Z_p: require v_min >= 0")
-    f = NormVal(Variable("t"))
+    f = compile_term(NormVal(Variable("t")), ctx)
     points = enumerate_window(window, ctx)
-    values = {x: evaluate(f, {"t": x}, ctx) for x in points}
+    values = {x: f({"t": x}) for x in points}
 
     # local constancy on every granularity ball
     for x in points:
         for probe in window.ball_of(x).representatives(1):
-            if evaluate(f, {"t": probe}, ctx) != values[x]:
+            if f({"t": probe}) != values[x]:
                 raise RuntimeError(f"local constancy broke at {x} vs {probe}")
 
     # the exact pair identity, stronger than the defining inequality
@@ -476,7 +481,7 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
     for n in range(window.v_min + 1, window.v_max + 1):
         x1 = PadicScalar(ctx.power(n - 1), ctx)
         x2 = PadicScalar(ctx.power(n), ctx)
-        ef = (evaluate(f, {"t": x1}, ctx) - evaluate(f, {"t": x2}, ctx)).norm_exponent()
+        ef = (f({"t": x1}) - f({"t": x2})).norm_exponent()
         ex = (x1 - x2).norm_exponent()
         if ef - ex != 2 * n - 1:
             raise RuntimeError(f"trace ratio at level {n} is not 2n-1")

@@ -25,6 +25,7 @@ unbounded-depth cell per angular class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, Valuation
@@ -260,6 +261,13 @@ class _Geometry:
         return e, h
 
 
+# verify_prepared is called once per piece of the same term; callers only
+# read the geometry
+@lru_cache(maxsize=32)
+def _geometry(f: FactoredTerm) -> _Geometry:
+    return _Geometry(f)
+
+
 # ---------------------------------------------------------------------------
 # the sweep
 
@@ -285,7 +293,7 @@ def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
     """
     if m_depth < 1:
         raise ValueError("m_depth must be >= 1")
-    geo = _Geometry(f)
+    geo = _geometry(f)
     ctx = geo.ctx
     v_min, v_max = window.v_min, window.v_max
 
@@ -387,7 +395,7 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
     """
     if depth < 1:
         raise ValueError("verification depth must be >= 1")
-    geo = _Geometry(f)
+    geo = _geometry(f)
     ctx = geo.ctx
     j = piece.chosen_center_index
     center = geo.centers[j]

@@ -32,16 +32,28 @@ An int is a run of digits, read with a leading "-" wherever a value may
 be negative (exponents, depths, levels, residues).  A cell needs its
 coset segment and names each segment at most once; "all" and "ord" are
 two forms of the one level-range segment.
+
+Evaluation compiles once per analysis.  compile_term and compile_condition
+turn a tree into nested closures over the raw int and Fraction values,
+with one PadicScalar built at the end (an int when integral); evaluate,
+eval_condition and evaluate_piecewise run the compiled form.  Compiled
+forms are memoised per node object and prime context, found by identity,
+at most 1024 of them, and an entry goes when its node does.  Errors are
+those of a walk over the tree: a Div tests its denominator first and
+reports it, a negative power of 0 reports the power, and builtins are
+looked up when called.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
-from .qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset
+from .qp_core import CosetSpec, PadicScalar, PrimeContext, _scalar, in_coset
 
 __all__ = [
     "Term",
@@ -74,6 +86,8 @@ __all__ = [
     "evaluate",
     "evaluate_piecewise",
     "eval_condition",
+    "compile_term",
+    "compile_condition",
     "differentiate",
     "free_variables",
     "TermError",
@@ -874,80 +888,13 @@ def evaluate(t: Term, point: Mapping, ctx: Optional[PrimeContext] = None) -> Pad
     point maps variable names to PadicScalar values sharing one context.
     """
     ctx = _infer_context(point, ctx)
-    return _eval(t, point, ctx)
-
-
-def _eval(t: Term, point: Mapping, ctx: PrimeContext) -> PadicScalar:
-    if isinstance(t, RationalConst):
-        return PadicScalar(t.value, ctx)
-    if isinstance(t, Variable):
-        try:
-            return point[t.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Add):
-        return _eval(t.left, point, ctx) + _eval(t.right, point, ctx)
-    if isinstance(t, Sub):
-        return _eval(t.left, point, ctx) - _eval(t.right, point, ctx)
-    if isinstance(t, Mul):
-        return _eval(t.left, point, ctx) * _eval(t.right, point, ctx)
-    if isinstance(t, Div):
-        denom = _eval(t.right, point, ctx)
-        if denom.is_zero:
-            raise DivisionByZero(t.right)
-        return _eval(t.left, point, ctx) / denom
-    if isinstance(t, IntPow):
-        base = _eval(t.base, point, ctx)
-        if base.is_zero and t.exponent < 0:
-            raise DivisionByZero(t)
-        return base**t.exponent
-    if isinstance(t, NormVal):
-        arg = _eval(t.arg, point, ctx)
-        if arg.is_zero:
-            raise BuiltinDomainError("normval is declared on nonzero arguments")
-        return PadicScalar(ctx.power(-arg.ord().value), ctx)
-    if isinstance(t, BuiltinCall):
-        spec = _BUILTINS.get(t.name)
-        if spec is None:
-            raise EvaluationError(f"unknown builtin {t.name!r}")
-        return spec.evaluate(ctx, _eval(t.arg, point, ctx))
-    raise TypeError(f"not a term node: {t!r}")
+    return compile_term(t, ctx)(point)
 
 
 def eval_condition(c: Condition, point: Mapping, ctx: Optional[PrimeContext] = None) -> bool:
     """Exact truth value of a condition at a rational point."""
     ctx = _infer_context(point, ctx)
-    return _eval_cond(c, point, ctx)
-
-
-def _eval_cond(c: Condition, point: Mapping, ctx: PrimeContext) -> bool:
-    if isinstance(c, TrueCond):
-        return True
-    if isinstance(c, NormCmp):
-        # |a| < |b| exactly when ord a > ord b, in Valuation's order (ord 0 = +inf)
-        lhs = _eval(c.lhs, point, ctx).ord()
-        rhs = _eval(c.rhs, point, ctx).ord()
-        if c.op == "<":
-            return lhs > rhs
-        if c.op == "<=":
-            return lhs >= rhs
-        if c.op == "=":
-            return lhs == rhs
-        raise ValueError(f"unknown norm comparison {c.op!r}")
-    if isinstance(c, OrdCongruence):
-        v = _eval(c.term, point, ctx).ord()
-        return v.is_finite and v.value % c.modulus == c.residue
-    if isinstance(c, CosetMember):
-        x = _eval(c.term, point, ctx)
-        lam = PadicScalar(c.lam, ctx)
-        return in_coset(x, CosetSpec(lam, c.m, c.n))
-    if isinstance(c, And):
-        return _eval_cond(c.left, point, ctx) and _eval_cond(c.right, point, ctx)
-    if isinstance(c, Or):
-        return _eval_cond(c.left, point, ctx) or _eval_cond(c.right, point, ctx)
-    if isinstance(c, Not):
-        return not _eval_cond(c.inner, point, ctx)
-    raise TypeError(f"not a condition node: {c!r}")
+    return compile_condition(c, ctx)(point)
 
 
 def evaluate_piecewise(
@@ -955,12 +902,196 @@ def evaluate_piecewise(
 ) -> PadicScalar:
     """Evaluate a piecewise function; exactly one piece condition may hold."""
     ctx = _infer_context(point, ctx)
-    matches = [body for cond, body in pf.pieces if _eval_cond(cond, point, ctx)]
+    pieces = _memoised(pf, ctx, _compile_pieces)
+    matches = [body for cond, body in pieces if cond(point)]
     if not matches:
         raise PieceDomainError(f"no piece covers the point {_point_str(point)}")
     if len(matches) > 1:
         raise PieceOverlapError(f"pieces overlap at the point {_point_str(point)}")
-    return _eval(matches[0], point, ctx)
+    return matches[0](point)
+
+
+def compile_term(t: Term, ctx: PrimeContext) -> Callable:
+    """t as a function of a point (variable names to PadicScalar values in
+    ctx) that returns the PadicScalar evaluate would.  The caller vouches
+    that the point's values lie in ctx; evaluate checks it."""
+    return _memoised(t, ctx, _compile_term)
+
+
+def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
+    """c as a function of a point that returns the bool eval_condition would."""
+    return _memoised(c, ctx, _compile_cond)
+
+
+# compiled forms by (id(node), id(ctx)), at most _COMPILED_CAP of them, the
+# oldest going first.  An entry goes when its node does (a derivative built
+# for one analysis, say): a weak reference removes it, so no id is reused
+# while its entry lives.  The compiled form keeps ctx alive.
+_COMPILED: dict = {}
+_COMPILED_CAP = 1024
+
+
+def _memoised(node, ctx: PrimeContext, build: Callable) -> Callable:
+    key = (id(node), id(ctx))
+    entry = _COMPILED.get(key)
+    if entry is None:
+        compiled = build(node, ctx)
+        try:
+            gone = weakref.ref(node, lambda _: _COMPILED.pop(key, None))
+        except TypeError:  # not a node: compiled raises the walk's TypeError
+            return compiled
+        if len(_COMPILED) >= _COMPILED_CAP:
+            _COMPILED.pop(next(iter(_COMPILED)), None)
+        entry = _COMPILED[key] = (gone, compiled)
+    return entry[1]
+
+
+def _compile_term(t: Term, ctx: PrimeContext) -> Callable:
+    run = _compile(t, ctx)
+    return lambda point: _scalar(run(point), ctx)
+
+
+def _compile_pieces(pf: PiecewiseFunction, ctx: PrimeContext) -> tuple:
+    return tuple((_compile_cond(cond, ctx), _compile_term(body, ctx)) for cond, body in pf.pieces)
+
+
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _compile(t: Term, ctx: PrimeContext) -> Callable:
+    """A closure from a point to the value of t as an int, or as a Fraction
+    when it is not integral; every error is raised where the tree walk
+    raised it, so a Div tests its denominator before it reads the
+    numerator and a builtin is looked up before its argument is read."""
+    if isinstance(t, RationalConst):
+        value = t.value
+        return lambda point: value
+    if isinstance(t, Variable):
+        name = t.name
+
+        def variable(point):
+            try:
+                return point[name].value
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable {name!r}") from None
+
+        return variable
+    op = next((op for cls, op in _ARITHMETIC.items() if isinstance(t, cls)), None)
+    if op is not None:
+        left, right = _compile(t.left, ctx), _compile(t.right, ctx)
+
+        def arithmetic(point):
+            r = op(left(point), right(point))
+            return r if r.__class__ is int or r.denominator != 1 else r.numerator
+
+        return arithmetic
+    if isinstance(t, Div):
+        left, right, denominator = _compile(t.left, ctx), _compile(t.right, ctx), t.right
+
+        def divide(point):
+            d = right(point)
+            if not d:
+                raise DivisionByZero(denominator)
+            r = Fraction(left(point), d)
+            return r.numerator if r.denominator == 1 else r
+
+        return divide
+    if isinstance(t, IntPow):
+        base, k = _compile(t.base, ctx), t.exponent
+        if k >= 0:
+
+            def power(point):
+                r = base(point) ** k
+                return r if r.__class__ is int or r.denominator != 1 else r.numerator
+
+            return power
+
+        def inverse_power(point):
+            b = base(point)
+            if not b:
+                raise DivisionByZero(t)
+            r = Fraction(b) ** k
+            return r.numerator if r.denominator == 1 else r
+
+        return inverse_power
+    if isinstance(t, NormVal):
+        arg = _compile(t.arg, ctx)
+
+        def normval(point):
+            a = arg(point)
+            if not a:
+                raise BuiltinDomainError("normval is declared on nonzero arguments")
+            return ctx.power(-_scalar(a, ctx).ord().value)
+
+        return normval
+    if isinstance(t, BuiltinCall):
+        name, arg = t.name, _compile(t.arg, ctx)
+
+        def builtin(point):
+            spec = _BUILTINS.get(name)
+            if spec is None:
+                raise EvaluationError(f"unknown builtin {name!r}")
+            return spec.evaluate(ctx, _scalar(arg(point), ctx)).value
+
+        return builtin
+
+    def not_a_term(point):
+        raise TypeError(f"not a term node: {t!r}")
+
+    return not_a_term
+
+
+# |a| < |b| exactly when ord a > ord b, in Valuation's order (ord 0 = +inf)
+_NORM_ORDER = {"<": operator.gt, "<=": operator.ge, "=": operator.eq}
+
+
+def _compile_cond(c: Condition, ctx: PrimeContext) -> Callable:
+    """A closure from a point to the truth value of c."""
+    if isinstance(c, TrueCond):
+        return lambda point: True
+    if isinstance(c, NormCmp):
+        lhs, rhs, op = _compile(c.lhs, ctx), _compile(c.rhs, ctx), c.op
+        order = _NORM_ORDER.get(op)
+
+        def norm_cmp(point):
+            a = _scalar(lhs(point), ctx).ord()
+            b = _scalar(rhs(point), ctx).ord()
+            if order is None:
+                raise ValueError(f"unknown norm comparison {op!r}")
+            return order(a, b)
+
+        return norm_cmp
+    if isinstance(c, OrdCongruence):
+        term, modulus, residue = _compile(c.term, ctx), c.modulus, c.residue
+
+        def ord_congruence(point):
+            v = _scalar(term(point), ctx).ord()
+            return v.is_finite and v.value % modulus == residue
+
+        return ord_congruence
+    if isinstance(c, CosetMember):
+        term, lam, m, n = _compile(c.term, ctx), PadicScalar(c.lam, ctx), c.m, c.n
+        # built per call only when invalid, so it raises where the walk did
+        spec = CosetSpec(lam, m, n) if m >= 1 and n >= 1 else None
+
+        def coset_member(point):
+            x = _scalar(term(point), ctx)
+            return in_coset(x, spec or CosetSpec(lam, m, n))
+
+        return coset_member
+    if isinstance(c, (And, Or)):
+        left, right = _compile_cond(c.left, ctx), _compile_cond(c.right, ctx)
+        if isinstance(c, And):
+            return lambda point: left(point) and right(point)
+        return lambda point: left(point) or right(point)
+    if isinstance(c, Not):
+        inner = _compile_cond(c.inner, ctx)
+        return lambda point: not inner(point)
+
+    def not_a_condition(point):
+        raise TypeError(f"not a condition node: {c!r}")
+
+    return not_a_condition
 
 
 def _point_str(point: Mapping) -> str:

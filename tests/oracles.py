@@ -17,14 +17,48 @@ sets that the walk down the ball tree of the centers replaced.
 
 exhaustive_verify_prepared is the reference for verify_prepared: it
 evaluates ord f at every depth-M representative of every checked ball.
+
+_eval and _eval_cond are the references for the compiled evaluator: the
+recursive walk over the term tree, one node at a time, with PadicScalar
+arithmetic at every node.  walk_piecewise evaluates a piecewise function
+with them.
 """
 
 from fractions import Fraction
+from typing import Mapping
 
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _Geometry, _make_piece
-from ultralip.qp_core import PadicScalar, tuple_norm
+from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset, tuple_norm
 from ultralip.regions import Ball
-from ultralip.terms import ParseError
+from ultralip.terms import (
+    _BUILTINS,
+    Add,
+    And,
+    BuiltinCall,
+    BuiltinDomainError,
+    Condition,
+    CosetMember,
+    Div,
+    DivisionByZero,
+    EvaluationError,
+    IntPow,
+    Mul,
+    NormCmp,
+    NormVal,
+    Not,
+    Or,
+    OrdCongruence,
+    ParseError,
+    PieceDomainError,
+    PieceOverlapError,
+    RationalConst,
+    Sub,
+    Term,
+    TrueCond,
+    UnboundVariableError,
+    Variable,
+    _point_str,
+)
 
 
 def scan_pairs(points, values):
@@ -401,3 +435,85 @@ def exhaustive_verify_prepared(f, piece, depth):
             f"({piece.exponent}, {piece.h_exponent})",
         )
     return PrepareCheck(True, None, "piece matches direct factor evaluation")
+
+
+# ---------------------------------------------------------------------------
+# the term tree walk
+
+
+def _eval(t: Term, point: Mapping, ctx: PrimeContext) -> PadicScalar:
+    if isinstance(t, RationalConst):
+        return PadicScalar(t.value, ctx)
+    if isinstance(t, Variable):
+        try:
+            return point[t.name]
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable {t.name!r}") from None
+    if isinstance(t, Add):
+        return _eval(t.left, point, ctx) + _eval(t.right, point, ctx)
+    if isinstance(t, Sub):
+        return _eval(t.left, point, ctx) - _eval(t.right, point, ctx)
+    if isinstance(t, Mul):
+        return _eval(t.left, point, ctx) * _eval(t.right, point, ctx)
+    if isinstance(t, Div):
+        denom = _eval(t.right, point, ctx)
+        if denom.is_zero:
+            raise DivisionByZero(t.right)
+        return _eval(t.left, point, ctx) / denom
+    if isinstance(t, IntPow):
+        base = _eval(t.base, point, ctx)
+        if base.is_zero and t.exponent < 0:
+            raise DivisionByZero(t)
+        return base**t.exponent
+    if isinstance(t, NormVal):
+        arg = _eval(t.arg, point, ctx)
+        if arg.is_zero:
+            raise BuiltinDomainError("normval is declared on nonzero arguments")
+        return PadicScalar(ctx.power(-arg.ord().value), ctx)
+    if isinstance(t, BuiltinCall):
+        spec = _BUILTINS.get(t.name)
+        if spec is None:
+            raise EvaluationError(f"unknown builtin {t.name!r}")
+        return spec.evaluate(ctx, _eval(t.arg, point, ctx))
+    raise TypeError(f"not a term node: {t!r}")
+
+
+def _eval_cond(c: Condition, point: Mapping, ctx: PrimeContext) -> bool:
+    if isinstance(c, TrueCond):
+        return True
+    if isinstance(c, NormCmp):
+        # |a| < |b| exactly when ord a > ord b, in Valuation's order (ord 0 = +inf)
+        lhs = _eval(c.lhs, point, ctx).ord()
+        rhs = _eval(c.rhs, point, ctx).ord()
+        if c.op == "<":
+            return lhs > rhs
+        if c.op == "<=":
+            return lhs >= rhs
+        if c.op == "=":
+            return lhs == rhs
+        raise ValueError(f"unknown norm comparison {c.op!r}")
+    if isinstance(c, OrdCongruence):
+        v = _eval(c.term, point, ctx).ord()
+        return v.is_finite and v.value % c.modulus == c.residue
+    if isinstance(c, CosetMember):
+        x = _eval(c.term, point, ctx)
+        lam = PadicScalar(c.lam, ctx)
+        return in_coset(x, CosetSpec(lam, c.m, c.n))
+    if isinstance(c, And):
+        return _eval_cond(c.left, point, ctx) and _eval_cond(c.right, point, ctx)
+    if isinstance(c, Or):
+        return _eval_cond(c.left, point, ctx) or _eval_cond(c.right, point, ctx)
+    if isinstance(c, Not):
+        return not _eval_cond(c.inner, point, ctx)
+    raise TypeError(f"not a condition node: {c!r}")
+
+
+def walk_piecewise(pf, point, ctx):
+    """evaluate_piecewise by the tree walk: every piece condition is
+    evaluated, and exactly one may hold."""
+    matches = [body for cond, body in pf.pieces if _eval_cond(cond, point, ctx)]
+    if not matches:
+        raise PieceDomainError(f"no piece covers the point {_point_str(point)}")
+    if len(matches) > 1:
+        raise PieceOverlapError(f"pieces overlap at the point {_point_str(point)}")
+    return _eval(matches[0], point, ctx)

@@ -50,6 +50,26 @@ class TestScalarCommands:
             main(["ord", "-p", "3", "-x"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "-p", "5", "-f", "1 * (t - 0) * (t - 1)", "--window", "-2:3", "--verify", "-M", "3"],
+            ["lipschitz", "-p", "3", "-f", "x^2", "--window", "-1:2"],
+            ["lipschitz", "-p", "3", "-f", "x^2", "--window", "-2:-1", "--json"],
+        ],
+        ids=["prepare", "lipschitz", "both-negative"],
+    )
+    def test_negative_window_after_a_space(self, capsys, argv):
+        i = argv.index("--window")
+        joined = argv[:i] + [f"--window={argv[i + 1]}"] + argv[i + 2:]
+        expected = run(capsys, *joined)
+        assert expected[0] == 0
+        assert run(capsys, *argv) == expected
+        # a word after a dash is still an option
+        with pytest.raises(SystemExit) as err:
+            main(["ord", "-p", "3", "-x"])
+        assert err.value.code == 2
+
     def test_eval(self, capsys):
         code, out, _ = run(capsys, "eval", "-p", "5", "-f", "(t-1)*t/(t+2)", "--at", "t=3")
         assert code == 0

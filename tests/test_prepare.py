@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -362,6 +363,21 @@ class TestExhaustiveOracle:
         for piece in pieces:
             check = verify_prepared(f, piece, 3)
             assert check.passed, check.detail
+
+    def test_the_geometry_is_built_once_per_term(self, monkeypatch):
+        prepare_module = importlib.import_module("ultralip.prepare")
+        built = []
+        init = prepare_module._Geometry.__init__
+        monkeypatch.setattr(
+            prepare_module._Geometry, "__init__", lambda geo, f: (built.append(f), init(geo, f))[1]
+        )
+        prepare_module._geometry.cache_clear()
+        f = parse_factored("7 * (t - 2) * (t - 11)^2 * (t - 29)^-1", PrimeContext(3))
+        pieces = prepare(f, Window(0, 2, 1))
+        for piece in pieces:
+            assert verify_prepared(f, piece, 2).passed
+        assert len(pieces) > 1 and built == [f]
+
 
 def random_unitish(rng, p):
     num = rng.randint(1, 50) * rng.choice([-1, 1])

@@ -1,4 +1,6 @@
+import copy
 import importlib
+import pickle
 import sys
 import types
 from fractions import Fraction
@@ -7,24 +9,35 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ultralip.qp_core import PrimeContext
 from ultralip.terms import (
     Add,
+    And,
+    BuiltinCall,
     BuiltinDomainError,
     CosetMember,
     DivisionByZero,
     Div,
+    EvaluationError,
     IntPow,
     Mul,
     NormCmp,
     NormVal,
+    Not,
+    Or,
+    OrdCongruence,
     ParseError,
     PieceOverlapError,
+    PiecewiseFunction,
     RationalConst,
     Sub,
+    TrueCond,
     UnboundVariableError,
     UnknownDerivativeError,
     Variable,
+    compile_condition,
+    compile_term,
     differentiate,
     eval_condition,
     evaluate,
@@ -327,3 +340,187 @@ class TestFreeVariables:
     def test_order_of_first_occurrence(self):
         t = parse_term("y*(x+y) - z")
         assert free_variables(t) == ("y", "x", "z")
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against the tree walk
+
+# small values, so that differences hit 0 (poles, normval(0)) and levelspike
+# sees points of ord < 1 as well as its marked balls
+_small = st.sampled_from([0, 1, -1, 2, 3, 9, 4, -8, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 9), Fraction(5, 4)])
+
+_leaves = st.one_of(
+    _small.map(RationalConst),
+    st.sampled_from([Variable("x"), Variable("x"), Variable("y")]),
+)
+
+
+def _node(inner):
+    return st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Mul, inner, inner),
+        st.builds(Div, inner, inner),
+        st.builds(IntPow, inner, st.integers(-3, 3)),
+        st.builds(NormVal, inner),
+        st.builds(BuiltinCall, st.sampled_from(["levelspike", "levelspike", "nosuch"]), inner),
+    )
+
+
+random_terms = st.recursive(_leaves, _node, max_leaves=8)
+
+random_conditions = st.recursive(
+    st.one_of(
+        st.just(TrueCond()),
+        st.builds(NormCmp, random_terms, st.sampled_from(["<", "<=", "="]), random_terms),
+        st.builds(OrdCongruence, random_terms, st.integers(1, 3), st.integers(0, 2)),
+        st.builds(CosetMember, random_terms, _small.map(Fraction), st.integers(1, 2), st.integers(1, 2)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner)
+    ),
+    max_leaves=4,
+)
+
+random_piecewise = st.builds(
+    PiecewiseFunction,
+    st.just(("x", "y")),
+    st.lists(st.tuples(random_conditions, random_terms), min_size=1, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def _points(draw):
+    """(ctx, point): x always bound, y bound half of the time."""
+    ctx = PrimeContext(draw(st.sampled_from([2, 3, 5])))
+    point = {"x": ctx.scalar(draw(_small))}
+    if draw(st.booleans()):
+        point["y"] = ctx.scalar(draw(_small))
+    return ctx, point
+
+
+def _outcome(run):
+    """What a call gives: its value (and the value's type), or its error."""
+    try:
+        value = run()
+    except Exception as err:
+        return "raises", type(err), str(err)
+    if isinstance(value, bool):
+        return "holds", value
+    assert (value.value.__class__ is int) == (Fraction(value.value).denominator == 1)
+    return "value", value.value.__class__, value.value, value.context
+
+
+class TestCompiledAgainstTheWalk:
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(random_terms, _points())
+    def test_terms(self, t, at):
+        ctx, point = at
+        expected = _outcome(lambda: oracles._eval(t, point, ctx))
+        assert _outcome(lambda: evaluate(t, point, ctx)) == expected
+        assert _outcome(lambda: compile_term(t, ctx)(point)) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(random_conditions, _points())
+    def test_conditions(self, c, at):
+        ctx, point = at
+        expected = _outcome(lambda: oracles._eval_cond(c, point, ctx))
+        assert _outcome(lambda: eval_condition(c, point, ctx)) == expected
+        assert _outcome(lambda: compile_condition(c, ctx)(point)) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(random_piecewise, _points())
+    def test_piecewise(self, pf, at):
+        ctx, point = at
+        expected = _outcome(lambda: oracles.walk_piecewise(pf, point, ctx))
+        assert _outcome(lambda: evaluate_piecewise(pf, point, ctx)) == expected
+
+    @pytest.mark.parametrize(
+        "source, x, error",
+        [
+            # the denominator is evaluated first
+            ("(1/(x-x))/(x-1)", 1, "division by zero in subterm 'x-1'"),
+            ("(x-1)^-2", 1, "division by zero in subterm '(x-1)^-2'"),
+            ("normval(x-1)", 1, "normval is declared on nonzero arguments"),
+            ("levelspike(x+1)", 1, "levelspike is defined on p*Z_p and at 0"),
+            ("x + y", 1, "unbound variable 'y'"),
+        ],
+    )
+    def test_errors(self, ctx3, source, x, error):
+        t = parse_term(source)
+        point = {"x": ctx3.scalar(x)}
+        expected = _outcome(lambda: oracles._eval(t, point, ctx3))
+        assert expected[2] == error
+        assert _outcome(lambda: evaluate(t, point, ctx3)) == expected
+
+    def test_not_a_node(self, ctx3):
+        for node, walk, run in (
+            (Add(Variable("x"), "x"), oracles._eval, evaluate),
+            (None, oracles._eval, evaluate),
+            (Not("x"), oracles._eval_cond, eval_condition),
+        ):
+            expected = _outcome(lambda: walk(node, {"x": ctx3.scalar(1)}, ctx3))
+            assert expected[1] is TypeError
+            assert _outcome(lambda: run(node, {"x": ctx3.scalar(1)}, ctx3)) == expected
+
+    def test_invalid_coset_depths_raise_after_the_term(self, ctx3):
+        for x in (0, 1):
+            c = CosetMember(parse_term("1/x"), Fraction(1), 0, 1)
+            point = {"x": ctx3.scalar(x)}
+            expected = _outcome(lambda: oracles._eval_cond(c, point, ctx3))
+            assert expected[1] is (DivisionByZero if x == 0 else ValueError)
+            assert _outcome(lambda: eval_condition(c, point, ctx3)) == expected
+
+    def test_unknown_builtin_fails_before_its_argument(self, ctx3):
+        t = BuiltinCall("nosuch", Div(RationalConst(1), RationalConst(0)))
+        with pytest.raises(EvaluationError, match="unknown builtin 'nosuch'"):
+            evaluate(t, {}, ctx3)
+        assert _outcome(lambda: oracles._eval(t, {}, ctx3)) == _outcome(lambda: evaluate(t, {}, ctx3))
+
+
+class TestCompiledMemo:
+    def test_the_memo_stays_within_its_cap(self, ctx3):
+        import ultralip.terms as terms
+
+        alive = [parse_term(f"x + {k}") for k in range(terms._COMPILED_CAP + 50)]
+        for k, t in enumerate(alive):
+            assert evaluate(t, {"x": ctx3.scalar(1)}).value == k + 1
+            assert len(terms._COMPILED) <= terms._COMPILED_CAP
+        # the first terms were evicted and compile again
+        assert evaluate(alive[0], {"x": ctx3.scalar(2)}).value == 2
+
+    def test_an_entry_goes_with_its_term(self, ctx3):
+        import ultralip.terms as terms
+
+        t = parse_term("x^2 + 1")
+        compile_term(t, ctx3)
+        key = (id(t), id(ctx3))
+        assert key in terms._COMPILED
+        del t
+        assert key not in terms._COMPILED
+
+    def test_an_evaluated_term_pickles_and_copies(self, ctx3):
+        t = parse_term("normval(x) + 1/(x-1) + levelspike(3*x)")
+        c = parse_condition("|x| < |1| && x in 1*Q(1,1)")
+        point = {"x": ctx3.scalar(3)}
+        evaluate(t, point)
+        eval_condition(c, point)
+        for node in (t, c):
+            for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+                assert twin == node and twin is not node
+        assert evaluate(copy.deepcopy(t), point) == evaluate(t, point)
+
+    def test_a_builtin_registered_after_compiling_is_honoured(self, ctx3, monkeypatch):
+        import ultralip.terms as terms
+        from ultralip.terms import BuiltinSpec, register_builtin
+
+        t = BuiltinCall("late", Variable("x"))
+        f = compile_term(t, ctx3)
+        with pytest.raises(EvaluationError, match="unknown builtin 'late'"):
+            f({"x": ctx3.scalar(2)})
+        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
+        register_builtin(BuiltinSpec("late", lambda ctx, x: x * x, "zero"))
+        assert f({"x": ctx3.scalar(3)}).value == 9
+        assert evaluate(t, {"x": ctx3.scalar(5)}).value == 25
+        register_builtin(BuiltinSpec("late", lambda ctx, x: x + x, "zero"))
+        assert f({"x": ctx3.scalar(3)}).value == 6
