@@ -9,6 +9,10 @@ i.e. F is an exact isometry up to the scale p^(-ord F').  Certification
 here is exhaustive over the depth-M representatives of B, not symbolic:
 certificates carry the depth at which they were verified, and a deeper
 violation could in principle exist for non-polynomial builtins.
+
+Each check evaluates f once per representative; check_ball_correspondence
+tiles each ball from those values as map_ball does, and condition (d) reads
+the ball tree of the representatives c + p^r * i from the digits of i.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .qp_core import PadicScalar
-from .regions import Ball, BallRelation, Window, least_ord_break, splitting_classes
+from .regions import Ball, BallRelation, Window, least_ord_break
 from .cells import Cell, NoCandidateFits, enumerate_balls, fit_cell
 from .terms import EvaluationError, Term, compile_term, differentiate, free_variables
 
@@ -155,32 +159,67 @@ def _fiber_variable(f: Term, var: Optional[str]) -> str:
     return names[0] if names else "t"
 
 
+def _first_collision(keys: Iterable, points: list) -> Optional[tuple]:
+    """(x, y, key) for the first point y whose key an earlier point x has, or
+    None.  keys is aligned with points and read lazily, up to y."""
+    seen: dict = {}
+    for key, y in zip(keys, points):
+        if key in seen:
+            return seen[key], y, key
+        seen[key] = y
+    return None
+
+
 def _distance_break(images, p: int, base: int) -> Optional[tuple]:
     """Least (i, j) with ord(images[i] - images[j]) != base + ord(i - j), or None.
 
     images[i] is the image of the representative c + p^r * i of a ball, for
-    i in [0, p^M).  The identity holds on all pairs exactly when, in every
-    class i mod p^k with k < M, the first members of the p children have
-    pairwise ord exactly base + k.  By induction from the leaves, every
-    member of a child is then within p^(base+k+1) of the child's first
-    member, so every pair across the class has ord exactly base + k; this
-    also puts every image of the class within p^(base+k) of its first one.
+    i in [0, p^M).  The class q mod p^k, k < M, of the digit tree has the
+    children q + c * p^k, 0 <= c < p, which are also their first members.
+    The identity holds on all pairs exactly when in every class these have
+    pairwise ord exactly base + k: by induction from the leaves, every
+    member of a child is then within p^(base+k+1) of its first member.
     Only when the check fails are the classes searched for the least pair.
     """
-    tree = splitting_classes([(i,) for i in range(len(images))], p)
+    n = len(images)
+    levels = [k for k in range(n.bit_length()) if p**k < n]  # k < M, as n = p^M
+    classes = [(k, range(q, n, p**k)) for k in levels for q in range(p**k)]
     if all(
-        (images[a[0]] - images[b[0]]).ord() == base + split.level
-        for split in tree
-        for a, b in itertools.combinations(split.children, 2)
+        (images[a] - images[b]).ord() == base + k
+        for k, members in classes
+        for a, b in itertools.combinations(members[:p], 2)
     ):
         return None
     found = (
         least_ord_break(
-            split.members, split.labels, [images[n] for n in split.members], base + split.level
+            members, [i % p ** (k + 1) for i in members], [images[i] for i in members], base + k
         )
-        for split in tree
+        for k, members in classes
     )
     return min((pair for pair in found if pair is not None), default=None)
+
+
+def _tile(reps: list, images: list, depth: int):
+    """map_ball from the images of the depth-M representatives of a ball."""
+    radius = None
+    for fx in images[1:]:
+        d = (fx - images[0]).ord()
+        if d.is_finite and (radius is None or d.value < radius):
+            radius = d.value
+    if radius is None:
+        return NotABall(
+            (reps[0], reps[1]),
+            f"f is constant ({images[0]}) on the representatives; the image is a point",
+        )
+    image_ball = Ball(images[0], radius)
+    hit = _first_collision((fx.reduce_mod_power(radius + depth).value for fx in images), reps)
+    if hit is not None:
+        return NotABall(
+            hit[:2],
+            f"images of {hit[0]} and {hit[1]} collide in one residue class of "
+            f"{image_ball}: the image does not tile a ball at depth {depth}",
+        )
+    return image_ball
 
 
 def check_jacobian_on_ball(
@@ -224,34 +263,29 @@ def check_jacobian_on_ball(
     # (a) injectivity and image tiling at the forced radius
     f_at = compile_term(f, ctx)
     images = [f_at({var: x}) for x in reps]
-    seen: dict = {}
-    for x, fx in zip(reps, images):
-        if fx.value in seen:
-            return JacobianViolation(
-                ViolationKind.A_NOT_INJECTIVE,
-                (seen[fx.value], x),
-                f"f({seen[fx.value]}) = f({x}) = {fx}",
-            )
-        seen[fx.value] = x
+    hit = _first_collision((fx.value for fx in images), reps)
+    if hit is not None:
+        return JacobianViolation(
+            ViolationKind.A_NOT_INJECTIVE, hit[:2], "f({}) = f({}) = {}".format(*hit)
+        )
     image_radius = jac_ord + ball.radius_ord
     image_ball = Ball(images[0], image_radius)
-    classes: dict = {}
-    for x, fx in zip(reps, images):
-        if not image_ball.contains(fx):
-            return JacobianViolation(
-                ViolationKind.A_IMAGE_NOT_BALL,
-                (reps[0], x),
-                f"f({x}) = {fx} falls outside {image_ball}",
-            )
-        key = fx.reduce_mod_power(image_radius + depth).value
-        if key in classes:
-            return JacobianViolation(
-                ViolationKind.A_IMAGE_NOT_BALL,
-                (classes[key], x),
-                f"f({classes[key]}) and f({x}) collide in one residue class "
-                f"of {image_ball}; the image cannot tile the ball",
-            )
-        classes[key] = x
+    outside = next((n for n, fx in enumerate(images) if not image_ball.contains(fx)), None)
+    keys = (fx.reduce_mod_power(image_radius + depth).value for fx in images[:outside])
+    hit = _first_collision(keys, reps)
+    if hit is not None:
+        return JacobianViolation(
+            ViolationKind.A_IMAGE_NOT_BALL,
+            hit[:2],
+            f"f({hit[0]}) and f({hit[1]}) collide in one residue class "
+            f"of {image_ball}; the image cannot tile the ball",
+        )
+    if outside is not None:
+        return JacobianViolation(
+            ViolationKind.A_IMAGE_NOT_BALL,
+            (reps[0], reps[outside]),
+            f"f({reps[outside]}) = {images[outside]} falls outside {image_ball}",
+        )
 
     # (d) the exact distance identity on all representative pairs
     broken = _distance_break(images, ctx.p, image_radius)
@@ -279,32 +313,9 @@ def map_ball(f: Term, ball: Ball, depth: int, var: Optional[str] = None):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     var = _fiber_variable(f, var)
-    ctx = ball.context
     reps = ball.representatives(depth)
-    f_at = compile_term(f, ctx)
-    images = [f_at({var: x}) for x in reps]
-    radius = None
-    for fx in images[1:]:
-        d = (fx - images[0]).ord()
-        if d.is_finite and (radius is None or d.value < radius):
-            radius = d.value
-    if radius is None:
-        return NotABall(
-            (reps[0], reps[1]),
-            f"f is constant ({images[0]}) on the representatives; the image is a point",
-        )
-    image_ball = Ball(images[0], radius)
-    classes: dict = {}
-    for x, fx in zip(reps, images):
-        key = fx.reduce_mod_power(radius + depth).value
-        if key in classes:
-            return NotABall(
-                (classes[key], x),
-                f"images of {classes[key]} and {x} collide in one residue class of "
-                f"{image_ball}: the image does not tile a ball at depth {depth}",
-            )
-        classes[key] = x
-    return image_ball
+    f_at = compile_term(f, ball.context)
+    return _tile(reps, [f_at({var: x}) for x in reps], depth)
 
 
 def check_ball_correspondence(
@@ -333,21 +344,19 @@ def check_ball_correspondence(
         )
 
     f_at = compile_term(f, ctx)
-    seen: dict = {}
-    for ball in source_balls:
-        for x in ball.representatives(depth):
-            fx = f_at({var: x})
-            if fx.value in seen:
-                return CorrespondenceFailure(
-                    "not_injective",
-                    (seen[fx.value], x),
-                    f"f({seen[fx.value]}) = f({x}) = {fx}",
-                )
-            seen[fx.value] = x
+    points = [x for ball in source_balls for x in ball.representatives(depth)]
+    # the collision check runs f lazily, up to the first repeated value, and
+    # tee keeps the values it read for the tiling
+    checked, kept = itertools.tee(f_at({var: x}) for x in points)
+    hit = _first_collision((fx.value for fx in checked), points)
+    if hit is not None:
+        return CorrespondenceFailure("not_injective", hit[:2], "f({}) = f({}) = {}".format(*hit))
 
+    values = list(kept)
     images = []
-    for ball in source_balls:
-        result = map_ball(f, ball, depth, var=var)
+    size = ctx.p**depth
+    for n, ball in enumerate(source_balls):
+        result = _tile(points[n * size : (n + 1) * size], values[n * size : (n + 1) * size], depth)
         if isinstance(result, NotABall):
             return CorrespondenceFailure(
                 "image_not_ball",

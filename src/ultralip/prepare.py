@@ -20,12 +20,15 @@ difference.  The class pointing at a partner is the partner's ball of
 level split + m, where the walk goes on; c_o's own child ball goes on one
 level deeper.  A ball holding a single center ends in a tail: one
 unbounded-depth cell per angular class.
+
+The pairwise center distances are computed once, when the FactoredTerm is
+built, and the sweep, verify_prepared and the profiles read them from the
+term: nothing is cached beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, Valuation
@@ -51,7 +54,11 @@ _LEVEL_CAP = 3
 @dataclass(frozen=True)
 class FactoredTerm:
     """u * prod (t - c_i)^(a_i) with distinct centers and nonzero integer
-    exponents; evaluation and valuation are factor-by-factor and exact."""
+    exponents; the valuation is factor-by-factor and exact.
+
+    The centers, the exponents and the pairwise center distances are
+    computed once, when the term is built, and read by the sweep, the
+    verification and the profiles below."""
 
     unit: PadicScalar
     factors: tuple  # of (PadicScalar, int)
@@ -68,24 +75,20 @@ class FactoredTerm:
             seen.add(center.value)
             if exponent == 0:
                 raise ValueError("factor exponents must be nonzero")
+        # outside the dataclass fields, so equality, hashing and repr still see
+        # only unit and factors; dist[i][j] = ord(c_i - c_j)
+        centers = tuple(c for c, _ in self.factors)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "exponents", tuple(a for _, a in self.factors))
+        dist = tuple(
+            tuple(None if i == j else (ci - cj).ord().value for j, cj in enumerate(centers))
+            for i, ci in enumerate(centers)
+        )
+        object.__setattr__(self, "dist", dist)
 
     @property
     def context(self) -> PrimeContext:
         return self.unit.context
-
-    @property
-    def centers(self) -> tuple:
-        return tuple(c for c, _ in self.factors)
-
-    @property
-    def exponents(self) -> tuple:
-        return tuple(a for _, a in self.factors)
-
-    def evaluate(self, t: PadicScalar) -> PadicScalar:
-        out = self.unit
-        for center, exponent in self.factors:
-            out = out * (t - center) ** exponent
-        return out
 
     def ord_at(self, t: PadicScalar) -> Valuation:
         """ord f(t) as the exact sum ord(u) + sum a_i ord(t - c_i)."""
@@ -98,6 +101,60 @@ class FactoredTerm:
                 raise ZeroDivisionError(f"pole of f at t = {t}")
             total += exponent * o.value
         return Valuation.finite(total)
+
+    # geometry of the center set
+
+    def balls(self, members: list, level: int) -> list:
+        """members grouped into the balls of the given level (centers at
+        distance >= level share one), each in index order."""
+        groups: list = []
+        for i in members:
+            for group in groups:
+                if self.dist[group[0]][i] >= level:
+                    group.append(i)
+                    break
+            else:
+                groups.append([i])
+        return groups
+
+    def criticals(self, j: int) -> set:
+        return {d for i, d in enumerate(self.dist[j]) if i != j}
+
+    def tie_residue(self, j: int, i: int, m: int) -> int:
+        """ac_m residue of (c_i - c_j) / p^dist: the angular class around c_j
+        that points at c_i."""
+        return (self.centers[i] - self.centers[j]).ac(m)
+
+    def profile(self, j: int, lo: int, hi: int, xi: Optional[int] = None, m: int = 1) -> tuple:
+        """(exponent, H) on levels [lo, hi] around c_j: factors strictly closer
+        than lo are frozen, strictly farther than hi track t.
+
+        A distance to c_j inside [lo, hi] is a tie, resolvable only on one
+        level a = lo = hi and one angular class xi of depth m: a tie factor
+        contributes a + r where p^r exactly divides the residue difference
+        xi - w mod p^m.  The class pointing at a tie partner (xi = w) is not
+        resolvable at depth m and is never emitted."""
+        e = self.exponents[j]
+        h = self.unit.ord().value
+        for i, d in enumerate(self.dist[j]):
+            if i == j:
+                continue
+            if d > hi:
+                e += self.exponents[i]
+            elif d < lo:
+                h += self.exponents[i] * d
+            elif xi is None:
+                raise AssertionError(f"run [{lo},{hi}] crosses the tie at {d}")
+            else:
+                delta = (xi - self.tie_residue(j, i, m)) % self.context.p**m
+                if delta == 0:
+                    raise AssertionError(f"class {xi} points at center {i}: not resolvable")
+                r = 0
+                while delta % self.context.p == 0:
+                    delta //= self.context.p
+                    r += 1
+                h += self.exponents[i] * (d + r)
+        return e, h
 
     def as_term(self, var: str = "t") -> Term:
         node: Term = RationalConst(self.unit.value)
@@ -175,100 +232,6 @@ class PrepareCheck:
 
 
 # ---------------------------------------------------------------------------
-# geometry of the center set
-
-
-class _Geometry:
-    def __init__(self, f: FactoredTerm):
-        self.f = f
-        self.ctx = f.context
-        self.centers = list(f.centers)
-        self.exps = list(f.exponents)
-        self.ord_u = f.unit.ord().value
-        k = len(self.centers)
-        self.dist = [[None] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = (self.centers[i] - self.centers[j]).ord().value
-                self.dist[i][j] = self.dist[j][i] = d
-
-    def balls(self, members: list, level: int) -> list:
-        """members grouped into the balls of the given level (centers at
-        distance >= level share one), each in index order."""
-        groups: list = []
-        for i in members:
-            for group in groups:
-                if self.dist[group[0]][i] >= level:
-                    group.append(i)
-                    break
-            else:
-                groups.append([i])
-        return groups
-
-    def criticals(self, j: int) -> set:
-        return {self.dist[i][j] for i in range(len(self.centers)) if i != j}
-
-    def tie_residue(self, j: int, i: int, m: int) -> int:
-        """ac_m residue of (c_i - c_j) / p^dist: the angular class around c_j
-        that points at c_i."""
-        return (self.centers[i] - self.centers[j]).ac(m)
-
-    def run_profile(self, j: int, lo: int, hi: int) -> tuple:
-        """(exponent, H) on levels [lo, hi] around c_j, valid when no pairwise
-        distance to c_j lies in [lo, hi]: factors strictly closer than lo are
-        frozen, strictly farther than hi track t."""
-        e = self.exps[j]
-        h = self.ord_u
-        for i in range(len(self.centers)):
-            if i == j:
-                continue
-            d = self.dist[i][j]
-            if d > hi:
-                e += self.exps[i]
-            elif d < lo:
-                h += self.exps[i] * d
-            else:
-                raise AssertionError(f"run [{lo},{hi}] crosses the tie at {d}")
-        return e, h
-
-    def tie_profile(self, j: int, a: int, xi: int, m: int) -> tuple:
-        """(exponent, H) on the angular class xi of the tie annulus at level a.
-
-        Tie factors contribute a + r where p^r exactly divides the residue
-        difference xi - w mod p^m; the class pointing at a tie partner
-        (xi = w) is not resolvable at depth m and is never emitted."""
-        pm = self.ctx.p**m
-        e = self.exps[j]
-        h = self.ord_u
-        for i in range(len(self.centers)):
-            if i == j:
-                continue
-            d = self.dist[i][j]
-            if d > a:
-                e += self.exps[i]
-            elif d < a:
-                h += self.exps[i] * d
-            else:
-                w = self.tie_residue(j, i, m)
-                delta = (xi - w) % pm
-                if delta == 0:
-                    raise AssertionError(f"class {xi} points at center {i}: not resolvable")
-                r = 0
-                while delta % self.ctx.p == 0:
-                    delta //= self.ctx.p
-                    r += 1
-                h += self.exps[i] * (a + r)
-        return e, h
-
-
-# verify_prepared is called once per piece of the same term; callers only
-# read the geometry
-@lru_cache(maxsize=32)
-def _geometry(f: FactoredTerm) -> _Geometry:
-    return _Geometry(f)
-
-
-# ---------------------------------------------------------------------------
 # the sweep
 
 
@@ -293,46 +256,44 @@ def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
     """
     if m_depth < 1:
         raise ValueError("m_depth must be >= 1")
-    geo = _geometry(f)
-    ctx = geo.ctx
     v_min, v_max = window.v_min, window.v_max
 
     pieces: list = []
-    units = ctx.units_mod(m_depth)
+    units = f.context.units_mod(m_depth)
 
     def emit(j: int, lo: int, level_max: Optional[int], profile: tuple) -> None:
         for xi in units:
-            pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, *profile))
+            pieces.append(_make_piece(f, j, lo, level_max, xi, m_depth, *profile))
 
     def walk(members: list, a: int, bounded: bool) -> None:
         # members share the ball of level a around their least index o, so
         # o's annuli of levels a .. split - 1 are those of every member
         o = members[0]
-        split = min((geo.dist[o][i] for i in members[1:]), default=None)
+        split = min((f.dist[o][i] for i in members[1:]), default=None)
         if split is None or (bounded and split > v_max):
             hi = v_max if bounded else a
-            emit(o, a, hi if bounded else None, geo.run_profile(o, a, hi))
+            emit(o, a, hi if bounded else None, f.profile(o, a, hi))
             return
         if a < split:
-            emit(o, a, split - 1, geo.run_profile(o, a, split - 1))
-        partners = [i for i in members if geo.dist[o][i] == split]
-        skip = {geo.tie_residue(o, i, m_depth) for i in partners}
+            emit(o, a, split - 1, f.profile(o, a, split - 1))
+        partners = [i for i in members if f.dist[o][i] == split]
+        skip = {f.tie_residue(o, i, m_depth) for i in partners}
         for xi in units:
             if xi not in skip:
-                e, h = geo.tie_profile(o, split, xi, m_depth)
-                pieces.append(_make_piece(geo, o, split, split, xi, m_depth, e, h))
-        walk(geo.balls(members, split + 1)[0], split + 1, False)
-        for ball in geo.balls(partners, split + m_depth):
+                e, h = f.profile(o, split, split, xi, m_depth)
+                pieces.append(_make_piece(f, o, split, split, xi, m_depth, e, h))
+        walk(f.balls(members, split + 1)[0], split + 1, False)
+        for ball in f.balls(partners, split + m_depth):
             walk(ball, split + m_depth, False)
 
-    for ball in geo.balls(list(range(len(geo.centers))), v_min):
+    for ball in f.balls(list(range(len(f.centers))), v_min):
         walk(ball, v_min, True)
     pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
     return pieces
 
 
 def _make_piece(
-    geo: _Geometry,
+    f: FactoredTerm,
     j: int,
     lo: int,
     level_max: Optional[int],
@@ -341,10 +302,10 @@ def _make_piece(
     exponent: int,
     h_exponent: int,
 ) -> PreparedPiece:
-    ctx = geo.ctx
+    ctx = f.context
     lam = PadicScalar(xi * ctx.power(lo), ctx)
     cell = point_cell(
-        geo.centers[j],
+        f.centers[j],
         CosetSpec(lam, m, 1),
         level_min=lo,
         level_max=level_max,
@@ -395,10 +356,9 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
     """
     if depth < 1:
         raise ValueError("verification depth must be >= 1")
-    geo = _geometry(f)
-    ctx = geo.ctx
+    ctx = f.context
     j = piece.chosen_center_index
-    center = geo.centers[j]
+    center = f.centers[j]
 
     hi = piece.level_max
     last = piece.level_min + _LEVEL_CAP - 1 if hi is None else min(hi, piece.level_min + _LEVEL_CAP - 1)
@@ -407,11 +367,11 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
         ball = Ball(rep, a + piece.m)
         predicted = piece.h_exponent + piece.exponent * a
         t = ball.center
-        ords = [(t - c).ord() for c in geo.centers]
+        ords = [(t - c).ord() for c in f.centers]
         if all(o < ball.radius_ord for o in ords):
             # no center lies in the ball, so every ord(t - c_i) is constant
             # on it and its first representative decides the identity exactly
-            direct = geo.ord_u + sum(e * o.value for e, o in zip(geo.exps, ords))
+            direct = f.unit.ord().value + sum(e * o.value for e, o in zip(f.exponents, ords))
             if direct != predicted:
                 return _mismatch(t, Valuation.finite(direct), predicted)
             continue
@@ -424,21 +384,17 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
             if not direct.is_finite or direct.value != predicted:
                 return _mismatch(t, direct, predicted)
 
-    criticals = geo.criticals(j)
-    is_tie = piece.level_max == piece.level_min and piece.level_min in criticals
+    criticals = f.criticals(j)
+    is_tie = hi == piece.level_min and hi in criticals
+    if hi is None:
+        # an unbounded tail lies beyond every tie; a critical at or above
+        # level_min would make the profile raise, which is the desired
+        # failure for inconsistent pieces
+        hi = max([piece.level_min] + [d + 1 for d in criticals])
     try:
-        if is_tie:
-            expected = geo.tie_profile(j, piece.level_min, piece.residue, piece.m)
-        else:
-            hi_for_profile = piece.level_max
-            if hi_for_profile is None:
-                # an unbounded tail lies beyond every tie; a critical at or
-                # above level_min would make run_profile raise, which is the
-                # desired failure for inconsistent pieces
-                hi_for_profile = max([piece.level_min] + [d + 1 for d in criticals])
-            expected = geo.run_profile(j, piece.level_min, hi_for_profile)
+        expected = f.profile(j, piece.level_min, hi, piece.residue if is_tie else None, piece.m)
     except AssertionError as err:
-        # the profiles assert the sweep's invariants, which a piece handed in
+        # the profile asserts the sweep's invariants, which a piece handed in
         # from outside the sweep need not satisfy
         return PrepareCheck(False, None, f"piece geometry is inconsistent: {err}")
     if expected != (piece.exponent, piece.h_exponent):

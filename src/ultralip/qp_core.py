@@ -128,10 +128,6 @@ class Valuation:
     def finite(v: int) -> "Valuation":
         return _valuation(int(v))
 
-    @staticmethod
-    def infinity() -> "Valuation":
-        return INFINITE_ORD
-
     @property
     def is_finite(self) -> bool:
         return self._raw is not None
@@ -296,12 +292,6 @@ class PadicScalar:
         """The exponent e with |x| = p^e, or None for x = 0 (the zero flag)."""
         v = self.ord()._raw
         return None if v is None else -v
-
-    def norm_value(self) -> "int | Fraction":
-        """|x| as an exact number: 0 for the zero scalar, else p^e (an int
-        for e >= 0, a Fraction for e < 0)."""
-        e = self.norm_exponent()
-        return 0 if e is None else self.context.power(e)
 
     def _unit(self, v: int) -> tuple:
         """(numerator, denominator) of the unit part x / p^v, v = ord(x)."""

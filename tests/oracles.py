@@ -27,7 +27,7 @@ with them.
 from fractions import Fraction
 from typing import Mapping
 
-from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _Geometry, _make_piece
+from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset, tuple_norm
 from ultralip.regions import Ball
 from ultralip.terms import (
@@ -239,8 +239,8 @@ def char_tokens(source):
     return tokens
 
 
-def tie_partners(geo, j, a):
-    return [i for i in range(len(geo.centers)) if i != j and geo.dist[i][j] == a]
+def tie_partners(f, j, a):
+    return [i for i in range(len(f.centers)) if i != j and f.dist[i][j] == a]
 
 
 def worklist_prepare(f, window, m_depth=1):
@@ -253,12 +253,11 @@ def worklist_prepare(f, window, m_depth=1):
     until nothing changes.  Consecutive non-critical levels then merge into
     runs, and a run reaching a_max on a center with a tail is unbounded.
     """
-    geo = _Geometry(f)
-    ctx = geo.ctx
-    k = len(geo.centers)
+    ctx = f.context
+    k = len(f.centers)
     v_min, v_max = window.v_min, window.v_max
 
-    all_dist = [geo.dist[i][j] for i in range(k) for j in range(i + 1, k)]
+    all_dist = [f.dist[i][j] for i in range(k) for j in range(i + 1, k)]
     max_dist = max(all_dist) if all_dist else None
     a_max = v_max if max_dist is None else max(v_max, max_dist + m_depth)
 
@@ -291,7 +290,7 @@ def worklist_prepare(f, window, m_depth=1):
         for j in range(k):
             for a in sorted(required[j]):
                 owner = min(
-                    [i for i in range(k) if i != j and geo.dist[i][j] > a] + [j]
+                    [i for i in range(k) if i != j and f.dist[i][j] > a] + [j]
                 )
                 if owner < j:
                     transfer(j, a, owner)
@@ -299,7 +298,7 @@ def worklist_prepare(f, window, m_depth=1):
         # tie closure
         for j in range(k):
             for a in sorted(required[j]):
-                ties = tie_partners(geo, j, a)
+                ties = tie_partners(f, j, a)
                 if not ties:
                     continue
                 cluster_min = min([j] + ties)
@@ -333,7 +332,7 @@ def worklist_prepare(f, window, m_depth=1):
     for j in range(k):
         if not required[j]:
             continue
-        criticals = geo.criticals(j)
+        criticals = f.criticals(j)
         levels = sorted(required[j])
         runs: list = []
         idx = 0
@@ -357,17 +356,17 @@ def worklist_prepare(f, window, m_depth=1):
             level_max = None if unbounded else hi
             if is_tie:
                 skip = {
-                    geo.tie_residue(j, i, m_depth) for i in tie_partners(geo, j, lo)
+                    f.tie_residue(j, i, m_depth) for i in tie_partners(f, j, lo)
                 }
                 for xi in units:
                     if xi in skip:
                         continue
-                    e, h = geo.tie_profile(j, lo, xi, m_depth)
-                    pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, e, h))
+                    e, h = f.profile(j, lo, lo, xi, m_depth)
+                    pieces.append(_make_piece(f, j, lo, level_max, xi, m_depth, e, h))
             else:
-                e, h = geo.run_profile(j, lo, hi)
+                e, h = f.profile(j, lo, hi)
                 for xi in units:
-                    pieces.append(_make_piece(geo, j, lo, level_max, xi, m_depth, e, h))
+                    pieces.append(_make_piece(f, j, lo, level_max, xi, m_depth, e, h))
     pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
     return pieces
 
@@ -385,10 +384,9 @@ def exhaustive_verify_prepared(f, piece, depth):
     """
     if depth < 1:
         raise ValueError("verification depth must be >= 1")
-    geo = _Geometry(f)
-    ctx = geo.ctx
+    ctx = f.context
     j = piece.chosen_center_index
-    center = geo.centers[j]
+    center = f.centers[j]
 
     hi = piece.level_max
     last = piece.level_min + _LEVEL_CAP - 1 if hi is None else min(hi, piece.level_min + _LEVEL_CAP - 1)
@@ -409,19 +407,19 @@ def exhaustive_verify_prepared(f, piece, depth):
                     f"ord f({t}) = {direct} but the piece predicts {predicted}",
                 )
 
-    criticals = geo.criticals(j)
+    criticals = f.criticals(j)
     is_tie = piece.level_max == piece.level_min and piece.level_min in criticals
     try:
         if is_tie:
-            expected = geo.tie_profile(j, piece.level_min, piece.residue, piece.m)
+            expected = f.profile(j, piece.level_min, piece.level_min, piece.residue, piece.m)
         else:
             hi_for_profile = piece.level_max
             if hi_for_profile is None:
                 # an unbounded tail lies beyond every tie; a critical at or
-                # above level_min would make run_profile raise, which is the
+                # above level_min would make the profile raise, which is the
                 # desired failure for inconsistent pieces
                 hi_for_profile = max([piece.level_min] + [d + 1 for d in criticals])
-            expected = geo.run_profile(j, piece.level_min, hi_for_profile)
+            expected = f.profile(j, piece.level_min, hi_for_profile)
     except AssertionError as err:
         # the profiles assert the sweep's invariants, which a piece handed in
         # from outside the sweep need not satisfy

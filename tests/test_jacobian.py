@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ultralip import jacobian
 from ultralip.qp_core import CosetSpec, PrimeContext
 from ultralip.regions import Ball, BallRelation, Window
 from ultralip.cells import point_cell
@@ -100,6 +101,26 @@ class TestCheckJacobian:
     def test_depth_validation(self, ctx3):
         with pytest.raises(ValueError):
             check_jacobian_on_ball(parse_term("x"), Ball(ctx3.scalar(1), 1), 0)
+
+    @pytest.mark.parametrize(
+        "src, witness, detail",
+        [
+            # f(3) leaves the forced ball before f(7) shares a residue class
+            ("x + 1/3*normval(x - 12) + 2*normval(x - 9)", 3, "f(3) = 100/27 falls outside 1/3 + 3^0"),
+            # f(5) shares the class of f(0) before f(6) leaves the forced ball
+            (
+                "x + 6*normval(x - 15)",
+                5,
+                "f(0) and f(5) collide in one residue class of 0 + 3^0; the image cannot tile the ball",
+            ),
+        ],
+        ids=["outside-first", "collision-first"],
+    )
+    def test_condition_a_reports_the_first_failing_image(self, ctx3, src, witness, detail):
+        result = check_jacobian_on_ball(parse_term(src), Ball(ctx3.scalar(0), 0), 2)
+        assert result.failed_condition is ViolationKind.A_IMAGE_NOT_BALL
+        assert result.witness == (ctx3.scalar(0), ctx3.scalar(witness))
+        assert result.detail == detail
 
 
 class TestMapBall:
@@ -201,6 +222,30 @@ class TestCorrespondence:
         corr = check_ball_correspondence(parse_term("x"), cell, {}, Window(1, 4, 1), 2)
         assert isinstance(corr, CorrespondenceFailure)
         assert corr.kind == "no_balls_in_window"
+
+    def test_f_is_evaluated_once_per_representative(self, ctx3, monkeypatch):
+        calls = []
+        compile_term = jacobian.compile_term
+
+        def counting(term, ctx):
+            f_at = compile_term(term, ctx)
+            return lambda point: (calls.append(point["x"]), f_at(point))[1]
+
+        monkeypatch.setattr(jacobian, "compile_term", counting)
+        cell = coset_cell(ctx3)
+        corr = check_ball_correspondence(parse_term("x^3"), cell, {}, Window(0, 2, 1), 2)
+        assert isinstance(corr, BallCorrespondence) and len(corr.pairs) == 3
+        reps = [x for source, _ in corr.pairs for x in source.representatives(2)]
+        assert calls == reps + [cell.center_at({})]
+
+    def test_a_collision_is_reported_before_a_later_undefined_point(self, ctx3):
+        # f(1) = f(4) = -4 + 1/3, and f is undefined at the next
+        # representative 7, where normval meets 0
+        f = parse_term("x^2 - 5*x + normval(x - 7)")
+        corr = check_ball_correspondence(f, coset_cell(ctx3), {}, Window(0, 0, 1), 2)
+        assert isinstance(corr, CorrespondenceFailure) and corr.kind == "not_injective"
+        assert corr.witnesses == (ctx3.scalar(1), ctx3.scalar(4))
+        assert corr.detail == "f(1) = f(4) = -11/3"
 
     def test_correspondence_above_a_base_point(self, ctx3):
         from ultralip.cells import Cell

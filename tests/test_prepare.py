@@ -1,6 +1,7 @@
+import copy
 import dataclasses
-import importlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import exhaustive_verify_prepared, worklist_prepare
 from ultralip.cells import format_cell
-from ultralip.qp_core import PrimeContext
+from ultralip.qp_core import PadicScalar, PrimeContext
 from ultralip.regions import Ball, Window, enumerate_window
 from ultralip.prepare import (
     FactoredTerm,
@@ -133,8 +134,7 @@ class TestFactoredTerm:
 
         for v in (0, 2, Fraction(1, 5), 10):
             t = ctx5.scalar(v)
-            assert f.evaluate(t) == evaluate(term, {"t": t})
-            assert f.ord_at(t) == f.evaluate(t).ord()
+            assert f.ord_at(t) == evaluate(term, {"t": t}).ord()
 
     def test_validation(self, ctx3):
         with pytest.raises(ValueError):
@@ -364,19 +364,43 @@ class TestExhaustiveOracle:
             check = verify_prepared(f, piece, 3)
             assert check.passed, check.detail
 
-    def test_the_geometry_is_built_once_per_term(self, monkeypatch):
-        prepare_module = importlib.import_module("ultralip.prepare")
+    def test_the_distances_are_computed_once_when_the_term_is_built(self, monkeypatch):
         built = []
-        init = prepare_module._Geometry.__init__
-        monkeypatch.setattr(
-            prepare_module._Geometry, "__init__", lambda geo, f: (built.append(f), init(geo, f))[1]
-        )
-        prepare_module._geometry.cache_clear()
+        init = FactoredTerm.__post_init__
+        monkeypatch.setattr(FactoredTerm, "__post_init__", lambda f: (built.append(f), init(f))[1])
         f = parse_factored("7 * (t - 2) * (t - 11)^2 * (t - 29)^-1", PrimeContext(3))
+        assert built == [f]
+        assert f.dist == tuple(
+            tuple(None if i == j else (ci - cj).ord().value for j, cj in enumerate(f.centers))
+            for i, ci in enumerate(f.centers)
+        )
+        # from here on the only difference of two centers taken is a tie
+        # residue (an angular component), never a distance
+        centers = {c.value for c in f.centers}
+        differences, residues = [], []
+        sub, tie_residue = PadicScalar.__sub__, FactoredTerm.tie_residue
+        monkeypatch.setattr(
+            PadicScalar,
+            "__sub__",
+            lambda x, y: (differences.append(x.value in centers and y.value in centers), sub(x, y))[1],
+        )
+        monkeypatch.setattr(
+            FactoredTerm, "tie_residue", lambda g, *args: (residues.append(args), tie_residue(g, *args))[1]
+        )
         pieces = prepare(f, Window(0, 2, 1))
         for piece in pieces:
             assert verify_prepared(f, piece, 2).passed
         assert len(pieces) > 1 and built == [f]
+        assert residues and differences.count(True) == len(residues)
+
+    def test_a_pickled_or_copied_term_prepares_alike(self):
+        f = parse_factored("7 * (t - 2) * (t - 11)^2 * (t - 29)^-1", PrimeContext(3))
+        pieces = prepare(f, Window(-1, 2, 1), 2)
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
+            assert twin.dist == f.dist
+            assert prepare(twin, Window(-1, 2, 1), 2) == pieces
+            assert all(verify_prepared(twin, piece, 2).passed for piece in pieces)
 
 
 def random_unitish(rng, p):

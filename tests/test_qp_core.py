@@ -54,10 +54,6 @@ class TestNorm:
         assert scalar(2, 12).norm_exponent() == -2
         assert scalar(2, 0).norm_exponent() is None
 
-    def test_norm_value(self):
-        assert scalar(3, 9).norm_value() == Fraction(1, 9)
-        assert scalar(5, 0).norm_value() == 0
-
 
 class TestAngularComponent:
     def test_examples(self):

@@ -224,7 +224,7 @@ class TestDistanceCondition:
     def test_perturbed_isometries_match_all_pairs(self, data):
         p = data.draw(st.sampled_from([2, 3, 5]))
         ctx = PrimeContext(p)
-        depth = data.draw(st.integers(1, 3 if p < 5 else 2))
+        depth = data.draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p]))
         radius = data.draw(st.integers(-1, 2))
         jac = data.draw(st.integers(-1, 2))
         unit = data.draw(st.integers(1, p - 1))
@@ -246,7 +246,7 @@ class TestDistanceCondition:
     def test_random_images_match_all_pairs(self, data):
         p = data.draw(st.sampled_from([2, 3, 5]))
         ctx = PrimeContext(p)
-        depth = data.draw(st.integers(1, 3 if p < 5 else 2))
+        depth = data.draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p]))
         reps = Ball(ctx.scalar(0), 0).representatives(depth)
         images = data.draw(st.lists(scalars(ctx), min_size=len(reps), max_size=len(reps)))
         base = data.draw(st.integers(-2, 1))
