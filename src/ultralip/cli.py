@@ -101,7 +101,10 @@ def _parse_point(pairs, ctx: PrimeContext) -> dict:
         if "=" not in pair:
             raise UsageError(f"--at expects name=rational, got {pair!r}")
         name, value = pair.split("=", 1)
-        point[name.strip()] = _scalar(value, ctx)
+        name = name.strip()
+        if name in point:
+            raise UsageError(f"--at names {name!r} twice")
+        point[name] = _scalar(value, ctx)
     return point
 
 

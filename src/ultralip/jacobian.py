@@ -222,9 +222,7 @@ def _tile(reps: list, images: list, depth: int):
     return image_ball
 
 
-def check_jacobian_on_ball(
-    f: Term, ball: Ball, depth: int, var: Optional[str] = None
-):
+def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
     """Certify the Jacobian property of f on a ball at a given depth.
 
     Checks, on the canonical depth-M representatives and in this fixed
@@ -238,7 +236,7 @@ def check_jacobian_on_ball(
     """
     if depth < 1:
         raise ValueError("certification depth must be >= 1")
-    var = _fiber_variable(f, var)
+    var = _fiber_variable(f, None)
     ctx = ball.context
     deriv_at = compile_term(differentiate(f, var), ctx)
     reps = ball.representatives(depth)
@@ -303,7 +301,7 @@ def check_jacobian_on_ball(
     return JacobianCertificate(ball, image_ball, jac_ord, depth)
 
 
-def map_ball(f: Term, ball: Ball, depth: int, var: Optional[str] = None):
+def map_ball(f: Term, ball: Ball, depth: int):
     """Image of a ball under f, verified at depth M by residue tiling.
 
     If the depth-M image representatives fall in one minimal ball whose
@@ -312,7 +310,7 @@ def map_ball(f: Term, ball: Ball, depth: int, var: Optional[str] = None):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    var = _fiber_variable(f, var)
+    var = _fiber_variable(f, None)
     reps = ball.representatives(depth)
     f_at = compile_term(f, ball.context)
     return _tile(reps, [f_at({var: x}) for x in reps], depth)

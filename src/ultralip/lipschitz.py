@@ -183,35 +183,27 @@ def _evaluator(f, ctx: PrimeContext):
     return compile_term(f, ctx)
 
 
-def _tree_scan(points, values, v_min: int, p: int):
+def _tree_scan(points, values):
     """Best (ratio exponent, witness) over all pairs of distinct points.
 
-    Window points times p^shift, shift = max(0, -v_min), are integers, so
-    they sit in a ball tree (tuples under the max norm).  Every pair across
-    a class C that splits at level k has ord(x - y) = k - shift, and the
-    largest |f(x) - f(y)| over those pairs is the diameter of f(C).  When
-    no first member of a child of C reaches that diameter from the first
-    member of C, a child reaches it inside itself, and a split below C
-    gives a larger ratio.  So the best ratio is the largest
-    k - shift - ord(f(first of child) - f(first of C)), p values per class.
-    In a class reaching it, the first member therefore has a partner, and
-    the least pair there is (first, least j at that ord); such a j lies in
-    another child, or its pair would beat the best ratio.  The least of
-    these pairs over the classes is the pair an all-pairs scan in index
-    order would keep.
+    Every pair across a class C of the ball tree of the points that splits
+    at level k has ord(x - y) = k, and the largest |f(x) - f(y)| over those
+    pairs is the diameter of f(C).  When no first member of a child of C
+    reaches that diameter from the first member of C, a child reaches it
+    inside itself, and a split below C gives a larger ratio.  So the best
+    ratio is the largest k - ord(f(first of child) - f(first of C)), p
+    values per class.  In a class reaching it, the first member therefore
+    has a partner, and the least pair there is (first, least j at that
+    ord); such a j lies in another child, or its pair would beat the best
+    ratio.  The least of these pairs over the classes is the pair an
+    all-pairs scan in index order would keep.
     """
-    shift = max(0, -v_min)
-    scale = p**shift
-    keys = [
-        tuple(int(c.value * scale) for c in (pt if isinstance(pt, tuple) else (pt,)))
-        for pt in points
-    ]
     candidates = []
-    for split in splitting_classes(keys, p):
+    for split in splitting_classes(points):
         anchor = values[split.members[0]]
         d = min((values[child[0]] - anchor).ord() for child in split.children[1:])
         if d.is_finite:
-            candidates.append((split.level - shift - d.value, d, split))
+            candidates.append((split.level - d.value, d, split))
     if not candidates:
         return None, None
     best = max(ratio for ratio, _, _ in candidates)
@@ -260,7 +252,7 @@ def empirical_lipschitz(
     if not points:
         raise EmptyRegion(f"no representative satisfies {format_condition(region)}")
 
-    best, best_witness = _tree_scan(points, values, window.v_min, ctx.p)
+    best, best_witness = _tree_scan(points, values)
     return LipschitzReport(
         mode=Mode.EMPIRICAL_LOWER_BOUND,
         constant_exponent=best,
@@ -370,9 +362,9 @@ def check_bounded_derivative_local_lipschitz(
     groups: dict = {}
     for x in pts:
         groups.setdefault((x.ord().value, x.ac(1)), []).append(x)
-    for (level, _), group in groups.items():
+    for group in groups.values():
         vals = [f_at({var: x}) for x in group]
-        pair = _local_break(group, vals, level, ctx.p)
+        pair = _local_break(group, vals)
         if pair is not None:
             x, y = group[pair[0]], group[pair[1]]
             return LocalLipschitzCheck(
@@ -385,26 +377,20 @@ def check_bounded_derivative_local_lipschitz(
     )
 
 
-def _local_break(group, vals, level: int, p: int) -> Optional[tuple]:
+def _local_break(group, vals) -> Optional[tuple]:
     """Least (i, j) with ord(vals_i - vals_j) < ord(group_i - group_j), or None.
 
-    The points of a group are p^level times units that agree mod p.  In the
-    ball tree of those units, the pairs across a class that splits at level
-    k are at ord distance level + k, and such a pair breaks the bound
-    exactly when its values differ mod p^(level + k).  Some pair of the
-    class does exactly when some value differs from the first one there.
+    The pairs across a class of the ball tree of the group that splits at
+    level k are at ord distance k, and such a pair breaks the bound exactly
+    when its values differ mod p^k.  Some pair of the class does exactly
+    when some value differs from the first one there.
     """
-    if level >= 0:
-        keys = [(x.value // p**level,) for x in group]
-    else:
-        keys = [(int(x.value * p**-level),) for x in group]
     found = []
-    for split in splitting_classes(keys, p):
-        bound = level + split.level
+    for split in splitting_classes(group):
         anchor = vals[split.members[0]]
-        if all((vals[n] - anchor).ord() >= bound for n in split.members[1:]):
+        if all((vals[n] - anchor).ord() >= split.level for n in split.members[1:]):
             continue
-        residues = [vals[n].reduce_mod_power(bound).value for n in split.members]
+        residues = [vals[n].reduce_mod_power(split.level).value for n in split.members]
         found.append(least_cross_pair(split.members, split.labels, residues, same=False))
     return min(found, default=None)
 

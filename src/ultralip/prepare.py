@@ -35,7 +35,7 @@ from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, Valuation
 from .regions import Ball, Window
 from .cells import Cell, point_cell
 from .qp_core import CosetSpec
-from .terms import IntPow, Mul, RationalConst, Sub, Term, Variable, _Parser
+from .terms import _Parser
 
 __all__ = [
     "FactoredTerm",
@@ -155,15 +155,6 @@ class FactoredTerm:
                     r += 1
                 h += self.exponents[i] * (d + r)
         return e, h
-
-    def as_term(self, var: str = "t") -> Term:
-        node: Term = RationalConst(self.unit.value)
-        for center, exponent in self.factors:
-            factor: Term = Sub(Variable(var), RationalConst(center.value))
-            if exponent != 1:
-                factor = IntPow(factor, exponent)
-            node = Mul(node, factor)
-        return node
 
     def __str__(self) -> str:
         parts = [str(self.unit.value)]

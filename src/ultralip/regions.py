@@ -138,7 +138,7 @@ def enumerate_window(window: Window, ctx: PrimeContext) -> tuple[PadicScalar, ..
 
 class SplitClass(NamedTuple):
     """Points that agree mod p^level and fall into two or more classes mod
-    p^(level+1).  labels[n] is the residue mod p^(level+1) of members[n];
+    p^(level+1).  labels[n] names the class mod p^(level+1) of members[n];
     children lists the members of each residue in order of first appearance.
     """
 
@@ -148,23 +148,34 @@ class SplitClass(NamedTuple):
     children: list
 
 
-def splitting_classes(keys: Sequence[tuple], p: int) -> list:
-    """Every class of the ultrametric ball tree of keys that splits.
+def splitting_classes(points: Sequence) -> list:
+    """Every class of the ultrametric ball tree of points that splits.
 
-    keys[i] is a tuple of integers, and two keys agree mod p^k when every
-    coordinate does: the ball of radius p^(-k) of the max norm.  A pair of
-    keys at ord distance exactly k (the least coordinate ord) is a pair
-    across two children of the level-k class holding both, so every pair
-    lies across exactly one split class.  Members ascend, and a class comes
-    before its descendants.  Costs O(len(keys) * levels).
+    A point is a PadicScalar in Z[1/p] or a tuple of them, and two points
+    agree mod p^k when every coordinate does: the ball of radius p^(-k) of
+    the max norm.  With lo the least finite ord of any coordinate, each
+    coordinate c keys to the integer c * p^(-lo) (zero to 0), and two points
+    agree mod p^k exactly when their keys agree mod p^(k - lo).  The tree
+    starts at level lo, where all the points agree.  A pair of points at ord
+    distance exactly k is a pair across two children of the level-k class
+    holding both, so every pair lies across exactly one split class, whose
+    level is the pair's ord distance.  Members ascend, and a class comes
+    before its descendants.  Costs O(len(points) * levels).
     """
+    coords = [pt if isinstance(pt, tuple) else (pt,) for pt in points]
+    if not coords:
+        return []
+    ctx = coords[0][0].context
+    lo = min((c.ord().value for pt in coords for c in pt if not c.is_zero), default=0)
+    scale = ctx.power(-lo)
+    keys = [tuple(int(c.value * scale) for c in pt) for pt in coords]
     if len(set(keys)) != len(keys):
-        raise ValueError("ball tree keys must be distinct")
+        raise ValueError("ball tree points must be distinct")
     out = []
-    stack = [(0, list(range(len(keys))))]
+    stack = [(lo, list(range(len(keys))))]
     while stack:
         level, members = stack.pop()
-        modulus = p ** (level + 1)
+        modulus = ctx.p ** (level + 1 - lo)
         labels = [tuple(c % modulus for c in keys[i]) for i in members]
         children: dict = {}
         for i, label in zip(members, labels):

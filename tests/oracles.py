@@ -5,6 +5,10 @@ visits every pair (i, j), i < j, in index order and keeps the first pair
 that decides the answer, which is the lexicographically least one.  They
 are quadratic.
 
+tuple_splitting_classes is the reference for the ball tree of
+regions.splitting_classes: the tree of caller-built integer key tuples,
+from level 0 of the keys.
+
 The frac_* functions are references for the scalar kernel: the Q_p
 formulas of qp_core computed on Fractions only, with no integer fast path
 and no caching.
@@ -29,7 +33,7 @@ from typing import Mapping
 
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset, tuple_norm
-from ultralip.regions import Ball
+from ultralip.regions import Ball, SplitClass
 from ultralip.terms import (
     _BUILTINS,
     Add,
@@ -123,6 +127,33 @@ def exloc_pairs(points, values):
             if (points[a] - points[b]).norm_exponent() != -points[a].ord().value:
                 return (i, j), 1
     return None
+
+
+def tuple_splitting_classes(keys, p):
+    """Every class of the ultrametric ball tree of keys that splits.
+
+    keys[i] is a tuple of integers, and two keys agree mod p^k when every
+    coordinate does: the ball of radius p^(-k) of the max norm.  A pair of
+    keys at ord distance exactly k (the least coordinate ord) is a pair
+    across two children of the level-k class holding both, so every pair
+    lies across exactly one split class.  Members ascend, and a class comes
+    before its descendants.  Costs O(len(keys) * levels).
+    """
+    if len(set(keys)) != len(keys):
+        raise ValueError("ball tree keys must be distinct")
+    out = []
+    stack = [(0, list(range(len(keys))))]
+    while stack:
+        level, members = stack.pop()
+        modulus = p ** (level + 1)
+        labels = [tuple(c % modulus for c in keys[i]) for i in members]
+        children: dict = {}
+        for i, label in zip(members, labels):
+            children.setdefault(label, []).append(i)
+        if len(children) > 1:
+            out.append(SplitClass(level, members, labels, list(children.values())))
+        stack.extend((level + 1, child) for child in children.values() if len(child) > 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

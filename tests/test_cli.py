@@ -252,6 +252,14 @@ class TestContract:
         code, _, err = run(capsys, "eval", "-p", "3", "-f", "t +* 1", "--at", "t=1")
         assert code == 2
 
+    def test_repeated_variable_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "-p", "3", "-f", "x+y", "--at", "x=1", "--at", "y=2", "--at", "x=5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "'x'" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,6 +12,7 @@ from oracles import exhaustive_verify_prepared, worklist_prepare
 from ultralip.cells import format_cell
 from ultralip.qp_core import PadicScalar, PrimeContext
 from ultralip.regions import Ball, Window, enumerate_window
+from ultralip.terms import evaluate, parse_term
 from ultralip.prepare import (
     FactoredTerm,
     parse_factored,
@@ -129,12 +130,31 @@ class TestFactoredTerm:
 
     def test_evaluate_matches_term(self, ctx5):
         f = parse_factored("2 * (t - 1)^2 * (t - 3)^-1", ctx5)
-        term = f.as_term("t")
-        from ultralip.terms import evaluate
-
+        term = parse_term(str(f))
         for v in (0, 2, Fraction(1, 5), 10):
             t = ctx5.scalar(v)
             assert f.ord_at(t) == evaluate(term, {"t": t}).ord()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_printed_term_has_the_same_ord(self, data):
+        """Negative and fractional centers, negative exponents and negative
+        rational units all print as a term with the same ord as ord_at."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        ctx = PrimeContext(p)
+        rationals = st.tuples(
+            st.integers(-30, 30), st.integers(1, 30), st.integers(-2, 2)
+        ).map(lambda nmk: Fraction(nmk[0], nmk[1]) * Fraction(p) ** nmk[2])
+        centers = data.draw(st.lists(rationals, min_size=1, max_size=4, unique=True))
+        exponents = st.integers(-3, 3).filter(bool)
+        factors = tuple((ctx.scalar(c), data.draw(exponents)) for c in centers)
+        f = FactoredTerm(ctx.scalar(data.draw(rationals.filter(bool))), factors)
+        term = parse_term(str(f))
+        poles = {c.value for c, a in factors if a < 0}
+        for v in data.draw(st.lists(rationals | st.sampled_from(centers), min_size=1, max_size=5)):
+            if v not in poles:
+                t = ctx.scalar(v)
+                assert f.ord_at(t) == evaluate(term, {"t": t}).ord()
 
     def test_validation(self, ctx3):
         with pytest.raises(ValueError):

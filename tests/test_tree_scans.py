@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import distance_pairs, exloc_pairs, local_pairs, scan_pairs
+from oracles import (
+    distance_pairs,
+    exloc_pairs,
+    local_pairs,
+    scan_pairs,
+    tuple_splitting_classes,
+)
 from ultralip.jacobian import (
     JacobianCertificate,
     ViolationKind,
@@ -100,7 +106,7 @@ class TestEmpiricalScan:
         points = [x for x, k in zip(axis, keep) if k]
         assume(points)
         values = data.draw(st.lists(scalars(ctx), min_size=len(points), max_size=len(points)))
-        assert _tree_scan(points, values, window.v_min, p) == scan_pairs(points, values)
+        assert _tree_scan(points, values) == scan_pairs(points, values)
 
     @seeded
     @given(st.data())
@@ -122,7 +128,7 @@ class TestEmpiricalScan:
             assert (report.constant_exponent, report.witness) == scan_pairs(points, values)
         else:
             values = data.draw(st.lists(scalars(ctx), min_size=len(points), max_size=len(points)))
-            assert _tree_scan(points, values, window.v_min, p) == scan_pairs(points, values)
+            assert _tree_scan(points, values) == scan_pairs(points, values)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("src", ["t - t + 7", "x - x + 0*y"])
@@ -181,7 +187,7 @@ class TestLocalCheck:
             if x.ord().value == level and x.ac(1) == 1
         ]
         vals = data.draw(st.lists(scalars(ctx), min_size=len(group), max_size=len(group)))
-        assert _local_break(group, vals, level, p) == local_pairs(group, vals)
+        assert _local_break(group, vals) == local_pairs(group, vals)
 
     def test_spike_fails_with_least_witness(self, ctx3):
         f = parse_term("levelspike(t)/9")
@@ -305,18 +311,41 @@ class TestExlocIdentities:
 
 class TestSplittingClasses:
     def test_every_pair_crosses_one_split_at_its_distance(self, ctx3):
-        keys = [(x,) for x in (0, 1, 4, 7, 9, 10, 27)]
+        points = [ctx3.scalar(x) for x in (0, 1, 4, 7, 9, 10, 27)]
         seen = {}
-        for split in splitting_classes(keys, 3):
+        for split in splitting_classes(points):
             for a, b in itertools.combinations(split.children, 2):
                 for i in a:
                     for j in b:
                         pair = (min(i, j), max(i, j))
                         assert pair not in seen
                         seen[pair] = split.level
-        for i, j in itertools.combinations(range(len(keys)), 2):
-            assert ctx3.scalar(keys[i][0] - keys[j][0]).ord().value == seen[i, j]
+        for i, j in itertools.combinations(range(len(points)), 2):
+            assert (points[i] - points[j]).ord().value == seen[i, j]
+
+    @seeded
+    @given(st.data())
+    def test_matches_the_tuple_keyed_tree(self, data):
+        """The tree of the points is the tree of the keys the scan used to
+        build, value * p^shift with shift = max(0, -v_min), shifted by shift."""
+        n = data.draw(st.sampled_from([1, 2]))
+        p, window = data.draw(windows(v_min=st.integers(-2, 2), budget=120 if n == 1 else 12))
+        ctx = PrimeContext(p)
+        region = parse_condition(data.draw(st.sampled_from(REGIONS)))
+        axis = [
+            x for x in sorted(enumerate_window(window, ctx)) if eval_condition(region, {"t": x}, ctx)
+        ]
+        points = axis if n == 1 else list(itertools.product(axis, repeat=2))
+        shift = max(0, -window.v_min)
+        keys = [
+            tuple(int(c.value * p**shift) for c in (pt if isinstance(pt, tuple) else (pt,)))
+            for pt in points
+        ]
+        assert [(s.level + shift, s.members, s.children) for s in splitting_classes(points)] == [
+            (s.level, s.members, s.children) for s in tuple_splitting_classes(keys, p)
+        ]
 
     def test_duplicate_keys_rejected(self):
+        ctx2 = PrimeContext(2)
         with pytest.raises(ValueError):
-            splitting_classes([(1,), (1,)], 2)
+            splitting_classes([ctx2.scalar(1), ctx2.scalar(1)])
