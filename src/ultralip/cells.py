@@ -13,7 +13,6 @@ t - c(y); a 0-cell (lambda = 0) is the graph t = c(y) and has no balls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset
@@ -225,21 +224,32 @@ def _greedy_progressions(levels: frozenset) -> tuple:
     return tuple(out)
 
 
-# A full exact search over 16 levels memoizes about 6,000 subsets, so this
-# bound keeps one search in the cache while capping what stays resident.
-@lru_cache(maxsize=8192)
 def _min_progressions(levels: frozenset) -> tuple:
     """Partition of a finite integer set into arithmetic progressions.
 
     Each progression (lo, hi, step) stands for {lo, lo+step, ..., hi}; a
     singleton is (a, a, 1).  Up to 16 levels the search is exact and the
-    partition minimal; above 16 levels a greedy cover is returned, which
-    need not be minimal.
+    partition minimal: the least k with a partition into k progressions is
+    found by trying k = 0, 1, ... in turn.  Above 16 levels a greedy cover
+    is returned, which need not be minimal.
     """
-    if not levels:
-        return ()
     if len(levels) > 16:
         return _greedy_progressions(levels)
+    failed: set = set()
+    k = 0
+    while (found := _progressions(levels, k, failed)) is None:
+        k += 1
+    return found
+
+
+def _progressions(levels: frozenset, k: int, failed: set) -> Optional[tuple]:
+    """The first partition of levels into at most k progressions, trying
+    the options for the least level in order, or None; failed holds the
+    (levels, k) already known to have none."""
+    if not levels:
+        return ()
+    if k < 1 or (levels, k) in failed:
+        return None
     m = min(levels)
     options = [((m, m, 1), levels - {m})]
     for d in sorted({x - m for x in levels if x > m}):
@@ -251,12 +261,12 @@ def _min_progressions(levels: frozenset) -> tuple:
         for length in range(2, len(chain) + 1):
             prog = (m, chain[length - 1], d)
             options.append((prog, levels - frozenset(chain[:length])))
-    best = None
     for prog, rest in options:
-        cand = (prog,) + _min_progressions(frozenset(rest))
-        if best is None or len(cand) < len(best):
-            best = cand
-    return best
+        found = _progressions(rest, k - 1, failed)
+        if found is not None:
+            return (prog,) + found
+    failed.add((levels, k))
+    return None
 
 
 def fit_cell(

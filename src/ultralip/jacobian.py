@@ -146,17 +146,12 @@ class CertificateCheck:
     detail: str
 
 
-def _fiber_variable(f: Term, var: Optional[str]) -> str:
+def _fiber_variable(f: Term, default: str) -> str:
+    """The one variable of f, or default when f has none."""
     names = free_variables(f)
-    if var is not None:
-        if names and tuple(names) != (var,):
-            extra = [n for n in names if n != var]
-            if extra:
-                raise ValueError(f"term is not univariate in {var!r}: uses {extra}")
-        return var
     if len(names) > 1:
         raise ValueError(f"term must be univariate, found variables {names}")
-    return names[0] if names else "t"
+    return names[0] if names else default
 
 
 def _first_collision(keys: Iterable, points: list) -> Optional[tuple]:
@@ -236,7 +231,7 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
     """
     if depth < 1:
         raise ValueError("certification depth must be >= 1")
-    var = _fiber_variable(f, None)
+    var = _fiber_variable(f, "t")
     ctx = ball.context
     deriv_at = compile_term(differentiate(f, var), ctx)
     reps = ball.representatives(depth)
@@ -310,7 +305,7 @@ def map_ball(f: Term, ball: Ball, depth: int):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    var = _fiber_variable(f, None)
+    var = _fiber_variable(f, "t")
     reps = ball.representatives(depth)
     f_at = compile_term(f, ball.context)
     return _tile(reps, [f_at({var: x}) for x in reps], depth)
@@ -333,7 +328,7 @@ def check_ball_correspondence(
     Success returns the ball pairing and the fitted image cell.
     """
     y = y or {}
-    var = _fiber_variable(f, cell.fiber_var if not free_variables(f) else None)
+    var = _fiber_variable(f, cell.fiber_var)
     ctx = cell.context
     source_balls = enumerate_balls(cell, y, window)
     if not source_balls:

@@ -43,6 +43,7 @@ from .jacobian import (
     BallCorrespondence,
     CertificationFailed,
     JacobianViolation,
+    _fiber_variable,
     check_jacobian_on_ball,
 )
 
@@ -338,10 +339,7 @@ def check_bounded_derivative_local_lipschitz(
     its ball tree (see _local_break); the witness is the first failing pair
     in the order of an all-pairs scan.
     """
-    names = free_variables(f)
-    if len(names) > 1:
-        raise ValueError("the local check is univariate")
-    var = names[0] if names else "t"
+    var = _fiber_variable(f, "t")
     f_at, deriv_at = compile_term(f, ctx), compile_term(differentiate(f, var), ctx)
     in_region = compile_condition(region, ctx)
     reps = sorted(enumerate_window(window, ctx))

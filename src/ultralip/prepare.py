@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, Valuation
+from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, Valuation
 from .regions import Ball, Window
 from .cells import Cell, point_cell
-from .qp_core import CosetSpec
 from .terms import _Parser
 
 __all__ = [

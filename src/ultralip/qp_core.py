@@ -16,13 +16,14 @@ on ``int`` through ``+``, ``-``, ``*`` and ``**`` with a non-negative
 exponent; ``/`` and negative powers go through ``Fraction``.  Because
 ``3 == Fraction(3)`` with equal hashes and strings, values, hashes,
 equality and printing are those of the plain ``Fraction`` representation.
-A scalar computes its ``ord`` once and keeps it.  Prime contexts are
-interned per p, so context checks are identity tests, and the finite
-valuations in ``[-32, 96)`` are interned; both tables have a fixed size.
+A scalar computes its ``ord`` once and keeps it.  Every prime has one
+context, so context checks are identity tests, and the finite valuations
+in ``[-32, 96)`` are interned.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -65,18 +66,17 @@ def _int_multiplicity(n: int, p: int) -> int:
     return v
 
 
-# interned contexts, one per prime, up to a fixed number of primes
+# the one context of each prime asked for
 _CONTEXTS: dict = {}
-_MAX_CONTEXTS = 64
 
 
 @dataclass(frozen=True, init=False)
 class PrimeContext:
     """The ambient field Q_p; p doubles as residue cardinality and uniformizer.
 
-    ``PrimeContext(p)`` returns one shared instance per int prime, for the
-    first 64 primes asked for; later ones are built fresh and still compare
-    equal by p.
+    ``PrimeContext(p)`` returns the one instance for the prime p, which is
+    read with ``operator.index``: an int, an int subclass or an object with
+    ``__index__``.
     """
 
     p: int
@@ -84,12 +84,15 @@ class PrimeContext:
     def __new__(cls, p: int) -> "PrimeContext":
         ctx = _CONTEXTS.get(p) if p.__class__ is int else None
         if ctx is None:
-            if not _is_prime(p):
+            try:
+                n = operator.index(p)
+            except TypeError:
+                n = 0
+            if not _is_prime(n):
                 raise ValueError(f"p must be a prime >= 2, got {p!r}")
             ctx = super().__new__(cls)
-            object.__setattr__(ctx, "p", p)
-            if p.__class__ is int and len(_CONTEXTS) < _MAX_CONTEXTS:
-                _CONTEXTS[p] = ctx
+            object.__setattr__(ctx, "p", n)
+            ctx = _CONTEXTS.setdefault(n, ctx)
         return ctx
 
     def __getnewargs__(self) -> tuple:
@@ -249,8 +252,7 @@ class PadicScalar:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not PadicScalar:
             return NotImplemented
-        ctx = other.context
-        return self.value == other.value and (ctx is self.context or ctx == self.context)
+        return self.value == other.value and other.context is self.context
 
     def __hash__(self) -> int:
         return hash((self.value, self.context))
@@ -337,7 +339,7 @@ class PadicScalar:
     # -- exact field arithmetic ---------------------------------------
 
     def _check(self, other: "PadicScalar") -> None:
-        if self.context is not other.context and self.context != other.context:
+        if self.context is not other.context:
             raise ValueError("scalars from different prime contexts")
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":

@@ -58,7 +58,7 @@ class Ball:
         return (x - self.center).ord() >= self.radius_ord
 
     def relation(self, other: "Ball") -> BallRelation:
-        if self.context is not other.context and self.context != other.context:
+        if self.context is not other.context:
             raise ValueError("balls from different prime contexts")
         d = (self.center - other.center).ord()
         if self.radius_ord == other.radius_ord:

@@ -36,9 +36,9 @@ two forms of the one level-range segment.
 Evaluation compiles once per analysis.  compile_term and compile_condition
 turn a tree into nested closures over the raw int and Fraction values,
 with one PadicScalar built at the end (an int when integral); evaluate,
-eval_condition and evaluate_piecewise run the compiled form.  Compiled
-forms are memoised per node object and prime context, found by identity,
-at most 1024 of them, and an entry goes when its node does.  Errors are
+eval_condition and evaluate_piecewise run the compiled form.  A node
+keeps its compiled form for each prime it was compiled for, so the form
+goes when the node does; pickles and copies leave it out.  Errors are
 those of a walk over the tree: a Div tests its denominator first and
 reports it, a negative power of 0 reports the power, and builtins are
 looked up when called.
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import operator
 import re
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Union
@@ -156,14 +155,21 @@ class PieceDomainError(EvaluationError):
 # AST
 
 
-class Term:
+class _Node:
+    """A node that compiles; pickles and copies leave its compiled forms out."""
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
+
+class Term(_Node):
     """Base class for term nodes; subclasses are frozen dataclasses."""
 
     def __str__(self) -> str:
         return format_term(self)
 
 
-class Condition:
+class Condition(_Node):
     """Base class for condition nodes."""
 
     def __str__(self) -> str:
@@ -276,7 +282,7 @@ class TrueCond(Condition):
 
 
 @dataclass(frozen=True)
-class PiecewiseFunction:
+class PiecewiseFunction(_Node):
     """A function defined by disjoint (condition, term) pieces.
 
     Disjointness is not decidable symbolically in this fragment; it is
@@ -874,7 +880,7 @@ def free_variables(node) -> tuple:
 
 def _infer_context(point: Mapping, ctx: Optional[PrimeContext]) -> PrimeContext:
     for v in point.values():
-        if ctx is not None and v.context is not ctx and v.context != ctx:
+        if ctx is not None and v.context is not ctx:
             raise EvaluationError("point values disagree with the supplied context")
         ctx = v.context
     if ctx is None:
@@ -923,27 +929,14 @@ def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
     return _memoised(c, ctx, _compile_cond)
 
 
-# compiled forms by (id(node), id(ctx)), at most _COMPILED_CAP of them, the
-# oldest going first.  An entry goes when its node does (a derivative built
-# for one analysis, say): a weak reference removes it, so no id is reused
-# while its entry lives.  The compiled form keeps ctx alive.
-_COMPILED: dict = {}
-_COMPILED_CAP = 1024
-
-
 def _memoised(node, ctx: PrimeContext, build: Callable) -> Callable:
-    key = (id(node), id(ctx))
-    entry = _COMPILED.get(key)
-    if entry is None:
-        compiled = build(node, ctx)
-        try:
-            gone = weakref.ref(node, lambda _: _COMPILED.pop(key, None))
-        except TypeError:  # not a node: compiled raises the walk's TypeError
-            return compiled
-        if len(_COMPILED) >= _COMPILED_CAP:
-            _COMPILED.pop(next(iter(_COMPILED)), None)
-        entry = _COMPILED[key] = (gone, compiled)
-    return entry[1]
+    if not isinstance(node, _Node):  # compiled raises the walk's TypeError
+        return build(node, ctx)
+    forms = node.__dict__.setdefault("_compiled", {})
+    compiled = forms.get(ctx.p)
+    if compiled is None:
+        compiled = forms[ctx.p] = build(node, ctx)
+    return compiled
 
 
 def _compile_term(t: Term, ctx: PrimeContext) -> Callable:

@@ -22,15 +22,21 @@ sets that the walk down the ball tree of the centers replaced.
 exhaustive_verify_prepared is the reference for verify_prepared: it
 evaluates ord f at every depth-M representative of every checked ball.
 
+memo_min_progressions is the reference for cells._min_progressions: the
+exhaustive search over every option for the least level, memoised for the
+length of one call, keeping the first option of least length.
+
 _eval and _eval_cond are the references for the compiled evaluator: the
 recursive walk over the term tree, one node at a time, with PadicScalar
 arithmetic at every node.  walk_piecewise evaluates a piecewise function
 with them.
 """
 
+import functools
 from fractions import Fraction
 from typing import Mapping
 
+from ultralip.cells import _greedy_progressions
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset, tuple_norm
 from ultralip.regions import Ball, SplitClass
@@ -546,3 +552,33 @@ def walk_piecewise(pf, point, ctx):
     if len(matches) > 1:
         raise PieceOverlapError(f"pieces overlap at the point {_point_str(point)}")
     return _eval(matches[0], point, ctx)
+
+
+def memo_min_progressions(levels: frozenset) -> tuple:
+    """cells._min_progressions by the memoised search over all options."""
+
+    @functools.cache
+    def search(levels: frozenset) -> tuple:
+        if not levels:
+            return ()
+        if len(levels) > 16:
+            return _greedy_progressions(levels)
+        m = min(levels)
+        options = [((m, m, 1), levels - {m})]
+        for d in sorted({x - m for x in levels if x > m}):
+            chain = [m]
+            nxt = m + d
+            while nxt in levels:
+                chain.append(nxt)
+                nxt += d
+            for length in range(2, len(chain) + 1):
+                prog = (m, chain[length - 1], d)
+                options.append((prog, levels - frozenset(chain[:length])))
+        best = None
+        for prog, rest in options:
+            cand = (prog,) + search(frozenset(rest))
+            if best is None or len(cand) < len(best):
+                best = cand
+        return best
+
+    return search(levels)

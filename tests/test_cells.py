@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+import ultralip.cells as cells
 from ultralip.qp_core import CosetSpec, PrimeContext
 from ultralip.regions import Ball, BallRelation, Window, enumerate_window
 from ultralip.cells import (
@@ -223,6 +226,29 @@ class TestFitCell:
     def test_overlapping_input_rejected(self, ctx3):
         with pytest.raises(ValueError):
             fit_cell([Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(4), 2)], [ctx3.scalar(0)])
+
+
+class TestMinProgressions:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(-10, 10), st.integers(0, 30), st.data())
+    def test_the_search_matches_the_memoised_one(self, lo, width, data):
+        levels = data.draw(st.frozensets(st.integers(lo, lo + width), max_size=12))
+        assert cells._min_progressions(levels) == oracles.memo_min_progressions(levels)
+
+    def test_a_long_progression_is_found_at_one(self, monkeypatch):
+        """Sixteen levels in one progression take one call for k = 0, one
+        for k = 1 and one per option of the least level: the singleton and
+        the 15 prefixes of the chain, the last of which covers them all."""
+        calls = []
+        search = cells._progressions
+
+        def counted(levels, k, failed):
+            calls.append(k)
+            return search(levels, k, failed)
+
+        monkeypatch.setattr(cells, "_progressions", counted)
+        assert cells._min_progressions(frozenset(range(-4, 28, 2))) == ((-4, 26, 2),)
+        assert len(calls) == 18 and max(calls) == 1
 
 
 class TestCellLiterals:

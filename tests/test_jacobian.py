@@ -30,6 +30,16 @@ def coset_cell(ctx, lam=1, m=1, n=1, var="x"):
     return point_cell(ctx.scalar(0), CosetSpec(ctx.scalar(lam), m, n), fiber_var=var)
 
 
+class TestFiberVariable:
+    def test_the_one_variable_of_f_or_the_default(self, ctx3):
+        assert jacobian._fiber_variable(parse_term("y^2 + y"), "t") == "y"
+        assert jacobian._fiber_variable(parse_term("7"), "x") == "x"
+        with pytest.raises(ValueError, match="term must be univariate"):
+            jacobian._fiber_variable(parse_term("x*y"), "x")
+        with pytest.raises(ValueError, match="term must be univariate"):
+            check_ball_correspondence(parse_term("x*y"), coset_cell(ctx3), {}, Window(0, 1, 1), 1)
+
+
 class TestCheckJacobian:
     def test_square_on_unit_ball(self, ctx3):
         cert = check_jacobian_on_ball(parse_term("x^2"), Ball(ctx3.scalar(1), 1), 3)

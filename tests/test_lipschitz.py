@@ -172,6 +172,12 @@ class TestBoundedDerivativeCheck:
         assert out.status == "skipped"
         assert out.witness is not None
 
+    def test_a_bivariate_term_is_refused(self, ctx3):
+        with pytest.raises(ValueError, match="term must be univariate"):
+            check_bounded_derivative_local_lipschitz(
+                parse_term("x*y"), TrueCond(), Window(0, 1, 1), ctx3
+            )
+
     def test_small_derivative_p2(self, ctx2):
         out = check_bounded_derivative_local_lipschitz(
             parse_term("t^2"), TrueCond(), Window(1, 3, 3), ctx2

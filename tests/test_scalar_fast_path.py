@@ -21,7 +21,10 @@ from oracles import (
     frac_pow,
     frac_reduce_mod_power,
 )
+import ultralip.qp_core as qp_core
 from ultralip.qp_core import INFINITE_ORD, PadicScalar, PrimeContext, Valuation
+from ultralip.regions import Ball
+from ultralip.terms import EvaluationError, evaluate, parse_term
 
 seeded = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -187,18 +190,41 @@ class TestInterning:
         with pytest.raises(ValueError):
             PrimeContext(9)
 
-    def test_contexts_past_the_table_compare_by_p(self, monkeypatch):
-        import ultralip.qp_core as qp_core
+    def test_every_prime_gets_one_context(self):
+        primes = [n for n in range(1000, 2000) if qp_core._is_prime(n)][:70]
+        contexts = [PrimeContext(p) for p in primes]
+        assert len({id(ctx) for ctx in contexts}) == 70
+        for p, ctx in zip(primes, contexts):
+            assert PrimeContext(p) is ctx and ctx.p == p
 
-        monkeypatch.setattr(qp_core, "_CONTEXTS", {})
-        monkeypatch.setattr(qp_core, "_MAX_CONTEXTS", 0)
-        a, b = PrimeContext(11), PrimeContext(11)
-        assert a is not b and a == b and hash(a) == hash(b)
-        x, y = a.scalar(22), b.scalar(Fraction(1, 11))
-        assert (x * y).value == 2 and (x - y).ord() == -1
-        assert x < y or y <= x
-        with pytest.raises(ValueError):
-            x + PrimeContext(13).scalar(1)
+    def test_mixed_contexts_are_refused(self):
+        ctx3, ctx5 = PrimeContext(3), PrimeContext(5)
+        x, y = ctx3.scalar(1), ctx5.scalar(1)
+        for op in (*OPS.values(), operator.lt, operator.le):
+            with pytest.raises(ValueError, match="different prime contexts"):
+                op(x, y)
+        assert x != y
+        with pytest.raises(ValueError, match="different prime contexts"):
+            Ball(x, 1).relation(Ball(y, 1))
+        with pytest.raises(EvaluationError, match="disagree"):
+            evaluate(parse_term("x + 1"), {"x": x}, ctx5)
+        with pytest.raises(EvaluationError, match="disagree"):
+            evaluate(parse_term("x + y"), {"x": x, "y": y})
+
+    def test_a_prime_is_read_as_an_index(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        class Five(int):
+            pass
+
+        assert PrimeContext(Three()) is PrimeContext(3)
+        assert PrimeContext(Five(5)) is PrimeContext(5)
+        assert PrimeContext(Five(5)).p.__class__ is int
+        for bad in (3.0, Fraction(3), "3", True):
+            with pytest.raises(ValueError, match="p must be a prime"):
+                PrimeContext(bad)
 
     def test_valuations_interned_in_range_and_equal_outside(self):
         assert Valuation.finite(5) is Valuation.finite(5)

@@ -1,8 +1,10 @@
 import copy
+import gc
 import importlib
 import pickle
 import sys
 import types
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -479,25 +481,36 @@ class TestCompiledAgainstTheWalk:
 
 
 class TestCompiledMemo:
-    def test_the_memo_stays_within_its_cap(self, ctx3):
-        import ultralip.terms as terms
+    def test_an_entry_goes_with_its_term(self, ctx3, ctx5):
+        """A compiled form lives on its node, so a dead node takes it along;
+        a top-level negative power keeps its node to raise DivisionByZero."""
+        sources = ["x^2 + 1", "(x+1)^-1", "(x+7)^-1", "1/(x-1)", "normval(x) + levelspike(x)"]
+        for source in sources:
+            t = parse_term(source)
+            for ctx in (ctx3, ctx5):
+                evaluate(t, {"x": ctx.scalar(ctx.p)})
+            refs = [weakref.ref(t), weakref.ref(compile_term(t, ctx3))]
+            del t
+            gc.collect()
+            assert all(ref() is None for ref in refs), source
+        c = parse_condition("|1/(x-1)| < |1| && x in 1*Q(1,1)")
+        pf = parse_piecewise("piecewise(x) { |x| <= |1| -> (x+1)^-1 ; |1| < |x| -> x }")
+        point = {"x": ctx3.scalar(3)}
+        eval_condition(c, point)
+        evaluate_piecewise(pf, point)
+        refs = [weakref.ref(c), weakref.ref(compile_condition(c, ctx3)), weakref.ref(pf)]
+        del c, pf
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
-        alive = [parse_term(f"x + {k}") for k in range(terms._COMPILED_CAP + 50)]
-        for k, t in enumerate(alive):
-            assert evaluate(t, {"x": ctx3.scalar(1)}).value == k + 1
-            assert len(terms._COMPILED) <= terms._COMPILED_CAP
-        # the first terms were evicted and compile again
-        assert evaluate(alive[0], {"x": ctx3.scalar(2)}).value == 2
-
-    def test_an_entry_goes_with_its_term(self, ctx3):
-        import ultralip.terms as terms
-
+    def test_a_node_keeps_one_form_per_prime(self, ctx3, ctx5):
         t = parse_term("x^2 + 1")
-        compile_term(t, ctx3)
-        key = (id(t), id(ctx3))
-        assert key in terms._COMPILED
-        del t
-        assert key not in terms._COMPILED
+        f3, f5 = compile_term(t, ctx3), compile_term(t, ctx5)
+        assert compile_term(t, ctx3) is f3 and compile_term(t, ctx5) is f5 and f3 is not f5
+        assert f3({"x": ctx3.scalar(3)}) == ctx3.scalar(10)
+        assert f5({"x": ctx5.scalar(3)}) == ctx5.scalar(10)
+        c = parse_condition("|x| < |1|")
+        assert compile_condition(c, ctx3) is compile_condition(c, ctx3)
 
     def test_an_evaluated_term_pickles_and_copies(self, ctx3):
         t = parse_term("normval(x) + 1/(x-1) + levelspike(3*x)")
@@ -506,8 +519,13 @@ class TestCompiledMemo:
         evaluate(t, point)
         eval_condition(c, point)
         for node in (t, c):
-            for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            for twin in (
+                pickle.loads(pickle.dumps(node)),
+                copy.deepcopy(node),
+                copy.copy(node),
+            ):
                 assert twin == node and twin is not node
+                assert "_compiled" not in vars(twin)
         assert evaluate(copy.deepcopy(t), point) == evaluate(t, point)
 
     def test_a_builtin_registered_after_compiling_is_honoured(self, ctx3, monkeypatch):
