@@ -34,6 +34,7 @@ from .lipschitz import (
     CenterNotZero,
     DerivativeBoundExceeded,
     EmptyRegion,
+    ImageCenterNotZero,
     LedgerIdentityViolated,
     certified_cell_constant,
     counterexample_exloc,
@@ -311,7 +312,7 @@ def _cmd_certify(args, ctx: PrimeContext) -> int:
         return 1
     try:
         report = certified_cell_constant(f, cell, corr, args.epsilon_exponent)
-    except (CertificationFailed, LedgerIdentityViolated, DerivativeBoundExceeded) as err:
+    except (CertificationFailed, LedgerIdentityViolated, DerivativeBoundExceeded, ImageCenterNotZero) as err:
         _emit({"failure": type(err).__name__, "detail": str(err)}, f"certification failed: {err}", args.json)
         return 1
     payload = report.as_json_dict()

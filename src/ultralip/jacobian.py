@@ -8,7 +8,7 @@ B onto another ball, ord(F') is constant and finite on B, and
 i.e. F is an exact isometry up to the scale p^(-ord F').  Certification
 here is exhaustive over the depth-M representatives of B, not symbolic:
 certificates carry the depth at which they were verified, and a deeper
-violation could in principle exist for non-polynomial builtins.
+violation could in principle exist for non-polynomial terms.
 
 Each check evaluates f once per representative; check_ball_correspondence
 tiles each ball from those values as map_ball does, and condition (d) reads

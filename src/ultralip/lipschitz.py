@@ -26,6 +26,7 @@ from .regions import (
 from .cells import Cell, format_cell
 from .terms import (
     Condition,
+    LevelSpike,
     NormVal,
     PiecewiseFunction,
     Term,
@@ -37,7 +38,6 @@ from .terms import (
     evaluate_piecewise,
     format_condition,
     free_variables,
-    _levelspike_value,
 )
 from .jacobian import (
     BallCorrespondence,
@@ -55,6 +55,7 @@ __all__ = [
     "CounterexampleTrace",
     "EmptyRegion",
     "CenterNotZero",
+    "ImageCenterNotZero",
     "LedgerIdentityViolated",
     "DerivativeBoundExceeded",
     "empirical_lipschitz",
@@ -76,6 +77,11 @@ class EmptyRegion(Exception):
 
 class CenterNotZero(Exception):
     """The certified route requires pre-translated cells with center 0."""
+
+
+class ImageCenterNotZero(CenterNotZero):
+    """The image cell fitted to f has a nonzero center: an outcome of the
+    analysis, where a nonzero source center is one of the input."""
 
 
 class LedgerIdentityViolated(Exception):
@@ -276,8 +282,9 @@ def certified_cell_constant(
     """Exact Lipschitz constant C = epsilon * p^max(0, m' - m) for a cell.
 
     Requires both the source cell and the fitted image cell to have center
-    0 (pre-translate otherwise).  Every source ball is re-certified at the
-    correspondence depth.  The bookkeeping identity
+    0 (pre-translate otherwise): CenterNotZero for the source cell,
+    ImageCenterNotZero for the image.  Every source ball is re-certified at
+    the correspondence depth.  The bookkeeping identity
 
         m + jac_ord + a = m' + b
 
@@ -292,8 +299,9 @@ def certified_cell_constant(
     m_prime = corr.fitted_image_cell.coset.m
     if not cell.center_at({}).is_zero:
         raise CenterNotZero("source cell center must be 0")
-    if not corr.fitted_image_cell.center_at({}).is_zero:
-        raise CenterNotZero("fitted image cell center must be 0")
+    image_center = corr.fitted_image_cell.center_at({})
+    if not image_center.is_zero:
+        raise ImageCenterNotZero(f"fitted image cell center must be 0, found {image_center}")
 
     for ball, image in corr.pairs:
         result = check_jacobian_on_ball(f, ball, corr.depth)
@@ -489,6 +497,7 @@ def counterexample_exloc2(n_max: int, ctx: PrimeContext) -> CounterexampleTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    g = compile_term(LevelSpike(Variable("t")), ctx)
     entries = []
     derivative_entries = []
     zero = ctx.scalar(0)
@@ -500,12 +509,12 @@ def counterexample_exloc2(n_max: int, ctx: PrimeContext) -> CounterexampleTrace:
         gap = (b_i - b_j).norm_exponent()
         if gap != -(3 * n - 1):
             raise RuntimeError(f"|b_i - b_j| != p^(1-3n) at level {n}")
-        g_i = _levelspike_value(ctx, b_i)
-        g_j = _levelspike_value(ctx, b_j)
+        g_i = g({"t": b_i})
+        g_j = g({"t": b_j})
         spread = (g_i - g_j).norm_exponent()
         if spread != -2 * n:
             raise RuntimeError(f"|g(b_i) - g(b_j)| != |b_i^2| at level {n}")
         entries.append(TraceEntry(n, (b_i, b_j), spread - gap))
-        quotient = (_levelspike_value(ctx, b_i) - _levelspike_value(ctx, zero)).norm_exponent()
+        quotient = (g_i - g({"t": zero})).norm_exponent()
         derivative_entries.append((n, quotient - b_i.norm_exponent()))
     return CounterexampleTrace(ctx.p, (1, n_max), tuple(entries), tuple(derivative_entries))

@@ -1,11 +1,14 @@
 """The semialgebraic term and condition language.
 
 Terms are finite trees over rational constants, variables, field
-operations, integer powers, ``normval`` (which sends t to the rational
-|t| embedded back into Q_p) and registered builtins.  Conditions compare
-norms, test ord congruences and coset membership, and combine with the
-usual connectives.  Everything evaluates exactly at rational points, so
-every predicate is decidable.
+operations, integer powers and the two locally constant functions of the
+counterexamples: ``normval`` (which sends t to the rational |t| embedded
+back into Q_p) and ``levelspike`` (the spike g of the second family).
+The language is closed: a function that is not rational at rational
+points, such as the p-adic exp, could not be evaluated exactly.
+Conditions compare norms, test ord congruences and coset membership, and
+combine with the usual connectives.  Everything evaluates exactly at
+rational points, so every predicate is decidable.
 
 The grammar (parsed by a hand-rolled recursive descent with positions).
 It is the one reader of literal text: the CLI's rationals, balls, cosets
@@ -13,7 +16,7 @@ and cells are productions of it as well.
 
     term  := sum ;  sum := prod (("+"|"-") prod)*
     prod  := unary (("*"|"/") unary)* ;  unary := "-" unary | atom ("^" int)?
-    atom  := rational | ident | "normval(" term ")" | builtin "(" term ")"
+    atom  := rational | ident | "normval(" term ")" | "levelspike(" term ")"
            | "(" term ")"
     cond  := disj ;  disj := conj ("||" conj)* ;  conj := lit ("&&" lit)*
     lit   := "|" term "|" ("<"|"<="|"=") "|" term "|" | term "in" coset
@@ -31,7 +34,8 @@ and cells are productions of it as well.
 An int is a run of digits, read with a leading "-" wherever a value may
 be negative (exponents, depths, levels, residues).  A cell needs its
 coset segment and names each segment at most once; "all" and "ord" are
-two forms of the one level-range segment.
+two forms of the one level-range segment.  Any other unreserved name
+followed by "(" is an unknown builtin; alone, "levelspike" is a variable.
 
 Evaluation compiles once per analysis.  compile_term and compile_condition
 turn a tree into nested closures over the raw int and Fraction values,
@@ -40,8 +44,7 @@ eval_condition and evaluate_piecewise run the compiled form.  A node
 keeps its compiled form for each prime it was compiled for, so the form
 goes when the node does; pickles and copies leave it out.  Errors are
 those of a walk over the tree: a Div tests its denominator first and
-reports it, a negative power of 0 reports the power, and builtins are
-looked up when called.
+reports it, and a negative power of 0 reports the power.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .qp_core import CosetSpec, PadicScalar, PrimeContext, _scalar, in_coset
 
@@ -64,7 +67,7 @@ __all__ = [
     "Div",
     "IntPow",
     "NormVal",
-    "BuiltinCall",
+    "LevelSpike",
     "Condition",
     "NormCmp",
     "OrdCongruence",
@@ -74,8 +77,6 @@ __all__ = [
     "Not",
     "TrueCond",
     "PiecewiseFunction",
-    "BuiltinSpec",
-    "register_builtin",
     "parse",
     "parse_term",
     "parse_condition",
@@ -95,7 +96,6 @@ __all__ = [
     "UnboundVariableError",
     "DivisionByZero",
     "BuiltinDomainError",
-    "UnknownDerivativeError",
     "PieceOverlapError",
     "PieceDomainError",
 ]
@@ -136,10 +136,6 @@ class DivisionByZero(EvaluationError):
 
 
 class BuiltinDomainError(EvaluationError):
-    pass
-
-
-class UnknownDerivativeError(TermError):
     pass
 
 
@@ -230,8 +226,11 @@ class NormVal(Term):
 
 
 @dataclass(frozen=True)
-class BuiltinCall(Term):
-    name: str
+class LevelSpike(Term):
+    """The spike g of the second counterexample family, defined on p Z_p
+    and at 0: p^(2n) on the marked ball p^n + p^(3n) Z_p of each level
+    n >= 1, and 0 elsewhere."""
+
     arg: Term
 
 
@@ -292,57 +291,6 @@ class PiecewiseFunction(_Node):
 
     variables: tuple
     pieces: tuple  # of (Condition, Term)
-
-
-# ---------------------------------------------------------------------------
-# builtin registry
-
-
-@dataclass(frozen=True)
-class BuiltinSpec:
-    """A named unary builtin: evaluator and derivative rule.
-
-    evaluate(ctx, x) maps the argument's value to the builtin's value.
-    derivative is "zero" for locally constant builtins, a callable taking
-    the argument term and returning a Term, or None when no derivative is
-    declared (differentiation then fails with UnknownDerivativeError).
-    Builtins take exactly one argument, so differentiation chains through it.
-    """
-
-    name: str
-    evaluate: Callable
-    derivative: Union[str, Callable, None]
-
-
-_BUILTINS: dict = {}
-
-
-def register_builtin(spec: BuiltinSpec) -> None:
-    _BUILTINS[spec.name] = spec
-
-
-def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
-    """0 on all of p Z_p except the marked ball p^n + p^(3n) Z_p of each
-    level n >= 1, where the value is p^(2n); 0 at 0."""
-    if x.is_zero:
-        return ctx.scalar(0)
-    n = x.ord().value
-    if n < 1:
-        raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
-    if x.ac(2 * n) == 1:
-        return PadicScalar(ctx.power(2 * n), ctx)
-    return ctx.scalar(0)
-
-
-# the locally constant spike of the second counterexample family: defined on
-# p*Z_p together with 0, with derivative 0 everywhere
-register_builtin(
-    BuiltinSpec(
-        name="levelspike",
-        evaluate=_levelspike_value,
-        derivative="zero",
-    )
-)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +477,7 @@ class _Parser:
                 self.expect(")")
                 return NormVal(arg)
             if self.peek(1).text == "(" and name not in _RESERVED:
-                if name not in _BUILTINS:
+                if name != "levelspike":
                     raise ParseError(f"unknown builtin {name!r}", tok.line, tok.col)
                 self.next()
                 self.expect("(")
@@ -537,7 +485,7 @@ class _Parser:
                 if self.at(","):
                     raise ParseError(f"builtin {name!r} takes 1 argument", tok.line, tok.col)
                 self.expect(")")
-                return BuiltinCall(name, arg)
+                return LevelSpike(arg)
             if name in _RESERVED:
                 self.fail(f"reserved word {name!r} cannot start a term")
             self.next()
@@ -786,8 +734,8 @@ def _fmt(t: Term, parent: int) -> str:
         return t.name
     if isinstance(t, NormVal):
         return f"normval({_fmt(t.arg, 0)})"
-    if isinstance(t, BuiltinCall):
-        return f"{t.name}({_fmt(t.arg, 0)})"
+    if isinstance(t, LevelSpike):
+        return f"levelspike({_fmt(t.arg, 0)})"
     if isinstance(t, IntPow):
         base = _fmt(t.base, _PREC_POW + 1)
         text = f"{base}^{t.exponent}"
@@ -849,7 +797,7 @@ def free_variables(node) -> tuple:
             walk(x.right)
         elif isinstance(x, IntPow):
             walk(x.base)
-        elif isinstance(x, (NormVal, BuiltinCall)):
+        elif isinstance(x, (NormVal, LevelSpike)):
             walk(x.arg)
         elif isinstance(x, NormCmp):
             walk(x.lhs)
@@ -948,6 +896,18 @@ def _compile_pieces(pf: PiecewiseFunction, ctx: PrimeContext) -> tuple:
     return tuple((_compile_cond(cond, ctx), _compile_term(body, ctx)) for cond, body in pf.pieces)
 
 
+def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
+    """The value of LevelSpike at x."""
+    if x.is_zero:
+        return ctx.scalar(0)
+    n = x.ord().value
+    if n < 1:
+        raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
+    if x.ac(2 * n) == 1:
+        return PadicScalar(ctx.power(2 * n), ctx)
+    return ctx.scalar(0)
+
+
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
@@ -955,7 +915,7 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
     """A closure from a point to the value of t as an int, or as a Fraction
     when it is not integral; every error is raised where the tree walk
     raised it, so a Div tests its denominator before it reads the
-    numerator and a builtin is looked up before its argument is read."""
+    numerator."""
     if isinstance(t, RationalConst):
         value = t.value
         return lambda point: value
@@ -1017,16 +977,9 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
             return ctx.power(-_scalar(a, ctx).ord().value)
 
         return normval
-    if isinstance(t, BuiltinCall):
-        name, arg = t.name, _compile(t.arg, ctx)
-
-        def builtin(point):
-            spec = _BUILTINS.get(name)
-            if spec is None:
-                raise EvaluationError(f"unknown builtin {name!r}")
-            return spec.evaluate(ctx, _scalar(arg(point), ctx)).value
-
-        return builtin
+    if isinstance(t, LevelSpike):
+        arg = _compile(t.arg, ctx)
+        return lambda point: _levelspike_value(ctx, _scalar(arg(point), ctx)).value
 
     def not_a_term(point):
         raise TypeError(f"not a term node: {t!r}")
@@ -1131,9 +1084,8 @@ def _mul(a: Term, b: Term) -> Term:
 def differentiate(t: Term, var: str) -> Term:
     """Symbolic derivative with respect to var.
 
-    normval differentiates to zero (it is locally constant away from 0);
-    builtins use their registered derivative rule and raise
-    UnknownDerivativeError when none is declared.
+    normval and levelspike differentiate to zero: both are locally
+    constant where they are defined.
     """
     if isinstance(t, RationalConst):
         return _ZERO
@@ -1160,14 +1112,6 @@ def differentiate(t: Term, var: str) -> Term:
         inner = differentiate(t.base, var)
         scaled = _mul(RationalConst(Fraction(t.exponent)), IntPow(t.base, t.exponent - 1))
         return _mul(scaled, inner)
-    if isinstance(t, NormVal):
+    if isinstance(t, (NormVal, LevelSpike)):
         return _ZERO
-    if isinstance(t, BuiltinCall):
-        spec = _BUILTINS.get(t.name)
-        if spec is None or spec.derivative is None:
-            raise UnknownDerivativeError(f"builtin {t.name!r} has no declared derivative")
-        if spec.derivative == "zero":
-            return _ZERO
-        # registered rule gives d/d(arg); chain through the single argument
-        return _mul(spec.derivative(t.arg), differentiate(t.arg, var))
     raise TypeError(f"not a term node: {t!r}")

@@ -41,17 +41,15 @@ from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset, tuple_norm
 from ultralip.regions import Ball, SplitClass
 from ultralip.terms import (
-    _BUILTINS,
     Add,
     And,
-    BuiltinCall,
     BuiltinDomainError,
     Condition,
     CosetMember,
     Div,
     DivisionByZero,
-    EvaluationError,
     IntPow,
+    LevelSpike,
     Mul,
     NormCmp,
     NormVal,
@@ -67,6 +65,7 @@ from ultralip.terms import (
     TrueCond,
     UnboundVariableError,
     Variable,
+    _levelspike_value,
     _point_str,
 )
 
@@ -505,11 +504,8 @@ def _eval(t: Term, point: Mapping, ctx: PrimeContext) -> PadicScalar:
         if arg.is_zero:
             raise BuiltinDomainError("normval is declared on nonzero arguments")
         return PadicScalar(ctx.power(-arg.ord().value), ctx)
-    if isinstance(t, BuiltinCall):
-        spec = _BUILTINS.get(t.name)
-        if spec is None:
-            raise EvaluationError(f"unknown builtin {t.name!r}")
-        return spec.evaluate(ctx, _eval(t.arg, point, ctx))
+    if isinstance(t, LevelSpike):
+        return _levelspike_value(ctx, _eval(t.arg, point, ctx))
     raise TypeError(f"not a term node: {t!r}")
 
 

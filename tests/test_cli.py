@@ -204,6 +204,28 @@ class TestLipschitzCommands:
         assert code == 1
         assert "failed" in out
 
+    def test_certify_nonzero_image_center_exit_one(self, capsys):
+        """f(center) = 1 centres the fitted image cell at 1: an outcome of
+        the analysis, reported as a failure with its payload."""
+        code, out, err = run(
+            capsys, "certify", "-p", "3", "-f", "x^2+1",
+            "--coset", "1*Q(1,1)", "--var", "x", "--window=0:3", "-M", "3", "--json",
+        )
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "failure": "ImageCenterNotZero",
+            "detail": "fitted image cell center must be 0, found 1",
+        }
+
+    def test_certify_nonzero_source_center_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "-p", "3", "-f", "x",
+            "--cell", "cell(center=1; coset=1*Q(1,1); all; var=x)",
+            "--window=0:2", "-M", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: source cell center must be 0\n"
+
 
 class TestPrepareCommand:
     def test_prepare_verify(self, capsys):

@@ -4,7 +4,9 @@ Every module-level import in src/ultralip/*.py (except the package's
 __init__, which re-exports) must be used in its module or listed in the
 module's __all__.  Every module-level private function or class must be
 referenced somewhere in src/ultralip outside its own body.  An import or a
-helper left behind by a deletion fails here.
+helper left behind by a deletion fails here.  No module imports a private
+name from another module of the package, except the few that are shared on
+purpose, each listed with its reason.
 """
 
 import ast
@@ -97,3 +99,43 @@ def test_check_sees_orphaned_helpers():
         "b.py": "from .a import _imported\n",
     }
     assert orphans(sources) == [("a.py", "_Orphan"), ("a.py", "_recursive")]
+
+
+# the private names that a module may import from another, with the reason
+SHARED_PRIVATES = {
+    "_Parser": "terms is the one reader of literal text",
+    "_scalar": "qp_core's normal-form constructor",
+    "_fiber_variable": "jacobian's one-variable rule, which the local check shares",
+}
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each private name that the source imports from a
+    module of the package, at any depth of its body."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ultralip")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_names_stay_in_their_module(path):
+    imported = private_imports(path.read_text())
+    assert [(line, name) for line, name in imported if name not in SHARED_PRIVATES] == []
+
+
+def test_check_sees_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from fractions import _gcd\n"
+        "from .a import public, _private\n"
+        "from ultralip.b import _absolute\n"
+        "from . import c\n"
+        "def f():\n"
+        "    from ..d import _nested, __version__\n"
+    )
+    assert private_imports(source) == [(3, "_private"), (4, "_absolute"), (7, "_nested")]

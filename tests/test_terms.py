@@ -16,13 +16,13 @@ from ultralip.qp_core import PrimeContext
 from ultralip.terms import (
     Add,
     And,
-    BuiltinCall,
     BuiltinDomainError,
+    Condition,
     CosetMember,
     DivisionByZero,
     Div,
-    EvaluationError,
     IntPow,
+    LevelSpike,
     Mul,
     NormCmp,
     NormVal,
@@ -34,9 +34,9 @@ from ultralip.terms import (
     PiecewiseFunction,
     RationalConst,
     Sub,
+    Term,
     TrueCond,
     UnboundVariableError,
-    UnknownDerivativeError,
     Variable,
     compile_condition,
     compile_term,
@@ -92,19 +92,18 @@ class TestParsing:
             parse_term("frobnicate(t)")
 
     def test_known_builtin_parses(self):
-        t = parse_term("levelspike(t)")
-        assert t.name == "levelspike"
+        assert parse_term("levelspike(t)") == LevelSpike(Variable("t"))
 
     def test_levelspike_needs_only_the_terms_module(self, monkeypatch):
-        """The builtin is registered by terms itself, not by importing the
-        package (whose __init__ also loads lipschitz)."""
+        """levelspike is a node of terms itself, not something that importing
+        the package (whose __init__ also loads lipschitz) adds."""
         pkg = types.ModuleType("_ul")
         pkg.__path__ = [str(Path(__file__).resolve().parents[1] / "src" / "ultralip")]
         monkeypatch.setitem(sys.modules, "_ul", pkg)
         try:
             terms = importlib.import_module("_ul.terms")
             assert "_ul.lipschitz" not in sys.modules
-            assert terms.parse_term("levelspike(t)").name == "levelspike"
+            assert type(terms.parse_term("levelspike(t)")) is terms.LevelSpike
         finally:
             for name in [n for n in sys.modules if n.startswith("_ul.")]:
                 del sys.modules[name]
@@ -116,8 +115,6 @@ class TestParsing:
             parse_piecewise("piecewise(t) { true -> s }")
 
     def test_parse_dispatch(self):
-        from ultralip.terms import Condition, PiecewiseFunction, Term
-
         assert isinstance(parse("t+1"), Term)
         assert isinstance(parse("|t| < |1|"), Condition)
         assert isinstance(parse("piecewise(t) { true -> t }"), PiecewiseFunction)
@@ -246,30 +243,6 @@ class TestDifferentiation:
     def test_levelspike_derivative_zero(self):
         assert differentiate(parse_term("levelspike(t)"), "t") == RationalConst(0)
 
-    def test_unknown_derivative(self, monkeypatch):
-        import ultralip.terms as terms
-        from ultralip.terms import BuiltinCall, BuiltinSpec, register_builtin
-
-        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
-        register_builtin(BuiltinSpec("opaque", lambda ctx, x: x, None))
-        with pytest.raises(UnknownDerivativeError):
-            differentiate(BuiltinCall("opaque", Variable("t")), "t")
-
-    def test_builtin_chain_rule(self, ctx5, monkeypatch):
-        import ultralip.terms as terms
-        from ultralip.terms import BuiltinCall, BuiltinSpec, register_builtin
-
-        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
-        register_builtin(
-            BuiltinSpec(
-                "cubed",
-                lambda ctx, x: x**3,
-                lambda arg: Mul(RationalConst(3), IntPow(arg, 2)),
-            )
-        )
-        d = differentiate(BuiltinCall("cubed", parse_term("2*t+1")), "t")
-        self._check_equal(d, parse_term("6*(2*t+1)^2"), ctx5)
-
     def test_builtins_must_be_unary(self):
         with pytest.raises(ParseError, match="takes 1 argument"):
             parse_term("levelspike(t, t)")
@@ -365,7 +338,7 @@ def _node(inner):
         st.builds(Div, inner, inner),
         st.builds(IntPow, inner, st.integers(-3, 3)),
         st.builds(NormVal, inner),
-        st.builds(BuiltinCall, st.sampled_from(["levelspike", "levelspike", "nosuch"]), inner),
+        st.builds(LevelSpike, inner),
     )
 
 
@@ -473,11 +446,58 @@ class TestCompiledAgainstTheWalk:
             assert expected[1] is (DivisionByZero if x == 0 else ValueError)
             assert _outcome(lambda: eval_condition(c, point, ctx3)) == expected
 
-    def test_unknown_builtin_fails_before_its_argument(self, ctx3):
-        t = BuiltinCall("nosuch", Div(RationalConst(1), RationalConst(0)))
-        with pytest.raises(EvaluationError, match="unknown builtin 'nosuch'"):
-            evaluate(t, {}, ctx3)
-        assert _outcome(lambda: oracles._eval(t, {}, ctx3)) == _outcome(lambda: evaluate(t, {}, ctx3))
+
+# one literal per node class of the language, with its free variables
+_NODE_SAMPLES = {
+    Variable: ("x", ("x",)),
+    RationalConst: ("-3/4", ()),
+    Add: ("x+y", ("x", "y")),
+    Sub: ("y-x", ("y", "x")),
+    Mul: ("2*x", ("x",)),
+    Div: ("x/(y-1)", ("x", "y")),
+    IntPow: ("x^-2", ("x",)),
+    NormVal: ("normval(x)", ("x",)),
+    LevelSpike: ("levelspike(y*x)", ("y", "x")),
+    NormCmp: ("|x| < |y|", ("x", "y")),
+    OrdCongruence: ("ord(x) % 2 = 1", ("x",)),
+    CosetMember: ("y in 1*Q(1,1)", ("y",)),
+    And: ("|x| <= |1| && |y| = |x|", ("x", "y")),
+    Or: ("|x| < |y| || true", ("x", "y")),
+    Not: ("!(x in -1*Q(1,2))", ("x",)),
+    TrueCond: ("true", ()),
+}
+
+
+class TestClosedLanguage:
+    """Every node class has a sample, and every dispatcher takes it: a node
+    added without one, or missed by the parser, the printer, free_variables,
+    the compiler, the oracle walk or differentiate, fails here."""
+
+    def test_the_samples_are_exactly_the_node_classes(self):
+        assert set(_NODE_SAMPLES) == set(Term.__subclasses__()) | set(Condition.__subclasses__())
+
+    @pytest.mark.parametrize("cls", list(_NODE_SAMPLES), ids=lambda cls: cls.__name__)
+    def test_every_dispatcher_takes_the_node(self, cls):
+        source, names = _NODE_SAMPLES[cls]
+        is_term = issubclass(cls, Term)
+        node = (parse_term if is_term else parse_condition)(source)
+        assert type(node) is cls
+        text = (format_term if is_term else format_condition)(node)
+        assert (parse_term if is_term else parse_condition)(text) == node
+        assert free_variables(node) == names
+        walk, run = (oracles._eval, compile_term) if is_term else (oracles._eval_cond, compile_condition)
+        answered = 0
+        for p in (2, 3, 5):
+            ctx = PrimeContext(p)
+            for x, y in ((0, 1), (1, p), (p, 1), (p + p**3, p), (Fraction(1, p), 1)):
+                point = {"x": ctx.scalar(x), "y": ctx.scalar(y)}
+                expected = _outcome(lambda: walk(node, point, ctx))
+                assert _outcome(lambda: run(node, ctx)(point)) == expected, (p, x, y)
+                answered += expected[0] != "raises"
+        assert answered, "no sample point gives a value"
+        if is_term:
+            d = differentiate(node, "x")
+            assert isinstance(d, Term)
 
 
 class TestCompiledMemo:
@@ -527,18 +547,3 @@ class TestCompiledMemo:
                 assert twin == node and twin is not node
                 assert "_compiled" not in vars(twin)
         assert evaluate(copy.deepcopy(t), point) == evaluate(t, point)
-
-    def test_a_builtin_registered_after_compiling_is_honoured(self, ctx3, monkeypatch):
-        import ultralip.terms as terms
-        from ultralip.terms import BuiltinSpec, register_builtin
-
-        t = BuiltinCall("late", Variable("x"))
-        f = compile_term(t, ctx3)
-        with pytest.raises(EvaluationError, match="unknown builtin 'late'"):
-            f({"x": ctx3.scalar(2)})
-        monkeypatch.setattr(terms, "_BUILTINS", dict(terms._BUILTINS))
-        register_builtin(BuiltinSpec("late", lambda ctx, x: x * x, "zero"))
-        assert f({"x": ctx3.scalar(3)}).value == 9
-        assert evaluate(t, {"x": ctx3.scalar(5)}).value == 25
-        register_builtin(BuiltinSpec("late", lambda ctx, x: x + x, "zero"))
-        assert f({"x": ctx3.scalar(3)}).value == 6
