@@ -450,7 +450,12 @@ def in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
     """Exact membership of x in lambda*Q_{m,n}.
 
     For lambda = 0 the coset is {0}; otherwise x must be nonzero with
-    ord(x) - ord(lambda) divisible by n and ac_m(x / lambda) = 1.
+    ord(x) - ord(lambda) divisible by n and ac_m(x / lambda) = 1.  The
+    angular component is multiplicative on nonzero scalars: the unit part
+    of a product is the product of the unit parts, and reduction mod p^m
+    is a ring map on the units of Z_p, so ac_m(x / lambda) =
+    ac_m(x) * ac_m(lambda)^-1 mod p^m.  It is 1 exactly when
+    ac_m(x) = ac_m(lambda), which needs no division.
     """
     if spec.is_zero:
         return x.is_zero
@@ -459,7 +464,7 @@ def in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
     shift = x.ord().value - spec.lam.ord().value
     if shift % spec.n != 0:
         return False
-    return (x / spec.lam).ac(spec.m) == 1
+    return x.ac(spec.m) == spec.lam.ac(spec.m)
 
 
 def tuple_norm(xs: Sequence[PadicScalar] | Iterable[PadicScalar]) -> "int | None":

@@ -138,8 +138,10 @@ def enumerate_window(window: Window, ctx: PrimeContext) -> tuple[PadicScalar, ..
 
 class SplitClass(NamedTuple):
     """Points that agree mod p^level and fall into two or more classes mod
-    p^(level+1).  labels[n] names the class mod p^(level+1) of members[n];
-    children lists the members of each residue in order of first appearance.
+    p^(level+1).  labels[n] is an int residue that names the class mod
+    p^(level+1) of members[n]: two members share a child exactly when their
+    labels are equal.  children lists the members of each residue in order
+    of first appearance.
     """
 
     level: int
@@ -148,41 +150,94 @@ class SplitClass(NamedTuple):
     children: list
 
 
+def _interleave(ints: Sequence[Sequence[int]], p: int) -> list:
+    """One integer key per tuple of ints, whose residue mod p^(n*k) decides
+    every coordinate mod p^k, for every k >= 0 (n = the tuple length).
+
+    Each coordinate c is reduced to r = c mod p^D, with one D for all the
+    tuples and p^D > 2 * max |c|, and digit j of r_i goes to position n*j + i.
+    """
+    span = 2 * max(abs(c) for pt in ints for c in pt)
+    digits = 1
+    reach = p
+    while reach <= span:
+        digits += 1
+        reach *= p
+    keys = []
+    for pt in ints:
+        residues = [c % reach for c in pt]
+        key = 0
+        weight = 1
+        for _ in range(digits):
+            for i, r in enumerate(residues):
+                residues[i], digit = divmod(r, p)
+                key += digit * weight
+                weight *= p
+        keys.append(key)
+    return keys
+
+
 def splitting_classes(points: Sequence) -> list:
     """Every class of the ultrametric ball tree of points that splits.
 
-    A point is a PadicScalar in Z[1/p] or a tuple of them, and two points
-    agree mod p^k when every coordinate does: the ball of radius p^(-k) of
-    the max norm.  With lo the least finite ord of any coordinate, each
-    coordinate c keys to the integer c * p^(-lo) (zero to 0), and two points
-    agree mod p^k exactly when their keys agree mod p^(k - lo).  The tree
-    starts at level lo, where all the points agree.  A pair of points at ord
-    distance exactly k is a pair across two children of the level-k class
-    holding both, so every pair lies across exactly one split class, whose
-    level is the pair's ord distance.  Members ascend, and a class comes
-    before its descendants.  Costs O(len(points) * levels).
+    A point is a PadicScalar in Z[1/p] or a tuple of n of them, and two
+    points agree mod p^k when every coordinate does: the ball of radius
+    p^(-k) of the max norm.  With lo the least finite ord of any coordinate,
+    each coordinate c becomes the integer c * p^(-lo) (zero becomes 0), and
+    two points agree mod p^k exactly when these integers agree mod
+    p^(k - lo).  One coordinate is its own key.  A tuple keys to one
+    integer that interleaves the base-p digits of its coordinates
+    (_interleave): every coordinate c is reduced to r = c mod p^D with a D
+    common to all points and p^D > 2 * max |c|, and digit j of r_i goes to
+    position n*j + i.
+
+    The interleaving law: keys agree mod p^(n*k) exactly when every
+    coordinate agrees mod p^k.  The residue of a key mod p^(n*k) holds the
+    digits j < k of every r_i and nothing else, so keys agree there exactly
+    when every r_i agrees mod p^min(k, D).  For k <= D that is c_i mod p^k,
+    as r_i = c_i mod p^D.  For k > D, agreement of c_i mod p^k gives equal
+    r_i; and equal r_i give c_i = c'_i, since p^D divides c_i - c'_i while
+    |c_i - c'_i| <= 2 * max |c| < p^D.  So the label of a point at level k
+    is its key mod p^(n*(k + 1 - lo)), a plain int.
+
+    The tree starts at level lo, where all the points agree.  A pair of
+    points at ord distance exactly k is a pair across two children of the
+    level-k class holding both, so every pair lies across exactly one split
+    class, whose level is the pair's ord distance.  Members ascend, and a
+    class comes before its descendants.  Costs O(len(points) * levels).
     """
-    coords = [pt if isinstance(pt, tuple) else (pt,) for pt in points]
-    if not coords:
+    if not points:
         return []
+    tuples = isinstance(points[0], tuple)
+    coords = points if tuples else [(pt,) for pt in points]
     ctx = coords[0][0].context
+    p = ctx.p
     lo = min((c.ord().value for pt in coords for c in pt if not c.is_zero), default=0)
-    scale = ctx.power(-lo)
-    keys = [tuple(int(c.value * scale) for c in pt) for pt in coords]
+    if lo >= 0:
+        # every coordinate is an int divisible by p^lo
+        down = p**lo
+        ints = [[c.value // down for c in pt] for pt in coords]
+    else:
+        # every denominator divides p^(-lo)
+        up = p**-lo
+        ints = [[int(c.value * up) for c in pt] for pt in coords]
+    keys = _interleave(ints, p) if tuples else [pt[0] for pt in ints]
     if len(set(keys)) != len(keys):
         raise ValueError("ball tree points must be distinct")
+    step = p ** len(coords[0])
     out = []
-    stack = [(lo, list(range(len(keys))))]
+    stack = [(lo, list(range(len(keys))), step)]
     while stack:
-        level, members = stack.pop()
-        modulus = ctx.p ** (level + 1 - lo)
-        labels = [tuple(c % modulus for c in keys[i]) for i in members]
+        level, members, modulus = stack.pop()
+        labels = [keys[i] % modulus for i in members]
         children: dict = {}
         for i, label in zip(members, labels):
             children.setdefault(label, []).append(i)
         if len(children) > 1:
             out.append(SplitClass(level, members, labels, list(children.values())))
-        stack.extend((level + 1, child) for child in children.values() if len(child) > 1)
+        stack.extend(
+            (level + 1, child, modulus * step) for child in children.values() if len(child) > 1
+        )
     return out
 
 

@@ -350,6 +350,10 @@ def _split_word(text: str, line: int, col: int) -> list:
     return out + [_Token("ident", text[k:], line, col + k)]
 
 
+# the one-argument builtins, each read by one branch of _Parser.atom
+_UNARY = {"normval": NormVal, "levelspike": LevelSpike}
+
+
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
@@ -470,14 +474,11 @@ class _Parser:
             return node
         if tok.kind == "ident":
             name = tok.text
-            if name == "normval":
-                self.next()
-                self.expect("(")
-                arg = self.term()
-                self.expect(")")
-                return NormVal(arg)
-            if self.peek(1).text == "(" and name not in _RESERVED:
-                if name != "levelspike":
+            # normval is reserved and always a call; levelspike is a call
+            # only when "(" follows, and a variable name otherwise
+            if name == "normval" or (self.peek(1).text == "(" and name not in _RESERVED):
+                node = _UNARY.get(name)
+                if node is None:
                     raise ParseError(f"unknown builtin {name!r}", tok.line, tok.col)
                 self.next()
                 self.expect("(")
@@ -485,7 +486,7 @@ class _Parser:
                 if self.at(","):
                     raise ParseError(f"builtin {name!r} takes 1 argument", tok.line, tok.col)
                 self.expect(")")
-                return LevelSpike(arg)
+                return node(arg)
             if name in _RESERVED:
                 self.fail(f"reserved word {name!r} cannot start a term")
             self.next()

@@ -13,6 +13,9 @@ The frac_* functions are references for the scalar kernel: the Q_p
 formulas of qp_core computed on Fractions only, with no integer fast path
 and no caching.
 
+division_in_coset is the reference for qp_core.in_coset: membership by
+the angular component of the quotient x / lambda.
+
 char_tokens is the reference for the term tokenizer: one character at a
 time, with the str predicates that define the token language.
 
@@ -38,7 +41,7 @@ from typing import Mapping
 
 from ultralip.cells import _greedy_progressions
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
-from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset, tuple_norm
+from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, tuple_norm
 from ultralip.regions import Ball, SplitClass
 from ultralip.terms import (
     Add,
@@ -472,6 +475,26 @@ def exhaustive_verify_prepared(f, piece, depth):
 
 
 # ---------------------------------------------------------------------------
+# coset membership by division
+
+
+def division_in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
+    """Exact membership of x in lambda*Q_{m,n}.
+
+    For lambda = 0 the coset is {0}; otherwise x must be nonzero with
+    ord(x) - ord(lambda) divisible by n and ac_m(x / lambda) = 1.
+    """
+    if spec.is_zero:
+        return x.is_zero
+    if x.is_zero:
+        return False
+    shift = x.ord().value - spec.lam.ord().value
+    if shift % spec.n != 0:
+        return False
+    return (x / spec.lam).ac(spec.m) == 1
+
+
+# ---------------------------------------------------------------------------
 # the term tree walk
 
 
@@ -529,7 +552,7 @@ def _eval_cond(c: Condition, point: Mapping, ctx: PrimeContext) -> bool:
     if isinstance(c, CosetMember):
         x = _eval(c.term, point, ctx)
         lam = PadicScalar(c.lam, ctx)
-        return in_coset(x, CosetSpec(lam, c.m, c.n))
+        return division_in_coset(x, CosetSpec(lam, c.m, c.n))
     if isinstance(c, And):
         return _eval_cond(c.left, point, ctx) and _eval_cond(c.right, point, ctx)
     if isinstance(c, Or):

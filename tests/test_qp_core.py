@@ -1,9 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import division_in_coset
 from ultralip.qp_core import (
     CosetSpec,
     INFINITE_ORD,
@@ -104,6 +106,26 @@ class TestCosets:
             for y in members:
                 assert in_coset(x * y, spec)
             assert in_coset(ctx3.scalar(1) / x, spec)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matches_membership_by_division(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        ctx = PrimeContext(p)
+        power = st.integers(-3, 3).map(lambda e: Fraction(p) ** e)
+        nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+        rational = st.one_of(st.just(Fraction(0)), st.builds(operator.mul, nonzero, power))
+        lam = data.draw(rational)
+        if lam and data.draw(st.booleans()):
+            # lambda times an element of Q_{m,n}, sometimes moved off it by u
+            unit = 1 + p**m * data.draw(st.integers(-9, 9))
+            u = data.draw(st.sampled_from([1, 1, 2, p + 1, Fraction(1, p + 1)]))
+            x = lam * Fraction(p) ** (n * data.draw(st.integers(-2, 2))) * unit * u
+        else:
+            x = data.draw(rational)
+        spec = CosetSpec(ctx.scalar(lam), m, n)
+        assert in_coset(ctx.scalar(x), spec) == division_in_coset(ctx.scalar(x), spec)
 
 
 class TestTupleNorm:

@@ -247,6 +247,11 @@ class TestDifferentiation:
         with pytest.raises(ParseError, match="takes 1 argument"):
             parse_term("levelspike(t, t)")
 
+    def test_normval_must_be_unary(self):
+        with pytest.raises(ParseError, match="builtin 'normval' takes 1 argument") as err:
+            parse_term("normval(x,x)")
+        assert (err.value.line, err.value.col) == (1, 1)
+
 
 # random integer-coefficient polynomial terms for the gradient check
 poly_terms = st.recursive(

@@ -32,7 +32,7 @@ from ultralip.lipschitz import (
     empirical_lipschitz,
 )
 from ultralip.qp_core import PrimeContext
-from ultralip.regions import Ball, Window, enumerate_window, splitting_classes
+from ultralip.regions import Ball, Window, _interleave, enumerate_window, splitting_classes
 from ultralip.terms import differentiate, eval_condition, evaluate, parse_condition, parse_term
 
 seeded = settings(derandomize=True, deadline=None, max_examples=60)
@@ -325,25 +325,52 @@ class TestSplittingClasses:
 
     @seeded
     @given(st.data())
+    def test_interleaving_law(self, data):
+        """Keys agree mod p^(n*k) exactly when every coordinate agrees mod p^k."""
+        n = data.draw(st.sampled_from([1, 2, 3]))
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        coordinate = st.one_of(st.just(0), st.integers(-40, 40))
+        ints = data.draw(st.lists(st.tuples(*[coordinate] * n), min_size=2, max_size=10))
+        keys = _interleave(ints, p)
+        assert all(isinstance(key, int) and key >= 0 for key in keys)
+        for (a, key_a), (b, key_b) in itertools.combinations(zip(ints, keys), 2):
+            for k in range(10):  # p^10 > 2 * 40, past every key's last digit
+                coordinates_agree = all((x - y) % p**k == 0 for x, y in zip(a, b))
+                assert (key_a % p ** (n * k) == key_b % p ** (n * k)) == coordinates_agree
+
+    @seeded
+    @given(st.data())
     def test_matches_the_tuple_keyed_tree(self, data):
-        """The tree of the points is the tree of the keys the scan used to
-        build, value * p^shift with shift = max(0, -v_min), shifted by shift."""
-        n = data.draw(st.sampled_from([1, 2]))
-        p, window = data.draw(windows(v_min=st.integers(-2, 2), budget=120 if n == 1 else 12))
+        """The tree of any finite set in Z[1/p]^n is the tree of the integer
+        key tuples value * p^shift, shift clearing every denominator, with
+        levels shifted by shift; the int labels split each class as the
+        tuple labels do."""
+        n = data.draw(st.sampled_from([1, 2, 3]))
+        p = data.draw(st.sampled_from([2, 3, 5]))
         ctx = PrimeContext(p)
-        region = parse_condition(data.draw(st.sampled_from(REGIONS)))
-        axis = [
-            x for x in sorted(enumerate_window(window, ctx)) if eval_condition(region, {"t": x}, ctx)
+        coordinate = st.one_of(
+            st.just(Fraction(0)),
+            st.tuples(st.integers(-12, 12), st.integers(-2, 2)).map(
+                lambda ae: Fraction(ae[0]) * Fraction(p) ** ae[1]
+            ),
+        )
+        values = data.draw(
+            st.lists(st.tuples(*[coordinate] * n), min_size=1, max_size=30, unique=True)
+        )
+        points = [tuple(ctx.scalar(c) for c in pt) for pt in values]
+        if n == 1:
+            points = [pt[0] for pt in points]
+        shift = max([0] + [-ctx.scalar(c).ord().value for pt in values for c in pt if c])
+        keys = [tuple(int(c * p**shift) for c in pt) for pt in values]
+        splits = splitting_classes(points)
+        expected = tuple_splitting_classes(keys, p)
+        assert [(s.level + shift, s.members, s.children) for s in splits] == [
+            (s.level, s.members, s.children) for s in expected
         ]
-        points = axis if n == 1 else list(itertools.product(axis, repeat=2))
-        shift = max(0, -window.v_min)
-        keys = [
-            tuple(int(c.value * p**shift) for c in (pt if isinstance(pt, tuple) else (pt,)))
-            for pt in points
-        ]
-        assert [(s.level + shift, s.members, s.children) for s in splitting_classes(points)] == [
-            (s.level, s.members, s.children) for s in tuple_splitting_classes(keys, p)
-        ]
+        for split, oracle in zip(splits, expected):
+            assert all(label.__class__ is int for label in split.labels)
+            pairs = set(zip(split.labels, oracle.labels))
+            assert len(pairs) == len(set(split.labels)) == len(set(oracle.labels))
 
     def test_duplicate_keys_rejected(self):
         ctx2 = PrimeContext(2)
