@@ -10,9 +10,8 @@ from .qp_core import (
     INFINITE_ORD,
     PadicScalar,
     PrimeContext,
-    Valuation,
+    format_ord,
     in_coset,
-    tuple_norm,
 )
 from .regions import Ball, BallRelation, Window, enumerate_window
 from .terms import (

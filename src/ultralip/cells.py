@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .qp_core import CosetSpec, PadicScalar, PrimeContext, in_coset
+from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, in_coset
 from .regions import Ball, BallRelation, Window
 from .terms import (
     Condition,
@@ -95,14 +95,14 @@ class Cell:
         lo = hi = None
         if self.beta is not None:
             b = evaluate(self.beta, y, self.context).ord()
-            if not b.is_finite:
+            if b == INFINITE_ORD:
                 raise EvaluationError("boundary term beta evaluates to zero")
-            lo = b.value + 1
+            lo = b + 1
         if self.alpha is not None:
             a = evaluate(self.alpha, y, self.context).ord()
-            if not a.is_finite:
+            if a == INFINITE_ORD:
                 raise EvaluationError("boundary term alpha evaluates to zero")
-            hi = a.value - 1
+            hi = a - 1
         return lo, hi
 
     def __str__(self) -> str:
@@ -136,7 +136,7 @@ def ball_of_cell(cell: Cell, t: PadicScalar, y: Optional[Mapping] = None) -> Bal
         raise ZeroCellHasNoBalls("a 0-cell has no balls")
     if not cell_contains(cell, t, y):
         raise ValueError(f"point {t} is not in the cell fiber")
-    a = (t - cell.center_at(y)).ord().value
+    a = (t - cell.center_at(y)).ord()
     return Ball(t, cell.coset.m + a)
 
 
@@ -155,8 +155,8 @@ def enumerate_balls(cell: Cell, y: Optional[Mapping], window: Window) -> list:
     ctx = cell.context
     c = cell.center_at(y)
     lo, hi = cell.level_bounds(y)
-    lam_ord = cell.coset.lam.ord().value
-    residue = cell.coset.lam.ac(cell.coset.m)
+    lam_ord = cell.coset.lam.ord()
+    residue = cell.coset.lam_ac
     m, n = cell.coset.m, cell.coset.n
     lo = window.v_min if lo is None else max(lo, window.v_min)
     hi = window.v_max if hi is None else min(hi, window.v_max)
@@ -306,7 +306,7 @@ def _fit_with_center(balls: Sequence[Ball], d: PadicScalar, fiber_var: str) -> l
     groups: dict = {}
     for ball in balls:
         delta = ball.center - d
-        b = delta.ord().value
+        b = delta.ord()
         m = ball.radius_ord - b
         if m < 1:
             raise ValueError(f"candidate {d} is not separated from ball {ball}")
@@ -356,10 +356,10 @@ def format_cell(cell: Cell) -> str:
     lo = hi = None
     if cell.beta is not None and isinstance(cell.beta, RationalConst):
         b = cell.context.scalar(cell.beta.value).ord()
-        lo = b.value + 1 if b.is_finite else None
+        lo = None if b == INFINITE_ORD else b + 1
     if cell.alpha is not None and isinstance(cell.alpha, RationalConst):
         a = cell.context.scalar(cell.alpha.value).ord()
-        hi = a.value - 1 if a.is_finite else None
+        hi = None if a == INFINITE_ORD else a - 1
     if lo is not None and hi is not None:
         parts.append(f"ord in [{lo},{hi}]")
     elif lo is not None:

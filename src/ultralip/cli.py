@@ -17,7 +17,7 @@ import re
 import sys
 import traceback
 
-from .qp_core import PadicScalar, PrimeContext
+from .qp_core import PadicScalar, PrimeContext, format_ord
 from .regions import Ball, Window
 from .cells import Cell, ZeroCellHasNoBalls, enumerate_balls, parse_cell, format_cell, ball_of_cell
 from .jacobian import (
@@ -157,17 +157,17 @@ def _cmd_eval(args, ctx: PrimeContext) -> int:
         value = evaluate(f, point, ctx)
     payload = {
         "value": str(value),
-        "ord": str(value.ord()),
+        "ord": format_ord(value.ord()),
         "norm": _norm_str(ctx.p, value.norm_exponent()),
     }
-    _emit(payload, f"{value}  (ord {value.ord()}, |.| = {payload['norm']})", args.json)
+    _emit(payload, f"{value}  (ord {payload['ord']}, |.| = {payload['norm']})", args.json)
     return 0
 
 
 def _cmd_ord(args, ctx: PrimeContext) -> int:
     x = _scalar(args.value, ctx)
-    v = x.ord()
-    _emit({"ord": str(v)}, str(v), args.json)
+    v = format_ord(x.ord())
+    _emit({"ord": v}, v, args.json)
     return 0
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .qp_core import PadicScalar
+from .qp_core import INFINITE_ORD, PadicScalar, format_ord
 from .regions import Ball, BallRelation, Window, least_ord_break
 from .cells import Cell, NoCandidateFits, enumerate_balls, fit_cell
 from .terms import EvaluationError, Term, compile_term, differentiate, free_variables
@@ -196,12 +196,8 @@ def _distance_break(images, p: int, base: int) -> Optional[tuple]:
 
 def _tile(reps: list, images: list, depth: int):
     """map_ball from the images of the depth-M representatives of a ball."""
-    radius = None
-    for fx in images[1:]:
-        d = (fx - images[0]).ord()
-        if d.is_finite and (radius is None or d.value < radius):
-            radius = d.value
-    if radius is None:
+    radius = min((fx - images[0]).ord() for fx in images[1:])
+    if radius == INFINITE_ORD:
         return NotABall(
             (reps[0], reps[1]),
             f"f is constant ({images[0]}) on the representatives; the image is a point",
@@ -243,15 +239,15 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
             return JacobianViolation(
                 ViolationKind.C_JAC_ORD_VARIES,
                 (reps[0], x),
-                f"ord(f') is {ords[0]} at {reps[0]} but {o} at {x}",
+                f"ord(f') is {format_ord(ords[0])} at {reps[0]} but {format_ord(o)} at {x}",
             )
-    if not ords[0].is_finite:
+    jac_ord = ords[0]
+    if jac_ord == INFINITE_ORD:
         return JacobianViolation(
             ViolationKind.C_JAC_ORD_VARIES,
             (reps[0],),
-            f"ord(f') is +inf (derivative vanishes) at {reps[0]}",
+            f"ord(f') is {format_ord(jac_ord)} (derivative vanishes) at {reps[0]}",
         )
-    jac_ord = ords[0].value
 
     # (a) injectivity and image tiling at the forced radius
     f_at = compile_term(f, ctx)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .qp_core import PadicScalar, PrimeContext
+from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext
 from .regions import (
     Window,
     enumerate_window,
@@ -209,8 +209,8 @@ def _tree_scan(points, values):
     for split in splitting_classes(points):
         anchor = values[split.members[0]]
         d = min((values[child[0]] - anchor).ord() for child in split.children[1:])
-        if d.is_finite:
-            candidates.append((split.level - d.value, d, split))
+        if d != INFINITE_ORD:
+            candidates.append((split.level - d, d, split))
     if not candidates:
         return None, None
     best = max(ratio for ratio, _, _ in candidates)
@@ -367,7 +367,7 @@ def check_bounded_derivative_local_lipschitz(
 
     groups: dict = {}
     for x in pts:
-        groups.setdefault((x.ord().value, x.ac(1)), []).append(x)
+        groups.setdefault((x.ord(), x.ac(1)), []).append(x)
     for group in groups.values():
         vals = [f_at({var: x}) for x in group]
         pair = _local_break(group, vals)
@@ -418,7 +418,7 @@ def _exloc_break(points, values) -> Optional[tuple]:
     condition (least_ord_break).  The distance identity is the strict
     triangle law; it is checked on the first points of each pair of levels.
     """
-    levels = [x.ord().value for x in points]
+    levels = [x.ord() for x in points]
     first: dict = {}
     for n, v in enumerate(levels):
         first.setdefault(v, n)
@@ -504,7 +504,7 @@ def counterexample_exloc2(n_max: int, ctx: PrimeContext) -> CounterexampleTrace:
     for n in range(1, n_max + 1):
         b_i = PadicScalar(ctx.power(n), ctx)
         b_j = PadicScalar(ctx.power(n) + ctx.power(3 * n - 1), ctx)
-        if b_j.ord().value != n or b_j.ac(2 * n) == 1:
+        if b_j.ord() != n or b_j.ac(2 * n) == 1:
             raise RuntimeError(f"witness b_j at level {n} is not an unmarked neighbor")
         gap = (b_i - b_j).norm_exponent()
         if gap != -(3 * n - 1):

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, Valuation
+from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
 from .regions import Ball, Window
 from .cells import Cell, point_cell
 from .terms import _Parser
@@ -80,7 +80,7 @@ class FactoredTerm:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "exponents", tuple(a for _, a in self.factors))
         dist = tuple(
-            tuple(None if i == j else (ci - cj).ord().value for j, cj in enumerate(centers))
+            tuple(None if i == j else (ci - cj).ord() for j, cj in enumerate(centers))
             for i, ci in enumerate(centers)
         )
         object.__setattr__(self, "dist", dist)
@@ -89,17 +89,17 @@ class FactoredTerm:
     def context(self) -> PrimeContext:
         return self.unit.context
 
-    def ord_at(self, t: PadicScalar) -> Valuation:
+    def ord_at(self, t: PadicScalar) -> "int | float":
         """ord f(t) as the exact sum ord(u) + sum a_i ord(t - c_i)."""
-        total = self.unit.ord().value
+        total = self.unit.ord()
         for center, exponent in self.factors:
             o = (t - center).ord()
-            if not o.is_finite:
+            if o == INFINITE_ORD:
                 if exponent > 0:
                     return INFINITE_ORD
                 raise ZeroDivisionError(f"pole of f at t = {t}")
-            total += exponent * o.value
-        return Valuation.finite(total)
+            total += exponent * o
+        return total
 
     # geometry of the center set
 
@@ -134,7 +134,7 @@ class FactoredTerm:
         xi - w mod p^m.  The class pointing at a tie partner (xi = w) is not
         resolvable at depth m and is never emitted."""
         e = self.exponents[j]
-        h = self.unit.ord().value
+        h = self.unit.ord()
         for i, d in enumerate(self.dist[j]):
             if i == j:
                 continue
@@ -319,15 +319,17 @@ def _make_piece(
 def piece_contains(f: FactoredTerm, piece: PreparedPiece, t: PadicScalar) -> bool:
     delta = t - f.centers[piece.chosen_center_index]
     o = delta.ord()
-    if not o.is_finite or o.value < piece.level_min:
+    if o == INFINITE_ORD or o < piece.level_min:
         return False
-    if piece.level_max is not None and o.value > piece.level_max:
+    if piece.level_max is not None and o > piece.level_max:
         return False
     return delta.ac(piece.m) == piece.residue
 
 
-def _mismatch(t: PadicScalar, direct: Valuation, predicted: int) -> PrepareCheck:
-    return PrepareCheck(False, t, f"ord f({t}) = {direct} but the piece predicts {predicted}")
+def _mismatch(t: PadicScalar, direct: "int | float", predicted: int) -> PrepareCheck:
+    return PrepareCheck(
+        False, t, f"ord f({t}) = {format_ord(direct)} but the piece predicts {predicted}"
+    )
 
 
 def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> PrepareCheck:
@@ -361,9 +363,9 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
         if all(o < ball.radius_ord for o in ords):
             # no center lies in the ball, so every ord(t - c_i) is constant
             # on it and its first representative decides the identity exactly
-            direct = f.unit.ord().value + sum(e * o.value for e, o in zip(f.exponents, ords))
+            direct = f.unit.ord() + sum(e * o for e, o in zip(f.exponents, ords))
             if direct != predicted:
-                return _mismatch(t, Valuation.finite(direct), predicted)
+                return _mismatch(t, direct, predicted)
             continue
         for t in ball.representatives(depth):
             try:
@@ -371,7 +373,7 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
             except ZeroDivisionError as err:
                 # a piece from outside the sweep may contain a center
                 return PrepareCheck(False, t, f"{err}, inside the piece")
-            if not direct.is_finite or direct.value != predicted:
+            if direct != predicted:
                 return _mismatch(t, direct, predicted)
 
     criticals = f.criticals(j)

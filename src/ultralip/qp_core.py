@@ -11,31 +11,33 @@ separate flag for zero.
 
 Representation.  ``PadicScalar.value`` is an ``int`` when the scalar is an
 integer and a ``Fraction`` (denominator > 1) otherwise; every constructor
-normalises to that form, and no float ever appears.  Integer operands stay
+normalises to that form, and no value is ever a float.  Integer operands stay
 on ``int`` through ``+``, ``-``, ``*`` and ``**`` with a non-negative
 exponent; ``/`` and negative powers go through ``Fraction``.  Because
 ``3 == Fraction(3)`` with equal hashes and strings, values, hashes,
 equality and printing are those of the plain ``Fraction`` representation.
-A scalar computes its ``ord`` once and keeps it.  Every prime has one
-context, so context checks are identity tests, and the finite valuations
-in ``[-32, 96)`` are interned.
+A scalar computes its ``ord`` once and keeps it: an ``int``, or
+``INFINITE_ORD = math.inf`` for zero, so ``int`` and ``math.inf`` model
+Z u {+inf} with its order and with ``inf + k = inf``.  ``format_ord`` is
+the one place that writes a valuation as text.  Every prime has one
+context, so context checks are identity tests.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 __all__ = [
     "PrimeContext",
     "PadicScalar",
-    "Valuation",
     "INFINITE_ORD",
+    "format_ord",
     "CosetSpec",
     "in_coset",
-    "tuple_norm",
 ]
 
 RationalLike = Union[int, str, Fraction]
@@ -115,103 +117,13 @@ class PrimeContext:
         return [u for u in range(1, pn) if u % self.p != 0]
 
 
-@dataclass(frozen=True, slots=True)
-class Valuation:
-    """An element of the value group Z extended by +infinity (the ord of 0).
-
-    Infinity compares greater than every finite valuation, and addition with
-    anything saturates to infinity, so zero results propagate without
-    sentinel integers.  Reading ``.value`` on the infinite element raises.
-    Comparisons accept a Valuation or an int on either side.
-    """
-
-    _raw: "int | None"
-
-    @staticmethod
-    def finite(v: int) -> "Valuation":
-        return _valuation(int(v))
-
-    @property
-    def is_finite(self) -> bool:
-        return self._raw is not None
-
-    @property
-    def value(self) -> int:
-        if self._raw is None:
-            raise ValueError("the infinite valuation has no integer value")
-        return self._raw
-
-    # None (infinity) sorts above every int
-    def __lt__(self, other: "Valuation | int") -> bool:
-        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
-        if b is NotImplemented:
-            return NotImplemented
-        a = self._raw
-        return a is not None and (b is None or a < b)
-
-    def __le__(self, other: "Valuation | int") -> bool:
-        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
-        if b is NotImplemented:
-            return NotImplemented
-        a = self._raw
-        return b is None or (a is not None and a <= b)
-
-    def __gt__(self, other: "Valuation | int") -> bool:
-        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
-        if b is NotImplemented:
-            return NotImplemented
-        a = self._raw
-        return b is not None and (a is None or a > b)
-
-    def __ge__(self, other: "Valuation | int") -> bool:
-        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
-        if b is NotImplemented:
-            return NotImplemented
-        a = self._raw
-        return a is None or (b is not None and a >= b)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Valuation:
-            return self._raw == other._raw
-        if isinstance(other, int):
-            return self._raw == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._raw)
-
-    def __add__(self, other: "Valuation | int") -> "Valuation":
-        b = other._raw if other.__class__ is Valuation else _int_or_not(other)
-        if b is NotImplemented:
-            return NotImplemented
-        a = self._raw
-        if a is None or b is None:
-            return INFINITE_ORD
-        return _valuation(a + b)
-
-    __radd__ = __add__
-
-    def __str__(self) -> str:
-        return "+inf" if self._raw is None else str(self._raw)
-
-    def __repr__(self) -> str:
-        return f"Valuation({self})"
+# the ord of 0: above every int, and inf + k = inf saturates
+INFINITE_ORD = math.inf
 
 
-def _int_or_not(other: object) -> object:
-    return other if isinstance(other, int) else NotImplemented
-
-
-INFINITE_ORD = Valuation(None)
-
-# interned finite valuations: exponents in [_LOW, _HIGH)
-_LOW = -32
-_HIGH = 96
-_FINITE = tuple(Valuation(v) for v in range(_LOW, _HIGH))
-
-
-def _valuation(v: int) -> Valuation:
-    return _FINITE[v - _LOW] if _LOW <= v < _HIGH else Valuation(v)
+def format_ord(v: "int | float") -> str:
+    """The text of a valuation: its digits, or "+inf" for the ord of 0."""
+    return "+inf" if v == INFINITE_ORD else str(v)
 
 
 def _normalise(value: object) -> "int | Fraction":
@@ -267,8 +179,8 @@ class PadicScalar:
     def is_zero(self) -> bool:
         return not self.value
 
-    def ord(self) -> Valuation:
-        """Exact p-adic valuation; +infinity iff the scalar is zero."""
+    def ord(self) -> "int | float":
+        """Exact p-adic valuation: an int, or INFINITE_ORD iff the scalar is zero."""
         v = self._ord
         if v is None:
             value = self.value
@@ -281,19 +193,16 @@ class PadicScalar:
                 while value % p == 0:
                     value //= p
                     n += 1
-                v = _FINITE[n - _LOW] if n < _HIGH else Valuation(n)
+                v = n
             else:
                 p = self.context.p
-                v = _valuation(
-                    _int_multiplicity(value.numerator, p) - _int_multiplicity(value.denominator, p)
-                )
+                v = _int_multiplicity(value.numerator, p) - _int_multiplicity(value.denominator, p)
             _set_ord(self, v)
         return v
 
     def norm_exponent(self) -> "int | None":
         """The exponent e with |x| = p^e, or None for x = 0 (the zero flag)."""
-        v = self.ord()._raw
-        return None if v is None else -v
+        return -self.ord() if self.value else None
 
     def _unit(self, v: int) -> tuple:
         """(numerator, denominator) of the unit part x / p^v, v = ord(x)."""
@@ -313,7 +222,7 @@ class PadicScalar:
         if not self.value:
             return 0
         pn = self.context.p**n
-        num, den = self._unit(self.ord()._raw)
+        num, den = self._unit(self.ord())
         if den != 1:
             num *= pow(den, -1, pn)
         return num % pn
@@ -328,7 +237,7 @@ class PadicScalar:
             # ord >= 0, so the representative is value mod p^k
             r = value % p**k if k > 0 else 0
             return self if r == value else _scalar(r, ctx)
-        v = self.ord()._raw
+        v = self.ord()
         if v >= k:
             return _scalar(0, ctx)
         span = p ** (k - v)
@@ -437,6 +346,9 @@ class CosetSpec:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("coset depths m, n must be >= 1")
+        # ac_m(lambda), read by every membership test; outside the dataclass
+        # fields, so equality, hashing and repr still see only lam, m and n
+        object.__setattr__(self, "lam_ac", self.lam.ac(self.m))
 
     @property
     def is_zero(self) -> bool:
@@ -461,24 +373,8 @@ def in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
         return x.is_zero
     if x.is_zero:
         return False
-    shift = x.ord().value - spec.lam.ord().value
-    if shift % spec.n != 0:
+    # both nonzero here, so both ords are ints
+    if (x.ord() - spec.lam.ord()) % spec.n != 0:
         return False
-    return x.ac(spec.m) == spec.lam.ac(spec.m)
+    return x.ac(spec.m) == spec.lam_ac
 
-
-def tuple_norm(xs: Sequence[PadicScalar] | Iterable[PadicScalar]) -> "int | None":
-    """Norm exponent of a tuple: max of the component exponents.
-
-    Returns None (the zero flag) iff every component is zero; rejects an
-    empty sequence.
-    """
-    xs = list(xs)
-    if not xs:
-        raise ValueError("tuple_norm of an empty sequence")
-    best: "int | None" = None
-    for x in xs:
-        e = x.norm_exponent()
-        if e is not None and (best is None or e > best):
-            best = e
-    return best

@@ -109,8 +109,10 @@ class Window:
         return f"ord in [{self.v_min},{self.v_max}] @ depth {self.depth}"
 
     def ball_of(self, x: PadicScalar) -> Ball:
-        """The granularity ball x + p^(ord(x) + depth) Z_p of a point x."""
-        return Ball(x, x.ord().value + self.depth)
+        """The granularity ball x + p^(ord(x) + depth) Z_p of a point x != 0."""
+        if x.is_zero:
+            raise ValueError("the point 0 has no granularity ball")
+        return Ball(x, x.ord() + self.depth)
 
 
 def enumerate_window(window: Window, ctx: PrimeContext) -> tuple[PadicScalar, ...]:
@@ -212,7 +214,7 @@ def splitting_classes(points: Sequence) -> list:
     coords = points if tuples else [(pt,) for pt in points]
     ctx = coords[0][0].context
     p = ctx.p
-    lo = min((c.ord().value for pt in coords for c in pt if not c.is_zero), default=0)
+    lo = min((c.ord() for pt in coords for c in pt if not c.is_zero), default=0)
     if lo >= 0:
         # every coordinate is an int divisible by p^lo
         down = p**lo

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .qp_core import CosetSpec, PadicScalar, PrimeContext, _scalar, in_coset
+from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, _scalar, in_coset
 
 __all__ = [
     "Term",
@@ -901,7 +901,7 @@ def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
     """The value of LevelSpike at x."""
     if x.is_zero:
         return ctx.scalar(0)
-    n = x.ord().value
+    n = x.ord()
     if n < 1:
         raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
     if x.ac(2 * n) == 1:
@@ -975,7 +975,7 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
             a = arg(point)
             if not a:
                 raise BuiltinDomainError("normval is declared on nonzero arguments")
-            return ctx.power(-_scalar(a, ctx).ord().value)
+            return ctx.power(-_scalar(a, ctx).ord())
 
         return normval
     if isinstance(t, LevelSpike):
@@ -988,7 +988,8 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
     return not_a_term
 
 
-# |a| < |b| exactly when ord a > ord b, in Valuation's order (ord 0 = +inf)
+# |a| < |b| exactly when ord a > ord b; ord 0 is INFINITE_ORD = math.inf,
+# above every int, so 0 is the least norm
 _NORM_ORDER = {"<": operator.gt, "<=": operator.ge, "=": operator.eq}
 
 
@@ -1013,7 +1014,7 @@ def _compile_cond(c: Condition, ctx: PrimeContext) -> Callable:
 
         def ord_congruence(point):
             v = _scalar(term(point), ctx).ord()
-            return v.is_finite and v.value % modulus == residue
+            return v != INFINITE_ORD and v % modulus == residue
 
         return ord_congruence
     if isinstance(c, CosetMember):

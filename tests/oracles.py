@@ -41,7 +41,7 @@ from typing import Mapping
 
 from ultralip.cells import _greedy_progressions
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
-from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext, tuple_norm
+from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
 from ultralip.regions import Ball, SplitClass
 from ultralip.terms import (
     Add,
@@ -87,7 +87,9 @@ def scan_pairs(points, values):
             if ef is None:
                 continue
             if isinstance(points[i], tuple):
-                ex = tuple_norm([a - b for a, b in zip(points[i], points[j])])
+                # the max norm: the largest exponent of a nonzero component
+                diffs = [a - b for a, b in zip(points[i], points[j])]
+                ex = max(d.norm_exponent() for d in diffs if not d.is_zero)
             else:
                 ex = (points[i] - points[j]).norm_exponent()
             if best is None or ef - ex > best:
@@ -130,9 +132,9 @@ def exloc_pairs(points, values):
                 a, b = b, a
             if points[a].ord() == points[b].ord():
                 continue
-            if (values[a] - values[b]).norm_exponent() != points[b].ord().value:
+            if (values[a] - values[b]).norm_exponent() != points[b].ord():
                 return (i, j), 0
-            if (points[a] - points[b]).norm_exponent() != -points[a].ord().value:
+            if (points[a] - points[b]).norm_exponent() != -points[a].ord():
                 return (i, j), 1
     return None
 
@@ -439,11 +441,11 @@ def exhaustive_verify_prepared(f, piece, depth):
                 # a piece from outside the sweep may contain a center
                 return PrepareCheck(False, t, f"{err}, inside the piece")
             predicted = piece.h_exponent + piece.exponent * a
-            if not direct.is_finite or direct.value != predicted:
+            if direct != predicted:
                 return PrepareCheck(
                     False,
                     t,
-                    f"ord f({t}) = {direct} but the piece predicts {predicted}",
+                    f"ord f({t}) = {format_ord(direct)} but the piece predicts {predicted}",
                 )
 
     criticals = f.criticals(j)
@@ -488,7 +490,7 @@ def division_in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
         return x.is_zero
     if x.is_zero:
         return False
-    shift = x.ord().value - spec.lam.ord().value
+    shift = x.ord() - spec.lam.ord()
     if shift % spec.n != 0:
         return False
     return (x / spec.lam).ac(spec.m) == 1
@@ -526,7 +528,7 @@ def _eval(t: Term, point: Mapping, ctx: PrimeContext) -> PadicScalar:
         arg = _eval(t.arg, point, ctx)
         if arg.is_zero:
             raise BuiltinDomainError("normval is declared on nonzero arguments")
-        return PadicScalar(ctx.power(-arg.ord().value), ctx)
+        return PadicScalar(ctx.power(-arg.ord()), ctx)
     if isinstance(t, LevelSpike):
         return _levelspike_value(ctx, _eval(t.arg, point, ctx))
     raise TypeError(f"not a term node: {t!r}")
@@ -536,7 +538,8 @@ def _eval_cond(c: Condition, point: Mapping, ctx: PrimeContext) -> bool:
     if isinstance(c, TrueCond):
         return True
     if isinstance(c, NormCmp):
-        # |a| < |b| exactly when ord a > ord b, in Valuation's order (ord 0 = +inf)
+        # |a| < |b| exactly when ord a > ord b; ord 0 is INFINITE_ORD = math.inf,
+        # above every int, so 0 is the least norm
         lhs = _eval(c.lhs, point, ctx).ord()
         rhs = _eval(c.rhs, point, ctx).ord()
         if c.op == "<":
@@ -548,7 +551,7 @@ def _eval_cond(c: Condition, point: Mapping, ctx: PrimeContext) -> bool:
         raise ValueError(f"unknown norm comparison {c.op!r}")
     if isinstance(c, OrdCongruence):
         v = _eval(c.term, point, ctx).ord()
-        return v.is_finite and v.value % c.modulus == c.residue
+        return v != INFINITE_ORD and v % c.modulus == c.residue
     if isinstance(c, CosetMember):
         x = _eval(c.term, point, ctx)
         lam = PadicScalar(c.lam, ctx)

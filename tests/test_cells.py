@@ -95,11 +95,11 @@ class TestBallOfCell:
         for m in (1, 2):
             for t in enumerate_window(Window(-2, 2, m), ctx3):
                 lam_residue = t.ac(m)
-                lam = ctx3.scalar(Fraction(lam_residue) * Fraction(3) ** t.ord().value)
+                lam = ctx3.scalar(Fraction(lam_residue) * Fraction(3) ** t.ord())
                 cell = point_cell(ctx3.scalar(0), CosetSpec(lam, m, 1))
                 assert cell_contains(cell, t)
                 constructed = ball_of_cell(cell, t)
-                a = t.ord().value
+                a = t.ord()
                 set_formula = Ball(
                     ctx3.scalar(Fraction(lam_residue) * Fraction(3) ** a), a + m
                 )

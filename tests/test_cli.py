@@ -82,6 +82,14 @@ class TestScalarCommands:
         assert code == 0
         assert json.loads(out) == {"value": "6/5", "ord": "-1", "norm": "5^1"}
 
+    def test_eval_at_a_zero(self, capsys):
+        code, out, _ = run(capsys, "eval", "-p", "3", "-f", "x-1", "--at", "x=1", "--json")
+        assert code == 0
+        assert out == '{"norm":"0","ord":"+inf","value":"0"}\n'
+        code, out, _ = run(capsys, "eval", "-p", "3", "-f", "x-1", "--at", "x=1")
+        assert code == 0
+        assert out == "0  (ord +inf, |.| = 0)\n"
+
 
 class TestRegionsCommands:
     def test_ball_of_cell(self, capsys):
@@ -147,6 +155,22 @@ class TestJacobianCommands:
         )
         assert code == 1
         assert "violation" in out
+
+    @pytest.mark.parametrize(
+        "f, ball, detail, witness",
+        [
+            ("5", "0 + 3^0", "ord(f') is +inf (derivative vanishes) at 0", ["0"]),
+            ("x^3", "0 + 3^1", "ord(f') is +inf at 0 but 3 at 3", ["0", "3"]),
+        ],
+        ids=["derivative-vanishes", "derivative-vanishes-at-one-point"],
+    )
+    def test_infinite_derivative_ord_in_the_detail(self, capsys, f, ball, detail, witness):
+        code, out, _ = run(capsys, "jacobian", "-p", "3", "-f", f, "--ball", ball, "-M", "2", "--json")
+        assert code == 1
+        assert json.loads(out) == {"detail": detail, "violation": "c_jac_ord_varies", "witness": witness}
+        code, out, _ = run(capsys, "jacobian", "-p", "3", "-f", f, "--ball", ball, "-M", "2")
+        assert code == 1
+        assert out.splitlines()[-1] == f"  {detail}"
 
     def test_json_schema(self, capsys):
         code, out, _ = run(

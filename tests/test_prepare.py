@@ -28,7 +28,7 @@ def in_domain(f, w, t):
         return False
     for c in f.centers:
         o = (t - c).ord()
-        if o.is_finite and w.v_min <= o.value <= w.v_max:
+        if w.v_min <= o <= w.v_max:
             return True
     return False
 
@@ -224,6 +224,19 @@ class TestMutationSensitivity:
         assert check.witness == ctx3.scalar(0)
         assert check.detail == "pole of f at t = 0, inside the piece"
 
+    def test_piece_holding_a_zero_fails(self, ctx3):
+        """The same ball around 9 holds the center 0 of positive exponent,
+        where f vanishes: the detail writes its ord as +inf."""
+        f = parse_factored("1 * (t - 0) * (t - 9)", ctx3)
+        piece = dataclasses.replace(
+            prepare(f, Window(0, 2, 1))[0],
+            chosen_center_index=1, level_min=2, level_max=2, residue=2, m=1,
+        )
+        for check in (verify_prepared(f, piece, 2), exhaustive_verify_prepared(f, piece, 2)):
+            assert not check.passed
+            assert check.witness == ctx3.scalar(0)
+            assert check.detail == "ord f(0) = +inf but the piece predicts 4"
+
 
 class TestRandomOracle:
     def _random_factored(self, rng, ctx, max_degree=4):
@@ -337,7 +350,7 @@ def checked_pieces(draw):
                 level, residue = piece.level_min, 0
             else:  # the ball at level ord(c - c_j) in the class of c - c_j holds c
                 gap = centers[held] - centers[j]
-                level, residue = gap.ord().value, gap.ac(piece.m)
+                level, residue = gap.ord(), gap.ac(piece.m)
             lo = level - draw(st.integers(0, 2))
             hi = draw(st.one_of(st.none(), st.integers(lo, lo + 3)))
             piece = dataclasses.replace(
@@ -391,7 +404,7 @@ class TestExhaustiveOracle:
         f = parse_factored("7 * (t - 2) * (t - 11)^2 * (t - 29)^-1", PrimeContext(3))
         assert built == [f]
         assert f.dist == tuple(
-            tuple(None if i == j else (ci - cj).ord().value for j, cj in enumerate(f.centers))
+            tuple(None if i == j else (ci - cj).ord() for j, cj in enumerate(f.centers))
             for i, ci in enumerate(f.centers)
         )
         # from here on the only difference of two centers taken is a tie

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -11,9 +12,8 @@ from ultralip.qp_core import (
     INFINITE_ORD,
     PadicScalar,
     PrimeContext,
-    Valuation,
+    format_ord,
     in_coset,
-    tuple_norm,
 )
 
 rationals = st.fractions(
@@ -28,25 +28,29 @@ def scalar(p, value, den=None):
 
 class TestValuation:
     def test_examples(self):
-        assert scalar(3, 9).ord() == Valuation.finite(2)
+        assert scalar(3, 9).ord() == 2
         assert scalar(5, 0).ord() == INFINITE_ORD
-        assert scalar(3, 45, 2).ord() == Valuation.finite(2)
+        assert scalar(3, 45, 2).ord() == 2
+        assert scalar(3, 1, 18).ord() == -2
 
     def test_infinity_ordering_and_saturation(self):
-        assert INFINITE_ORD > Valuation.finite(10**9)
-        assert Valuation.finite(3) < INFINITE_ORD
+        assert INFINITE_ORD is math.inf
+        assert INFINITE_ORD > 10**9
+        assert 3 < INFINITE_ORD
         assert INFINITE_ORD + 5 == INFINITE_ORD
-        assert Valuation.finite(2) + Valuation.finite(-3) == Valuation.finite(-1)
         assert INFINITE_ORD + INFINITE_ORD == INFINITE_ORD
 
-    def test_infinite_value_access_raises(self):
-        with pytest.raises(ValueError):
-            INFINITE_ORD.value
-
     def test_comparison_with_ints(self):
-        assert Valuation.finite(2) >= 2
-        assert Valuation.finite(2) < 3
-        assert INFINITE_ORD >= 10**6
+        assert type(scalar(3, 18).ord()) is int
+        assert type(scalar(3, 1, 18).ord()) is int
+        assert scalar(3, 18).ord() >= 2
+        assert scalar(3, 18).ord() < 3
+        assert scalar(3, 0).ord() >= 10**6
+
+    def test_format_ord(self):
+        assert format_ord(scalar(3, 0).ord()) == "+inf"
+        assert format_ord(scalar(3, 18).ord()) == "2"
+        assert format_ord(scalar(3, 1, 18).ord()) == "-2"
 
 
 class TestNorm:
@@ -92,6 +96,18 @@ class TestCosets:
         assert not in_coset(ctx.scalar(1), zero)
         assert not in_coset(ctx.scalar(0), q12)
 
+    def test_one_angular_component_per_membership_test(self, ctx3, monkeypatch):
+        """ac_m(lambda) is computed once, when the spec is built."""
+        spec = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        calls = []
+        ac = PadicScalar.ac
+        monkeypatch.setattr(PadicScalar, "ac", lambda x, n: (calls.append(x), ac(x, n))[1])
+        points = [ctx3.scalar(Fraction(u) * Fraction(3) ** k) for u in (1, 2, 4, 5, 11) for k in range(-2, 3)]
+        verdicts = [in_coset(x, spec) for x in points]
+        assert calls == points
+        assert verdicts == [division_in_coset(x, spec) for x in points]
+        assert any(verdicts) and not all(verdicts)
+
     def test_group_law_on_samples(self, ctx3):
         rng = random.Random(7)
         spec = CosetSpec(ctx3.scalar(1), 2, 3)
@@ -126,20 +142,6 @@ class TestCosets:
             x = data.draw(rational)
         spec = CosetSpec(ctx.scalar(lam), m, n)
         assert in_coset(ctx.scalar(x), spec) == division_in_coset(ctx.scalar(x), spec)
-
-
-class TestTupleNorm:
-    def test_examples(self):
-        ctx = PrimeContext(3)
-        assert tuple_norm([ctx.scalar(9), ctx.scalar(1, 3)]) == 1
-        c5 = PrimeContext(5)
-        assert tuple_norm([c5.scalar(0), c5.scalar(0)]) is None
-        c2 = PrimeContext(2)
-        assert tuple_norm([c2.scalar(12), c2.scalar(40)]) == -2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tuple_norm([])
 
 
 class TestPrimeContext:

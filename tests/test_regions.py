@@ -81,7 +81,11 @@ class TestEnumeration:
             assert not x.is_zero
             ball = w.ball_of(x)
             assert ball.contains(x)
-            assert ball.radius_ord == x.ord().value + 2
+            assert ball.radius_ord == x.ord() + 2
+
+    def test_zero_has_no_granularity_ball(self, ctx3):
+        with pytest.raises(ValueError):
+            Window(-1, 2, 2).ball_of(ctx3.scalar(0))
 
     def test_partition_disjoint(self, ctx3):
         w = Window(0, 1, 2)
@@ -98,7 +102,7 @@ class TestEnumeration:
         while hits < 50:
             x = ctx3.scalar(random_rational(rng, 3, spread=3))
             v = x.ord()
-            if not (v.is_finite and w.v_min <= v.value <= w.v_max):
+            if not w.v_min <= v <= w.v_max:
                 continue
             hits += 1
             containing = [b for b in (w.ball_of(r) for r in rs) if b.contains(x)]

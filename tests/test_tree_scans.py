@@ -151,7 +151,7 @@ class TestLocalCheck:
                 return "skipped", (x,)
         groups: dict = {}
         for x in pts:
-            groups.setdefault((x.ord().value, x.ac(1)), []).append(x)
+            groups.setdefault((x.ord(), x.ac(1)), []).append(x)
         for group in groups.values():
             pair = local_pairs(group, [evaluate(f, {"t": x}, ctx) for x in group])
             if pair is not None:
@@ -184,7 +184,7 @@ class TestLocalCheck:
         group = [
             x
             for x in enumerate_window(window, ctx)
-            if x.ord().value == level and x.ac(1) == 1
+            if x.ord() == level and x.ac(1) == 1
         ]
         vals = data.draw(st.lists(scalars(ctx), min_size=len(group), max_size=len(group)))
         assert _local_break(group, vals) == local_pairs(group, vals)
@@ -273,7 +273,7 @@ class TestDistanceCondition:
         if isinstance(result, JacobianCertificate):
             assert distance_pairs(reps, images, result.jac_ord) is None
         elif result.failed_condition is ViolationKind.D_DISTANCE_MISMATCH:
-            jac = evaluate(differentiate(f, "x"), {"x": reps[0]}, ctx).ord().value
+            jac = evaluate(differentiate(f, "x"), {"x": reps[0]}, ctx).ord()
             i, j = distance_pairs(reps, images, jac)
             assert result.witness == (reps[i], reps[j])
 
@@ -298,7 +298,7 @@ class TestExlocIdentities:
         sees that level 2 repeats the value of level 0."""
         ctx = PrimeContext(p)
         points = list(enumerate_window(Window(0, 3, 1), ctx))
-        values = [ctx.scalar(ctx.power(-(x.ord().value % 2))) for x in points]
+        values = [ctx.scalar(ctx.power(-(x.ord() % 2))) for x in points]
         expected = exloc_pairs(points, values)
         assert expected is not None
         assert _exloc_break(points, values) == expected
@@ -321,7 +321,7 @@ class TestSplittingClasses:
                         assert pair not in seen
                         seen[pair] = split.level
         for i, j in itertools.combinations(range(len(points)), 2):
-            assert (points[i] - points[j]).ord().value == seen[i, j]
+            assert (points[i] - points[j]).ord() == seen[i, j]
 
     @seeded
     @given(st.data())
@@ -360,7 +360,7 @@ class TestSplittingClasses:
         points = [tuple(ctx.scalar(c) for c in pt) for pt in values]
         if n == 1:
             points = [pt[0] for pt in points]
-        shift = max([0] + [-ctx.scalar(c).ord().value for pt in values for c in pt if c])
+        shift = max([0] + [-ctx.scalar(c).ord() for pt in values for c in pt if c])
         keys = [tuple(int(c * p**shift) for c in pt) for pt in values]
         splits = splitting_classes(points)
         expected = tuple_splitting_classes(keys, p)
