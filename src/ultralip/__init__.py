@@ -42,16 +42,13 @@ from .cells import (
 )
 from .jacobian import (
     BallCorrespondence,
-    CertificationFailed,
     CorrespondenceFailure,
     JacobianCertificate,
     JacobianViolation,
     NotABall,
-    Tag,
     ViolationKind,
     check_ball_correspondence,
     check_jacobian_on_ball,
-    classify_forward_or_inverse_lipschitz,
     map_ball,
     verify_certificate,
 )

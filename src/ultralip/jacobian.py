@@ -34,14 +34,10 @@ __all__ = [
     "NotABall",
     "BallCorrespondence",
     "CorrespondenceFailure",
-    "Tag",
-    "BallClassification",
-    "CertificationFailed",
     "CertificateCheck",
     "check_jacobian_on_ball",
     "map_ball",
     "check_ball_correspondence",
-    "classify_forward_or_inverse_lipschitz",
     "verify_certificate",
 ]
 
@@ -116,28 +112,14 @@ class BallCorrespondence:
 
 @dataclass(frozen=True)
 class CorrespondenceFailure:
+    """A negative outcome of the correspondence, or of the certified cell
+    constant built on it; the witnesses re-check it."""
+
     kind: str  # not_injective | image_not_ball | images_overlap |
-    #            no_candidate_fits | image_not_single_cell | no_balls_in_window
+    #            no_candidate_fits | image_not_single_cell | no_balls_in_window,
+    #            or one of the four kinds of lipschitz.certified_cell_constant
     witnesses: tuple
     detail: str
-
-
-class Tag(enum.Enum):
-    FORWARD_1LIP = "Forward1Lip"
-    INVERSE_1LIP = "Inverse1Lip"
-
-
-@dataclass(frozen=True)
-class BallClassification:
-    ball: Ball
-    tag: Tag
-    certificate: JacobianCertificate
-
-
-class CertificationFailed(Exception):
-    def __init__(self, violation: JacobianViolation):
-        super().__init__(violation.detail)
-        self.violation = violation
 
 
 @dataclass(frozen=True)
@@ -385,27 +367,6 @@ def check_ball_correspondence(
             f"image balls need {len(fitted)} cells; a single cell was required",
         )
     return BallCorrespondence(tuple(zip(source_balls, images)), fitted[0], depth)
-
-
-def classify_forward_or_inverse_lipschitz(
-    f: Term, cell: Cell, y: Optional[Mapping], window: Window, depth: int
-) -> list:
-    """Tag each certified ball of the cell by |f'| <= 1 or |f'| > 1.
-
-    jac_ord >= 0 means |f'| <= 1 on the ball and f restricted to it is
-    1-Lipschitz (Forward1Lip); jac_ord < 0 means the inverse is locally
-    1-Lipschitz (Inverse1Lip).  By the distance identity the tag is exact,
-    not sampled.  Certification failures raise CertificationFailed.
-    """
-    y = y or {}
-    out = []
-    for ball in enumerate_balls(cell, y, window):
-        result = check_jacobian_on_ball(f, ball, depth)
-        if isinstance(result, JacobianViolation):
-            raise CertificationFailed(result)
-        tag = Tag.FORWARD_1LIP if result.jac_ord >= 0 else Tag.INVERSE_1LIP
-        out.append(BallClassification(ball, tag, result))
-    return out
 
 
 def verify_certificate(f: Term, certificate: JacobianCertificate) -> CertificateCheck:

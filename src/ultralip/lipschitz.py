@@ -41,7 +41,7 @@ from .terms import (
 )
 from .jacobian import (
     BallCorrespondence,
-    CertificationFailed,
+    CorrespondenceFailure,
     JacobianViolation,
     _fiber_variable,
     check_jacobian_on_ball,
@@ -55,9 +55,6 @@ __all__ = [
     "CounterexampleTrace",
     "EmptyRegion",
     "CenterNotZero",
-    "ImageCenterNotZero",
-    "LedgerIdentityViolated",
-    "DerivativeBoundExceeded",
     "empirical_lipschitz",
     "certified_cell_constant",
     "check_bounded_derivative_local_lipschitz",
@@ -77,23 +74,6 @@ class EmptyRegion(Exception):
 
 class CenterNotZero(Exception):
     """The certified route requires pre-translated cells with center 0."""
-
-
-class ImageCenterNotZero(CenterNotZero):
-    """The image cell fitted to f has a nonzero center: an outcome of the
-    analysis, where a nonzero source center is one of the input."""
-
-
-class LedgerIdentityViolated(Exception):
-    """The per-ball bookkeeping identity m + jac_ord + a = m' + b broke."""
-
-    def __init__(self, ball, detail: str):
-        super().__init__(detail)
-        self.ball = ball
-
-
-class DerivativeBoundExceeded(Exception):
-    """Some ball has |f'| > epsilon, outside the certified route's premise."""
 
 
 @dataclass(frozen=True)
@@ -278,22 +258,25 @@ def certified_cell_constant(
     cell: Cell,
     corr: BallCorrespondence,
     epsilon_exponent: int,
-) -> LipschitzReport:
+) -> Union[LipschitzReport, CorrespondenceFailure]:
     """Exact Lipschitz constant C = epsilon * p^max(0, m' - m) for a cell.
 
-    Requires both the source cell and the fitted image cell to have center
-    0 (pre-translate otherwise): CenterNotZero for the source cell,
-    ImageCenterNotZero for the image.  Every source ball is re-certified at
-    the correspondence depth.  The bookkeeping identity
+    Requires the source cell to have center 0 (pre-translate otherwise):
+    CenterNotZero, a usage error.  Every negative outcome of the analysis
+    is returned as a CorrespondenceFailure whose witnesses re-check it.
+    The fitted image cell must have center 0 ("ImageCenterNotZero",
+    witness the image center).  Every source ball is re-certified at the
+    correspondence depth ("CertificationFailed", witness the violation's
+    points).  The bookkeeping identity
 
         m + jac_ord + a = m' + b
 
     (a, b the source and image ball levels) is the certificate's radius law
     radius_ord(image) = jac_ord + radius_ord(ball), so requiring each
     correspondence image to equal the certified image enforces it on every
-    pair; a mismatch raises LedgerIdentityViolated.  jac_ord >=
+    pair ("LedgerIdentityViolated", witness the ball).  jac_ord >=
     -epsilon_exponent is required on every ball, i.e. |f'| <= epsilon =
-    p^epsilon_exponent.
+    p^epsilon_exponent ("DerivativeBoundExceeded", witness the ball).
     """
     m = cell.coset.m
     m_prime = corr.fitted_image_cell.coset.m
@@ -301,21 +284,28 @@ def certified_cell_constant(
         raise CenterNotZero("source cell center must be 0")
     image_center = corr.fitted_image_cell.center_at({})
     if not image_center.is_zero:
-        raise ImageCenterNotZero(f"fitted image cell center must be 0, found {image_center}")
+        return CorrespondenceFailure(
+            "ImageCenterNotZero",
+            (image_center,),
+            f"fitted image cell center must be 0, found {image_center}",
+        )
 
     for ball, image in corr.pairs:
         result = check_jacobian_on_ball(f, ball, corr.depth)
         if isinstance(result, JacobianViolation):
-            raise CertificationFailed(result)
+            return CorrespondenceFailure("CertificationFailed", result.witness, result.detail)
         if result.image != image:
-            raise LedgerIdentityViolated(
-                ball,
+            return CorrespondenceFailure(
+                "LedgerIdentityViolated",
+                (ball,),
                 f"correspondence image {image} of {ball} disagrees with the "
                 f"certified image {result.image}",
             )
         if result.jac_ord < -epsilon_exponent:
-            raise DerivativeBoundExceeded(
-                f"|f'| = p^{-result.jac_ord} > p^{epsilon_exponent} on {ball}"
+            return CorrespondenceFailure(
+                "DerivativeBoundExceeded",
+                (ball,),
+                f"|f'| = p^{-result.jac_ord} > p^{epsilon_exponent} on {ball}",
             )
 
     return LipschitzReport(

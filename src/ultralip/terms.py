@@ -80,7 +80,6 @@ __all__ = [
     "parse",
     "parse_term",
     "parse_condition",
-    "parse_piecewise",
     "format_term",
     "format_condition",
     "evaluate",
@@ -695,10 +694,6 @@ def parse_term(source: str) -> Term:
 
 def parse_condition(source: str) -> Condition:
     return _Parser(source).read(_Parser.cond)
-
-
-def parse_piecewise(source: str) -> PiecewiseFunction:
-    return _Parser(source).read(_Parser.piecewise)
 
 
 def parse(source: str):

@@ -228,18 +228,35 @@ class TestLipschitzCommands:
         assert code == 1
         assert "failed" in out
 
-    def test_certify_nonzero_image_center_exit_one(self, capsys):
-        """f(center) = 1 centres the fitted image cell at 1: an outcome of
-        the analysis, reported as a failure with its payload."""
-        code, out, err = run(
-            capsys, "certify", "-p", "3", "-f", "x^2+1",
-            "--coset", "1*Q(1,1)", "--var", "x", "--window=0:3", "-M", "3", "--json",
-        )
-        assert (code, err) == (1, "")
-        assert json.loads(out) == {
-            "failure": "ImageCenterNotZero",
-            "detail": "fitted image cell center must be 0, found 1",
-        }
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # f(center) = 1 centres the fitted image cell at 1: an outcome of
+            # the analysis (exit 1), where a nonzero source center is a usage error
+            (
+                ["-p", "3", "-f", "x^2+1", "--window=0:3", "-M", "3"],
+                '{"detail":"fitted image cell center must be 0, found 1","failure":"ImageCenterNotZero"}',
+            ),
+            (
+                ["-p", "2", "-f", "12*x^2", "--window=0:2", "-M", "2"],
+                '{"detail":"f(3) and f(5) collide in one residue class of 12 + 2^4; '
+                'the image cannot tile the ball","failure":"CertificationFailed"}',
+            ),
+            (
+                ["-p", "3", "-f", "x^2", "--window=0:3", "-M", "3", "--epsilon-exponent", "-1"],
+                '{"detail":"|f\'| = p^0 > p^-1 on 1 + 3^1","failure":"DerivativeBoundExceeded"}',
+            ),
+        ],
+        ids=["image-center-not-zero", "certification-failed", "derivative-bound-exceeded"],
+    )
+    def test_certify_failure_json_bytes(self, capsys, argv, expected):
+        """Each failure of the certified constant exits 1 with pinned --json
+        bytes; text mode names its kind."""
+        cell = ["--coset", "1*Q(1,1)", "--var", "x"]
+        assert run(capsys, "certify", *argv, *cell, "--json") == (1, expected + "\n", "")
+        failure = json.loads(expected)
+        text = f"certification failed ({failure['failure']}): {failure['detail']}\n"
+        assert run(capsys, "certify", *argv, *cell) == (1, text, "")
 
     def test_certify_nonzero_source_center_exit_two(self, capsys):
         code, out, err = run(

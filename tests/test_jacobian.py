@@ -10,16 +10,13 @@ from ultralip.regions import Ball, BallRelation, Window
 from ultralip.cells import point_cell
 from ultralip.jacobian import (
     BallCorrespondence,
-    CertificationFailed,
     CorrespondenceFailure,
     JacobianCertificate,
     JacobianViolation,
     NotABall,
-    Tag,
     ViolationKind,
     check_ball_correspondence,
     check_jacobian_on_ball,
-    classify_forward_or_inverse_lipschitz,
     map_ball,
     verify_certificate,
 )
@@ -276,29 +273,6 @@ class TestCorrespondence:
         assert isinstance(corr, BallCorrespondence)
         for source, image in corr.pairs:
             assert image.radius_ord == source.radius_ord + 1
-
-
-class TestClassification:
-    def test_examples(self, ctx3):
-        window = Window(0, 1, 1)
-        for src, tag in (("3*x", Tag.FORWARD_1LIP), ("x/3", Tag.INVERSE_1LIP)):
-            out = classify_forward_or_inverse_lipschitz(
-                parse_term(src), coset_cell(ctx3), {}, window, 2
-            )
-            assert out and all(item.tag is tag for item in out)
-
-    def test_square_on_units(self, ctx3):
-        out = classify_forward_or_inverse_lipschitz(
-            parse_term("x^2"), coset_cell(ctx3), {}, Window(0, 0, 1), 2
-        )
-        assert out[0].tag is Tag.FORWARD_1LIP
-        assert out[0].certificate.jac_ord == 0
-
-    def test_propagates_failure(self, ctx3):
-        with pytest.raises(CertificationFailed):
-            classify_forward_or_inverse_lipschitz(
-                parse_term("normval(x)"), coset_cell(ctx3), {}, Window(0, 1, 1), 2
-            )
 
 
 class TestVerifyCertificate:

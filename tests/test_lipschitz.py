@@ -7,12 +7,15 @@ import pytest
 from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext
 from ultralip.regions import Window, enumerate_window
 from ultralip.cells import point_cell
-from ultralip.jacobian import check_ball_correspondence
+from ultralip.jacobian import (
+    CorrespondenceFailure,
+    JacobianViolation,
+    check_ball_correspondence,
+    check_jacobian_on_ball,
+)
 from ultralip.lipschitz import (
     CenterNotZero,
-    DerivativeBoundExceeded,
     EmptyRegion,
-    LedgerIdentityViolated,
     Mode,
     certified_cell_constant,
     check_bounded_derivative_local_lipschitz,
@@ -141,6 +144,26 @@ class TestCertified:
         with pytest.raises(CenterNotZero):
             certified_cell_constant(f, cell, corr, 0)
 
+    def test_image_center_witness_is_the_fitted_center(self, ctx3):
+        f, cell, corr = self._pipeline(ctx3, "x^2+1", Window(0, 3, 1))
+        out = certified_cell_constant(f, cell, corr, 0)
+        assert isinstance(out, CorrespondenceFailure)
+        assert out.kind == "ImageCenterNotZero"
+        assert out.witnesses == (corr.fitted_image_cell.center_at({}),)
+        assert not out.witnesses[0].is_zero
+
+    def test_certification_failure_witnesses_recheck(self, ctx2):
+        """12 x^2 maps 1 + 2Z_2 onto a ball its representatives cannot tile;
+        the returned points reproduce the violation on their ball."""
+        f, cell, corr = self._pipeline(ctx2, "12*x^2", Window(0, 2, 1), depth=2)
+        out = certified_cell_constant(f, cell, corr, 0)
+        assert isinstance(out, CorrespondenceFailure)
+        assert out.kind == "CertificationFailed"
+        ball = next(b for b, _ in corr.pairs if all(b.contains(x) for x in out.witnesses))
+        violation = check_jacobian_on_ball(f, ball, corr.depth)
+        assert isinstance(violation, JacobianViolation)
+        assert (violation.witness, violation.detail) == (out.witnesses, out.detail)
+
     def test_ledger_identity_violation_detected(self, ctx3):
         from ultralip.regions import Ball
 
@@ -149,13 +172,21 @@ class TestCertified:
         tampered = dataclasses.replace(
             corr, pairs=((b0, Ball(i0.center, i0.radius_ord + 1)),) + tuple(rest)
         )
-        with pytest.raises(LedgerIdentityViolated):
-            certified_cell_constant(f, cell, tampered, 0)
+        out = certified_cell_constant(f, cell, tampered, 0)
+        assert isinstance(out, CorrespondenceFailure)
+        assert out.kind == "LedgerIdentityViolated"
+        (ball,) = out.witnesses
+        image = next(i for b, i in tampered.pairs if b == ball)
+        assert check_jacobian_on_ball(f, ball, corr.depth).image != image
 
     def test_derivative_bound_enforced(self, ctx3):
         f, cell, corr = self._pipeline(ctx3, "x^3", Window(0, 2, 1))
-        with pytest.raises(DerivativeBoundExceeded):
-            certified_cell_constant(f, cell, corr, -2)  # |f'| = p^-1 > p^-2
+        out = certified_cell_constant(f, cell, corr, -2)  # |f'| = p^-1 > p^-2
+        assert isinstance(out, CorrespondenceFailure)
+        assert out.kind == "DerivativeBoundExceeded"
+        (ball,) = out.witnesses
+        assert ball in [b for b, _ in corr.pairs]
+        assert check_jacobian_on_ball(f, ball, corr.depth).jac_ord < 2
 
 
 class TestBoundedDerivativeCheck:

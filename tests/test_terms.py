@@ -49,7 +49,6 @@ from ultralip.terms import (
     free_variables,
     parse,
     parse_condition,
-    parse_piecewise,
     parse_term,
 )
 
@@ -109,10 +108,10 @@ class TestParsing:
                 del sys.modules[name]
 
     def test_piecewise_and_unbound_variable(self):
-        pf = parse_piecewise("piecewise(t) { ord(t) % 2 = 0 -> t^2 ; ord(t) % 2 = 1 -> 3*t }")
+        pf = parse("piecewise(t) { ord(t) % 2 = 0 -> t^2 ; ord(t) % 2 = 1 -> 3*t }")
         assert pf.variables == ("t",)
         with pytest.raises(ParseError, match="unbound variable"):
-            parse_piecewise("piecewise(t) { true -> s }")
+            parse("piecewise(t) { true -> s }")
 
     def test_parse_dispatch(self):
         assert isinstance(parse("t+1"), Term)
@@ -209,12 +208,12 @@ class TestConditions:
 
 class TestPiecewise:
     def test_evaluation(self, ctx3):
-        pf = parse_piecewise("piecewise(t) { ord(t) % 2 = 0 -> t^2 ; ord(t) % 2 = 1 -> 3*t }")
+        pf = parse("piecewise(t) { ord(t) % 2 = 0 -> t^2 ; ord(t) % 2 = 1 -> 3*t }")
         assert evaluate_piecewise(pf, {"t": ctx3.scalar(1)}).value == 1
         assert evaluate_piecewise(pf, {"t": ctx3.scalar(3)}).value == 9
 
     def test_overlap_is_an_error(self, ctx3):
-        pf = parse_piecewise("piecewise(t) { |t| = |1| -> t ; t in 1*Q(1,1) -> 2*t }")
+        pf = parse("piecewise(t) { |t| = |1| -> t ; t in 1*Q(1,1) -> 2*t }")
         with pytest.raises(PieceOverlapError):
             evaluate_piecewise(pf, {"t": ctx3.scalar(1)})
 
@@ -519,7 +518,7 @@ class TestCompiledMemo:
             gc.collect()
             assert all(ref() is None for ref in refs), source
         c = parse_condition("|1/(x-1)| < |1| && x in 1*Q(1,1)")
-        pf = parse_piecewise("piecewise(x) { |x| <= |1| -> (x+1)^-1 ; |1| < |x| -> x }")
+        pf = parse("piecewise(x) { |x| <= |1| -> (x+1)^-1 ; |1| < |x| -> x }")
         point = {"x": ctx3.scalar(3)}
         eval_condition(c, point)
         evaluate_piecewise(pf, point)
