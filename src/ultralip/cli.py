@@ -299,6 +299,10 @@ def _cmd_certify(args, ctx: PrimeContext) -> int:
     cell = _cell_from_args(args, ctx)
     lo, hi = _parse_window(args.window)
     extras = [_scalar(c, ctx) for c in args.candidate or ()]
+    # before the correspondence, so a nonzero source centre is a usage
+    # error whatever f does on the cell
+    if not cell.center_at({}).is_zero:
+        raise CenterNotZero("source cell center must be 0")
     corr = check_ball_correspondence(
         f, cell, {}, Window(lo, hi, 1), args.depth, extra_candidates=extras
     )

@@ -38,13 +38,15 @@ two forms of the one level-range segment.  Any other unreserved name
 followed by "(" is an unknown builtin; alone, "levelspike" is a variable.
 
 Evaluation compiles once per analysis.  compile_term and compile_condition
-turn a tree into nested closures over the raw int and Fraction values,
-with one PadicScalar built at the end (an int when integral); evaluate,
-eval_condition and evaluate_piecewise run the compiled form.  A node
-keeps its compiled form for each prime it was compiled for, so the form
-goes when the node does; pickles and copies leave it out.  Errors are
-those of a walk over the tree: a Div tests its denominator first and
-reports it, and a negative power of 0 reports the power.
+compute on the raw int and Fraction values, with one PadicScalar built at
+the end (an int when integral); evaluate, eval_condition and
+evaluate_piecewise run the compiled form.  A polynomial in one variable
+(see polynomial) runs Horner's rule on ints; every other node is a closure
+over its children's forms.  A node keeps its compiled form for each prime,
+its polynomial normal form and its derivatives, so they go when the node
+does; pickles and copies leave them out.  Errors are those of a walk over
+the tree: a Div tests its denominator first and reports it, and a negative
+power of 0 reports the power.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, _scalar, in_coset
@@ -88,6 +91,7 @@ __all__ = [
     "compile_term",
     "compile_condition",
     "differentiate",
+    "polynomial",
     "free_variables",
     "TermError",
     "ParseError",
@@ -151,10 +155,11 @@ class PieceDomainError(EvaluationError):
 
 
 class _Node:
-    """A node that compiles; pickles and copies leave its compiled forms out."""
+    """A node that compiles; pickles and copies leave its cache out (its
+    compiled form per prime, its polynomial normal form, its derivatives)."""
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
 
 
 class Term(_Node):
@@ -864,7 +869,10 @@ def evaluate_piecewise(
 def compile_term(t: Term, ctx: PrimeContext) -> Callable:
     """t as a function of a point (variable names to PadicScalar values in
     ctx) that returns the PadicScalar evaluate would.  The caller vouches
-    that the point's values lie in ctx; evaluate checks it."""
+    that the point's values lie in ctx; evaluate checks it.  A polynomial
+    (see polynomial) and each polynomial subterm of another term run
+    Horner's rule on ints; every other node is a closure over its
+    children's."""
     return _memoised(t, ctx, _compile_term)
 
 
@@ -876,10 +884,10 @@ def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
 def _memoised(node, ctx: PrimeContext, build: Callable) -> Callable:
     if not isinstance(node, _Node):  # compiled raises the walk's TypeError
         return build(node, ctx)
-    forms = node.__dict__.setdefault("_compiled", {})
-    compiled = forms.get(ctx.p)
+    cache = node.__dict__.setdefault("_cache", {})
+    compiled = cache.get(ctx.p)
     if compiled is None:
-        compiled = forms[ctx.p] = build(node, ctx)
+        compiled = cache[ctx.p] = build(node, ctx)
     return compiled
 
 
@@ -904,14 +912,157 @@ def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
     return ctx.scalar(0)
 
 
+def polynomial(t) -> Optional[tuple]:
+    """(var, coeffs, D) with t = (sum of coeffs[i] * var^i) / D, when t is a
+    polynomial in at most one variable: a tree of Add, Sub, Mul, IntPow
+    with exponent >= 0, RationalConst, Variable, and Div by a nonzero
+    RationalConst.  None for any other node.
+
+    The coefficients are ints from degree 0 up, with no trailing 0, and D
+    is a positive int coprime to them.  var is None for a constant, and
+    names the variable even where its coefficients cancel, as in t - t.
+    The form is built bottom-up in one walk and kept on t."""
+    if t.__class__ in (RationalConst, Variable) or not isinstance(t, Term):
+        return _normal_form(t)
+    cache = t.__dict__.setdefault("_cache", {})
+    if "polynomial" not in cache:
+        cache["polynomial"] = _normal_form(t)
+    return cache["polynomial"]
+
+
+def _normal_form(t) -> Optional[tuple]:
+    # exact classes: a subclass of a node is not read as a polynomial, and
+    # compiles to the closures
+    cls = t.__class__
+    if cls is Variable:
+        return t.name, (0, 1), 1
+    if cls is RationalConst:
+        value = t.value
+        return None, (value.numerator,) if value else (), value.denominator
+    if cls is IntPow:
+        k = t.exponent
+        base = _normal_form(t.base) if k >= 0 else None
+        if base is None:
+            return None
+        var, coeffs, den = base
+        if len(coeffs) > 1 and not any(coeffs[:-1]):  # c * var^n, n >= 1
+            out = [0] * (k * len(coeffs) - k) + [coeffs[-1] ** k]
+        else:
+            out = [1]
+            for _ in range(k):
+                out = _times(coeffs, out)
+        return _reduced(var, out, den**k)
+    if cls is Div:
+        c = t.right.value if t.right.__class__ is RationalConst else 0
+        a = _normal_form(t.left) if c else None
+        if a is None:
+            return None
+        var, coeffs, den = a  # a / (n/d) = a*d / n
+        return _reduced(var, [c.denominator * x for x in coeffs], den * c.numerator)
+    if cls is not Add and cls is not Sub and cls is not Mul:
+        return None
+    a = _normal_form(t.left)
+    b = None if a is None else _normal_form(t.right)
+    if b is None:
+        return None
+    var = a[0] if b[0] is None else b[0]
+    if a[0] not in (None, var):
+        return None  # two variables
+    (_, p, dp), (_, q, dq) = a, b
+    if cls is Mul:
+        return _reduced(var, _times(p, q), dp * dq)
+    if dp != dq:  # p/dp +- q/dq = (p*dq +- q*dp) / (dp*dq)
+        p, q, dp = [x * dq for x in p], [x * dp for x in q], dp * dq
+    if cls is Sub:
+        q = [-x for x in q]
+    if len(p) < len(q):
+        p, q = q, p
+    coeffs = list(p)
+    for i, x in enumerate(q):
+        coeffs[i] += x
+    return _reduced(var, coeffs, dp)
+
+
+def _times(p, q) -> list:
+    """The coefficients of the product of two coefficient sequences."""
+    if len(p) == 1:
+        return [p[0] * y for y in q]
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q, i):
+                out[j] += x * y
+    return out
+
+
+def _reduced(var: Optional[str], coeffs: list, den: int) -> tuple:
+    """The normal form of (sum of coeffs[i] * var^i) / den, for den != 0."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    g = gcd(den, *coeffs) if den != 1 else 1
+    if den < 0:
+        g = -g
+    if g != 1:
+        coeffs, den = [x // g for x in coeffs], den // g
+    return var, tuple(coeffs), den
+
+
+def _horner(poly: tuple) -> Callable:
+    """A closure from a point to the value of poly, by Horner's rule on ints
+    with one Fraction at the end when the value is not integral.  It reads
+    its variable even where the coefficients cancel."""
+    name, coeffs, den = poly
+    if name is None:  # a constant, reduced: an int when den is 1
+        c = coeffs[0] if coeffs else 0
+        value = c if den == 1 else Fraction(c, den)
+        return lambda point: value
+    top, rest = (coeffs[-1], coeffs[-2::-1]) if coeffs else (0, ())
+    if den == 1 and rest and not any(rest):  # top * x^k: one power, no loop
+        k = len(rest)
+
+        def monomial(point):
+            try:
+                x = point[name].value
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable {name!r}") from None
+            r = top * x**k
+            return r if r.__class__ is int or r.denominator != 1 else r.numerator
+
+        return monomial
+
+    def horner(point):
+        try:
+            x = point[name].value
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable {name!r}") from None
+        acc = top
+        if x.__class__ is int:
+            for a in rest:
+                acc = acc * x + a
+            if den == 1:
+                return acc
+            r = Fraction(acc, den)
+        else:
+            # the sum of a_i n^i d^(k-i) over d^k, for x = n/d and degree k
+            n, d, scale = x.numerator, x.denominator, 1
+            for a in rest:
+                scale *= d
+                acc = acc * n + a * scale
+            r = Fraction(acc, den * scale)
+        return r.numerator if r.denominator == 1 else r
+
+    return horner
+
+
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def _compile(t: Term, ctx: PrimeContext) -> Callable:
     """A closure from a point to the value of t as an int, or as a Fraction
-    when it is not integral; every error is raised where the tree walk
-    raised it, so a Div tests its denominator before it reads the
-    numerator."""
+    when it is not integral.  A polynomial other than a leaf runs Horner's
+    rule, which can raise only UnboundVariableError.  Every other error is
+    raised where the tree walk raised it, so a Div tests its denominator
+    before it reads the numerator."""
     if isinstance(t, RationalConst):
         value = t.value
         return lambda point: value
@@ -925,6 +1076,9 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
                 raise UnboundVariableError(f"unbound variable {name!r}") from None
 
         return variable
+    poly = polynomial(t)
+    if poly is not None:
+        return _horner(poly)
     op = next((op for cls, op in _ARITHMETIC.items() if isinstance(t, cls)), None)
     if op is not None:
         left, right = _compile(t.left, ctx), _compile(t.right, ctx)
@@ -947,22 +1101,15 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
         return divide
     if isinstance(t, IntPow):
         base, k = _compile(t.base, ctx), t.exponent
-        if k >= 0:
 
-            def power(point):
-                r = base(point) ** k
-                return r if r.__class__ is int or r.denominator != 1 else r.numerator
-
-            return power
-
-        def inverse_power(point):
+        def power(point):
             b = base(point)
-            if not b:
+            if k < 0 and not b:
                 raise DivisionByZero(t)
             r = Fraction(b) ** k
             return r.numerator if r.denominator == 1 else r
 
-        return inverse_power
+        return power
     if isinstance(t, NormVal):
         arg = _compile(t.arg, ctx)
 
@@ -1079,34 +1226,49 @@ def _mul(a: Term, b: Term) -> Term:
 
 
 def differentiate(t: Term, var: str) -> Term:
-    """Symbolic derivative with respect to var.
+    """Symbolic derivative with respect to var, kept on t, so a term is
+    differentiated and its derivative compiled once per variable.
 
     normval and levelspike differentiate to zero: both are locally
-    constant where they are defined.
+    constant where they are defined.  The derivative of a polynomial (see
+    polynomial) is a polynomial.
     """
+    if not isinstance(t, _Node):
+        return _derivative(t, var)  # raises the TypeError
+    cache = t.__dict__.setdefault("_cache", {})
+    key = ("derivative", var)
+    derivative = cache.get(key)
+    if derivative is None:
+        derivative = cache[key] = _derivative(t, var)
+    return derivative
+
+
+def _derivative(t: Term, var: str) -> Term:
     if isinstance(t, RationalConst):
         return _ZERO
     if isinstance(t, Variable):
         return _ONE if t.name == var else _ZERO
     if isinstance(t, Add):
-        return _add(differentiate(t.left, var), differentiate(t.right, var))
+        return _add(_derivative(t.left, var), _derivative(t.right, var))
     if isinstance(t, Sub):
-        return _sub(differentiate(t.left, var), differentiate(t.right, var))
+        return _sub(_derivative(t.left, var), _derivative(t.right, var))
     if isinstance(t, Mul):
         return _add(
-            _mul(differentiate(t.left, var), t.right),
-            _mul(t.left, differentiate(t.right, var)),
+            _mul(_derivative(t.left, var), t.right),
+            _mul(t.left, _derivative(t.right, var)),
         )
     if isinstance(t, Div):
+        if isinstance(t.right, RationalConst) and t.right.value:
+            return Div(_derivative(t.left, var), t.right)
         num = _sub(
-            _mul(differentiate(t.left, var), t.right),
-            _mul(t.left, differentiate(t.right, var)),
+            _mul(_derivative(t.left, var), t.right),
+            _mul(t.left, _derivative(t.right, var)),
         )
         return Div(num, IntPow(t.right, 2))
     if isinstance(t, IntPow):
         if t.exponent == 0:
             return _ZERO
-        inner = differentiate(t.base, var)
+        inner = _derivative(t.base, var)
         scaled = _mul(RationalConst(Fraction(t.exponent)), IntPow(t.base, t.exponent - 1))
         return _mul(scaled, inner)
     if isinstance(t, (NormVal, LevelSpike)):

@@ -267,6 +267,19 @@ class TestLipschitzCommands:
         assert (code, out) == (2, "")
         assert err == "error: source cell center must be 0\n"
 
+    @pytest.mark.parametrize("f", ["x", "x^2"])
+    def test_certify_source_center_is_checked_first(self, capsys, f):
+        """The exit code depends on the input alone: x^2 would fail the
+        correspondence on this cell (images_overlap), x would pass it, and
+        both are refused for their source centre before it runs."""
+        argv = ["-f", f, "--cell", "cell(center=1; coset=1*Q(1,1); all; var=x)"]
+        for json_flag in ((), ("--json",)):
+            assert run(capsys, "certify", "-p", "3", *argv, "--window=0:3", "-M", "3", *json_flag) == (
+                2,
+                "",
+                "error: source cell center must be 0\n",
+            )
+
 
 class TestPrepareCommand:
     def test_prepare_verify(self, capsys):

@@ -1,6 +1,7 @@
 import copy
 import gc
 import importlib
+import math
 import pickle
 import sys
 import types
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ultralip.jacobian import JacobianCertificate, check_jacobian_on_ball
 from ultralip.qp_core import PrimeContext
+from ultralip.regions import Ball
 from ultralip.terms import (
     Add,
     And,
@@ -50,6 +53,7 @@ from ultralip.terms import (
     parse,
     parse_condition,
     parse_term,
+    polynomial,
 )
 
 
@@ -537,17 +541,135 @@ class TestCompiledMemo:
         assert compile_condition(c, ctx3) is compile_condition(c, ctx3)
 
     def test_an_evaluated_term_pickles_and_copies(self, ctx3):
+        """Pickles and copies leave every per-node cache out: the compiled
+        forms, the polynomial normal form and the derivatives."""
+        f = parse_term("x^3 + 2*x")
+        assert isinstance(check_jacobian_on_ball(f, Ball(ctx3.scalar(1), 1), 2), JacobianCertificate)
+        fprime = differentiate(f, "x")
+        assert {3, "polynomial", ("derivative", "x")} <= set(vars(f)["_cache"])
+        assert {3, "polynomial"} <= set(vars(fprime)["_cache"])
         t = parse_term("normval(x) + 1/(x-1) + levelspike(3*x)")
         c = parse_condition("|x| < |1| && x in 1*Q(1,1)")
         point = {"x": ctx3.scalar(3)}
         evaluate(t, point)
         eval_condition(c, point)
-        for node in (t, c):
+        for node in (f, fprime, t, c):
             for twin in (
                 pickle.loads(pickle.dumps(node)),
                 copy.deepcopy(node),
                 copy.copy(node),
             ):
                 assert twin == node and twin is not node
-                assert "_compiled" not in vars(twin)
+                assert "_cache" not in vars(twin)
         assert evaluate(copy.deepcopy(t), point) == evaluate(t, point)
+        assert evaluate(pickle.loads(pickle.dumps(f)), point) == evaluate(f, point)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial normal form and its Horner path
+
+# one-variable polynomial trees: constants with denominators, monomials
+# c*x, division by nonzero constants, and subtrees that cancel (a - a, a * 0)
+_poly_leaves = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 3, -7, 12, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(9, 10)]).map(
+        RationalConst
+    ),
+    st.just(Variable("x")),
+    st.sampled_from([2, -3, Fraction(1, 2)]).map(lambda c: Mul(RationalConst(c), Variable("x"))),
+)
+_nonzero_consts = st.sampled_from([1, -1, 2, 3, -6, 25, Fraction(1, 3), Fraction(-4, 5), Fraction(8, 9)])
+
+
+def _poly_node(inner):
+    return st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Mul, inner, inner),
+        st.builds(IntPow, inner, st.integers(0, 4)),
+        st.builds(Div, inner, _nonzero_consts.map(RationalConst)),
+        inner.map(lambda a: Sub(a, a)),
+        inner.map(lambda a: Mul(a, RationalConst(0))),
+    )
+
+
+random_polynomials = st.recursive(_poly_leaves, _poly_node, max_leaves=8)
+
+# int points and Fraction points, with negative ords at every prime used
+_poly_points = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([2, 3, 4, 5, 9, 25, 7, 8, 27])),
+)
+
+
+def _shifted(var, coeffs, den):
+    """(var, coeffs, den) of the derivative, by the coefficient shift."""
+    shifted = [i * a for i, a in enumerate(coeffs)][1:]
+    while shifted and not shifted[-1]:
+        shifted.pop()
+    g = math.gcd(den, *shifted)
+    return var, tuple(a // g for a in shifted), den // g
+
+
+class TestPolynomial:
+    def test_normal_forms(self):
+        assert polynomial(parse_term("-17*x^3+3*x^2-22*x+14")) == ("x", (14, -22, 3, -17), 1)
+        assert polynomial(parse_term("(x^3 - x)/6")) == ("x", (0, -1, 0, 1), 6)
+        assert polynomial(parse_term("(x+1)^2/(-4)")) == ("x", (-1, -2, -1), 4)
+        assert polynomial(parse_term("1/2*2")) == (None, (1,), 1)
+        assert polynomial(parse_term("2/3")) == (None, (2,), 3)
+        assert polynomial(parse_term("(2*x)^3 - (x/3)^2")) == ("x", (0, 0, -1, 72), 9)
+        # the variable stays named where its coefficients cancel
+        assert polynomial(parse_term("x - x")) == ("x", (), 1)
+        assert polynomial(parse_term("(x-x)^0")) == ("x", (1,), 1)
+        assert polynomial(Add(Variable("x"), "x")) is None and polynomial(None) is None
+
+    @pytest.mark.parametrize(
+        "source",
+        ["x/(1-1)", "x/0", "x/x", "x^-1", "x*y", "normval(x)", "levelspike(x)", "1 + normval(x)"],
+    )
+    def test_what_is_not_a_polynomial(self, source):
+        assert polynomial(parse_term(source)) is None
+
+    def test_a_polynomial_raises_only_for_its_unbound_variable(self, ctx3):
+        for source in ("x - x", "(x - x)^0 + 1", "x*0/5"):
+            t = parse_term(source)
+            with pytest.raises(UnboundVariableError, match="unbound variable 'x'"):
+                compile_term(t, ctx3)({})
+        # a constant denominator that is not a literal is not a polynomial
+        t = parse_term("x/(1-1)")
+        with pytest.raises(DivisionByZero, match="subterm '1-1'"):
+            evaluate(t, {"x": ctx3.scalar(2)})
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(random_polynomials, _poly_points, st.sampled_from([2, 3, 5]))
+    def test_horner_against_the_walk(self, t, x, p):
+        ctx = PrimeContext(p)
+        assert polynomial(t) is not None
+        point = {"x": ctx.scalar(x)}
+        expected = _outcome(lambda: oracles._eval(t, point, ctx))
+        assert expected[0] == "value"
+        assert _outcome(lambda: compile_term(t, ctx)(point)) == expected
+        unbound = _outcome(lambda: compile_term(t, ctx)({}))
+        assert unbound == _outcome(lambda: oracles._eval(t, {}, ctx))
+        if "x" in free_variables(t):
+            assert unbound[:2] == ("raises", UnboundVariableError)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(random_polynomials)
+    def test_the_derivative_is_the_coefficient_shift(self, t):
+        d = differentiate(t, "x")
+        assert d is differentiate(t, "x")
+        var, coeffs, den = polynomial(d)
+        expected = _shifted(*polynomial(t))
+        assert (coeffs, den) == expected[1:]
+        assert var == expected[0] or (var is None and len(coeffs) <= 1)
+
+    def test_a_term_keeps_its_derivative(self, ctx3):
+        f = parse_term("x^3 + 2*x")
+        assert differentiate(f, "x") is differentiate(f, "x")
+        assert differentiate(f, "y") is differentiate(f, "y") != differentiate(f, "x")
+        ball = Ball(ctx3.scalar(1), 1)
+        check_jacobian_on_ball(f, ball, 2)
+        compiled = compile_term(differentiate(f, "x"), ctx3)
+        check_jacobian_on_ball(f, ball, 3)
+        assert compile_term(differentiate(f, "x"), ctx3) is compiled
