@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, in_coset
-from .regions import Ball, BallRelation, Window
+from .regions import Ball, Window, first_overlap
 from .terms import (
     Condition,
     EvaluationError,
@@ -285,10 +285,10 @@ def fit_cell(
     use more cells than needed.
     """
     balls = list(balls)
-    for i, b1 in enumerate(balls):
-        for b2 in balls[i + 1 :]:
-            if b1.relation(b2) is not BallRelation.DISJOINT:
-                raise ValueError(f"input balls are not pairwise disjoint: {b1} vs {b2}")
+    overlap = first_overlap(balls)
+    if overlap is not None:
+        i, j = overlap
+        raise ValueError(f"input balls are not pairwise disjoint: {balls[i]} vs {balls[j]}")
     if not balls:
         return []
     failures = {}

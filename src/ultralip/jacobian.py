@@ -13,6 +13,10 @@ violation could in principle exist for non-polynomial terms.
 Each check evaluates f once per representative; check_ball_correspondence
 tiles each ball from those values as map_ball does, and condition (d) reads
 the ball tree of the representatives c + p^r * i from the digits of i.
+The per-representative loops compute on the raw values of f and f' (see
+terms.compile_value) with qp_core.valuation and qp_core.residue; a
+PadicScalar is built only for what leaves a check: witnesses, image centres
+and ball centres.
 """
 
 from __future__ import annotations
@@ -22,10 +26,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .qp_core import INFINITE_ORD, PadicScalar, format_ord
-from .regions import Ball, BallRelation, Window, least_ord_break
+from .qp_core import (
+    INFINITE_ORD,
+    PadicScalar,
+    PrimeContext,
+    _scalar,
+    format_ord,
+    residue,
+    valuation,
+)
+from .regions import Ball, Window, first_overlap, least_ord_break
 from .cells import Cell, NoCandidateFits, enumerate_balls, fit_cell
-from .terms import EvaluationError, Term, compile_term, differentiate, free_variables
+from .terms import EvaluationError, Term, compile_value, differentiate, free_variables
 
 __all__ = [
     "ViolationKind",
@@ -150,26 +162,29 @@ def _first_collision(keys: Iterable, points: list) -> Optional[tuple]:
 def _distance_break(images, p: int, base: int) -> Optional[tuple]:
     """Least (i, j) with ord(images[i] - images[j]) != base + ord(i - j), or None.
 
-    images[i] is the image of the representative c + p^r * i of a ball, for
-    i in [0, p^M).  The class q mod p^k, k < M, of the digit tree has the
-    children q + c * p^k, 0 <= c < p, which are also their first members.
-    The identity holds on all pairs exactly when in every class these have
-    pairwise ord exactly base + k: by induction from the leaves, every
-    member of a child is then within p^(base+k+1) of its first member.
-    Only when the check fails are the classes searched for the least pair.
+    images[i] is the raw value of the image of the representative
+    c + p^r * i of a ball, for i in [0, p^M).  The class q mod p^k, k < M,
+    of the digit tree has the children q + c * p^k, 0 <= c < p, which are
+    also their first members.  The identity holds on all pairs exactly when
+    in every class these have pairwise ord exactly base + k: by induction
+    from the leaves, every member of a child is then within p^(base+k+1) of
+    its first member.  Only when the check fails are the classes searched
+    for the least pair, on scalars built then.
     """
     n = len(images)
     levels = [k for k in range(n.bit_length()) if p**k < n]  # k < M, as n = p^M
     classes = [(k, range(q, n, p**k)) for k in levels for q in range(p**k)]
     if all(
-        (images[a] - images[b]).ord() == base + k
+        valuation(images[a] - images[b], p) == base + k
         for k, members in classes
         for a, b in itertools.combinations(members[:p], 2)
     ):
         return None
+    ctx = PrimeContext(p)
+    scalars = [_scalar(fx, ctx) for fx in images]
     found = (
         least_ord_break(
-            members, [i % p ** (k + 1) for i in members], [images[i] for i in members], base + k
+            members, [i % p ** (k + 1) for i in members], [scalars[i] for i in members], base + k
         )
         for k, members in classes
     )
@@ -177,15 +192,17 @@ def _distance_break(images, p: int, base: int) -> Optional[tuple]:
 
 
 def _tile(reps: list, images: list, depth: int):
-    """map_ball from the images of the depth-M representatives of a ball."""
-    radius = min((fx - images[0]).ord() for fx in images[1:])
+    """map_ball from the raw values of f at the depth-M representatives of a ball."""
+    ctx = reps[0].context
+    p, first = ctx.p, images[0]
+    radius = min(valuation(fx - first, p) for fx in images[1:])
     if radius == INFINITE_ORD:
         return NotABall(
             (reps[0], reps[1]),
-            f"f is constant ({images[0]}) on the representatives; the image is a point",
+            f"f is constant ({first}) on the representatives; the image is a point",
         )
-    image_ball = Ball(images[0], radius)
-    hit = _first_collision((fx.reduce_mod_power(radius + depth).value for fx in images), reps)
+    image_ball = Ball(_scalar(first, ctx), radius)
+    hit = _first_collision((residue(fx, radius + depth, p) for fx in images), reps)
     if hit is not None:
         return NotABall(
             hit[:2],
@@ -211,11 +228,12 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
         raise ValueError("certification depth must be >= 1")
     var = _fiber_variable(f, "t")
     ctx = ball.context
-    deriv_at = compile_term(differentiate(f, var), ctx)
+    p = ctx.p
+    deriv_at = compile_value(differentiate(f, var), ctx)
     reps = ball.representatives(depth)
 
     # (c) constant, finite derivative valuation
-    ords = [deriv_at({var: x}).ord() for x in reps]
+    ords = [valuation(deriv_at({var: x}), p) for x in reps]
     for x, o in zip(reps, ords):
         if o != ords[0]:
             return JacobianViolation(
@@ -232,17 +250,22 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
         )
 
     # (a) injectivity and image tiling at the forced radius
-    f_at = compile_term(f, ctx)
+    f_at = compile_value(f, ctx)
     images = [f_at({var: x}) for x in reps]
-    hit = _first_collision((fx.value for fx in images), reps)
+    hit = _first_collision(images, reps)
     if hit is not None:
         return JacobianViolation(
             ViolationKind.A_NOT_INJECTIVE, hit[:2], "f({}) = f({}) = {}".format(*hit)
         )
     image_radius = jac_ord + ball.radius_ord
-    image_ball = Ball(images[0], image_radius)
-    outside = next((n for n, fx in enumerate(images) if not image_ball.contains(fx)), None)
-    keys = (fx.reduce_mod_power(image_radius + depth).value for fx in images[:outside])
+    first = images[0]
+    image_ball = Ball(_scalar(first, ctx), image_radius)
+    # f(x) lies in the image ball exactly when it is within p^image_radius of
+    # f(reps[0]), which the ball holds
+    outside = next(
+        (n for n, fx in enumerate(images) if valuation(fx - first, p) < image_radius), None
+    )
+    keys = (residue(fx, image_radius + depth, p) for fx in images[:outside])
     hit = _first_collision(keys, reps)
     if hit is not None:
         return JacobianViolation(
@@ -259,10 +282,10 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
         )
 
     # (d) the exact distance identity on all representative pairs
-    broken = _distance_break(images, ctx.p, image_radius)
+    broken = _distance_break(images, p, image_radius)
     if broken is not None:
         i, j = broken
-        lhs = (images[i] - images[j]).ord()
+        lhs = valuation(images[i] - images[j], p)
         rhs = (reps[i] - reps[j]).ord() + jac_ord
         return JacobianViolation(
             ViolationKind.D_DISTANCE_MISMATCH,
@@ -285,7 +308,7 @@ def map_ball(f: Term, ball: Ball, depth: int):
         raise ValueError("depth must be >= 1")
     var = _fiber_variable(f, "t")
     reps = ball.representatives(depth)
-    f_at = compile_term(f, ball.context)
+    f_at = compile_value(f, ball.context)
     return _tile(reps, [f_at({var: x}) for x in reps], depth)
 
 
@@ -314,12 +337,12 @@ def check_ball_correspondence(
             "no_balls_in_window", (), f"the cell has no balls with level in {window}"
         )
 
-    f_at = compile_term(f, ctx)
+    f_at = compile_value(f, ctx)
     points = [x for ball in source_balls for x in ball.representatives(depth)]
     # the collision check runs f lazily, up to the first repeated value, and
     # tee keeps the values it read for the tiling
     checked, kept = itertools.tee(f_at({var: x}) for x in points)
-    hit = _first_collision((fx.value for fx in checked), points)
+    hit = _first_collision(checked, points)
     if hit is not None:
         return CorrespondenceFailure("not_injective", hit[:2], "f({}) = f({}) = {}".format(*hit))
 
@@ -336,20 +359,20 @@ def check_ball_correspondence(
             )
         images.append(result)
 
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if images[i].relation(images[j]) is not BallRelation.DISJOINT:
-                return CorrespondenceFailure(
-                    "images_overlap",
-                    (source_balls[i], source_balls[j]),
-                    f"images {images[i]} and {images[j]} of {source_balls[i]} "
-                    f"and {source_balls[j]} are not disjoint",
-                )
+    overlap = first_overlap(images)
+    if overlap is not None:
+        i, j = overlap
+        return CorrespondenceFailure(
+            "images_overlap",
+            (source_balls[i], source_balls[j]),
+            f"images {images[i]} and {images[j]} of {source_balls[i]} "
+            f"and {source_balls[j]} are not disjoint",
+        )
 
     candidates = []
     try:
         c = cell.center_at(y)
-        candidates.append(f_at({var: c}))
+        candidates.append(_scalar(f_at({var: c}), ctx))
     except EvaluationError:
         pass
     candidates.append(ctx.scalar(0))

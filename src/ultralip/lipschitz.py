@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext
+from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, residue, valuation
 from .regions import (
     Window,
     enumerate_window,
@@ -33,6 +33,7 @@ from .terms import (
     Variable,
     compile_condition,
     compile_term,
+    compile_value,
     differentiate,
     eval_condition,
     evaluate_piecewise,
@@ -163,15 +164,17 @@ def _function_variables(f: Union[Term, PiecewiseFunction]) -> tuple:
 
 
 def _evaluator(f, ctx: PrimeContext):
-    """f as a function of a binding: a term is compiled once, a piecewise
-    function goes through evaluate_piecewise at each point."""
+    """f as a function of a binding to its raw value: a term is compiled
+    once, a piecewise function goes through evaluate_piecewise at each
+    point."""
     if isinstance(f, PiecewiseFunction):
-        return lambda binding: evaluate_piecewise(f, binding, ctx)
-    return compile_term(f, ctx)
+        return lambda binding: evaluate_piecewise(f, binding, ctx).value
+    return compile_value(f, ctx)
 
 
-def _tree_scan(points, values):
-    """Best (ratio exponent, witness) over all pairs of distinct points.
+def _tree_scan(points, values, p: int):
+    """Best (ratio exponent, witness) over all pairs of distinct points;
+    values are the raw values of f at the points.
 
     Every pair across a class C of the ball tree of the points that splits
     at level k has ord(x - y) = k, and the largest |f(x) - f(y)| over those
@@ -188,7 +191,7 @@ def _tree_scan(points, values):
     candidates = []
     for split in splitting_classes(points):
         anchor = values[split.members[0]]
-        d = min((values[child[0]] - anchor).ord() for child in split.children[1:])
+        d = min(valuation(values[child[0]] - anchor, p) for child in split.children[1:])
         if d != INFINITE_ORD:
             candidates.append((split.level - d, d, split))
     if not candidates:
@@ -198,7 +201,7 @@ def _tree_scan(points, values):
     for ratio, d, split in candidates:
         if ratio == best:
             first = split.members[0]
-            j = next(j for j in split.members if (values[j] - values[first]).ord() == d)
+            j = next(j for j in split.members if valuation(values[j] - values[first], p) == d)
             witnesses.append((first, j))
     i, j = min(witnesses)
     return best, (points[i], points[j])
@@ -239,7 +242,7 @@ def empirical_lipschitz(
     if not points:
         raise EmptyRegion(f"no representative satisfies {format_condition(region)}")
 
-    best, best_witness = _tree_scan(points, values)
+    best, best_witness = _tree_scan(points, values, ctx.p)
     return LipschitzReport(
         mode=Mode.EMPIRICAL_LOWER_BOUND,
         constant_exponent=best,
@@ -338,7 +341,8 @@ def check_bounded_derivative_local_lipschitz(
     in the order of an all-pairs scan.
     """
     var = _fiber_variable(f, "t")
-    f_at, deriv_at = compile_term(f, ctx), compile_term(differentiate(f, var), ctx)
+    p = ctx.p
+    f_at, deriv_at = compile_value(f, ctx), compile_value(differentiate(f, var), ctx)
     in_region = compile_condition(region, ctx)
     reps = sorted(enumerate_window(window, ctx))
     pts = [x for x in reps if in_region({var: x})]
@@ -346,9 +350,8 @@ def check_bounded_derivative_local_lipschitz(
         return LocalLipschitzCheck("passed", None, "region has no representatives")
 
     for x in pts:
-        d = deriv_at({var: x})
-        e = d.norm_exponent()
-        if e is not None and e > 0:
+        e = -valuation(deriv_at({var: x}), p)
+        if e > 0:
             return LocalLipschitzCheck(
                 "skipped",
                 (x,),
@@ -360,7 +363,7 @@ def check_bounded_derivative_local_lipschitz(
         groups.setdefault((x.ord(), x.ac(1)), []).append(x)
     for group in groups.values():
         vals = [f_at({var: x}) for x in group]
-        pair = _local_break(group, vals)
+        pair = _local_break(group, vals, p)
         if pair is not None:
             x, y = group[pair[0]], group[pair[1]]
             return LocalLipschitzCheck(
@@ -373,8 +376,9 @@ def check_bounded_derivative_local_lipschitz(
     )
 
 
-def _local_break(group, vals) -> Optional[tuple]:
-    """Least (i, j) with ord(vals_i - vals_j) < ord(group_i - group_j), or None.
+def _local_break(group, vals, p: int) -> Optional[tuple]:
+    """Least (i, j) with ord(vals_i - vals_j) < ord(group_i - group_j), or
+    None; vals are raw values.
 
     The pairs across a class of the ball tree of the group that splits at
     level k are at ord distance k, and such a pair breaks the bound exactly
@@ -384,9 +388,9 @@ def _local_break(group, vals) -> Optional[tuple]:
     found = []
     for split in splitting_classes(group):
         anchor = vals[split.members[0]]
-        if all((vals[n] - anchor).ord() >= split.level for n in split.members[1:]):
+        if all(valuation(vals[n] - anchor, p) >= split.level for n in split.members[1:]):
             continue
-        residues = [vals[n].reduce_mod_power(split.level).value for n in split.members]
+        residues = [residue(vals[n], split.level, p) for n in split.members]
         found.append(least_cross_pair(split.members, split.labels, residues, same=False))
     return min(found, default=None)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
+from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord, valuation
 from .regions import Ball, Window
 from .cells import Cell, point_cell
 from .terms import _Parser
@@ -317,13 +317,29 @@ def _make_piece(
 
 
 def piece_contains(f: FactoredTerm, piece: PreparedPiece, t: PadicScalar) -> bool:
-    delta = t - f.centers[piece.chosen_center_index]
-    o = delta.ord()
-    if o == INFINITE_ORD or o < piece.level_min:
+    """Whether t lies in the piece: ord(t - c_j) in the level range and
+    ac_m(t - c_j) = residue.  Both are read from t - c_j = num / den with the
+    numerator and denominator cross-multiplied and not reduced."""
+    x, c = t.value, f.centers[piece.chosen_center_index].value
+    if x.__class__ is int and c.__class__ is int:
+        num, den = x - c, 1
+    else:
+        num = x.numerator * c.denominator - c.numerator * x.denominator
+        den = x.denominator * c.denominator
+    if not num:
         return False
-    if piece.level_max is not None and o > piece.level_max:
+    p = f.context.p
+    v_num, v_den = valuation(num, p), valuation(den, p)
+    o = v_num - v_den
+    if o < piece.level_min or (piece.level_max is not None and o > piece.level_max):
         return False
-    return delta.ac(piece.m) == piece.residue
+    if piece.m < 1:
+        raise ValueError("angular component depth must be >= 1")
+    # num / p^v_num and den / p^v_den are units whose quotient has the unit
+    # part of t - c_j, so its ac_m is r exactly when r is a residue in
+    # [0, p^m) with num / p^v_num = r * den / p^v_den mod p^m
+    pm, r = p**piece.m, piece.residue
+    return 0 <= r < pm and (num // p**v_num - r * (den // p**v_den)) % pm == 0
 
 
 def _mismatch(t: PadicScalar, direct: "int | float", predicted: int) -> PrepareCheck:
@@ -359,7 +375,7 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
         ball = Ball(rep, a + piece.m)
         predicted = piece.h_exponent + piece.exponent * a
         t = ball.center
-        ords = [(t - c).ord() for c in f.centers]
+        ords = [valuation(t.value - c.value, ctx.p) for c in f.centers]
         if all(o < ball.radius_ord for o in ords):
             # no center lies in the ball, so every ord(t - c_i) is constant
             # on it and its first representative decides the identity exactly

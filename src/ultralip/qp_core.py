@@ -19,7 +19,10 @@ equality and printing are those of the plain ``Fraction`` representation.
 A scalar computes its ``ord`` once and keeps it: an ``int``, or
 ``INFINITE_ORD = math.inf`` for zero, so ``int`` and ``math.inf`` model
 Z u {+inf} with its order and with ``inf + k = inf``.  ``format_ord`` is
-the one place that writes a valuation as text.  Every prime has one
+the one place that writes a valuation as text.  ``valuation(value, p)``
+and ``residue(value, k, p)`` are ``ord`` and ``reduce_mod_power(k).value``
+on a raw value, for loops that build no scalar per step; the methods call
+them, so each rule has one implementation.  Every prime has one
 context, so context checks are identity tests.
 """
 
@@ -36,6 +39,8 @@ __all__ = [
     "PadicScalar",
     "INFINITE_ORD",
     "format_ord",
+    "valuation",
+    "residue",
     "CosetSpec",
     "in_coset",
 ]
@@ -133,6 +138,50 @@ def _normalise(value: object) -> "int | Fraction":
     return value.numerator if value.denominator == 1 else value
 
 
+def valuation(value: "int | Fraction", p: int) -> "int | float":
+    """ord_p of a raw value, an int or a Fraction in lowest terms: an int,
+    or INFINITE_ORD for 0.  PadicScalar.ord is this, cached."""
+    if not value:
+        return INFINITE_ORD
+    if value.__class__ is int:
+        # _int_multiplicity inlined; the hottest path of the library
+        n = 0
+        while value % p == 0:
+            value //= p
+            n += 1
+        return n
+    return _int_multiplicity(value.numerator, p) - _int_multiplicity(value.denominator, p)
+
+
+def residue(value: "int | Fraction", k: int, p: int) -> "int | Fraction":
+    """The raw value of PadicScalar.reduce_mod_power(k): the smallest
+    nonnegative multiple of p^ord(value) in value + p^k Z_p, 0 when
+    ord(value) >= k, as an int or a Fraction in lowest terms.  Two values
+    agree mod p^k exactly when their residues are equal."""
+    if value.__class__ is int:
+        # ord >= 0, so the representative is value mod p^k
+        return value % p**k if k > 0 else 0
+    v = valuation(value, p)
+    if v >= k:
+        return 0
+    r = _unit_residue(value, v, k - v, p)
+    return r * p**v if v >= 0 else Fraction(r, p**-v)
+
+
+def _unit_residue(value: "int | Fraction", v: int, n: int, p: int) -> int:
+    """The unit part value / p^v, v = ord(value) finite, reduced mod p^n by
+    exact modular inversion of its denominator: an int in [0, p^n)."""
+    pn = p**n
+    if value.__class__ is int:
+        return value // p**v % pn
+    num, den = value.numerator, value.denominator
+    if v >= 0:
+        num //= p**v
+    else:
+        den //= p**-v
+    return num * pow(den, -1, pn) % pn
+
+
 class PadicScalar:
     """An exact rational viewed p-adically.
 
@@ -183,36 +232,13 @@ class PadicScalar:
         """Exact p-adic valuation: an int, or INFINITE_ORD iff the scalar is zero."""
         v = self._ord
         if v is None:
-            value = self.value
-            if not value:
-                v = INFINITE_ORD
-            elif value.__class__ is int:
-                # _int_multiplicity inlined; the hottest path of the library
-                p = self.context.p
-                n = 0
-                while value % p == 0:
-                    value //= p
-                    n += 1
-                v = n
-            else:
-                p = self.context.p
-                v = _int_multiplicity(value.numerator, p) - _int_multiplicity(value.denominator, p)
+            v = valuation(self.value, self.context.p)
             _set_ord(self, v)
         return v
 
     def norm_exponent(self) -> "int | None":
         """The exponent e with |x| = p^e, or None for x = 0 (the zero flag)."""
         return -self.ord() if self.value else None
-
-    def _unit(self, v: int) -> tuple:
-        """(numerator, denominator) of the unit part x / p^v, v = ord(x)."""
-        value = self.value
-        p = self.context.p
-        if value.__class__ is int:
-            return value // p**v, 1
-        if v >= 0:
-            return value.numerator // p**v, value.denominator
-        return value.numerator, value.denominator // p**-v
 
     def ac(self, n: int) -> int:
         """Angular component mod p^n: the unit part reduced exactly, as a
@@ -221,29 +247,14 @@ class PadicScalar:
             raise ValueError("angular component depth must be >= 1")
         if not self.value:
             return 0
-        pn = self.context.p**n
-        num, den = self._unit(self.ord())
-        if den != 1:
-            num *= pow(den, -1, pn)
-        return num % pn
+        return _unit_residue(self.value, self.ord(), n, self.context.p)
 
     def reduce_mod_power(self, k: int) -> PadicScalar:
         """Canonical representative of x + p^k Z_p: the smallest nonnegative
         integer multiple of p^ord(x) in the class (0 when ord(x) >= k)."""
         value = self.value
-        ctx = self.context
-        p = ctx.p
-        if value.__class__ is int:
-            # ord >= 0, so the representative is value mod p^k
-            r = value % p**k if k > 0 else 0
-            return self if r == value else _scalar(r, ctx)
-        v = self.ord()
-        if v >= k:
-            return _scalar(0, ctx)
-        span = p ** (k - v)
-        num, den = self._unit(v)
-        r = num * pow(den, -1, span) % span
-        return _scalar(r * p**v if v >= 0 else Fraction(r, p**-v), ctx)
+        r = residue(value, k, self.context.p)
+        return self if r == value else _scalar(r, self.context)
 
     # -- exact field arithmetic ---------------------------------------
 

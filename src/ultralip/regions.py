@@ -13,12 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .qp_core import PadicScalar, PrimeContext
+from .qp_core import PadicScalar, PrimeContext, residue
 
 __all__ = [
     "Ball",
     "BallRelation",
     "Window",
+    "first_overlap",
     "enumerate_window",
     "SplitClass",
     "splitting_classes",
@@ -85,6 +86,38 @@ class Ball:
 
     def __str__(self) -> str:
         return f"{self.center} + {self.context.p}^{self.radius_ord}"
+
+
+def first_overlap(balls: Sequence[Ball]) -> Optional[tuple]:
+    """The least (i, j), i < j, of two balls that overlap, or None.
+
+    Balls of radii r <= r' overlap exactly when the one of radius r holds
+    the centre of the other, that is when the two centres have equal
+    residue(., r, p); a ball's canonical centre is its own residue.  So
+    each ball j looks its centre up among the centres of every radius up to
+    its own and pairs with the least index i != j found there.  The least
+    overlapping pair (a, b) is among these pairs: the ball of (a, b) with
+    the larger radius, or b on a tie, finds a partner that pairs with it no
+    later than (a, b).  So the least of them is the first pair an all-pairs
+    scan in index order would report.  Costs O(len(balls) * radii).
+    """
+    if not balls:
+        return None
+    ctx = balls[0].context
+    if any(ball.context is not ctx for ball in balls):
+        raise ValueError("balls from different prime contexts")
+    by_radius: dict = {}
+    for n, ball in enumerate(balls):
+        by_radius.setdefault(ball.radius_ord, {}).setdefault(ball.center.value, []).append(n)
+    found = []
+    for j, ball in enumerate(balls):
+        for r, centres in by_radius.items():
+            if r <= ball.radius_ord:
+                partners = centres.get(residue(ball.center.value, r, ctx.p))
+                if partners and partners[0] != j:
+                    i = partners[0]
+                    found.append((min(i, j), max(i, j)))
+    return min(found, default=None)
 
 
 @dataclass(frozen=True)

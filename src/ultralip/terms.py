@@ -37,12 +37,12 @@ coset segment and names each segment at most once; "all" and "ord" are
 two forms of the one level-range segment.  Any other unreserved name
 followed by "(" is an unknown builtin; alone, "levelspike" is a variable.
 
-Evaluation compiles once per analysis.  compile_term and compile_condition
-compute on the raw int and Fraction values, with one PadicScalar built at
-the end (an int when integral); evaluate, eval_condition and
-evaluate_piecewise run the compiled form.  A polynomial in one variable
-(see polynomial) runs Horner's rule on ints; every other node is a closure
-over its children's forms.  A node keeps its compiled form for each prime,
+Evaluation compiles once per analysis.  compile_value and compile_condition
+compute on the raw int and Fraction values (an int when integral), and
+compile_term wraps compile_value's result in one PadicScalar; evaluate,
+eval_condition and evaluate_piecewise run the compiled form.  A polynomial
+in one variable (see polynomial) runs Horner's rule on ints; every other
+node is a closure over its children's forms.  A node keeps its compiled form for each prime,
 its polynomial normal form and its derivatives, so they go when the node
 does; pickles and copies leave them out.  Errors are those of a walk over
 the tree: a Div tests its denominator first and reports it, and a negative
@@ -58,7 +58,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, _scalar, in_coset
+from .qp_core import (
+    INFINITE_ORD,
+    CosetSpec,
+    PadicScalar,
+    PrimeContext,
+    _scalar,
+    in_coset,
+    valuation,
+)
 
 __all__ = [
     "Term",
@@ -89,6 +97,7 @@ __all__ = [
     "evaluate_piecewise",
     "eval_condition",
     "compile_term",
+    "compile_value",
     "compile_condition",
     "differentiate",
     "polynomial",
@@ -866,14 +875,19 @@ def evaluate_piecewise(
     return matches[0](point)
 
 
-def compile_term(t: Term, ctx: PrimeContext) -> Callable:
+def compile_value(t: Term, ctx: PrimeContext) -> Callable:
     """t as a function of a point (variable names to PadicScalar values in
-    ctx) that returns the PadicScalar evaluate would.  The caller vouches
-    that the point's values lie in ctx; evaluate checks it.  A polynomial
-    (see polynomial) and each polynomial subterm of another term run
-    Horner's rule on ints; every other node is a closure over its
-    children's."""
-    return _memoised(t, ctx, _compile_term)
+    ctx) that returns the value of the PadicScalar evaluate would: an int,
+    or a Fraction when it is not integral.  The caller vouches that the
+    point's values lie in ctx; evaluate checks it.  A polynomial (see
+    polynomial) and each polynomial subterm of another term run Horner's
+    rule on ints; every other node is a closure over its children's."""
+    return _memoised(t, ctx, _compile)
+
+
+def compile_term(t: Term, ctx: PrimeContext) -> Callable:
+    """compile_value(t, ctx) with its value wrapped in a PadicScalar."""
+    return _memoised(t, ctx, _compile_term, "scalar")
 
 
 def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
@@ -881,18 +895,19 @@ def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
     return _memoised(c, ctx, _compile_cond)
 
 
-def _memoised(node, ctx: PrimeContext, build: Callable) -> Callable:
+def _memoised(node, ctx: PrimeContext, build: Callable, kind: str = "") -> Callable:
     if not isinstance(node, _Node):  # compiled raises the walk's TypeError
         return build(node, ctx)
     cache = node.__dict__.setdefault("_cache", {})
-    compiled = cache.get(ctx.p)
+    key = (kind, ctx.p) if kind else ctx.p
+    compiled = cache.get(key)
     if compiled is None:
-        compiled = cache[ctx.p] = build(node, ctx)
+        compiled = cache[key] = build(node, ctx)
     return compiled
 
 
 def _compile_term(t: Term, ctx: PrimeContext) -> Callable:
-    run = _compile(t, ctx)
+    run = compile_value(t, ctx)
     return lambda point: _scalar(run(point), ctx)
 
 
@@ -1117,7 +1132,7 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
             a = arg(point)
             if not a:
                 raise BuiltinDomainError("normval is declared on nonzero arguments")
-            return ctx.power(-_scalar(a, ctx).ord())
+            return ctx.power(-valuation(a, ctx.p))
 
         return normval
     if isinstance(t, LevelSpike):
@@ -1140,22 +1155,22 @@ def _compile_cond(c: Condition, ctx: PrimeContext) -> Callable:
     if isinstance(c, TrueCond):
         return lambda point: True
     if isinstance(c, NormCmp):
-        lhs, rhs, op = _compile(c.lhs, ctx), _compile(c.rhs, ctx), c.op
+        lhs, rhs, op, p = _compile(c.lhs, ctx), _compile(c.rhs, ctx), c.op, ctx.p
         order = _NORM_ORDER.get(op)
 
         def norm_cmp(point):
-            a = _scalar(lhs(point), ctx).ord()
-            b = _scalar(rhs(point), ctx).ord()
+            a = valuation(lhs(point), p)
+            b = valuation(rhs(point), p)
             if order is None:
                 raise ValueError(f"unknown norm comparison {op!r}")
             return order(a, b)
 
         return norm_cmp
     if isinstance(c, OrdCongruence):
-        term, modulus, residue = _compile(c.term, ctx), c.modulus, c.residue
+        term, modulus, residue, p = _compile(c.term, ctx), c.modulus, c.residue, ctx.p
 
         def ord_congruence(point):
-            v = _scalar(term(point), ctx).ord()
+            v = valuation(term(point), p)
             return v != INFINITE_ORD and v % modulus == residue
 
         return ord_congruence

@@ -9,6 +9,9 @@ tuple_splitting_classes is the reference for the ball tree of
 regions.splitting_classes: the tree of caller-built integer key tuples,
 from level 0 of the keys.
 
+all_pairs_overlap is the reference for regions.first_overlap: the pairwise
+Ball.relation loop that check_ball_correspondence and fit_cell ran.
+
 The frac_* functions are references for the scalar kernel: the Q_p
 formulas of qp_core computed on Fractions only, with no integer fast path
 and no caching.
@@ -24,6 +27,9 @@ sets that the walk down the ball tree of the centers replaced.
 
 exhaustive_verify_prepared is the reference for verify_prepared: it
 evaluates ord f at every depth-M representative of every checked ball.
+
+scalar_piece_contains is the reference for prepare.piece_contains: the ord
+and ac of the PadicScalar difference t - c_j.
 
 memo_min_progressions is the reference for cells._min_progressions: the
 exhaustive search over every option for the least level, memoised for the
@@ -42,7 +48,7 @@ from typing import Mapping
 from ultralip.cells import _greedy_progressions
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
-from ultralip.regions import Ball, SplitClass
+from ultralip.regions import Ball, BallRelation, SplitClass
 from ultralip.terms import (
     Add,
     And,
@@ -164,6 +170,15 @@ def tuple_splitting_classes(keys, p):
             out.append(SplitClass(level, members, labels, list(children.values())))
         stack.extend((level + 1, child) for child in children.values() if len(child) > 1)
     return out
+
+
+def all_pairs_overlap(balls):
+    """First (i, j), i < j in index order, of two balls that are not disjoint, or None."""
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            if balls[i].relation(balls[j]) is not BallRelation.DISJOINT:
+                return i, j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +425,17 @@ def worklist_prepare(f, window, m_depth=1):
                     pieces.append(_make_piece(f, j, lo, level_max, xi, m_depth, e, h))
     pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
     return pieces
+
+
+def scalar_piece_contains(f, piece, t):
+    """Membership in a prepared piece by the ord and ac of the PadicScalar t - c_j."""
+    delta = t - f.centers[piece.chosen_center_index]
+    o = delta.ord()
+    if o == INFINITE_ORD or o < piece.level_min:
+        return False
+    if piece.level_max is not None and o > piece.level_max:
+        return False
+    return delta.ac(piece.m) == piece.residue
 
 
 def exhaustive_verify_prepared(f, piece, depth):

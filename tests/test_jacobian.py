@@ -232,13 +232,13 @@ class TestCorrespondence:
 
     def test_f_is_evaluated_once_per_representative(self, ctx3, monkeypatch):
         calls = []
-        compile_term = jacobian.compile_term
+        compile_value = jacobian.compile_value
 
         def counting(term, ctx):
-            f_at = compile_term(term, ctx)
+            f_at = compile_value(term, ctx)
             return lambda point: (calls.append(point["x"]), f_at(point))[1]
 
-        monkeypatch.setattr(jacobian, "compile_term", counting)
+        monkeypatch.setattr(jacobian, "compile_value", counting)
         cell = coset_cell(ctx3)
         corr = check_ball_correspondence(parse_term("x^3"), cell, {}, Window(0, 2, 1), 2)
         assert isinstance(corr, BallCorrespondence) and len(corr.pairs) == 3

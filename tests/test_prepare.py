@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_verify_prepared, worklist_prepare
+from oracles import exhaustive_verify_prepared, scalar_piece_contains, worklist_prepare
 from ultralip.cells import format_cell
 from ultralip.qp_core import PadicScalar, PrimeContext
 from ultralip.regions import Ball, Window, enumerate_window
@@ -434,6 +434,44 @@ class TestExhaustiveOracle:
             assert twin.dist == f.dist
             assert prepare(twin, Window(-1, 2, 1), 2) == pieces
             assert all(verify_prepared(twin, piece, 2).passed for piece in pieces)
+
+
+class TestPieceContains:
+    """piece_contains on raw values against the PadicScalar route."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(checked_pieces(), st.data())
+    def test_matches_the_scalar_route(self, case, data):
+        """ord and ac of t - c_j read from the cross-multiplied numerator and
+        denominator decide membership as the PadicScalar difference does, at
+        the centers, near them at every scale, and at rationals whose
+        denominators are prime to p."""
+        f, piece = case
+        ctx = f.context
+        p = ctx.p
+        if data.draw(st.booleans()):  # a residue outside [0, p^m) is no class
+            residue = data.draw(st.integers(-(p**piece.m), 2 * p**piece.m))
+            piece = dataclasses.replace(piece, residue=residue)
+        centers = st.sampled_from(f.centers).map(lambda c: c.value)
+        near = st.builds(
+            lambda c, u, e: c + u * Fraction(p) ** e,
+            centers,
+            st.integers(-(p**3), p**3),
+            st.integers(-4, 6),
+        )
+        dens = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 25])
+        other = st.builds(Fraction, st.integers(-60, 60), dens)
+        for t in data.draw(st.lists(st.one_of(centers, near, other), min_size=1, max_size=10)):
+            x = ctx.scalar(t)
+            assert piece_contains(f, piece, x) == scalar_piece_contains(f, piece, x)
+
+    def test_a_class_of_depth_zero_is_refused(self, ctx3):
+        f = parse_factored("1 * (t - 0)", ctx3)
+        piece = dataclasses.replace(prepare(f, Window(0, 2, 1))[0], m=0)
+        assert not piece_contains(f, piece, ctx3.scalar(27))  # ord 3 is outside the levels
+        for contains in (piece_contains, scalar_piece_contains):
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                contains(f, piece, ctx3.scalar(1))
 
 
 def random_unitish(rng, p):

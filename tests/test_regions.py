@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import all_pairs_overlap
 from ultralip.qp_core import PrimeContext
 from ultralip.regions import (
     Ball,
     BallRelation,
     Window,
     enumerate_window,
+    first_overlap,
 )
 
 from conftest import random_rational
@@ -122,3 +124,44 @@ class TestEnumeration:
     def test_canonical_representatives(self, ctx3):
         rs = enumerate_window(Window(1, 1, 1), ctx3)
         assert rs == (ctx3.scalar(3), ctx3.scalar(6))
+
+
+class TestFirstOverlap:
+    """The least overlapping pair by residues against the pairwise
+    Ball.relation loop."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_random_balls_match_all_pairs(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        ctx = PrimeContext(p)
+        centre = st.builds(
+            lambda n, e: Fraction(n) * Fraction(p) ** e, st.integers(-30, 30), st.integers(-2, 2)
+        )
+        ball = st.builds(lambda c, r: Ball(ctx.scalar(c), r), centre, st.integers(-2, 3))
+        balls = data.draw(st.lists(ball, max_size=12))
+        assert first_overlap(balls) == all_pairs_overlap(balls)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_a_partition_with_one_ball_added_matches_all_pairs(self, data):
+        """Disjoint balls, the granularity balls of a window, in any order,
+        with at most one more ball anywhere among them."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        ctx = PrimeContext(p)
+        lo = data.draw(st.integers(-2, 1))
+        w = Window(lo, lo + data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2)))
+        balls = data.draw(st.permutations([w.ball_of(x) for x in enumerate_window(w, ctx)]))
+        assert first_overlap(balls) is None
+        if data.draw(st.booleans()):
+            extra = Ball(ctx.scalar(data.draw(st.integers(-20, 20))), data.draw(st.integers(-1, 4)))
+            balls.insert(data.draw(st.integers(0, len(balls))), extra)
+        assert first_overlap(balls) == all_pairs_overlap(balls)
+
+    def test_examples(self, ctx3):
+        a, b, c = Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(2), 1), Ball(ctx3.scalar(4), 2)
+        assert first_overlap([]) is None and first_overlap([a, b]) is None
+        assert first_overlap([a, b, c]) == (0, 2)
+        assert first_overlap([c, b, a, a]) == (0, 2)
+        with pytest.raises(ValueError, match="different prime contexts"):
+            first_overlap([a, Ball(PrimeContext(5).scalar(1), 1)])

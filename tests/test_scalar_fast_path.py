@@ -23,7 +23,7 @@ from oracles import (
     frac_reduce_mod_power,
 )
 import ultralip.qp_core as qp_core
-from ultralip.qp_core import INFINITE_ORD, PadicScalar, PrimeContext
+from ultralip.qp_core import INFINITE_ORD, PadicScalar, PrimeContext, residue, valuation
 from ultralip.regions import Ball
 from ultralip.terms import EvaluationError, evaluate, parse_term
 
@@ -84,6 +84,20 @@ class TestAgainstFractionOracle:
             for k in range(-3, 7):
                 r = x.reduce_mod_power(k)
                 check_form(r, frac_reduce_mod_power(a, p, k))
+
+    @seeded
+    @given(scalars())
+    def test_raw_valuation_and_residue(self, drawn):
+        """valuation and residue on the raw value of ints, Fractions and 0,
+        for k <= 0 and k > 0."""
+        p, a = drawn
+        value = PrimeContext(p).scalar(a).value
+        v = frac_ord(a, p)
+        assert valuation(value, p) == (INFINITE_ORD if v is None else v)
+        for k in range(-3, 7):
+            r, want = residue(value, k, p), frac_reduce_mod_power(a, p, k)
+            assert r == want
+            assert type(r) is (int if want.denominator == 1 else Fraction)
 
     @seeded
     @given(scalars(count=2))

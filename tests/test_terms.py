@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import ultralip.terms as terms
 from ultralip.jacobian import JacobianCertificate, check_jacobian_on_ball
 from ultralip.qp_core import PrimeContext
 from ultralip.regions import Ball
@@ -43,6 +44,7 @@ from ultralip.terms import (
     Variable,
     compile_condition,
     compile_term,
+    compile_value,
     differentiate,
     eval_condition,
     evaluate,
@@ -539,6 +541,19 @@ class TestCompiledMemo:
         assert f5({"x": ctx5.scalar(3)}) == ctx5.scalar(10)
         c = parse_condition("|x| < |1|")
         assert compile_condition(c, ctx3) is compile_condition(c, ctx3)
+
+    def test_the_scalar_form_wraps_the_value_form(self, ctx3, monkeypatch):
+        """A term used through both compile_value and compile_term compiles
+        once per prime."""
+        built = []
+        compile_ = terms._compile
+        monkeypatch.setattr(terms, "_compile", lambda t, ctx: (built.append(t), compile_(t, ctx))[1])
+        t = parse_term("normval(x) + 1/(x-1)")
+        point = {"x": ctx3.scalar(3)}
+        assert compile_value(t, ctx3)(point) == Fraction(5, 6)  # |3| + 1/2
+        assert compile_term(t, ctx3)(point) == ctx3.scalar(Fraction(5, 6))
+        assert evaluate(t, point) == ctx3.scalar(Fraction(5, 6))
+        assert [n for n in built if n is t] == [t]
 
     def test_an_evaluated_term_pickles_and_copies(self, ctx3):
         """Pickles and copies leave every per-node cache out: the compiled
