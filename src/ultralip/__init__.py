@@ -13,7 +13,7 @@ from .qp_core import (
     format_ord,
     in_coset,
 )
-from .regions import Ball, BallRelation, Window, enumerate_window
+from .regions import Ball, Window, enumerate_window
 from .terms import (
     Condition,
     PiecewiseFunction,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, in_coset
+from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, in_coset, valuation
 from .regions import Ball, Window, first_overlap
 from .terms import (
     Condition,
@@ -121,7 +121,7 @@ def cell_contains(cell: Cell, t: PadicScalar, y: Optional[Mapping] = None) -> bo
         return False
     if hi is not None and not level <= hi:
         return False
-    return in_coset(delta, cell.coset)
+    return in_coset(delta.value, cell.coset)
 
 
 def ball_of_cell(cell: Cell, t: PadicScalar, y: Optional[Mapping] = None) -> Ball:
@@ -355,10 +355,10 @@ def format_cell(cell: Cell) -> str:
     parts = [f"center={format_term(cell.center)}", f"coset={cell.coset}"]
     lo = hi = None
     if cell.beta is not None and isinstance(cell.beta, RationalConst):
-        b = cell.context.scalar(cell.beta.value).ord()
+        b = valuation(cell.beta.value, cell.context.p)
         lo = None if b == INFINITE_ORD else b + 1
     if cell.alpha is not None and isinstance(cell.alpha, RationalConst):
-        a = cell.context.scalar(cell.alpha.value).ord()
+        a = valuation(cell.alpha.value, cell.context.p)
         hi = None if a == INFINITE_ORD else a - 1
     if lo is not None and hi is not None:
         parts.append(f"ord in [{lo},{hi}]")

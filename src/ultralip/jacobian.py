@@ -13,7 +13,8 @@ violation could in principle exist for non-polynomial terms.
 Each check evaluates f once per representative; check_ball_correspondence
 tiles each ball from those values as map_ball does, and condition (d) reads
 the ball tree of the representatives c + p^r * i from the digits of i.
-The per-representative loops compute on the raw values of f and f' (see
+The per-representative loops, and the search for the least pair that
+breaks (d), compute on the raw values of f and f' (see
 terms.compile_value) with qp_core.valuation and qp_core.residue; a
 PadicScalar is built only for what leaves a check: witnesses, image centres
 and ball centres.
@@ -29,8 +30,6 @@ from typing import Iterable, Mapping, Optional
 from .qp_core import (
     INFINITE_ORD,
     PadicScalar,
-    PrimeContext,
-    _scalar,
     format_ord,
     residue,
     valuation,
@@ -169,7 +168,7 @@ def _distance_break(images, p: int, base: int) -> Optional[tuple]:
     in every class these have pairwise ord exactly base + k: by induction
     from the leaves, every member of a child is then within p^(base+k+1) of
     its first member.  Only when the check fails are the classes searched
-    for the least pair, on scalars built then.
+    for the least pair, on the same raw values.
     """
     n = len(images)
     levels = [k for k in range(n.bit_length()) if p**k < n]  # k < M, as n = p^M
@@ -180,11 +179,9 @@ def _distance_break(images, p: int, base: int) -> Optional[tuple]:
         for a, b in itertools.combinations(members[:p], 2)
     ):
         return None
-    ctx = PrimeContext(p)
-    scalars = [_scalar(fx, ctx) for fx in images]
     found = (
         least_ord_break(
-            members, [i % p ** (k + 1) for i in members], [scalars[i] for i in members], base + k
+            members, [i % p ** (k + 1) for i in members], [images[i] for i in members], base + k, p
         )
         for k, members in classes
     )
@@ -201,7 +198,7 @@ def _tile(reps: list, images: list, depth: int):
             (reps[0], reps[1]),
             f"f is constant ({first}) on the representatives; the image is a point",
         )
-    image_ball = Ball(_scalar(first, ctx), radius)
+    image_ball = Ball(PadicScalar(first, ctx), radius)
     hit = _first_collision((residue(fx, radius + depth, p) for fx in images), reps)
     if hit is not None:
         return NotABall(
@@ -259,7 +256,7 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
         )
     image_radius = jac_ord + ball.radius_ord
     first = images[0]
-    image_ball = Ball(_scalar(first, ctx), image_radius)
+    image_ball = Ball(PadicScalar(first, ctx), image_radius)
     # f(x) lies in the image ball exactly when it is within p^image_radius of
     # f(reps[0]), which the ball holds
     outside = next(
@@ -372,7 +369,7 @@ def check_ball_correspondence(
     candidates = []
     try:
         c = cell.center_at(y)
-        candidates.append(_scalar(f_at({var: c}), ctx))
+        candidates.append(PadicScalar(f_at({var: c}), ctx))
     except EvaluationError:
         pass
     candidates.append(ctx.scalar(0))

@@ -32,7 +32,6 @@ from .terms import (
     Term,
     Variable,
     compile_condition,
-    compile_term,
     compile_value,
     differentiate,
     eval_condition,
@@ -358,9 +357,10 @@ def check_bounded_derivative_local_lipschitz(
                 f"|f'({x})| = p^{e} > 1; the bounded-derivative premise fails",
             )
 
+    # the depth-1 granularity ball of x, named by its residue mod p^(ord(x) + 1)
     groups: dict = {}
     for x in pts:
-        groups.setdefault((x.ord(), x.ac(1)), []).append(x)
+        groups.setdefault(residue(x.value, valuation(x.value, p) + 1, p), []).append(x)
     for group in groups.values():
         vals = [f_at({var: x}) for x in group]
         pair = _local_break(group, vals, p)
@@ -399,9 +399,10 @@ def _local_break(group, vals, p: int) -> Optional[tuple]:
 # counterexample families
 
 
-def _exloc_break(points, values) -> Optional[tuple]:
+def _exloc_break(points, values, p: int) -> Optional[tuple]:
     """The first pair (i, j), in index order, that breaks an exloc identity,
     with 0 for the value identity and 1 for the distance identity; or None.
+    values are the raw values of f at the points.
 
     points ascend by valuation level.  A pair with ord x_i = a < b = ord x_j
     needs ord(f_i - f_j) = -b, checked before ord(x_i - x_j) = a.  Let c_v
@@ -412,20 +413,21 @@ def _exloc_break(points, values) -> Optional[tuple]:
     condition (least_ord_break).  The distance identity is the strict
     triangle law; it is checked on the first points of each pair of levels.
     """
-    levels = [x.ord() for x in points]
+    xs = [x.value for x in points]
+    levels = [valuation(x, p) for x in xs]
     first: dict = {}
     for n, v in enumerate(levels):
         first.setdefault(v, n)
     anchors = list(itertools.combinations(sorted(first.items()), 2))
-    breaks = [((i, j), 1) for (a, i), (_, j) in anchors if (points[i] - points[j]).ord() != a]
+    breaks = [((i, j), 1) for (a, i), (_, j) in anchors if valuation(xs[i] - xs[j], p) != a]
     if not (
-        all((values[i] - values[j]).ord() == -b for (_, i), (b, j) in anchors)
-        and all((values[n] - values[first[v]]).ord() > -v for n, v in enumerate(levels))
+        all(valuation(values[i] - values[j], p) == -b for (_, i), (b, j) in anchors)
+        and all(valuation(values[n] - values[first[v]], p) > -v for n, v in enumerate(levels))
     ):
         for b in first:
             members = [n for n, v in enumerate(levels) if v <= b]
             sides = [levels[n] == b for n in members]
-            pair = least_ord_break(members, sides, [values[n] for n in members], -b)
+            pair = least_ord_break(members, sides, [values[n] for n in members], -b, p)
             if pair is not None:
                 breaks.append((pair, 0))
     return min(breaks, default=None)
@@ -444,7 +446,8 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
     """
     if window.v_min < 0:
         raise ValueError("the construction lives inside Z_p: require v_min >= 0")
-    f = compile_term(NormVal(Variable("t")), ctx)
+    p = ctx.p
+    f = compile_value(NormVal(Variable("t")), ctx)
     points = enumerate_window(window, ctx)
     values = {x: f({"t": x}) for x in points}
 
@@ -455,7 +458,7 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
                 raise RuntimeError(f"local constancy broke at {x} vs {probe}")
 
     # the exact pair identity, stronger than the defining inequality
-    broken = _exloc_break(points, [values[x] for x in points])
+    broken = _exloc_break(points, [values[x] for x in points], p)
     if broken is not None:
         (i, j), identity = broken
         x1, x2 = points[i], points[j]
@@ -467,11 +470,11 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
     for n in range(window.v_min + 1, window.v_max + 1):
         x1 = PadicScalar(ctx.power(n - 1), ctx)
         x2 = PadicScalar(ctx.power(n), ctx)
-        ef = (f({"t": x1}) - f({"t": x2})).norm_exponent()
-        ex = (x1 - x2).norm_exponent()
-        if ef - ex != 2 * n - 1:
+        # the ratio exponent of |f(x1) - f(x2)| / |x1 - x2|
+        ratio = valuation(x1.value - x2.value, p) - valuation(f({"t": x1}) - f({"t": x2}), p)
+        if ratio != 2 * n - 1:
             raise RuntimeError(f"trace ratio at level {n} is not 2n-1")
-        entries.append(TraceEntry(n, (x1, x2), ef - ex))
+        entries.append(TraceEntry(n, (x1, x2), ratio))
     return CounterexampleTrace(ctx.p, (window.v_min, window.v_max), tuple(entries))
 
 
@@ -491,24 +494,27 @@ def counterexample_exloc2(n_max: int, ctx: PrimeContext) -> CounterexampleTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    g = compile_term(LevelSpike(Variable("t")), ctx)
+    p = ctx.p
+    g = compile_value(LevelSpike(Variable("t")), ctx)
     entries = []
     derivative_entries = []
     zero = ctx.scalar(0)
     for n in range(1, n_max + 1):
         b_i = PadicScalar(ctx.power(n), ctx)
         b_j = PadicScalar(ctx.power(n) + ctx.power(3 * n - 1), ctx)
-        if b_j.ord() != n or b_j.ac(2 * n) == 1:
+        # ords, not norm exponents: |b_i - b_j| = p^(-gap)
+        gap = valuation(b_i.value - b_j.value, p)
+        # b_j lies on level n, outside the marked ball b_i + p^(3n) Z_p
+        if valuation(b_j.value, p) != n or gap >= 3 * n:
             raise RuntimeError(f"witness b_j at level {n} is not an unmarked neighbor")
-        gap = (b_i - b_j).norm_exponent()
-        if gap != -(3 * n - 1):
+        if gap != 3 * n - 1:
             raise RuntimeError(f"|b_i - b_j| != p^(1-3n) at level {n}")
         g_i = g({"t": b_i})
         g_j = g({"t": b_j})
-        spread = (g_i - g_j).norm_exponent()
-        if spread != -2 * n:
+        spread = valuation(g_i - g_j, p)
+        if spread != 2 * n:
             raise RuntimeError(f"|g(b_i) - g(b_j)| != |b_i^2| at level {n}")
-        entries.append(TraceEntry(n, (b_i, b_j), spread - gap))
-        quotient = (g_i - g({"t": zero})).norm_exponent()
-        derivative_entries.append((n, quotient - b_i.norm_exponent()))
+        entries.append(TraceEntry(n, (b_i, b_j), gap - spread))
+        # |g(b_i) - g(0)| / |b_i|, as an exponent of p
+        derivative_entries.append((n, n - valuation(g_i - g({"t": zero}), p)))
     return CounterexampleTrace(ctx.p, (1, n_max), tuple(entries), tuple(derivative_entries))

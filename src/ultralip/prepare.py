@@ -148,11 +148,7 @@ class FactoredTerm:
                 delta = (xi - self.tie_residue(j, i, m)) % self.context.p**m
                 if delta == 0:
                     raise AssertionError(f"class {xi} points at center {i}: not resolvable")
-                r = 0
-                while delta % self.context.p == 0:
-                    delta //= self.context.p
-                    r += 1
-                h += self.exponents[i] * (d + r)
+                h += self.exponents[i] * (d + valuation(delta, self.context.p))
         return e, h
 
     def __str__(self) -> str:

@@ -22,8 +22,8 @@ Z u {+inf} with its order and with ``inf + k = inf``.  ``format_ord`` is
 the one place that writes a valuation as text.  ``valuation(value, p)``
 and ``residue(value, k, p)`` are ``ord`` and ``reduce_mod_power(k).value``
 on a raw value, for loops that build no scalar per step; the methods call
-them, so each rule has one implementation.  Every prime has one
-context, so context checks are identity tests.
+them, so each rule has one implementation.  in_coset reads a raw value
+too.  Every prime has one context, so context checks are identity tests.
 """
 
 from __future__ import annotations
@@ -61,16 +61,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _int_multiplicity(n: int, p: int) -> int:
-    """Multiplicity of p in the nonzero integer n."""
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # the one context of each prime asked for
@@ -143,14 +133,13 @@ def valuation(value: "int | Fraction", p: int) -> "int | float":
     or INFINITE_ORD for 0.  PadicScalar.ord is this, cached."""
     if not value:
         return INFINITE_ORD
-    if value.__class__ is int:
-        # _int_multiplicity inlined; the hottest path of the library
-        n = 0
-        while value % p == 0:
-            value //= p
-            n += 1
-        return n
-    return _int_multiplicity(value.numerator, p) - _int_multiplicity(value.denominator, p)
+    if value.__class__ is not int:
+        return valuation(value.numerator, p) - valuation(value.denominator, p)
+    n = 0
+    while value % p == 0:
+        value //= p
+        n += 1
+    return n
 
 
 def residue(value: "int | Fraction", k: int, p: int) -> "int | Fraction":
@@ -369,8 +358,9 @@ class CosetSpec:
         return f"{self.lam}*Q({self.m},{self.n})"
 
 
-def in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
-    """Exact membership of x in lambda*Q_{m,n}.
+def in_coset(value: "int | Fraction", spec: CosetSpec) -> bool:
+    """Exact membership of x = value, a raw int or a Fraction in lowest
+    terms, in lambda*Q_{m,n}, read in the prime of lambda.
 
     For lambda = 0 the coset is {0}; otherwise x must be nonzero with
     ord(x) - ord(lambda) divisible by n and ac_m(x / lambda) = 1.  The
@@ -381,11 +371,13 @@ def in_coset(x: PadicScalar, spec: CosetSpec) -> bool:
     ac_m(x) = ac_m(lambda), which needs no division.
     """
     if spec.is_zero:
-        return x.is_zero
-    if x.is_zero:
+        return not value
+    if not value:
         return False
     # both nonzero here, so both ords are ints
-    if (x.ord() - spec.lam.ord()) % spec.n != 0:
+    p = spec.lam.context.p
+    v = valuation(value, p)
+    if (v - valuation(spec.lam.value, p)) % spec.n != 0:
         return False
-    return x.ac(spec.m) == spec.lam_ac
+    return _unit_residue(value, v, spec.m, p) == spec.lam_ac
 

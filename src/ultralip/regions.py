@@ -8,7 +8,6 @@ at which it was verified.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -17,7 +16,6 @@ from .qp_core import PadicScalar, PrimeContext, residue
 
 __all__ = [
     "Ball",
-    "BallRelation",
     "Window",
     "first_overlap",
     "enumerate_window",
@@ -26,15 +24,6 @@ __all__ = [
     "least_cross_pair",
     "least_ord_break",
 ]
-
-
-class BallRelation(enum.Enum):
-    """Outcome of comparing two balls; overlap-without-nesting cannot occur."""
-
-    DISJOINT = "disjoint"
-    EQUAL = "equal"
-    FIRST_INSIDE_SECOND = "first-inside-second"
-    SECOND_INSIDE_FIRST = "second-inside-first"
 
 
 @dataclass(frozen=True)
@@ -57,21 +46,6 @@ class Ball:
 
     def contains(self, x: PadicScalar) -> bool:
         return (x - self.center).ord() >= self.radius_ord
-
-    def relation(self, other: "Ball") -> BallRelation:
-        if self.context is not other.context:
-            raise ValueError("balls from different prime contexts")
-        d = (self.center - other.center).ord()
-        if self.radius_ord == other.radius_ord:
-            return BallRelation.EQUAL if d >= self.radius_ord else BallRelation.DISJOINT
-        if self.radius_ord < other.radius_ord:
-            # self is the bigger set
-            if d >= self.radius_ord:
-                return BallRelation.SECOND_INSIDE_FIRST
-            return BallRelation.DISJOINT
-        if d >= other.radius_ord:
-            return BallRelation.FIRST_INSIDE_SECOND
-        return BallRelation.DISJOINT
 
     def representatives(self, depth: int) -> list[PadicScalar]:
         """One point per residue class of the ball mod p^(radius_ord + depth),
@@ -307,16 +281,16 @@ def least_cross_pair(
 
 
 def least_ord_break(
-    members: Sequence[int], labels: Sequence, values: Sequence[PadicScalar], level: int
+    members: Sequence[int], labels: Sequence, values: Sequence, level: int, p: int
 ) -> Optional[tuple]:
     """The lexicographically least (i, j) across labels with
-    ord(values_i - values_j) != level, or None.
+    ord(values_i - values_j) != level, or None; values are raw values.
 
     The ord is below level exactly when the residues mod p^level differ,
     and above it exactly when the residues mod p^(level+1) agree.
     """
-    low = [v.reduce_mod_power(level).value for v in values]
-    high = [v.reduce_mod_power(level + 1).value for v in values]
+    low = [residue(v, level, p) for v in values]
+    high = [residue(v, level + 1, p) for v in values]
     pairs = (
         least_cross_pair(members, labels, low, same=False),
         least_cross_pair(members, labels, high, same=True),

@@ -38,12 +38,12 @@ two forms of the one level-range segment.  Any other unreserved name
 followed by "(" is an unknown builtin; alone, "levelspike" is a variable.
 
 Evaluation compiles once per analysis.  compile_value and compile_condition
-compute on the raw int and Fraction values (an int when integral), and
-compile_term wraps compile_value's result in one PadicScalar; evaluate,
-eval_condition and evaluate_piecewise run the compiled form.  A polynomial
-in one variable (see polynomial) runs Horner's rule on ints; every other
-node is a closure over its children's forms.  A node keeps its compiled form for each prime,
-its polynomial normal form and its derivatives, so they go when the node
+compute on the raw int and Fraction values (an int when integral), and no
+compiled closure builds a PadicScalar; evaluate and evaluate_piecewise wrap
+the one value they return.  A polynomial in one variable (see polynomial)
+runs Horner's rule on ints; every other node is a closure over its
+children's forms.  A node keeps its compiled form for each prime, its
+polynomial normal form and its derivatives, so they go when the node
 does; pickles and copies leave them out.  Errors are those of a walk over
 the tree: a Div tests its denominator first and reports it, and a negative
 power of 0 reports the power.
@@ -63,7 +63,6 @@ from .qp_core import (
     CosetSpec,
     PadicScalar,
     PrimeContext,
-    _scalar,
     in_coset,
     valuation,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "evaluate",
     "evaluate_piecewise",
     "eval_condition",
-    "compile_term",
     "compile_value",
     "compile_condition",
     "differentiate",
@@ -852,7 +850,7 @@ def evaluate(t: Term, point: Mapping, ctx: Optional[PrimeContext] = None) -> Pad
     point maps variable names to PadicScalar values sharing one context.
     """
     ctx = _infer_context(point, ctx)
-    return compile_term(t, ctx)(point)
+    return PadicScalar(compile_value(t, ctx)(point), ctx)
 
 
 def eval_condition(c: Condition, point: Mapping, ctx: Optional[PrimeContext] = None) -> bool:
@@ -872,7 +870,7 @@ def evaluate_piecewise(
         raise PieceDomainError(f"no piece covers the point {_point_str(point)}")
     if len(matches) > 1:
         raise PieceOverlapError(f"pieces overlap at the point {_point_str(point)}")
-    return matches[0](point)
+    return PadicScalar(matches[0](point), ctx)
 
 
 def compile_value(t: Term, ctx: PrimeContext) -> Callable:
@@ -885,46 +883,34 @@ def compile_value(t: Term, ctx: PrimeContext) -> Callable:
     return _memoised(t, ctx, _compile)
 
 
-def compile_term(t: Term, ctx: PrimeContext) -> Callable:
-    """compile_value(t, ctx) with its value wrapped in a PadicScalar."""
-    return _memoised(t, ctx, _compile_term, "scalar")
-
-
 def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
     """c as a function of a point that returns the bool eval_condition would."""
     return _memoised(c, ctx, _compile_cond)
 
 
-def _memoised(node, ctx: PrimeContext, build: Callable, kind: str = "") -> Callable:
+def _memoised(node, ctx: PrimeContext, build: Callable) -> Callable:
     if not isinstance(node, _Node):  # compiled raises the walk's TypeError
         return build(node, ctx)
     cache = node.__dict__.setdefault("_cache", {})
-    key = (kind, ctx.p) if kind else ctx.p
-    compiled = cache.get(key)
+    compiled = cache.get(ctx.p)
     if compiled is None:
-        compiled = cache[key] = build(node, ctx)
+        compiled = cache[ctx.p] = build(node, ctx)
     return compiled
 
 
-def _compile_term(t: Term, ctx: PrimeContext) -> Callable:
-    run = compile_value(t, ctx)
-    return lambda point: _scalar(run(point), ctx)
-
-
 def _compile_pieces(pf: PiecewiseFunction, ctx: PrimeContext) -> tuple:
-    return tuple((_compile_cond(cond, ctx), _compile_term(body, ctx)) for cond, body in pf.pieces)
+    return tuple((_compile_cond(cond, ctx), _compile(body, ctx)) for cond, body in pf.pieces)
 
 
-def _levelspike_value(ctx: PrimeContext, x: PadicScalar) -> PadicScalar:
-    """The value of LevelSpike at x."""
-    if x.is_zero:
-        return ctx.scalar(0)
-    n = x.ord()
+def _levelspike_value(x: "int | Fraction", p: int) -> int:
+    """The value of LevelSpike at the raw value x: p^(2n) when x lies in
+    the marked ball p^n + p^(3n) Z_p of its level n = ord(x), else 0."""
+    if not x:
+        return 0
+    n = valuation(x, p)
     if n < 1:
         raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
-    if x.ac(2 * n) == 1:
-        return PadicScalar(ctx.power(2 * n), ctx)
-    return ctx.scalar(0)
+    return p ** (2 * n) if valuation(x - p**n, p) >= 3 * n else 0
 
 
 def polynomial(t) -> Optional[tuple]:
@@ -1136,8 +1122,8 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
 
         return normval
     if isinstance(t, LevelSpike):
-        arg = _compile(t.arg, ctx)
-        return lambda point: _levelspike_value(ctx, _scalar(arg(point), ctx)).value
+        arg, p = _compile(t.arg, ctx), ctx.p
+        return lambda point: _levelspike_value(arg(point), p)
 
     def not_a_term(point):
         raise TypeError(f"not a term node: {t!r}")
@@ -1178,12 +1164,7 @@ def _compile_cond(c: Condition, ctx: PrimeContext) -> Callable:
         term, lam, m, n = _compile(c.term, ctx), PadicScalar(c.lam, ctx), c.m, c.n
         # built per call only when invalid, so it raises where the walk did
         spec = CosetSpec(lam, m, n) if m >= 1 and n >= 1 else None
-
-        def coset_member(point):
-            x = _scalar(term(point), ctx)
-            return in_coset(x, spec or CosetSpec(lam, m, n))
-
-        return coset_member
+        return lambda point: in_coset(term(point), spec or CosetSpec(lam, m, n))
     if isinstance(c, (And, Or)):
         left, right = _compile_cond(c.left, ctx), _compile_cond(c.right, ctx)
         if isinstance(c, And):

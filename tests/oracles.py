@@ -9,8 +9,9 @@ tuple_splitting_classes is the reference for the ball tree of
 regions.splitting_classes: the tree of caller-built integer key tuples,
 from level 0 of the keys.
 
-all_pairs_overlap is the reference for regions.first_overlap: the pairwise
-Ball.relation loop that check_ball_correspondence and fit_cell ran.
+all_pairs_overlap is the reference for regions.first_overlap: every pair
+in index order, where two balls overlap exactly when the one of smaller
+radius_ord holds the other's centre.
 
 The frac_* functions are references for the scalar kernel: the Q_p
 formulas of qp_core computed on Fractions only, with no integer fast path
@@ -38,7 +39,9 @@ length of one call, keeping the first option of least length.
 _eval and _eval_cond are the references for the compiled evaluator: the
 recursive walk over the term tree, one node at a time, with PadicScalar
 arithmetic at every node.  walk_piecewise evaluates a piecewise function
-with them.
+with them.  The walk states levelspike by its definition through frac_ord
+and frac_ac: p^(2n) where the angular component mod p^(2n) of a point of
+level n >= 1 is 1.
 """
 
 import functools
@@ -48,7 +51,7 @@ from typing import Mapping
 from ultralip.cells import _greedy_progressions
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
-from ultralip.regions import Ball, BallRelation, SplitClass
+from ultralip.regions import Ball, SplitClass
 from ultralip.terms import (
     Add,
     And,
@@ -74,7 +77,6 @@ from ultralip.terms import (
     TrueCond,
     UnboundVariableError,
     Variable,
-    _levelspike_value,
     _point_str,
 )
 
@@ -172,11 +174,18 @@ def tuple_splitting_classes(keys, p):
     return out
 
 
+def balls_overlap(a: Ball, b: Ball) -> bool:
+    """Whether two balls meet: the one of smaller radius_ord, the larger
+    set, holds the other's centre."""
+    big, small = (a, b) if a.radius_ord <= b.radius_ord else (b, a)
+    return big.contains(small.center)
+
+
 def all_pairs_overlap(balls):
     """First (i, j), i < j in index order, of two balls that are not disjoint, or None."""
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
-            if balls[i].relation(balls[j]) is not BallRelation.DISJOINT:
+            if balls_overlap(balls[i], balls[j]):
                 return i, j
     return None
 
@@ -556,7 +565,14 @@ def _eval(t: Term, point: Mapping, ctx: PrimeContext) -> PadicScalar:
             raise BuiltinDomainError("normval is declared on nonzero arguments")
         return PadicScalar(ctx.power(-arg.ord()), ctx)
     if isinstance(t, LevelSpike):
-        return _levelspike_value(ctx, _eval(t.arg, point, ctx))
+        x = _eval(t.arg, point, ctx).value
+        if x == 0:
+            return PadicScalar(0, ctx)
+        level = frac_ord(x, ctx.p)
+        if level < 1:
+            raise BuiltinDomainError("levelspike is defined on p*Z_p and at 0")
+        marked = frac_ac(x, ctx.p, 2 * level) == 1
+        return PadicScalar(ctx.p ** (2 * level) if marked else 0, ctx)
     raise TypeError(f"not a term node: {t!r}")
 
 

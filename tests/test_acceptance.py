@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext
-from ultralip.regions import Ball, BallRelation, Window, enumerate_window
+from ultralip.regions import Ball, Window, enumerate_window
 from ultralip.cells import point_cell
 from ultralip.jacobian import (
     BallCorrespondence,

@@ -104,7 +104,6 @@ def test_check_sees_orphaned_helpers():
 # the private names that a module may import from another, with the reason
 SHARED_PRIVATES = {
     "_Parser": "terms is the one reader of literal text",
-    "_scalar": "qp_core's normal-form constructor",
     "_fiber_variable": "jacobian's one-variable rule, which the local check shares",
 }
 

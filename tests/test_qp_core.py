@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ultralip.qp_core as qp_core
 from oracles import division_in_coset
 from ultralip.qp_core import (
     CosetSpec,
     INFINITE_ORD,
-    PadicScalar,
     PrimeContext,
     format_ord,
     in_coset,
@@ -89,22 +89,27 @@ class TestCosets:
     def test_examples(self):
         ctx = PrimeContext(3)
         q12 = CosetSpec(ctx.scalar(1), 1, 2)
-        assert in_coset(ctx.scalar(36), q12)
-        assert not in_coset(ctx.scalar(3), q12)
+        assert in_coset(36, q12)
+        assert not in_coset(3, q12)
+        assert in_coset(Fraction(4, 9), q12)
         zero = CosetSpec(ctx.scalar(0), 1, 1)
-        assert in_coset(ctx.scalar(0), zero)
-        assert not in_coset(ctx.scalar(1), zero)
-        assert not in_coset(ctx.scalar(0), q12)
+        assert in_coset(0, zero)
+        assert not in_coset(1, zero)
+        assert not in_coset(0, q12)
 
     def test_one_angular_component_per_membership_test(self, ctx3, monkeypatch):
-        """ac_m(lambda) is computed once, when the spec is built."""
-        spec = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        """ac_m(lambda) is computed once, when the spec is built, and each
+        point gets one unit residue."""
         calls = []
-        ac = PadicScalar.ac
-        monkeypatch.setattr(PadicScalar, "ac", lambda x, n: (calls.append(x), ac(x, n))[1])
+        unit_residue = qp_core._unit_residue
+        monkeypatch.setattr(
+            qp_core, "_unit_residue", lambda x, v, n, p: (calls.append(x), unit_residue(x, v, n, p))[1]
+        )
+        spec = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        assert calls == [Fraction(2, 9)]
         points = [ctx3.scalar(Fraction(u) * Fraction(3) ** k) for u in (1, 2, 4, 5, 11) for k in range(-2, 3)]
-        verdicts = [in_coset(x, spec) for x in points]
-        assert calls == points
+        verdicts = [in_coset(x.value, spec) for x in points]
+        assert calls[1:] == [x.value for x in points]
         assert verdicts == [division_in_coset(x, spec) for x in points]
         assert any(verdicts) and not all(verdicts)
 
@@ -116,12 +121,12 @@ class TestCosets:
             a = rng.randint(-3, 3) * 3
             u = 1 + 9 * rng.randint(0, 30)
             x = ctx3.scalar(Fraction(u) * Fraction(3) ** a)
-            assert in_coset(x, spec)
+            assert in_coset(x.value, spec)
             members.append(x)
         for x in members:
             for y in members:
-                assert in_coset(x * y, spec)
-            assert in_coset(ctx3.scalar(1) / x, spec)
+                assert in_coset((x * y).value, spec)
+            assert in_coset((ctx3.scalar(1) / x).value, spec)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.data())
@@ -141,7 +146,7 @@ class TestCosets:
         else:
             x = data.draw(rational)
         spec = CosetSpec(ctx.scalar(lam), m, n)
-        assert in_coset(ctx.scalar(x), spec) == division_in_coset(ctx.scalar(x), spec)
+        assert in_coset(ctx.scalar(x).value, spec) == division_in_coset(ctx.scalar(x), spec)
 
 
 class TestPrimeContext:

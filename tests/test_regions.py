@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_pairs_overlap
+from oracles import all_pairs_overlap, balls_overlap
 from ultralip.qp_core import PrimeContext
 from ultralip.regions import (
     Ball,
-    BallRelation,
     Window,
     enumerate_window,
     first_overlap,
@@ -23,13 +22,6 @@ class TestBall:
         assert b.contains(ctx3.scalar(4))
         assert not b.contains(ctx3.scalar(2))
         assert Ball(ctx3.scalar(1), 2).contains(ctx3.scalar(10))
-
-    def test_relation_examples(self, ctx3):
-        one = Ball(ctx3.scalar(1), 1)
-        assert one.relation(Ball(ctx3.scalar(4), 2)) is BallRelation.SECOND_INSIDE_FIRST
-        assert Ball(ctx3.scalar(4), 2).relation(one) is BallRelation.FIRST_INSIDE_SECOND
-        assert one.relation(Ball(ctx3.scalar(2), 1)) is BallRelation.DISJOINT
-        assert one.relation(Ball(ctx3.scalar(4), 1)) is BallRelation.EQUAL
 
     def test_equality_is_set_equality(self, ctx3):
         assert Ball(ctx3.scalar(4), 1) == Ball(ctx3.scalar(1), 1)
@@ -46,16 +38,18 @@ class TestBall:
 
     @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-3, 3), st.integers(-3, 3))
     def test_dichotomy(self, c1, c2, k1, k2):
+        """Two balls are disjoint or nested: when they meet, the one of
+        smaller radius_ord holds every point of the other."""
         ctx = PrimeContext(3)
         b1 = Ball(ctx.scalar(c1), k1)
         b2 = Ball(ctx.scalar(c2), k2)
-        rel = b1.relation(b2)
-        probe = [b1.center, b2.center]
+        big, small = (b1, b2) if k1 <= k2 else (b2, b1)
+        probe = small.representatives(1) + big.representatives(1)
         both = [x for x in probe if b1.contains(x) and b2.contains(x)]
-        if rel is BallRelation.DISJOINT:
-            assert not both
+        if balls_overlap(b1, b2):
+            assert both and all(big.contains(x) for x in small.representatives(2))
         else:
-            assert both
+            assert not both
 
 
 class TestWindow:
@@ -94,7 +88,7 @@ class TestEnumeration:
         balls = [w.ball_of(x) for x in enumerate_window(w, ctx3)]
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
-                assert balls[i].relation(balls[j]) is BallRelation.DISJOINT
+                assert not balls_overlap(balls[i], balls[j])
 
     def test_partition_covers_window(self, ctx3):
         w = Window(-1, 2, 2)
@@ -114,10 +108,9 @@ class TestEnumeration:
         coarse, fine = Window(0, 1, 2), Window(0, 1, 3)
         coarse_balls = [coarse.ball_of(x) for x in enumerate_window(coarse, ctx3)]
         for x in enumerate_window(fine, ctx3):
+            ball = fine.ball_of(x)
             inside = [
-                b for b in coarse_balls
-                if fine.ball_of(x).relation(b)
-                in (BallRelation.FIRST_INSIDE_SECOND, BallRelation.EQUAL)
+                b for b in coarse_balls if b.radius_ord <= ball.radius_ord and b.contains(ball.center)
             ]
             assert len(inside) == 1
 
@@ -127,8 +120,7 @@ class TestEnumeration:
 
 
 class TestFirstOverlap:
-    """The least overlapping pair by residues against the pairwise
-    Ball.relation loop."""
+    """The least overlapping pair by residues against the pairwise loop."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.data())

@@ -221,7 +221,7 @@ class TestInterning:
                 op(x, y)
         assert x != y
         with pytest.raises(ValueError, match="different prime contexts"):
-            Ball(x, 1).relation(Ball(y, 1))
+            Ball(x, 1).contains(y)
         with pytest.raises(EvaluationError, match="disagree"):
             evaluate(parse_term("x + 1"), {"x": x}, ctx5)
         with pytest.raises(EvaluationError, match="disagree"):

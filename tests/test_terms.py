@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import ultralip.terms as terms
 from ultralip.jacobian import JacobianCertificate, check_jacobian_on_ball
-from ultralip.qp_core import PrimeContext
+from ultralip.qp_core import PadicScalar, PrimeContext
 from ultralip.regions import Ball
 from ultralip.terms import (
     Add,
@@ -43,7 +43,6 @@ from ultralip.terms import (
     UnboundVariableError,
     Variable,
     compile_condition,
-    compile_term,
     compile_value,
     differentiate,
     eval_condition,
@@ -384,16 +383,18 @@ def _points(draw):
     return ctx, point
 
 
-def _outcome(run):
-    """What a call gives: its value (and the value's type), or its error."""
+def _outcome(run, ctx=None):
+    """What a call gives: its value (and the value's type), or its error.
+    With ctx, the call gives a raw value, read as a scalar of ctx."""
     try:
         value = run()
     except Exception as err:
         return "raises", type(err), str(err)
     if isinstance(value, bool):
         return "holds", value
-    assert (value.value.__class__ is int) == (Fraction(value.value).denominator == 1)
-    return "value", value.value.__class__, value.value, value.context
+    raw, context = (value, ctx) if ctx is not None else (value.value, value.context)
+    assert (raw.__class__ is int) == (Fraction(raw).denominator == 1)
+    return "value", raw.__class__, raw, context
 
 
 class TestCompiledAgainstTheWalk:
@@ -403,7 +404,7 @@ class TestCompiledAgainstTheWalk:
         ctx, point = at
         expected = _outcome(lambda: oracles._eval(t, point, ctx))
         assert _outcome(lambda: evaluate(t, point, ctx)) == expected
-        assert _outcome(lambda: compile_term(t, ctx)(point)) == expected
+        assert _outcome(lambda: compile_value(t, ctx)(point), ctx) == expected
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(random_conditions, _points())
@@ -447,6 +448,31 @@ class TestCompiledAgainstTheWalk:
             expected = _outcome(lambda: walk(node, {"x": ctx3.scalar(1)}, ctx3))
             assert expected[1] is TypeError
             assert _outcome(lambda: run(node, {"x": ctx3.scalar(1)}, ctx3)) == expected
+
+    def test_compiled_kernels_call_no_scalar_method(self, ctx3, monkeypatch):
+        """A compiled coset membership and a compiled levelspike read raw
+        values: with PadicScalar.ord and .ac refused, they still give the
+        walk's answers."""
+        c = parse_condition("x*(x+1) in 2/9*Q(2,1) || levelspike(3*x) in 1*Q(1,2)")
+        t = parse_term("levelspike(x) + levelspike(x^2 - 9) + levelspike(3*x)")
+        xs = (0, 1, 3, 6, 9, 3 + 27, 3 + 9, 9 + 3**6, Fraction(3, 2), Fraction(1, 3), -3)
+        points = [{"x": ctx3.scalar(x)} for x in xs]
+        expected = [
+            (_outcome(lambda: oracles._eval_cond(c, pt, ctx3)), _outcome(lambda: oracles._eval(t, pt, ctx3)))
+            for pt in points
+        ]
+        holds, value_at = compile_condition(c, ctx3), compile_value(t, ctx3)
+
+        def refused(*args):
+            raise AssertionError("a compiled kernel called a PadicScalar method")
+
+        monkeypatch.setattr(PadicScalar, "ord", refused)
+        monkeypatch.setattr(PadicScalar, "ac", refused)
+        got = [(_outcome(lambda: holds(pt)), _outcome(lambda: value_at(pt), ctx3)) for pt in points]
+        assert got == expected
+        outcomes = [o for pair in expected for o in pair]
+        assert {("holds", True), ("holds", False)} <= set(outcomes)
+        assert any(o[0] == "value" and o[2] for o in outcomes) and any(o[0] == "raises" for o in outcomes)
 
     def test_invalid_coset_depths_raise_after_the_term(self, ctx3):
         for x in (0, 1):
@@ -495,14 +521,14 @@ class TestClosedLanguage:
         text = (format_term if is_term else format_condition)(node)
         assert (parse_term if is_term else parse_condition)(text) == node
         assert free_variables(node) == names
-        walk, run = (oracles._eval, compile_term) if is_term else (oracles._eval_cond, compile_condition)
+        walk, run = (oracles._eval, compile_value) if is_term else (oracles._eval_cond, compile_condition)
         answered = 0
         for p in (2, 3, 5):
             ctx = PrimeContext(p)
             for x, y in ((0, 1), (1, p), (p, 1), (p + p**3, p), (Fraction(1, p), 1)):
                 point = {"x": ctx.scalar(x), "y": ctx.scalar(y)}
                 expected = _outcome(lambda: walk(node, point, ctx))
-                assert _outcome(lambda: run(node, ctx)(point)) == expected, (p, x, y)
+                assert _outcome(lambda: run(node, ctx)(point), ctx) == expected, (p, x, y)
                 answered += expected[0] != "raises"
         assert answered, "no sample point gives a value"
         if is_term:
@@ -519,7 +545,7 @@ class TestCompiledMemo:
             t = parse_term(source)
             for ctx in (ctx3, ctx5):
                 evaluate(t, {"x": ctx.scalar(ctx.p)})
-            refs = [weakref.ref(t), weakref.ref(compile_term(t, ctx3))]
+            refs = [weakref.ref(t), weakref.ref(compile_value(t, ctx3))]
             del t
             gc.collect()
             assert all(ref() is None for ref in refs), source
@@ -535,24 +561,24 @@ class TestCompiledMemo:
 
     def test_a_node_keeps_one_form_per_prime(self, ctx3, ctx5):
         t = parse_term("x^2 + 1")
-        f3, f5 = compile_term(t, ctx3), compile_term(t, ctx5)
-        assert compile_term(t, ctx3) is f3 and compile_term(t, ctx5) is f5 and f3 is not f5
-        assert f3({"x": ctx3.scalar(3)}) == ctx3.scalar(10)
-        assert f5({"x": ctx5.scalar(3)}) == ctx5.scalar(10)
+        f3, f5 = compile_value(t, ctx3), compile_value(t, ctx5)
+        assert compile_value(t, ctx3) is f3 and compile_value(t, ctx5) is f5 and f3 is not f5
+        assert f3({"x": ctx3.scalar(3)}) == 10
+        assert f5({"x": ctx5.scalar(3)}) == 10
         c = parse_condition("|x| < |1|")
         assert compile_condition(c, ctx3) is compile_condition(c, ctx3)
 
     def test_the_scalar_form_wraps_the_value_form(self, ctx3, monkeypatch):
-        """A term used through both compile_value and compile_term compiles
-        once per prime."""
+        """A term used through both compile_value and evaluate, which wraps
+        the compiled value in a scalar, compiles once per prime."""
         built = []
         compile_ = terms._compile
         monkeypatch.setattr(terms, "_compile", lambda t, ctx: (built.append(t), compile_(t, ctx))[1])
         t = parse_term("normval(x) + 1/(x-1)")
         point = {"x": ctx3.scalar(3)}
         assert compile_value(t, ctx3)(point) == Fraction(5, 6)  # |3| + 1/2
-        assert compile_term(t, ctx3)(point) == ctx3.scalar(Fraction(5, 6))
         assert evaluate(t, point) == ctx3.scalar(Fraction(5, 6))
+        assert evaluate(t, point, ctx3) == ctx3.scalar(Fraction(5, 6))
         assert [n for n in built if n is t] == [t]
 
     def test_an_evaluated_term_pickles_and_copies(self, ctx3):
@@ -649,7 +675,7 @@ class TestPolynomial:
         for source in ("x - x", "(x - x)^0 + 1", "x*0/5"):
             t = parse_term(source)
             with pytest.raises(UnboundVariableError, match="unbound variable 'x'"):
-                compile_term(t, ctx3)({})
+                compile_value(t, ctx3)({})
         # a constant denominator that is not a literal is not a polynomial
         t = parse_term("x/(1-1)")
         with pytest.raises(DivisionByZero, match="subterm '1-1'"):
@@ -663,8 +689,8 @@ class TestPolynomial:
         point = {"x": ctx.scalar(x)}
         expected = _outcome(lambda: oracles._eval(t, point, ctx))
         assert expected[0] == "value"
-        assert _outcome(lambda: compile_term(t, ctx)(point)) == expected
-        unbound = _outcome(lambda: compile_term(t, ctx)({}))
+        assert _outcome(lambda: compile_value(t, ctx)(point), ctx) == expected
+        unbound = _outcome(lambda: compile_value(t, ctx)({}), ctx)
         assert unbound == _outcome(lambda: oracles._eval(t, {}, ctx))
         if "x" in free_variables(t):
             assert unbound[:2] == ("raises", UnboundVariableError)
@@ -685,6 +711,6 @@ class TestPolynomial:
         assert differentiate(f, "y") is differentiate(f, "y") != differentiate(f, "x")
         ball = Ball(ctx3.scalar(1), 1)
         check_jacobian_on_ball(f, ball, 2)
-        compiled = compile_term(differentiate(f, "x"), ctx3)
+        compiled = compile_value(differentiate(f, "x"), ctx3)
         check_jacobian_on_ball(f, ball, 3)
-        assert compile_term(differentiate(f, "x"), ctx3) is compiled
+        assert compile_value(differentiate(f, "x"), ctx3) is compiled

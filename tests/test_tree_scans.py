@@ -295,7 +295,8 @@ class TestExlocIdentities:
         for _ in range(data.draw(st.integers(0, 3))):
             i = data.draw(st.integers(0, len(points) - 1))
             values[i] = values[i] + data.draw(scalars(ctx))
-        assert _exloc_break(points, values) == exloc_pairs(points, values)
+        raw = [v.value for v in values]
+        assert _exloc_break(points, raw, p) == exloc_pairs(points, values)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_level_copied_onto_another_matches_all_pairs(self, p):
@@ -306,12 +307,12 @@ class TestExlocIdentities:
         values = [ctx.scalar(ctx.power(-(x.ord() % 2))) for x in points]
         expected = exloc_pairs(points, values)
         assert expected is not None
-        assert _exloc_break(points, values) == expected
+        assert _exloc_break(points, [v.value for v in values], p) == expected
 
     def test_normval_holds(self, ctx3):
         points = list(enumerate_window(Window(0, 3, 2), ctx3))
-        values = [evaluate(parse_term("normval(t)"), {"t": x}, ctx3) for x in points]
-        assert _exloc_break(points, values) is None
+        values = [evaluate(parse_term("normval(t)"), {"t": x}, ctx3).value for x in points]
+        assert _exloc_break(points, values, 3) is None
 
 
 class TestSplittingClasses:
