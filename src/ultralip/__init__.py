@@ -14,20 +14,17 @@ from .qp_core import (
     in_coset,
 )
 from .regions import Ball, Window, enumerate_window
-from .terms import (
+from .syntax import (
     Condition,
     PiecewiseFunction,
     Term,
-    differentiate,
-    eval_condition,
-    evaluate,
-    evaluate_piecewise,
     format_condition,
     format_term,
     parse,
     parse_condition,
     parse_term,
 )
+from .terms import differentiate, eval_condition, evaluate, evaluate_piecewise
 from .cells import (
     Cell,
     NoCandidateFits,

@@ -17,19 +17,17 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, in_coset, valuation
 from .regions import Ball, Window, first_overlap
-from .terms import (
+from .syntax import (
     Condition,
-    EvaluationError,
     RationalConst,
     Term,
     TrueCond,
     _Parser,
-    eval_condition,
-    evaluate,
     format_condition,
     format_term,
     free_variables,
 )
+from .terms import EvaluationError, eval_condition, evaluate
 
 __all__ = [
     "Cell",

@@ -38,18 +38,18 @@ from .lipschitz import (
     empirical_lipschitz,
 )
 from .prepare import parse_factored, prepare, verify_prepared
-from .terms import (
+from .syntax import (
     Condition,
     ParseError,
     PiecewiseFunction,
     TermError,
     TrueCond,
     _Parser,
-    evaluate,
     parse,
     parse_condition,
     parse_term,
 )
+from .terms import evaluate
 
 __all__ = ["main", "dispatch"]
 

@@ -36,7 +36,8 @@ from .qp_core import (
 )
 from .regions import Ball, Window, first_overlap, least_ord_break
 from .cells import Cell, NoCandidateFits, enumerate_balls, fit_cell
-from .terms import EvaluationError, Term, compile_value, differentiate, free_variables
+from .syntax import Term, free_variables
+from .terms import EvaluationError, compile_value, differentiate
 
 __all__ = [
     "ViolationKind",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Union
 
 from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, residue, valuation
@@ -24,21 +25,17 @@ from .regions import (
     splitting_classes,
 )
 from .cells import Cell, format_cell
-from .terms import (
+from .syntax import (
     Condition,
     LevelSpike,
     NormVal,
     PiecewiseFunction,
     Term,
     Variable,
-    compile_condition,
-    compile_value,
-    differentiate,
-    eval_condition,
-    evaluate_piecewise,
     format_condition,
     free_variables,
 )
+from .terms import compile_condition, compile_value, differentiate, eval_condition, evaluate_piecewise
 from .jacobian import (
     BallCorrespondence,
     CorrespondenceFailure,
@@ -223,7 +220,8 @@ def empirical_lipschitz(
     the best ratio in O(N * levels) (see _tree_scan).
     """
     variables = _function_variables(f)
-    axis = sorted(enumerate_window(window, ctx))
+    # sorted on the raw values, the order of PadicScalar.__lt__ without its calls
+    axis = sorted(enumerate_window(window, ctx), key=attrgetter("value"))
     if len(variables) == 1:
         candidates: list = list(axis)
     else:
@@ -343,7 +341,7 @@ def check_bounded_derivative_local_lipschitz(
     p = ctx.p
     f_at, deriv_at = compile_value(f, ctx), compile_value(differentiate(f, var), ctx)
     in_region = compile_condition(region, ctx)
-    reps = sorted(enumerate_window(window, ctx))
+    reps = sorted(enumerate_window(window, ctx), key=attrgetter("value"))
     pts = [x for x in reps if in_region({var: x})]
     if not pts:
         return LocalLipschitzCheck("passed", None, "region has no representatives")

@@ -34,7 +34,7 @@ from typing import Optional
 from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord, valuation
 from .regions import Ball, Window
 from .cells import Cell, point_cell
-from .terms import _Parser
+from .syntax import _Parser
 
 __all__ = [
     "FactoredTerm",
@@ -161,33 +161,8 @@ class FactoredTerm:
 
 def parse_factored(text: str, ctx: PrimeContext) -> FactoredTerm:
     """Parse the CLI factored syntax: u * (t - c1)^a1 * (t - c2)^a2 ..."""
-    parser = _Parser(text)
-    unit = ctx.scalar(parser.rational())
-    factors = []
-    var_name = None
-    while parser.accept("*"):
-        parser.expect("(")
-        tok = parser.peek()
-        if tok.kind != "ident":
-            parser.fail("expected the fiber variable")
-        if var_name is None:
-            var_name = tok.text
-        elif tok.text != var_name:
-            parser.fail(f"mixed fiber variables {var_name!r} and {tok.text!r}")
-        parser.next()
-        if parser.accept("-"):
-            center = parser.rational()
-        elif parser.accept("+"):
-            center = -parser.rational()
-        else:
-            parser.fail("expected '-' or '+' after the variable")
-        parser.expect(")")
-        exponent = 1
-        if parser.accept("^"):
-            exponent = parser.signed_int(parens_ok=True)
-        factors.append((ctx.scalar(center), exponent))
-    parser.expect_eof()
-    return FactoredTerm(unit, tuple(factors))
+    unit, factors = _Parser(text).read(_Parser.factored)
+    return FactoredTerm(ctx.scalar(unit), tuple((ctx.scalar(c), a) for c, a in factors))
 
 
 @dataclass(frozen=True)

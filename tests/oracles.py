@@ -52,14 +52,12 @@ from ultralip.cells import _greedy_progressions
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
 from ultralip.regions import Ball, SplitClass
-from ultralip.terms import (
+from ultralip.syntax import (
     Add,
     And,
-    BuiltinDomainError,
     Condition,
     CosetMember,
     Div,
-    DivisionByZero,
     IntPow,
     LevelSpike,
     Mul,
@@ -69,14 +67,18 @@ from ultralip.terms import (
     Or,
     OrdCongruence,
     ParseError,
-    PieceDomainError,
-    PieceOverlapError,
     RationalConst,
     Sub,
     Term,
     TrueCond,
-    UnboundVariableError,
     Variable,
+)
+from ultralip.terms import (
+    BuiltinDomainError,
+    DivisionByZero,
+    PieceDomainError,
+    PieceOverlapError,
+    UnboundVariableError,
     _point_str,
 )
 

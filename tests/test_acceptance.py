@@ -37,17 +37,16 @@ from ultralip.prepare import (
     prepare,
     verify_prepared,
 )
-from ultralip.terms import (
+from ultralip.syntax import (
     Add,
     IntPow,
     Mul,
     RationalConst,
     Variable,
-    differentiate,
-    evaluate,
     parse_condition,
     parse_term,
 )
+from ultralip.terms import differentiate, evaluate
 
 from conftest import random_rational
 
@@ -336,7 +335,7 @@ def _random_polynomial(rng: random.Random, p: int):
 
 def test_criterion_8_bounded_derivative_check():
     started = time.monotonic()
-    from ultralip.terms import TrueCond
+    from ultralip.syntax import TrueCond
 
     window = Window(0, 2, 3)
     for p in (3, 5):

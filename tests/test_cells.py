@@ -20,7 +20,7 @@ from ultralip.cells import (
     parse_cell,
     point_cell,
 )
-from ultralip.terms import RationalConst, TrueCond, parse_condition, parse_term
+from ultralip.syntax import RationalConst, TrueCond, parse_condition, parse_term
 
 
 def unit_coset_cell(ctx, m=1, n=1, lam=1, level_min=None, level_max=None):
@@ -269,7 +269,7 @@ class TestCellLiterals:
         assert cell_contains(cell, ctx3.scalar(3), {"y": ctx3.scalar(2)})
 
     def test_missing_coset_rejected(self, ctx3):
-        from ultralip.terms import ParseError
+        from ultralip.syntax import ParseError
 
         with pytest.raises(ParseError):
             parse_cell("cell(center=0; all)", ctx3)

@@ -6,13 +6,19 @@ module's __all__.  Every module-level private function or class must be
 referenced somewhere in src/ultralip outside its own body.  An import or a
 helper left behind by a deletion fails here.  No module imports a private
 name from another module of the package, except the few that are shared on
-purpose, each listed with its reason.
+purpose, each listed with its reason.  The modules import each other
+without a cycle, and none passes the parser's token threshold.
 """
 
 import ast
+import graphlib
+import tokenize
 from pathlib import Path
 
 import pytest
+
+import ultralip.syntax as syntax
+import ultralip.terms as terms
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ultralip"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -103,7 +109,7 @@ def test_check_sees_orphaned_helpers():
 
 # the private names that a module may import from another, with the reason
 SHARED_PRIVATES = {
-    "_Parser": "terms is the one reader of literal text",
+    "_Parser": "syntax is the one reader of literal text",
     "_fiber_variable": "jacobian's one-variable rule, which the local check shares",
 }
 
@@ -138,3 +144,47 @@ def test_check_sees_private_imports():
         "    from ..d import _nested, __version__\n"
     )
     assert private_imports(source) == [(3, "_private"), (4, "_absolute"), (7, "_nested")]
+
+
+def import_graph(sources: dict) -> dict:
+    """Module -> the package modules it imports with `from .x import`, at any
+    depth of its body; `from . import x` counts as an import of x."""
+    graph = {}
+    for module, source in sources.items():
+        deps = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else (a.name for a in node.names))
+        graph[module] = deps
+    return graph
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph({p.stem: p.read_text() for p in SRC.glob("*.py")})
+    assert list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def test_check_sees_import_cycles():
+    graph = import_graph({"a": "from .b import f\n", "b": "def g():\n    from . import a\n"})
+    assert graph == {"a": {"b"}, "b": {"a"}}
+    with pytest.raises(graphlib.CycleError):
+        list(graphlib.TopologicalSorter(graph).static_order())
+
+
+# Above 8,192 parser tokens CPython 3.11 needs about 0.5 MB more at its peak to
+# compile a file, and perfbench imports the package from source
+MAX_TOKENS = 8192
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_stays_below_the_parser_token_threshold(path):
+    with path.open() as source:
+        tokens = tokenize.generate_tokens(source.readline)
+        count = sum(1 for tok in tokens if tok.type not in (tokenize.COMMENT, tokenize.NL))
+    assert count <= MAX_TOKENS
+
+
+def test_terms_reexports_the_parsers_of_syntax():
+    # the benchmark's tracer wraps the parsers through their terms bindings
+    for name in ("parse", "parse_term", "parse_condition"):
+        assert getattr(terms, name) is getattr(syntax, name)

@@ -21,7 +21,8 @@ from ultralip.jacobian import (
     map_ball,
     verify_certificate,
 )
-from ultralip.terms import evaluate, parse_term
+from ultralip.syntax import parse_term
+from ultralip.terms import evaluate
 
 
 def coset_cell(ctx, lam=1, m=1, n=1, var="x"):
@@ -257,7 +258,7 @@ class TestCorrespondence:
 
     def test_correspondence_above_a_base_point(self, ctx3):
         from ultralip.cells import Cell
-        from ultralip.terms import parse_condition
+        from ultralip.syntax import parse_condition
 
         cell = Cell(
             base_vars=("y",),

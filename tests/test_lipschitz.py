@@ -23,13 +23,8 @@ from ultralip.lipschitz import (
     counterexample_exloc2,
     empirical_lipschitz,
 )
-from ultralip.terms import (
-    TrueCond,
-    evaluate,
-    parse,
-    parse_condition,
-    parse_term,
-)
+from ultralip.syntax import TrueCond, parse, parse_condition, parse_term
+from ultralip.terms import evaluate
 
 
 def coset_cell(ctx, lam=1, m=1, n=1, var="x"):

@@ -14,7 +14,7 @@ from oracles import char_tokens
 from ultralip.cells import format_cell, parse_cell, point_cell
 from ultralip.cli import main
 from ultralip.qp_core import CosetSpec, PrimeContext
-from ultralip.terms import ParseError, _tokenize, parse_condition, parse_term
+from ultralip.syntax import ParseError, _tokenize, parse_condition, parse_term
 
 seeded = settings(derandomize=True, deadline=None, max_examples=400)
 

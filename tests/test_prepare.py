@@ -12,7 +12,8 @@ from oracles import exhaustive_verify_prepared, scalar_piece_contains, worklist_
 from ultralip.cells import format_cell
 from ultralip.qp_core import PadicScalar, PrimeContext
 from ultralip.regions import Ball, Window, enumerate_window
-from ultralip.terms import evaluate, parse_term
+from ultralip.syntax import parse_term
+from ultralip.terms import evaluate
 from ultralip.prepare import (
     FactoredTerm,
     parse_factored,

@@ -25,7 +25,8 @@ from oracles import (
 import ultralip.qp_core as qp_core
 from ultralip.qp_core import INFINITE_ORD, PadicScalar, PrimeContext, residue, valuation
 from ultralip.regions import Ball
-from ultralip.terms import EvaluationError, evaluate, parse_term
+from ultralip.syntax import parse_term
+from ultralip.terms import EvaluationError, evaluate
 
 seeded = settings(derandomize=True, deadline=None, max_examples=150)
 

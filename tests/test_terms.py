@@ -17,13 +17,11 @@ import ultralip.terms as terms
 from ultralip.jacobian import JacobianCertificate, check_jacobian_on_ball
 from ultralip.qp_core import PadicScalar, PrimeContext
 from ultralip.regions import Ball
-from ultralip.terms import (
+from ultralip.syntax import (
     Add,
     And,
-    BuiltinDomainError,
     Condition,
     CosetMember,
-    DivisionByZero,
     Div,
     IntPow,
     LevelSpike,
@@ -34,26 +32,30 @@ from ultralip.terms import (
     Or,
     OrdCongruence,
     ParseError,
-    PieceOverlapError,
     PiecewiseFunction,
     RationalConst,
     Sub,
     Term,
     TrueCond,
-    UnboundVariableError,
     Variable,
-    compile_condition,
-    compile_value,
-    differentiate,
-    eval_condition,
-    evaluate,
-    evaluate_piecewise,
     format_condition,
     format_term,
     free_variables,
     parse,
     parse_condition,
     parse_term,
+)
+from ultralip.terms import (
+    BuiltinDomainError,
+    DivisionByZero,
+    PieceOverlapError,
+    UnboundVariableError,
+    compile_condition,
+    compile_value,
+    differentiate,
+    eval_condition,
+    evaluate,
+    evaluate_piecewise,
     polynomial,
 )
 

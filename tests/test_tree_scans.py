@@ -33,7 +33,8 @@ from ultralip.lipschitz import (
 )
 from ultralip.qp_core import PrimeContext
 from ultralip.regions import Ball, Window, _interleave, enumerate_window, splitting_classes
-from ultralip.terms import differentiate, eval_condition, evaluate, parse_condition, parse_term
+from ultralip.syntax import parse_condition, parse_term
+from ultralip.terms import differentiate, eval_condition, evaluate
 
 seeded = settings(derandomize=True, deadline=None, max_examples=60)
 
