@@ -32,6 +32,7 @@ from .terms import EvaluationError, eval_condition, evaluate
 __all__ = [
     "Cell",
     "ZeroCellHasNoBalls",
+    "BallsOverlap",
     "NoCandidateFits",
     "cell_contains",
     "ball_of_cell",
@@ -45,6 +46,14 @@ __all__ = [
 
 class ZeroCellHasNoBalls(Exception):
     """A 0-cell has an empty collection of balls."""
+
+
+class BallsOverlap(ValueError):
+    """Two input balls of fit_cell overlap; pair is the least (i, j)."""
+
+    def __init__(self, balls: Sequence[Ball], pair: tuple):
+        i, j = self.pair = pair
+        super().__init__(f"input balls are not pairwise disjoint: {balls[i]} vs {balls[j]}")
 
 
 class NoCandidateFits(Exception):
@@ -285,8 +294,7 @@ def fit_cell(
     balls = list(balls)
     overlap = first_overlap(balls)
     if overlap is not None:
-        i, j = overlap
-        raise ValueError(f"input balls are not pairwise disjoint: {balls[i]} vs {balls[j]}")
+        raise BallsOverlap(balls, overlap)
     if not balls:
         return []
     failures = {}

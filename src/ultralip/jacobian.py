@@ -5,14 +5,29 @@ B onto another ball, ord(F') is constant and finite on B, and
 
     ord(F(x) - F(y)) = ord(F') + ord(x - y)   for all x != y in B,
 
-i.e. F is an exact isometry up to the scale p^(-ord F').  Certification
-here is exhaustive over the depth-M representatives of B, not symbolic:
-certificates carry the depth at which they were verified, and a deeper
-violation could in principle exist for non-polynomial terms.
+i.e. F is an exact isometry up to the scale p^(-ord F').
 
-Each check evaluates f once per representative; check_ball_correspondence
-tiles each ball from those values as map_ball does, and condition (d) reads
-the ball tree of the representatives c + p^r * i from the digits of i.
+A polynomial F is first read off its Taylor shift about B = c + p^r Z_p,
+g(y) = F(c + p^r y) = sum of b_i y^i (see terms.taylor_shift).  When
+b_1 != 0 and ord b_1 < ord b_i for every i >= 2, then for all y != y' in
+Z_p
+
+    ord(g(y) - g(y')) = ord b_1 + ord(y - y'),   ord g'(y) = ord b_1,
+
+so F has the Jacobian property on all of B, with jac_ord = ord b_1 - r and
+image F(c) + p^(ord b_1) Z_p (Hensel's lemma).  Every condition then holds
+on every pair of representatives, so the depth-M check would return the
+same certificate, and it is built from the shift alone, labelled with the
+depth asked for; the label stays true, as the certificate holds at every
+depth.  Every other ball, and every term that is not a polynomial, is
+checked exhaustively over the depth-M representatives of B: certificates
+carry the depth at which they were verified, and a deeper violation could
+in principle exist for non-polynomial terms.
+
+Each exhaustive check evaluates f once per representative;
+check_ball_correspondence tiles each ball from those values as map_ball
+does, and condition (d) reads the ball tree of the representatives
+c + p^r * i from the digits of i.
 The per-representative loops, and the search for the least pair that
 breaks (d), compute on the raw values of f and f' (see
 terms.compile_value) with qp_core.valuation and qp_core.residue; a
@@ -34,10 +49,10 @@ from .qp_core import (
     residue,
     valuation,
 )
-from .regions import Ball, Window, first_overlap, least_ord_break
-from .cells import Cell, NoCandidateFits, enumerate_balls, fit_cell
+from .regions import Ball, Window, least_ord_break
+from .cells import BallsOverlap, Cell, NoCandidateFits, enumerate_balls, fit_cell
 from .syntax import Term, free_variables
-from .terms import EvaluationError, compile_value, differentiate
+from .terms import EvaluationError, compile_value, differentiate, polynomial, taylor_shift
 
 __all__ = [
     "ViolationKind",
@@ -213,18 +228,36 @@ def _tile(reps: list, images: list, depth: int):
 def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
     """Certify the Jacobian property of f on a ball at a given depth.
 
-    Checks, on the canonical depth-M representatives and in this fixed
-    order: (c) ord(f') constant and finite, (a) injectivity and that the
-    image representatives tile a single ball of the radius forced by the
-    derivative valuation, (d) the distance identity on all pairs.  (d) is
-    decided level by level on the ball tree of the representatives, in
-    about p/2 comparisons per representative (see _distance_break); a
-    violation names the least pair an all-pairs scan would report.
+    A polynomial that passes the Taylor-shift test (see the module
+    docstring) is certified from its shift alone.  Every other f is
+    checked on the representatives (see _exhaustive_certificate).
     Returns a JacobianCertificate or the first JacobianViolation found.
     """
     if depth < 1:
         raise ValueError("certification depth must be >= 1")
     var = _fiber_variable(f, "t")
+    poly = polynomial(f)
+    if poly is not None and poly[0] is not None:
+        ctx = ball.context
+        b = taylor_shift(poly, ball.center.value, ctx.power(ball.radius_ord))
+        lead = valuation(b[1], ctx.p) if len(b) > 1 else INFINITE_ORD
+        if lead != INFINITE_ORD and all(valuation(c, ctx.p) > lead for c in b[2:]):
+            image = Ball(PadicScalar(b[0], ctx), lead)
+            return JacobianCertificate(ball, image, lead - ball.radius_ord, depth)
+    return _exhaustive_certificate(f, var, ball, depth)
+
+
+def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
+    """check_jacobian_on_ball on the canonical depth-M representatives.
+
+    Checks, in this fixed order: (c) ord(f') constant and finite, (a)
+    injectivity and that the image representatives tile a single ball of
+    the radius forced by the derivative valuation, (d) the distance
+    identity on all pairs.  (d) is decided level by level on the ball tree
+    of the representatives, in about p/2 comparisons per representative
+    (see _distance_break); a violation names the least pair an all-pairs
+    scan would report.
+    """
     ctx = ball.context
     p = ctx.p
     deriv_at = compile_value(differentiate(f, var), ctx)
@@ -321,9 +354,10 @@ def check_ball_correspondence(
     """Map every ball of a cell above y and fit the images into one cell.
 
     f must be injective on the enumerated representatives of the fiber
-    (checked, failure reported); every ball image must be a ball; images
-    must be pairwise disjoint; the images are then fitted around candidate
-    centers (f at the cell center when defined, 0, and caller extras).
+    (checked, failure reported); every ball image must be a ball; the
+    images are then fitted around candidate centers (f at the cell center
+    when defined, 0, and caller extras), and fit_cell reports the first
+    pair of images that are not disjoint.
     Success returns the ball pairing and the fitted image cell.
     """
     y = y or {}
@@ -357,16 +391,6 @@ def check_ball_correspondence(
             )
         images.append(result)
 
-    overlap = first_overlap(images)
-    if overlap is not None:
-        i, j = overlap
-        return CorrespondenceFailure(
-            "images_overlap",
-            (source_balls[i], source_balls[j]),
-            f"images {images[i]} and {images[j]} of {source_balls[i]} "
-            f"and {source_balls[j]} are not disjoint",
-        )
-
     candidates = []
     try:
         c = cell.center_at(y)
@@ -377,6 +401,14 @@ def check_ball_correspondence(
     candidates.extend(extra_candidates)
     try:
         fitted = fit_cell(images, candidates, fiber_var=var)
+    except BallsOverlap as err:
+        i, j = err.pair
+        return CorrespondenceFailure(
+            "images_overlap",
+            (source_balls[i], source_balls[j]),
+            f"images {images[i]} and {images[j]} of {source_balls[i]} "
+            f"and {source_balls[j]} are not disjoint",
+        )
     except NoCandidateFits as err:
         return CorrespondenceFailure(
             "no_candidate_fits", tuple(err.failures), str(err)

@@ -5,11 +5,13 @@ compute on the raw int and Fraction values (an int when integral), and no
 compiled closure builds a PadicScalar; evaluate and evaluate_piecewise wrap
 the one value they return.  A polynomial in one variable (see polynomial)
 runs Horner's rule on ints; every other node is a closure over its
-children's forms.  A node keeps its compiled form for each prime, its
-polynomial normal form and its derivatives, so they go when the node
-does; pickles and copies leave them out.  Errors are those of a walk over
-the tree: a Div tests its denominator first and reports it, and a negative
-power of 0 reports the power.
+children's forms.  taylor_shift reads a polynomial about a ball
+c + p^r Z_p, in O(degree^2) int steps, for jacobian's Taylor-shift test.
+A node keeps its compiled form for each prime, its polynomial normal form
+and its derivatives, so they go when the node does; pickles and copies
+leave them out.  Errors are those of a walk over the tree: a Div tests its
+denominator first and reports it, and a negative power of 0 reports the
+power.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "compile_condition",
     "differentiate",
     "polynomial",
+    "taylor_shift",
     "EvaluationError",
     "UnboundVariableError",
     "DivisionByZero",
@@ -258,6 +261,38 @@ def _reduced(var: Optional[str], coeffs: list, den: int) -> tuple:
     if g != 1:
         coeffs, den = [x // g for x in coeffs], den // g
     return var, tuple(coeffs), den
+
+
+def taylor_shift(poly: tuple, centre: "int | Fraction", step: "int | Fraction") -> list:
+    """The coefficients b_0..b_n of poly(centre + step * y), from degree 0
+    up, as raw values: an int, or a Fraction in lowest terms.  poly is a
+    normal form (see polynomial), and centre and step are raw values.
+
+    With centre + step * y = (a + b * y) / e for ints a, b and e, the
+    coefficients c_i * e^(n-i) are shifted by a with synthetic division,
+    O(degree^2) steps on ints, and b_j is the j-th of them times b^j over
+    D * e^n.  So only the last step leaves the ints, and only when the
+    centre, the step or D is not an int."""
+    _, coeffs, den = poly
+    n = len(coeffs) - 1
+    a, b, e = centre, step, 1
+    if a.__class__ is not int or b.__class__ is not int:
+        a, b = Fraction(a), Fraction(b)
+        a, b, e = (
+            a.numerator * b.denominator,
+            b.numerator * a.denominator,
+            a.denominator * b.denominator,
+        )
+    shifted = [c * e ** (n - i) for i, c in enumerate(coeffs)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            shifted[j] += a * shifted[j + 1]
+    scale = den * e**n
+    out = [c * b**j for j, c in enumerate(shifted)]
+    if scale == 1:
+        return out
+    out = [Fraction(c, scale) for c in out]
+    return [c.numerator if c.denominator == 1 else c for c in out]
 
 
 def _horner(poly: tuple) -> Callable:

@@ -227,6 +227,13 @@ class TestFitCell:
         with pytest.raises(ValueError):
             fit_cell([Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(4), 2)], [ctx3.scalar(0)])
 
+    def test_an_overlap_names_its_least_pair(self, ctx3):
+        balls = [Ball(ctx3.scalar(2), 2), Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(4), 2)]
+        with pytest.raises(cells.BallsOverlap) as caught:
+            fit_cell(balls, [ctx3.scalar(0)])
+        assert caught.value.pair == (1, 2)
+        assert str(caught.value) == "input balls are not pairwise disjoint: 1 + 3^1 vs 4 + 3^2"
+
 
 class TestMinProgressions:
     @settings(derandomize=True, deadline=None, max_examples=300)

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import balls_overlap
-from ultralip import jacobian
+from ultralip import cells, jacobian
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PrimeContext
 from ultralip.regions import Ball, Window
 from ultralip.cells import point_cell
@@ -132,6 +133,60 @@ class TestCheckJacobian:
         assert result.detail == detail
 
 
+def random_jacobian_check(rng):
+    """(f, ball, depth): a polynomial of degree 1 to 5 with rational
+    coefficients, a ball at p in {2, 3, 5} with a rational centre and a
+    radius ord in [-2, 3], and a depth in [1, 3]."""
+    ctx = PrimeContext(rng.choice((2, 3, 5)))
+    degree = rng.randint(1, 5)
+    coeffs = [Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3, 4, 5, 9))) for _ in range(degree)]
+    coeffs.append(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3))))
+    f = parse_term(" + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs)))
+    centre = Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 5)))
+    return f, Ball(ctx.scalar(centre), rng.randint(-2, 3)), rng.randint(1, 3)
+
+
+class TestTaylorShiftCertificate:
+    """The Taylor-shift test against the exhaustive check as its oracle."""
+
+    def test_a_shift_certificate_is_the_exhaustive_one(self):
+        rng = random.Random(5)
+        for _ in range(600):
+            f, ball, depth = random_jacobian_check(rng)
+            result = check_jacobian_on_ball(f, ball, depth)
+            expected = jacobian._exhaustive_certificate(f, "x", ball, depth)
+            assert result == expected, (f, ball, depth)
+            assert result.as_json_dict() == expected.as_json_dict()
+
+    def test_most_draws_pass_the_shift_test(self, monkeypatch):
+        """The same draws, with the exhaustive check replaced by None: at
+        least half of them are certified by the shift alone."""
+        monkeypatch.setattr(jacobian, "_exhaustive_certificate", lambda *args: None)
+        rng = random.Random(5)
+        results = [check_jacobian_on_ball(*random_jacobian_check(rng)) for _ in range(600)]
+        assert sum(isinstance(r, JacobianCertificate) for r in results) >= 300
+
+    def test_a_shift_certificate_evaluates_nothing(self, ctx3, monkeypatch):
+        calls = []
+        representatives, compile_value = Ball.representatives, jacobian.compile_value
+        monkeypatch.setattr(
+            Ball, "representatives", lambda ball, depth: (calls.append(ball), representatives(ball, depth))[1]
+        )
+        monkeypatch.setattr(
+            jacobian, "compile_value", lambda term, ctx: (calls.append(term), compile_value(term, ctx))[1]
+        )
+        f = parse_term("x^3 + 2*x")
+        # f(1 + 3y) = 3 + 15y + 27y^2 + 27y^3: ord 15 = 1 < 3
+        cert = check_jacobian_on_ball(f, Ball(ctx3.scalar(1), 1), 3)
+        assert cert == JacobianCertificate(Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(3), 1), 0, 3)
+        assert calls == []
+        # f(y) = 2y + y^3 on Z_3 fails the test, ord 2 = ord 1, and (a)
+        # fails: f(1) = 3 and f(2) = 12 agree mod 9
+        result = check_jacobian_on_ball(f, Ball(ctx3.scalar(0), 0), 2)
+        assert result.failed_condition is ViolationKind.A_IMAGE_NOT_BALL
+        assert calls
+
+
 class TestMapBall:
     def test_square(self, ctx3):
         assert map_ball(parse_term("x^2"), Ball(ctx3.scalar(1), 1), 2) == Ball(ctx3.scalar(1), 1)
@@ -210,6 +265,17 @@ class TestCorrespondence:
         corr = check_ball_correspondence(f, coset_cell(ctx3), {}, Window(0, 2, 1), 2)
         assert isinstance(corr, CorrespondenceFailure)
         assert corr.kind == "images_overlap"
+
+    def test_the_images_are_checked_for_overlap_once(self, ctx3, monkeypatch):
+        """fit_cell's check is the only one; its pair becomes the failure."""
+        calls = []
+        first_overlap = cells.first_overlap
+        monkeypatch.setattr(cells, "first_overlap", lambda balls: (calls.append(balls), first_overlap(balls))[1])
+        f = parse_term("x^2*normval(x)^2 + 59049*x")
+        corr = check_ball_correspondence(f, coset_cell(ctx3), {}, Window(0, 2, 1), 2)
+        assert len(calls) == 1
+        assert corr.witnesses == (Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(3), 2))
+        assert corr.detail == "images 1 + 3^1 and 1 + 3^1 of 1 + 3^1 and 3 + 3^2 are not disjoint"
 
     def test_no_candidate_fits_reported(self, ctx3):
         # f(center) is undefined (pole) and the image ball contains 0

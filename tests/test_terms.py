@@ -57,6 +57,7 @@ from ultralip.terms import (
     evaluate,
     evaluate_piecewise,
     polynomial,
+    taylor_shift,
 )
 
 
@@ -100,16 +101,16 @@ class TestParsing:
     def test_known_builtin_parses(self):
         assert parse_term("levelspike(t)") == LevelSpike(Variable("t"))
 
-    def test_levelspike_needs_only_the_terms_module(self, monkeypatch):
-        """levelspike is a node of terms itself, not something that importing
+    def test_levelspike_needs_only_the_syntax_module(self, monkeypatch):
+        """levelspike is a node of syntax itself, not something that importing
         the package (whose __init__ also loads lipschitz) adds."""
         pkg = types.ModuleType("_ul")
         pkg.__path__ = [str(Path(__file__).resolve().parents[1] / "src" / "ultralip")]
         monkeypatch.setitem(sys.modules, "_ul", pkg)
         try:
-            terms = importlib.import_module("_ul.terms")
+            syntax = importlib.import_module("_ul.syntax")
             assert "_ul.lipschitz" not in sys.modules
-            assert type(terms.parse_term("levelspike(t)")) is terms.LevelSpike
+            assert type(syntax.parse_term("levelspike(t)")) is syntax.LevelSpike
         finally:
             for name in [n for n in sys.modules if n.startswith("_ul.")]:
                 del sys.modules[name]
@@ -589,6 +590,9 @@ class TestCompiledMemo:
         f = parse_term("x^3 + 2*x")
         assert isinstance(check_jacobian_on_ball(f, Ball(ctx3.scalar(1), 1), 2), JacobianCertificate)
         fprime = differentiate(f, "x")
+        # the certificate comes from f's Taylor shift, which compiles neither
+        compile_value(f, ctx3)
+        compile_value(fprime, ctx3)
         assert {3, "polynomial", ("derivative", "x")} <= set(vars(f)["_cache"])
         assert {3, "polynomial"} <= set(vars(fprime)["_cache"])
         t = parse_term("normval(x) + 1/(x-1) + levelspike(3*x)")
@@ -707,11 +711,42 @@ class TestPolynomial:
         assert (coeffs, den) == expected[1:]
         assert var == expected[0] or (var is None and len(coeffs) <= 1)
 
+    def test_a_taylor_shift(self):
+        # (1 + 3y)^3 + 2(1 + 3y) = 3 + 15y + 27y^2 + 27y^3
+        assert taylor_shift(polynomial(parse_term("x^3 + 2*x")), 1, 3) == [3, 15, 27, 27]
+        # (1/2 - y/3)^2 / 4 = 1/16 - y/12 + y^2/36
+        poly = polynomial(parse_term("x^2/4"))
+        assert taylor_shift(poly, Fraction(1, 2), Fraction(-1, 3)) == [
+            Fraction(1, 16), Fraction(-1, 12), Fraction(1, 36)
+        ]
+        assert taylor_shift(polynomial(parse_term("x - x")), 5, 2) == []
+        assert taylor_shift(polynomial(parse_term("2/3")), 5, 2) == [Fraction(2, 3)]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        random_polynomials,
+        _poly_points,
+        st.sampled_from([1, -1, 9, -4, Fraction(1, 27), Fraction(-1, 2), Fraction(5, 3)]),
+    )
+    def test_the_taylor_shift_evaluates_back(self, t, centre, step):
+        """sum of b_i y^i is the Horner value of t at centre + step * y, and
+        each b_i is a raw value."""
+        ctx = PrimeContext(3)
+        poly = polynomial(t)
+        b = taylor_shift(poly, centre, step)
+        assert len(b) == len(poly[1])
+        assert all(c.__class__ is int or c.denominator != 1 for c in b)
+        t_at = compile_value(t, ctx)
+        for y in (0, 1, -2, 5, Fraction(1, 3), Fraction(-7, 4)):
+            x = ctx.scalar(centre + step * y)
+            assert sum(c * y**i for i, c in enumerate(b)) == t_at({"x": x})
+
     def test_a_term_keeps_its_derivative(self, ctx3):
         f = parse_term("x^3 + 2*x")
         assert differentiate(f, "x") is differentiate(f, "x")
         assert differentiate(f, "y") is differentiate(f, "y") != differentiate(f, "x")
-        ball = Ball(ctx3.scalar(1), 1)
+        # f(y) = y^3 + 2y fails the Taylor-shift test, so the check compiles f'
+        ball = Ball(ctx3.scalar(0), 0)
         check_jacobian_on_ball(f, ball, 2)
         compiled = compile_value(differentiate(f, "x"), ctx3)
         check_jacobian_on_ball(f, ball, 3)
