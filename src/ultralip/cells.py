@@ -359,13 +359,13 @@ def parse_cell(text: str, ctx: PrimeContext) -> Cell:
 
 def format_cell(cell: Cell) -> str:
     parts = [f"center={format_term(cell.center)}", f"coset={cell.coset}"]
+    # a nonzero constant bound is a level; a zero one is printed as it is,
+    # since it bounds no level and level_bounds refuses it
     lo = hi = None
-    if cell.beta is not None and isinstance(cell.beta, RationalConst):
-        b = valuation(cell.beta.value, cell.context.p)
-        lo = None if b == INFINITE_ORD else b + 1
-    if cell.alpha is not None and isinstance(cell.alpha, RationalConst):
-        a = valuation(cell.alpha.value, cell.context.p)
-        hi = None if a == INFINITE_ORD else a - 1
+    if isinstance(cell.beta, RationalConst) and cell.beta.value:
+        lo = valuation(cell.beta.value, cell.context.p) + 1
+    if isinstance(cell.alpha, RationalConst) and cell.alpha.value:
+        hi = valuation(cell.alpha.value, cell.context.p) - 1
     if lo is not None and hi is not None:
         parts.append(f"ord in [{lo},{hi}]")
     elif lo is not None:
@@ -374,9 +374,9 @@ def format_cell(cell: Cell) -> str:
         parts.append(f"ord < {hi + 1}")
     else:
         parts.append("all")
-    if cell.alpha is not None and not isinstance(cell.alpha, RationalConst):
+    if cell.alpha is not None and hi is None:
         parts.append(f"alpha={format_term(cell.alpha)}")
-    if cell.beta is not None and not isinstance(cell.beta, RationalConst):
+    if cell.beta is not None and lo is None:
         parts.append(f"beta={format_term(cell.beta)}")
     if not isinstance(cell.base_condition, TrueCond):
         parts.append(f"base={format_condition(cell.base_condition)}")

@@ -1,11 +1,14 @@
 """Command-line front door: parse inputs, dispatch analyses, emit reports.
 
-Exit codes: 0 for success / a passing analysis, 1 when the analysis is
-negative (a violation, a failed correspondence, a failed verification),
-2 for usage errors, 3 for an internal error (a broken invariant, reported
-with its traceback on stderr).  Norms are printed as p^k strings and
-witnesses as exact rationals; --json output is schema-stable and
-byte-reproducible.
+Each command's handler returns its exit code, its JSON payload and its
+text, and prints nothing; `dispatch` prints the payload (under --json) or
+the text once the handler has returned, so a usage or internal error leaves
+stdout empty.  Exit codes: 0 for success / a passing analysis, 1 when the
+analysis is negative (a violation, a failed correspondence, a failed
+verification), 2 for usage errors, 3 for an internal error (a broken
+invariant, reported with its traceback on stderr).  Norms are printed as
+p^k strings and witnesses as exact rationals; --json output is
+schema-stable and byte-reproducible.
 """
 
 from __future__ import annotations
@@ -63,12 +66,15 @@ class UsageError(Exception):
 _USAGE_ERRORS = (UsageError, TermError, ValueError, EmptyRegion, CenterNotZero, ZeroCellHasNoBalls)
 
 
-def _parse_window(text: str) -> tuple:
+def _window(args, depth=1):
+    """--window "a:b" as a Window at the given depth; with depth None the
+    text is only checked."""
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = args.window.split(":")
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        raise UsageError(f"window must look like a:b, got {text!r}") from None
+        raise UsageError(f"window must look like a:b, got {args.window!r}") from None
+    return None if depth is None else Window(lo, hi, depth)
 
 
 def _read(text: str, production, what: str):
@@ -105,13 +111,6 @@ def _parse_point(pairs, ctx: PrimeContext) -> dict:
     return point
 
 
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(text)
-
-
 def _cell_from_args(args, ctx: PrimeContext) -> Cell:
     """A cell from --cell, or assembled from --center / --coset / --var."""
     values = {f"--{name}": getattr(args, name) for name in ("center", "coset", "var")}
@@ -133,11 +132,15 @@ def _norm_str(p: int, exponent) -> str:
     return "0" if exponent is None else f"{p}^{exponent}"
 
 
+def _ball_dict(ball: Ball) -> dict:
+    return {"center": str(ball.center), "radius_ord": ball.radius_ord}
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, JSON payload, text)
 
 
-def _cmd_eval(args, ctx: PrimeContext) -> int:
+def _cmd_eval(args, ctx: PrimeContext) -> tuple:
     f = parse(args.function)
     point = _parse_point(args.at, ctx)
     if isinstance(f, Condition):
@@ -156,136 +159,103 @@ def _cmd_eval(args, ctx: PrimeContext) -> int:
         "ord": format_ord(value.ord()),
         "norm": _norm_str(ctx.p, value.norm_exponent()),
     }
-    _emit(payload, f"{value}  (ord {payload['ord']}, |.| = {payload['norm']})", args.json)
-    return 0
+    return 0, payload, f"{value}  (ord {payload['ord']}, |.| = {payload['norm']})"
 
 
-def _cmd_ord(args, ctx: PrimeContext) -> int:
-    x = _scalar(args.value, ctx)
-    v = format_ord(x.ord())
-    _emit({"ord": v}, v, args.json)
-    return 0
+def _cmd_ord(args, ctx: PrimeContext) -> tuple:
+    v = format_ord(_scalar(args.value, ctx).ord())
+    return 0, {"ord": v}, v
 
 
-def _cmd_ac(args, ctx: PrimeContext) -> int:
-    x = _scalar(args.value, ctx)
-    r = x.ac(args.n)
-    _emit({"residue": r, "modulus": ctx.p**args.n}, f"{r} mod {ctx.p}^{args.n}", args.json)
-    return 0
+def _cmd_ac(args, ctx: PrimeContext) -> tuple:
+    r = _scalar(args.value, ctx).ac(args.n)
+    return 0, {"residue": r, "modulus": ctx.p**args.n}, f"{r} mod {ctx.p}^{args.n}"
 
 
-def _cmd_ball_of_cell(args, ctx: PrimeContext) -> int:
+def _cmd_ball_of_cell(args, ctx: PrimeContext) -> tuple:
     cell = _cell_from_args(args, ctx)
-    t = _scalar(args.t, ctx)
-    ball = ball_of_cell(cell, t)
-    _emit({"ball": _ball_dict(ball)}, str(ball), args.json)
-    return 0
+    ball = ball_of_cell(cell, _scalar(args.t, ctx))
+    return 0, {"ball": _ball_dict(ball)}, str(ball)
 
 
-def _cmd_enumerate_balls(args, ctx: PrimeContext) -> int:
+def _cmd_enumerate_balls(args, ctx: PrimeContext) -> tuple:
     cell = _cell_from_args(args, ctx)
-    lo, hi = _parse_window(args.window)
-    balls = enumerate_balls(cell, {}, Window(lo, hi, 1))
-    payload = {"balls": [_ball_dict(b) for b in balls]}
-    _emit(payload, "\n".join(str(b) for b in balls) if balls else "(no balls)", args.json)
-    return 0
+    balls = enumerate_balls(cell, {}, _window(args))
+    text = "\n".join(str(b) for b in balls) if balls else "(no balls)"
+    return 0, {"balls": [_ball_dict(b) for b in balls]}, text
 
 
-def _ball_dict(ball: Ball) -> dict:
-    return {"center": str(ball.center), "radius_ord": ball.radius_ord}
-
-
-def _cmd_jacobian(args, ctx: PrimeContext) -> int:
+def _cmd_jacobian(args, ctx: PrimeContext) -> tuple:
     f = parse_term(args.function)
-    ball = _parse_ball(args.ball, ctx)
-    result = check_jacobian_on_ball(f, ball, args.depth)
+    result = check_jacobian_on_ball(f, _parse_ball(args.ball, ctx), args.depth)
     if isinstance(result, JacobianCertificate):
         text = (
             f"Jacobian property certified on {result.ball} at depth {result.verified_depth}\n"
             f"  jac_ord = {result.jac_ord}  (|f'| = {ctx.p}^{-result.jac_ord})\n"
             f"  image   = {result.image}"
         )
-        _emit(result.as_json_dict(), text, args.json)
-        return 0
+        return 0, result.as_json_dict(), text
     text = (
         f"violation: {result.failed_condition.value}\n"
         f"  witness: {', '.join(str(w) for w in result.witness)}\n"
         f"  {result.detail}"
     )
-    _emit(result.as_json_dict(), text, args.json)
-    return 1
+    return 1, result.as_json_dict(), text
 
 
-def _cmd_map_ball(args, ctx: PrimeContext) -> int:
+def _cmd_map_ball(args, ctx: PrimeContext) -> tuple:
     f = parse_term(args.function)
-    ball = _parse_ball(args.ball, ctx)
-    result = map_ball(f, ball, args.depth)
+    result = map_ball(f, _parse_ball(args.ball, ctx), args.depth)
     if isinstance(result, NotABall):
-        payload = {
-            "not_a_ball": {
-                "witnesses": [str(w) for w in result.witnesses],
-                "detail": result.detail,
-            }
-        }
-        _emit(payload, f"not a ball: {result.detail}", args.json)
-        return 1
-    _emit({"image": _ball_dict(result)}, str(result), args.json)
-    return 0
+        payload = {"witnesses": [str(w) for w in result.witnesses], "detail": result.detail}
+        return 1, {"not_a_ball": payload}, f"not a ball: {result.detail}"
+    return 0, {"image": _ball_dict(result)}, str(result)
+
+
+def _correspondence(args, ctx: PrimeContext, zero_centre: bool = False) -> tuple:
+    """(f, cell, correspondence) from -f, the cell flags, --window and
+    --candidate, read in that order; with `zero_centre`, a source cell whose
+    centre is not 0 is a usage error before f is looked at on the cell."""
+    f = parse_term(args.function)
+    cell = _cell_from_args(args, ctx)
+    _window(args, None)  # the text here; the Window once the centre is checked
+    extras = [_scalar(c, ctx) for c in args.candidate or ()]
+    if zero_centre and not cell.center_at({}).is_zero:
+        raise CenterNotZero("source cell center must be 0")
+    corr = check_ball_correspondence(f, cell, {}, _window(args), args.depth, extra_candidates=extras)
+    return f, cell, corr
 
 
 def _corr_payload(corr: BallCorrespondence) -> dict:
-    return {
-        "pairs": [
-            {"source": _ball_dict(a), "image": _ball_dict(b)} for a, b in corr.pairs
-        ],
-        "image_cell": format_cell(corr.fitted_image_cell),
-        "depth": corr.depth,
-    }
+    pairs = [{"source": _ball_dict(a), "image": _ball_dict(b)} for a, b in corr.pairs]
+    return {"pairs": pairs, "image_cell": format_cell(corr.fitted_image_cell), "depth": corr.depth}
 
 
-def _cmd_correspondence(args, ctx: PrimeContext) -> int:
-    f = parse_term(args.function)
-    cell = _cell_from_args(args, ctx)
-    lo, hi = _parse_window(args.window)
-    extras = [_scalar(c, ctx) for c in args.candidate or ()]
-    result = check_ball_correspondence(
-        f, cell, {}, Window(lo, hi, 1), args.depth, extra_candidates=extras
-    )
+def _cmd_correspondence(args, ctx: PrimeContext) -> tuple:
+    result = _correspondence(args, ctx)[2]
     if isinstance(result, CorrespondenceFailure):
-        payload = {
-            "failure": result.kind,
-            "witnesses": [str(w) for w in result.witnesses],
-            "detail": result.detail,
-        }
-        _emit(payload, f"correspondence failed ({result.kind}): {result.detail}", args.json)
-        return 1
+        payload = {"failure": result.kind, "witnesses": [str(w) for w in result.witnesses], "detail": result.detail}
+        return 1, payload, f"correspondence failed ({result.kind}): {result.detail}"
     lines = [f"{a}  ->  {b}" for a, b in result.pairs]
     lines.append(f"image cell: {format_cell(result.fitted_image_cell)}")
-    _emit(_corr_payload(result), "\n".join(lines), args.json)
-    return 0
+    return 0, _corr_payload(result), "\n".join(lines)
 
 
-def _cmd_lipschitz(args, ctx: PrimeContext) -> int:
+def _cmd_lipschitz(args, ctx: PrimeContext) -> tuple:
     f = parse(args.function)
     if isinstance(f, Condition):
         raise UsageError("lipschitz expects a term or piecewise function")
     region = parse_condition(args.region) if args.region else TrueCond()
-    lo, hi = _parse_window(args.window)
     report = empirical_lipschitz(
-        f, region, Window(lo, hi, args.depth), ctx, region_text=args.region or "true"
+        f, region, _window(args, args.depth), ctx, region_text=args.region or "true"
     )
     c_str = _norm_str(ctx.p, report.constant_exponent) if report.constant_exponent is not None else "0 (f constant on region)"
-    witness = (
-        ""
-        if report.witness is None
-        else f"\n  witness: ({_w_str(report.witness[0])}, {_w_str(report.witness[1])})"
-    )
+    witness = "" if report.witness is None else f"\n  witness: ({', '.join(map(_w_str, report.witness))})"
     text = (
         f"empirical lower bound C = {c_str} (depth {report.depth})\n"
         f"  region: {report.region}{witness}"
     )
-    _emit(report.as_json_dict(), text, args.json)
-    return 0
+    return 0, report.as_json_dict(), text
 
 
 def _w_str(side) -> str:
@@ -294,45 +264,28 @@ def _w_str(side) -> str:
     return str(side)
 
 
-def _cmd_certify(args, ctx: PrimeContext) -> int:
-    f = parse_term(args.function)
-    cell = _cell_from_args(args, ctx)
-    lo, hi = _parse_window(args.window)
-    extras = [_scalar(c, ctx) for c in args.candidate or ()]
-    # before the correspondence, so a nonzero source centre is a usage
-    # error whatever f does on the cell
-    if not cell.center_at({}).is_zero:
-        raise CenterNotZero("source cell center must be 0")
-    corr = check_ball_correspondence(
-        f, cell, {}, Window(lo, hi, 1), args.depth, extra_candidates=extras
-    )
+def _cmd_certify(args, ctx: PrimeContext) -> tuple:
+    f, cell, corr = _correspondence(args, ctx, zero_centre=True)
     report = corr
     if isinstance(corr, BallCorrespondence):
         report = certified_cell_constant(f, cell, corr, args.epsilon_exponent)
     if isinstance(report, CorrespondenceFailure):
         payload = {"failure": report.kind, "detail": report.detail}
-        _emit(payload, f"certification failed ({report.kind}): {report.detail}", args.json)
-        return 1
+        return 1, payload, f"certification failed ({report.kind}): {report.detail}"
     payload = report.as_json_dict()
     payload["correspondence"] = _corr_payload(corr)
     text = (
         f"certified upper bound C = {ctx.p}^{report.constant_exponent} "
         f"(depth {report.depth})\n  region: {report.region}"
     )
-    _emit(payload, text, args.json)
-    return 0
+    return 0, payload, text
 
 
-def _cmd_prepare(args, ctx: PrimeContext) -> int:
+def _cmd_prepare(args, ctx: PrimeContext) -> tuple:
     f = parse_factored(args.function, ctx)
-    lo, hi = _parse_window(args.window)
-    pieces = prepare(f, Window(lo, hi, 1), m_depth=args.m_depth)
-    failures = []
-    if args.verify:
-        for piece in pieces:
-            check = verify_prepared(f, piece, args.depth)
-            if not check.passed:
-                failures.append((piece, check))
+    pieces = prepare(f, _window(args), m_depth=args.m_depth)
+    checks = [(piece, verify_prepared(f, piece, args.depth)) for piece in pieces] if args.verify else []
+    failures = [(piece, check) for piece, check in checks if not check.passed]
     payload = {
         "term": str(f),
         "pieces": [
@@ -345,51 +298,37 @@ def _cmd_prepare(args, ctx: PrimeContext) -> int:
             for p in pieces
         ],
     }
-    lines = [f"{len(pieces)} pieces for {f}:"]
-    for p in pieces:
-        lines.append(
-            f"  {format_cell(p.cell)}   ord f = {p.h_exponent} + {p.exponent}*ord(t-c{p.chosen_center_index})"
-        )
+    lines = [f"{len(pieces)} pieces for {f}:"] + [
+        f"  {format_cell(p.cell)}   ord f = {p.h_exponent} + {p.exponent}*ord(t-c{p.chosen_center_index})"
+        for p in pieces
+    ]
     if args.verify:
         payload["verified"] = not failures
         payload["verify_depth"] = args.depth
-        lines.append(
-            f"verification at depth {args.depth}: "
-            + ("all pieces pass" if not failures else f"{len(failures)} pieces FAIL")
-        )
-        for piece, check in failures:
-            lines.append(f"  FAIL {format_cell(piece.cell)}: {check.detail}")
-    _emit(payload, "\n".join(lines), args.json)
-    return 1 if failures else 0
+        verdict = f"{len(failures)} pieces FAIL" if failures else "all pieces pass"
+        lines.append(f"verification at depth {args.depth}: {verdict}")
+        lines += [f"  FAIL {format_cell(piece.cell)}: {check.detail}" for piece, check in failures]
+    return (1 if failures else 0), payload, "\n".join(lines)
 
 
-def _cmd_example(args, ctx: PrimeContext) -> int:
-    lo, hi = _parse_window(args.window)
+def _cmd_example(args, ctx: PrimeContext) -> tuple:
     if args.which == "exloc":
-        trace = counterexample_exloc(Window(lo, hi, args.depth), ctx)
+        window = _window(args, args.depth)
+        trace = counterexample_exloc(window, ctx)
         lines = [
             f"locally constant, nowhere piecewise Lipschitz: f(t) = |t| in Q_{ctx.p}",
-            f"verified over ord in [{lo},{hi}] at depth {args.depth}; trace:",
+            f"verified over ord in [{window.v_min},{window.v_max}] at depth {args.depth}; trace:",
         ]
-        for e in trace.entries:
-            lines.append(
-                f"  n={e.level}: pair ({e.witness[0]}, {e.witness[1]})  ratio = {ctx.p}^{e.ratio_exponent}"
-            )
-        _emit(trace.as_json_dict(), "\n".join(lines), args.json)
-        return 0
-    trace = counterexample_exloc2(args.levels, ctx)
-    lines = [
-        f"C^1 with zero derivative, not locally Lipschitz at 0 (p = {ctx.p}):",
-    ]
+    else:
+        _window(args, None)  # checked as for exloc, though exloc2 reads --levels
+        trace = counterexample_exloc2(args.levels, ctx)
+        lines = [f"C^1 with zero derivative, not locally Lipschitz at 0 (p = {ctx.p}):"]
     for e in trace.entries:
-        lines.append(
-            f"  n={e.level}: pair ({e.witness[0]}, {e.witness[1]})  ratio = {ctx.p}^{e.ratio_exponent}"
-        )
-    lines.append("derivative trace at 0:")
-    for n, q in trace.derivative_entries:
-        lines.append(f"  n={n}: |g(p^n)-g(0)|/|p^n| = {ctx.p}^{q}")
-    _emit(trace.as_json_dict(), "\n".join(lines), args.json)
-    return 0
+        lines.append(f"  n={e.level}: pair ({e.witness[0]}, {e.witness[1]})  ratio = {ctx.p}^{e.ratio_exponent}")
+    if args.which == "exloc2":
+        lines.append("derivative trace at 0:")
+        lines += [f"  n={n}: |g(p^n)-g(0)|/|p^n| = {ctx.p}^{q}" for n, q in trace.derivative_entries]
+    return 0, trace.as_json_dict(), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -413,103 +352,73 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, depth_default=None):
+    def command(name, help, handler, *before_window, depth=None, function=False, cell=False, window=None):
+        """A subcommand with -p and --json; -M when it has a depth default;
+        -f/--function when `function` is set (a string is its help); the
+        four cell flags when `cell` is set; the options of `before_window`,
+        (flags, keywords) pairs that the help lists ahead of --window; and
+        --window, required when `window` is True and otherwise defaulting
+        to it.  Returns the subparser, for the options that follow."""
+        p = sub.add_parser(name, help=help)
         p._negative_number_matcher = _NEGATIVE_VALUE
+        p.set_defaults(handler=handler)
         p.add_argument("-p", "--prime", type=int, required=True, help="the prime p")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if depth_default is not None:  # only the commands that read args.depth
-            p.add_argument(
-                "-M", "--depth", type=int, default=depth_default, help="verification depth"
-            )
+        if depth is not None:  # only the commands that read args.depth
+            p.add_argument("-M", "--depth", type=int, default=depth, help="verification depth")
+        if function:
+            p.add_argument("-f", "--function", required=True, help=function if isinstance(function, str) else None)
+        if cell:
+            p.add_argument("--cell", help="cell literal cell(...)")
+            p.add_argument("--center", help="cell center rational (with --coset)")
+            p.add_argument("--coset", metavar='"l*Q(m,n)"', help="cell coset, alternative to --cell")
+            p.add_argument("--var", help="fiber variable name (default t)")
+        for flags, keywords in before_window:
+            p.add_argument(*flags, **keywords)
+        if window is not None:
+            required = window is True
+            p.add_argument("--window", required=required, default=None if required else window, metavar="A:B")
+        return p
 
-    def _cell_args(p):
-        p.add_argument("--cell", help="cell literal cell(...)")
-        p.add_argument("--center", help="cell center rational (with --coset)")
-        p.add_argument(
-            "--coset", metavar='"l*Q(m,n)"', help="cell coset, alternative to --cell"
-        )
-        p.add_argument("--var", help="fiber variable name (default t)")
-
-    p = sub.add_parser("eval", help="evaluate a term at a rational point")
-    common(p)
-    p.add_argument("-f", "--function", required=True)
+    p = command("eval", "evaluate a term at a rational point", _cmd_eval, function=True)
     p.add_argument("--at", action="append", metavar="NAME=RAT")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("ord", help="p-adic valuation of a rational")
-    common(p)
+    p = command("ord", "p-adic valuation of a rational", _cmd_ord)
     p.add_argument("value")
-    p.set_defaults(handler=_cmd_ord)
-
-    p = sub.add_parser("ac", help="angular component mod p^n")
-    common(p)
+    p = command("ac", "angular component mod p^n", _cmd_ac)
     p.add_argument("-n", type=int, default=1, help="modulus depth")
     p.add_argument("value")
-    p.set_defaults(handler=_cmd_ac)
-
-    p = sub.add_parser("ball-of-cell", help="maximal ball of a cell through a point")
-    common(p)
-    _cell_args(p)
+    p = command("ball-of-cell", "maximal ball of a cell through a point", _cmd_ball_of_cell, cell=True)
     p.add_argument("--t", required=True, help="fiber point (rational)")
-    p.set_defaults(handler=_cmd_ball_of_cell)
-
-    p = sub.add_parser("enumerate-balls", help="balls of a cell in a window")
-    common(p)
-    _cell_args(p)
-    p.add_argument("--window", required=True, metavar="A:B")
-    p.set_defaults(handler=_cmd_enumerate_balls)
-
-    p = sub.add_parser("jacobian", help="certify the Jacobian property on a ball")
-    common(p, depth_default=3)
-    p.add_argument("-f", "--function", required=True)
+    command("enumerate-balls", "balls of a cell in a window", _cmd_enumerate_balls, cell=True, window=True)
+    p = command("jacobian", "certify the Jacobian property on a ball", _cmd_jacobian, depth=3, function=True)
     p.add_argument("--ball", required=True, metavar='"c + p^k"')
-    p.set_defaults(handler=_cmd_jacobian)
-
-    p = sub.add_parser("map-ball", help="image of a ball under a term")
-    common(p, depth_default=3)
-    p.add_argument("-f", "--function", required=True)
+    p = command("map-ball", "image of a ball under a term", _cmd_map_ball, depth=3, function=True)
     p.add_argument("--ball", required=True, metavar='"c + p^k"')
-    p.set_defaults(handler=_cmd_map_ball)
-
-    p = sub.add_parser("correspondence", help="ball correspondence of a cell under f")
-    common(p, depth_default=3)
-    p.add_argument("-f", "--function", required=True)
-    _cell_args(p)
-    p.add_argument("--window", required=True, metavar="A:B")
+    p = command(
+        "correspondence", "ball correspondence of a cell under f", _cmd_correspondence,
+        depth=3, function=True, cell=True, window=True,
+    )
     p.add_argument("--candidate", action="append", help="extra image-cell center")
-    p.set_defaults(handler=_cmd_correspondence)
-
-    p = sub.add_parser("lipschitz", help="empirical Lipschitz lower bound with witness")
-    common(p, depth_default=2)
-    p.add_argument("-f", "--function", required=True)
-    p.add_argument("--region", default=None, help="condition (default: true)")
-    p.add_argument("--window", required=True, metavar="A:B")
-    p.set_defaults(handler=_cmd_lipschitz)
-
-    p = sub.add_parser("certify", help="certified per-cell Lipschitz constant")
-    common(p, depth_default=3)
-    p.add_argument("-f", "--function", required=True)
-    _cell_args(p)
-    p.add_argument("--window", required=True, metavar="A:B")
+    command(
+        "lipschitz", "empirical Lipschitz lower bound with witness", _cmd_lipschitz,
+        (("--region",), {"default": None, "help": "condition (default: true)"}),
+        depth=2, function=True, window=True,
+    )
+    p = command(
+        "certify", "certified per-cell Lipschitz constant", _cmd_certify,
+        depth=3, function=True, cell=True, window=True,
+    )
     p.add_argument("--candidate", action="append")
     p.add_argument("--epsilon-exponent", type=int, default=0, help="epsilon = p^e")
-    p.set_defaults(handler=_cmd_certify)
-
-    p = sub.add_parser("prepare", help="prepared cell decomposition of a factored term")
-    common(p, depth_default=3)
-    p.add_argument("-f", "--function", required=True, help='"u * (t - c1)^a1 * ..."')
-    p.add_argument("--window", required=True, metavar="A:B")
+    p = command(
+        "prepare", "prepared cell decomposition of a factored term", _cmd_prepare,
+        depth=3, function='"u * (t - c1)^a1 * ..."', window=True,
+    )
     p.add_argument("--m-depth", type=int, default=1)
     p.add_argument("--verify", action="store_true", help="run the oracle on each piece")
-    p.set_defaults(handler=_cmd_prepare)
-
-    p = sub.add_parser("example", help="reproduce a counterexample family")
-    common(p, depth_default=2)
+    p = command("example", "reproduce a counterexample family", _cmd_example, depth=2, window="0:4")
     p.add_argument("which", choices=["exloc", "exloc2"])
-    p.add_argument("--window", default="0:4", metavar="A:B")
     p.add_argument("--levels", type=int, default=5, help="levels for exloc2")
-    p.set_defaults(handler=_cmd_example)
-
     return top
 
 
@@ -518,7 +427,9 @@ def dispatch(argv) -> int:
     try:
         if getattr(args, "depth", 1) < 1:
             raise UsageError(f"depth must be >= 1, got {args.depth}")
-        return args.handler(args, PrimeContext(args.prime))
+        code, payload, text = args.handler(args, PrimeContext(args.prime))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else text)
+        return code
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -210,10 +210,6 @@ class PadicScalar:
     # -- valuation-layer queries -------------------------------------
 
     @property
-    def p(self) -> int:
-        return self.context.p
-
-    @property
     def is_zero(self) -> bool:
         return not self.value
 

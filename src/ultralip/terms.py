@@ -201,12 +201,9 @@ def _normal_form(t) -> Optional[tuple]:
         if base is None:
             return None
         var, coeffs, den = base
-        if len(coeffs) > 1 and not any(coeffs[:-1]):  # c * var^n, n >= 1
-            out = [0] * (k * len(coeffs) - k) + [coeffs[-1] ** k]
-        else:
-            out = [1]
-            for _ in range(k):
-                out = _times(coeffs, out)
+        out = [1]
+        for _ in range(k):
+            out = _times(coeffs, out)
         return _reduced(var, out, den**k)
     if cls is Div:
         c = t.right.value if t.right.__class__ is RationalConst else 0
@@ -241,8 +238,6 @@ def _normal_form(t) -> Optional[tuple]:
 
 def _times(p, q) -> list:
     """The coefficients of the product of two coefficient sequences."""
-    if len(p) == 1:
-        return [p[0] * y for y in q]
     out = [0] * (len(p) + len(q) - 1) if p and q else []
     for i, x in enumerate(p):
         if x:
@@ -305,18 +300,6 @@ def _horner(poly: tuple) -> Callable:
         value = c if den == 1 else Fraction(c, den)
         return lambda point: value
     top, rest = (coeffs[-1], coeffs[-2::-1]) if coeffs else (0, ())
-    if den == 1 and rest and not any(rest):  # top * x^k: one power, no loop
-        k = len(rest)
-
-        def monomial(point):
-            try:
-                x = point[name].value
-            except KeyError:
-                raise UnboundVariableError(f"unbound variable {name!r}") from None
-            r = top * x**k
-            return r if r.__class__ is int or r.denominator != 1 else r.numerator
-
-        return monomial
 
     def horner(point):
         try:

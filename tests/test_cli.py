@@ -172,6 +172,16 @@ class TestJacobianCommands:
         assert code == 1
         assert out.splitlines()[-1] == f"  {detail}"
 
+    def test_distance_mismatch_exit_one(self, capsys):
+        f = "x + 1/2*normval(x+2)^(-1) + 1/2*normval(x+5)^(-1)"
+        code, out, _ = run(capsys, "jacobian", "-p", "2", "-f", f, "--ball", "0 + 2^0", "-M", "2", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "detail": "ord(f(x)-f(y)) = 0 but ord(f') + ord(x-y) = 1 for x=0, y=2",
+            "violation": "d_distance_mismatch",
+            "witness": ["0", "2"],
+        }
+
     def test_json_schema(self, capsys):
         code, out, _ = run(
             capsys, "jacobian", "-p", "3", "-f", "x^2", "--ball", "1 + 3^1",

@@ -7,7 +7,9 @@ referenced somewhere in src/ultralip outside its own body.  An import or a
 helper left behind by a deletion fails here.  No module imports a private
 name from another module of the package, except the few that are shared on
 purpose, each listed with its reason.  The modules import each other
-without a cycle, and none passes the parser's token threshold.
+without a cycle, and none passes the parser's token threshold.  The
+command line writes to stdout from one place: only `cli.dispatch` names
+`print` or `stdout`.
 """
 
 import ast
@@ -169,6 +171,48 @@ def test_check_sees_import_cycles():
     assert graph == {"a": {"b"}, "b": {"a"}}
     with pytest.raises(graphlib.CycleError):
         list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def output_outside(source: str, owner: str) -> list:
+    """Line of each use of `print` or of a `stdout` attribute in the source
+    outside the module-level function `owner`."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == owner
+        for node in ast.walk(top)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            (isinstance(node, ast.Name) and node.id == "print")
+            or (isinstance(node, ast.Attribute) and node.attr == "stdout")
+        )
+    )
+
+
+def test_the_cli_prints_only_in_dispatch():
+    assert output_outside((SRC / "cli.py").read_text(), "dispatch") == []
+
+
+def test_check_sees_output_outside_dispatch():
+    source = (
+        "import sys\n"
+        "def _cmd(args):\n"
+        "    print(args)\n"
+        "    return 0, {}, ''\n"
+        "def dispatch(argv):\n"
+        "    print(argv, file=sys.stderr)\n"
+        "    sys.stdout.write('')\n"
+        "def helper(text):\n"
+        "    def inner():\n"
+        "        emit = print\n"
+        "    sys.stdout.write(text)\n"
+    )
+    assert output_outside(source, "dispatch") == [3, 10, 11]
 
 
 # Above 8,192 parser tokens CPython 3.11 needs about 0.5 MB more at its peak to

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import balls_overlap
+from oracles import balls_overlap, distance_pairs
 from ultralip import cells, jacobian
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PrimeContext
 from ultralip.regions import Ball, Window
@@ -23,7 +23,7 @@ from ultralip.jacobian import (
     verify_certificate,
 )
 from ultralip.syntax import parse_term
-from ultralip.terms import evaluate
+from ultralip.terms import differentiate, evaluate
 
 
 def coset_cell(ctx, lam=1, m=1, n=1, var="x"):
@@ -85,6 +85,33 @@ class TestCheckJacobian:
         vals = {x: evaluate(f, {"x": x}, ctx3) for x in reps}
         for x, y in itertools.combinations(reps, 2):
             assert (vals[x] - vals[y]).ord() - (x - y).ord() == cert.jac_ord
+
+    # x plus two locally constant terms on Z_2: f' = 1, but f(2) - f(0) =
+    # 9/2 - 3/2 is a unit while 2 - 0 is not
+    SPIKED = "x + 1/2*normval(x+2)^(-1) + 1/2*normval(x+5)^(-1)"
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_the_distance_identity_fails_at_depth_two(self, ctx2, depth):
+        """Depth 1 certifies, depth 2 passes (a) to (c) and fails the distance
+        identity (d) on the least pair the all-pairs oracle finds, and depth
+        3 sees two images collide first."""
+        f = parse_term(self.SPIKED)
+        ball = Ball(ctx2.scalar(0), 0)
+        result = check_jacobian_on_ball(f, ball, depth)
+        if depth == 1:
+            assert result == JacobianCertificate(ball, Ball(ctx2.scalar(Fraction(1, 2)), 0), 0, 1)
+            return
+        reps = ball.representatives(depth)
+        images = [evaluate(f, {"x": x}, ctx2) for x in reps]
+        jac = evaluate(differentiate(f, "x"), {"x": reps[0]}, ctx2).ord()
+        i, j = distance_pairs(reps, images, jac)
+        if depth == 2:
+            assert result.failed_condition is ViolationKind.D_DISTANCE_MISMATCH
+            assert result.witness == (reps[i], reps[j]) == (ctx2.scalar(0), ctx2.scalar(2))
+            assert result.detail == "ord(f(x)-f(y)) = 0 but ord(f') + ord(x-y) = 1 for x=0, y=2"
+        else:
+            assert result.failed_condition is ViolationKind.A_IMAGE_NOT_BALL
+            assert result.witness == (ctx2.scalar(1), ctx2.scalar(6))
 
     def test_image_radius_law(self, ctx3, ctx5):
         for ctx, src, center, radius in (

@@ -137,6 +137,19 @@ class TestCellLiterals:
         assert cell.base_vars == ("y",)
         assert parse_cell(format_cell(cell), ctx3) == cell
 
+    @pytest.mark.parametrize(
+        "literal, printed",
+        [
+            ("cell(coset=1*Q(1,1); alpha=0)", "cell(center=0; coset=1*Q(1,1); all; alpha=0)"),
+            ("cell(coset=1*Q(1,1); ord < 2; beta=0)", "cell(center=0; coset=1*Q(1,1); ord < 2; beta=0)"),
+        ],
+    )
+    def test_a_zero_bound_is_kept(self, ctx3, literal, printed):
+        """A zero bound is no level: the cell keeps it, and format_cell prints it."""
+        cell = parse_cell(literal, ctx3)
+        assert format_cell(cell) == printed
+        assert parse_cell(format_cell(cell), ctx3) == cell
+
 
 def run(capsys, *argv):
     code = main(list(argv))
