@@ -357,15 +357,30 @@ def parse_cell(text: str, ctx: PrimeContext) -> Cell:
     )
 
 
+def _power_exponent(bound: Optional[Term], ctx: PrimeContext) -> Optional[int]:
+    """k when bound is the constant p^k, the form parse_cell gives an ord
+    range; else None."""
+    if isinstance(bound, RationalConst) and bound.value:
+        k = valuation(bound.value, ctx.p)
+        if bound.value == ctx.power(k):
+            return k
+    return None
+
+
 def format_cell(cell: Cell) -> str:
     parts = [f"center={format_term(cell.center)}", f"coset={cell.coset}"]
-    # a nonzero constant bound is a level; a zero one is printed as it is,
-    # since it bounds no level and level_bounds refuses it
+    # a constant bound p^k is a level, so the literal reads back as the same
+    # cell; any other bound is printed as it is (a zero one bounds no level,
+    # and level_bounds refuses it), and so are two levels with none between
     lo = hi = None
-    if isinstance(cell.beta, RationalConst) and cell.beta.value:
-        lo = valuation(cell.beta.value, cell.context.p) + 1
-    if isinstance(cell.alpha, RationalConst) and cell.alpha.value:
-        hi = valuation(cell.alpha.value, cell.context.p) - 1
+    beta_k = _power_exponent(cell.beta, cell.context)
+    if beta_k is not None:
+        lo = beta_k + 1
+    alpha_k = _power_exponent(cell.alpha, cell.context)
+    if alpha_k is not None:
+        hi = alpha_k - 1
+    if lo is not None and hi is not None and lo > hi:
+        lo = hi = None
     if lo is not None and hi is not None:
         parts.append(f"ord in [{lo},{hi}]")
     elif lo is not None:

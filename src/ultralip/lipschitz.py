@@ -187,7 +187,12 @@ def _tree_scan(points, values, p: int):
     candidates = []
     for split in splitting_classes(points):
         anchor = values[split.members[0]]
-        d = min(valuation(values[child[0]] - anchor, p) for child in split.children[1:])
+        # the first child starts with the anchor itself, at ord INFINITE_ORD
+        d = INFINITE_ORD
+        for child in split.children:
+            e = valuation(values[child[0]] - anchor, p)
+            if e < d:
+                d = e
         if d != INFINITE_ORD:
             candidates.append((split.level - d, d, split))
     if not candidates:
@@ -215,23 +220,27 @@ def empirical_lipschitz(
     This is a lower bound on any valid Lipschitz constant for the region,
     verified to the stated depth; the reported witness is the
     lexicographically least pair achieving it.  Multi-variable functions
-    are scanned on tuple grids with the max-norm distance.  The pairs are
-    not visited one by one: a pass over the ball tree of the points finds
-    the best ratio in O(N * levels) (see _tree_scan).
+    are scanned on tuple grids with the max-norm distance.  Each candidate
+    point, a window point or a tuple of itertools.product, is bound as
+    {name: value} and tested with exactly one eval_condition call, so that
+    call counts the points tried and accepted.  The pairs are not visited
+    one by one: a pass over the ball tree of the accepted points finds the
+    best ratio in O(N * levels) (see _tree_scan).
     """
     variables = _function_variables(f)
     # sorted on the raw values, the order of PadicScalar.__lt__ without its calls
     axis = sorted(enumerate_window(window, ctx), key=attrgetter("value"))
     if len(variables) == 1:
-        candidates: list = list(axis)
+        (var,) = variables
+        bound = ((pt, {var: pt}) for pt in axis)
     else:
-        candidates = [tuple(t) for t in itertools.product(axis, repeat=len(variables))]
+        grid = itertools.product(axis, repeat=len(variables))
+        bound = ((pt, dict(zip(variables, pt))) for pt in grid)
 
     value_at = _evaluator(f, ctx)
     points = []
     values = []
-    for pt in candidates:
-        binding = dict(zip(variables, pt if isinstance(pt, tuple) else (pt,)))
+    for pt, binding in bound:
         if not eval_condition(region, binding, ctx):
             continue
         points.append(pt)

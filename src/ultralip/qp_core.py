@@ -342,9 +342,12 @@ class CosetSpec:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("coset depths m, n must be >= 1")
-        # ac_m(lambda), read by every membership test; outside the dataclass
-        # fields, so equality, hashing and repr still see only lam, m and n
+        # ac_m(lambda), ord(lambda) and the prime, read by every membership
+        # test; outside the dataclass fields, so equality, hashing and repr
+        # still see only lam, m and n
         object.__setattr__(self, "lam_ac", self.lam.ac(self.m))
+        object.__setattr__(self, "lam_ord", self.lam.ord())
+        object.__setattr__(self, "p", self.lam.context.p)
 
     @property
     def is_zero(self) -> bool:
@@ -364,16 +367,19 @@ def in_coset(value: "int | Fraction", spec: CosetSpec) -> bool:
     of a product is the product of the unit parts, and reduction mod p^m
     is a ring map on the units of Z_p, so ac_m(x / lambda) =
     ac_m(x) * ac_m(lambda)^-1 mod p^m.  It is 1 exactly when
-    ac_m(x) = ac_m(lambda), which needs no division.
+    ac_m(x) = ac_m(lambda), which needs no division.  ac_m(lambda),
+    ord(lambda) and the prime are read off the spec, which computed them
+    once.
     """
-    if spec.is_zero:
+    lam_ord = spec.lam_ord
+    if lam_ord == INFINITE_ORD:
         return not value
     if not value:
         return False
     # both nonzero here, so both ords are ints
-    p = spec.lam.context.p
+    p = spec.p
     v = valuation(value, p)
-    if (v - valuation(spec.lam.value, p)) % spec.n != 0:
+    if (v - lam_ord) % spec.n:
         return False
     return _unit_residue(value, v, spec.m, p) == spec.lam_ac
 

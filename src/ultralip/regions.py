@@ -8,11 +8,12 @@ at which it was verified.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .qp_core import PadicScalar, PrimeContext, residue
+from .qp_core import PadicScalar, PrimeContext, residue, valuation
 
 __all__ = [
     "Ball",
@@ -194,7 +195,9 @@ def splitting_classes(points: Sequence) -> list:
     p^(-k) of the max norm.  With lo the least finite ord of any coordinate,
     each coordinate c becomes the integer c * p^(-lo) (zero becomes 0), and
     two points agree mod p^k exactly when these integers agree mod
-    p^(k - lo).  One coordinate is its own key.  A tuple keys to one
+    p^(k - lo).  For int coordinates lo is the ord of their gcd, one
+    math.gcd and one valuation.  A point of one coordinate is keyed by its
+    integer, read straight from its value.  A tuple keys to one
     integer that interleaves the base-p digits of its coordinates
     (_interleave): every coordinate c is reduced to r = c mod p^D with a D
     common to all points and p^D > 2 * max |c|, and digit j of r_i goes to
@@ -213,40 +216,48 @@ def splitting_classes(points: Sequence) -> list:
     points at ord distance exactly k is a pair across two children of the
     level-k class holding both, so every pair lies across exactly one split
     class, whose level is the pair's ord distance.  Members ascend, and a
-    class comes before its descendants.  Costs O(len(points) * levels).
+    class comes before its descendants.  Costs O(len(points) * levels): at
+    each level a class labels its members and groups them by label, in one
+    pass.
     """
     if not points:
         return []
-    tuples = isinstance(points[0], tuple)
-    coords = points if tuples else [(pt,) for pt in points]
-    ctx = coords[0][0].context
-    p = ctx.p
-    lo = min((c.ord() for pt in coords for c in pt if not c.is_zero), default=0)
+    n = len(points[0]) if points[0].__class__ is tuple else 0
+    if n:
+        p = points[0][0].context.p
+        values = [c.value for pt in points for c in pt]
+    else:
+        p = points[0].context.p
+        values = [pt.value for pt in points]
+    if all(v.__class__ is int for v in values):
+        g = gcd(*values)
+        lo = valuation(g, p) if g else 0
+    else:
+        lo = min(valuation(v, p) for v in values if v)
     if lo >= 0:
         # every coordinate is an int divisible by p^lo
         down = p**lo
-        ints = [[c.value // down for c in pt] for pt in coords]
+        ints = [v // down for v in values]
     else:
         # every denominator divides p^(-lo)
         up = p**-lo
-        ints = [[int(c.value * up) for c in pt] for pt in coords]
-    keys = _interleave(ints, p) if tuples else [pt[0] for pt in ints]
+        ints = [int(v * up) for v in values]
+    keys = _interleave([ints[k : k + n] for k in range(0, len(ints), n)], p) if n else ints
     if len(set(keys)) != len(keys):
         raise ValueError("ball tree points must be distinct")
-    step = p ** len(coords[0])
+    step = p ** max(n, 1)
     out = []
     stack = [(lo, list(range(len(keys))), step)]
     while stack:
         level, members, modulus = stack.pop()
         labels = [keys[i] % modulus for i in members]
-        children: dict = {}
+        children = defaultdict(list)
         for i, label in zip(members, labels):
-            children.setdefault(label, []).append(i)
-        if len(children) > 1:
-            out.append(SplitClass(level, members, labels, list(children.values())))
-        stack.extend(
-            (level + 1, child, modulus * step) for child in children.values() if len(child) > 1
-        )
+            children[label].append(i)
+        groups = list(children.values())
+        if len(groups) > 1:
+            out.append(SplitClass(level, members, labels, groups))
+        stack.extend((level + 1, child, modulus * step) for child in groups if len(child) > 1)
     return out
 
 

@@ -111,7 +111,7 @@ def evaluate(t: Term, point: Mapping, ctx: Optional[PrimeContext] = None) -> Pad
 def eval_condition(c: Condition, point: Mapping, ctx: Optional[PrimeContext] = None) -> bool:
     """Exact truth value of a condition at a rational point."""
     ctx = _infer_context(point, ctx)
-    return compile_condition(c, ctx)(point)
+    return _memoised(c, ctx, _compile_cond)(point)
 
 
 def evaluate_piecewise(
@@ -144,12 +144,14 @@ def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
 
 
 def _memoised(node, ctx: PrimeContext, build: Callable) -> Callable:
+    # the hit first: it allocates nothing and tests no class
+    try:
+        return node.__dict__["_cache"][ctx.p]
+    except (AttributeError, KeyError):
+        pass
     if not isinstance(node, _NODES):  # compiled raises the walk's TypeError
         return build(node, ctx)
-    cache = node.__dict__.setdefault("_cache", {})
-    compiled = cache.get(ctx.p)
-    if compiled is None:
-        compiled = cache[ctx.p] = build(node, ctx)
+    compiled = node.__dict__.setdefault("_cache", {})[ctx.p] = build(node, ctx)
     return compiled
 
 
@@ -432,9 +434,11 @@ def _compile_cond(c: Condition, ctx: PrimeContext) -> Callable:
         return ord_congruence
     if isinstance(c, CosetMember):
         term, lam, m, n = _compile(c.term, ctx), PadicScalar(c.lam, ctx), c.m, c.n
-        # built per call only when invalid, so it raises where the walk did
-        spec = CosetSpec(lam, m, n) if m >= 1 and n >= 1 else None
-        return lambda point: in_coset(term(point), spec or CosetSpec(lam, m, n))
+        if m < 1 or n < 1:
+            # built per call, so the ValueError is raised where the walk did
+            return lambda point: in_coset(term(point), CosetSpec(lam, m, n))
+        spec = CosetSpec(lam, m, n)
+        return lambda point: in_coset(term(point), spec)
     if isinstance(c, (And, Or)):
         left, right = _compile_cond(c.left, ctx), _compile_cond(c.right, ctx)
         if isinstance(c, And):

@@ -93,6 +93,39 @@ class TestEmpirical:
         assert r.constant_exponent == 0
         assert isinstance(r.witness[0], tuple) and len(r.witness[0]) == 2
 
+    @pytest.mark.parametrize(
+        "f, region, window, points",
+        [
+            # one variable, a coset region: every window point is tried once
+            ("t^2 + t", "t in 1*Q(1,1)", Window(0, 2, 2), 18),
+            # the bivariate grid: every pair of window points is tried once
+            ("x + 3*y", "|x| < |y| || ord(x) % 2 = 0", Window(0, 1, 1), 16),
+        ],
+    )
+    def test_one_region_test_per_candidate_point(self, ctx3, monkeypatch, f, region, window, points):
+        """The scan calls eval_condition exactly once per candidate point,
+        so tracing that call counts the points scanned and accepted."""
+        import ultralip.lipschitz as lp
+
+        calls = []
+        eval_condition = lp.eval_condition
+
+        def counting(c, binding, ctx):
+            calls.append(dict(binding))
+            return eval_condition(c, binding, ctx)
+
+        monkeypatch.setattr(lp, "eval_condition", counting)
+        cond = parse_condition(region)
+        empirical_lipschitz(parse_term(f), cond, window, ctx3)
+        assert len(calls) == points
+        names = sorted(calls[0])
+        grid = itertools.product(enumerate_window(window, ctx3), repeat=len(names))
+        assert sorted(tuple(c[n].value for n in names) for c in calls) == sorted(
+            tuple(x.value for x in pt) for pt in grid
+        )
+        accepted = [c for c in calls if eval_condition(cond, c, ctx3)]
+        assert 0 < len(accepted) < points
+
     def test_two_variable_no_certification_offered(self):
         import ultralip.lipschitz as lp
 

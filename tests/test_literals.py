@@ -150,6 +150,35 @@ class TestCellLiterals:
         assert format_cell(cell) == printed
         assert parse_cell(format_cell(cell), ctx3) == cell
 
+    @pytest.mark.parametrize(
+        "literal, printed",
+        [
+            ("cell(coset=1*Q(1,1); alpha=2)", "cell(center=0; coset=1*Q(1,1); all; alpha=2)"),
+            ("cell(coset=1*Q(1,1); beta=-9/2)", "cell(center=0; coset=1*Q(1,1); all; beta=-9/2)"),
+            ("cell(coset=1*Q(1,1); alpha=1/9; beta=-1)", "cell(center=0; coset=1*Q(1,1); ord < -2; beta=-1)"),
+            # p^0 and p^0 leave no level between them, and no ord range says so
+            ("cell(coset=1*Q(1,1); alpha=1; beta=1)", "cell(center=0; coset=1*Q(1,1); all; alpha=1; beta=1)"),
+        ],
+    )
+    def test_a_constant_bound_other_than_a_power_of_p_is_kept(self, ctx3, literal, printed):
+        """Only a bound p^k is printed as a level: any other constant bounds
+        the same levels, but is another cell.  An empty level range has no
+        literal, so its bounds are printed as they are."""
+        cell = parse_cell(literal, ctx3)
+        assert format_cell(cell) == printed
+        assert parse_cell(format_cell(cell), ctx3) == cell
+
+    @seeded
+    @given(st.data())
+    def test_constant_bounds_survive_the_round_trip(self, data):
+        ctx = PrimeContext(data.draw(st.sampled_from([2, 3, 5])))
+        nonzero = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 9))
+        bounds = [
+            f"{side}={data.draw(nonzero)}" for side in ("alpha", "beta") if data.draw(st.booleans())
+        ]
+        cell = parse_cell("; ".join(["cell(coset=1*Q(1,1)", *bounds]) + ")", ctx)
+        assert parse_cell(format_cell(cell), ctx) == cell
+
 
 def run(capsys, *argv):
     code = main(list(argv))

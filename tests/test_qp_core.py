@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -147,6 +150,28 @@ class TestCosets:
             x = data.draw(rational)
         spec = CosetSpec(ctx.scalar(lam), m, n)
         assert in_coset(ctx.scalar(x).value, spec) == division_in_coset(ctx.scalar(x), spec)
+
+    def test_equality_hash_and_repr_see_only_lam_m_and_n(self, ctx3):
+        """The values a spec keeps for membership tests are not fields."""
+        spec = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        assert (spec.lam_ac, spec.lam_ord, spec.p) == (2, -2, 3)
+        twin = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert repr(spec) == f"CosetSpec(lam={ctx3.scalar(2, 9)!r}, m=2, n=1)"
+        assert [f.name for f in dataclasses.fields(spec)] == ["lam", "m", "n"]
+        assert spec != CosetSpec(ctx3.scalar(2, 9), 2, 2)
+        assert spec != CosetSpec(ctx3.scalar(5, 9), 2, 1)
+
+    @pytest.mark.parametrize("lam", [Fraction(2, 9), Fraction(0), Fraction(-6)])
+    def test_copied_and_pickled_specs_test_membership_as_the_original(self, ctx3, lam):
+        spec = CosetSpec(ctx3.scalar(lam), 2, 2)
+        points = [0] + [ctx3.scalar(Fraction(u) * Fraction(3) ** k).value for u in (1, 2, -2, 4, 11, -6) for k in range(-3, 4)]
+        want = [in_coset(x, spec) for x in points]
+        assert any(want) and not all(want)
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and hash(twin) == hash(spec)
+            assert (twin.lam_ac, twin.lam_ord, twin.p) == (spec.lam_ac, spec.lam_ord, spec.p)
+            assert [in_coset(x, twin) for x in points] == want
 
 
 class TestPrimeContext:
