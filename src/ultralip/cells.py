@@ -162,7 +162,7 @@ def enumerate_balls(cell: Cell, y: Optional[Mapping], window: Window) -> list:
     ctx = cell.context
     c = cell.center_at(y)
     lo, hi = cell.level_bounds(y)
-    lam_ord = cell.coset.lam.ord()
+    lam_ord = cell.coset.lam_ord
     residue = cell.coset.lam_ac
     m, n = cell.coset.m, cell.coset.n
     lo = window.v_min if lo is None else max(lo, window.v_min)
@@ -328,7 +328,7 @@ def _fit_with_center(balls: Sequence[Ball], d: PadicScalar, fiber_var: str) -> l
 
 
 # ---------------------------------------------------------------------------
-# cell literals: the cell production of the term grammar (see terms)
+# cell literals: the cell production of the term grammar (see syntax)
 
 
 def parse_cell(text: str, ctx: PrimeContext) -> Cell:

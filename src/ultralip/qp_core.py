@@ -10,20 +10,20 @@ never materialized as reals; they travel as integer exponents of p, with a
 separate flag for zero.
 
 Representation.  ``PadicScalar.value`` is an ``int`` when the scalar is an
-integer and a ``Fraction`` (denominator > 1) otherwise; every constructor
-normalises to that form, and no value is ever a float.  Integer operands stay
-on ``int`` through ``+``, ``-``, ``*`` and ``**`` with a non-negative
-exponent; ``/`` and negative powers go through ``Fraction``.  Because
-``3 == Fraction(3)`` with equal hashes and strings, values, hashes,
-equality and printing are those of the plain ``Fraction`` representation.
-A scalar computes its ``ord`` once and keeps it: an ``int``, or
-``INFINITE_ORD = math.inf`` for zero, so ``int`` and ``math.inf`` model
-Z u {+inf} with its order and with ``inf + k = inf``.  ``format_ord`` is
-the one place that writes a valuation as text.  ``valuation(value, p)``
-and ``residue(value, k, p)`` are ``ord`` and ``reduce_mod_power(k).value``
-on a raw value, for loops that build no scalar per step; the methods call
-them, so each rule has one implementation.  in_coset reads a raw value
-too.  Every prime has one context, so context checks are identity tests.
+integer and a ``Fraction`` (denominator > 1) otherwise.  The constructor is
+the one place a scalar is built: it normalises every value to that form, so
+no value is ever a float.  Because ``3 == Fraction(3)`` with equal hashes
+and strings, values, hashes, equality and printing are those of the plain
+``Fraction`` representation.  A scalar computes its ``ord`` once and keeps
+it: an ``int``, or ``INFINITE_ORD = math.inf`` for zero, so ``int`` and
+``math.inf`` model Z u {+inf} with its order and with ``inf + k = inf``.
+``format_ord`` is the one place that writes a valuation as text.
+``valuation(value, p)`` and ``residue(value, k, p)`` are ``ord`` and
+``reduce_mod_power(k).value`` on a raw value; the per-point kernels use them
+and build no scalar per step, so scalars exist for inputs, witnesses and
+centres.  The methods call them, so each rule has one implementation.
+in_coset reads a raw value too.  Every prime has one context, so context
+checks are identity tests.
 """
 
 from __future__ import annotations
@@ -95,9 +95,7 @@ class PrimeContext:
     def __getnewargs__(self) -> tuple:
         return (self.p,)
 
-    def scalar(self, value: RationalLike, den: int | None = None) -> PadicScalar:
-        if den is not None:
-            value = Fraction(value, den)
+    def scalar(self, value: RationalLike) -> PadicScalar:
         return PadicScalar(value, self)
 
     def power(self, k: int) -> "int | Fraction":
@@ -239,69 +237,47 @@ class PadicScalar:
         integer multiple of p^ord(x) in the class (0 when ord(x) >= k)."""
         value = self.value
         r = residue(value, k, self.context.p)
-        return self if r == value else _scalar(r, self.context)
+        return self if r == value else PadicScalar(r, self.context)
 
     # -- exact field arithmetic ---------------------------------------
 
-    def _check(self, other: "PadicScalar") -> None:
-        if self.context is not other.context:
+    def _context_with(self, other: "PadicScalar") -> PrimeContext:
+        """The context self shares with other; raises ValueError for scalars
+        of different primes, before any arithmetic runs."""
+        ctx = self.context
+        if other.context is not ctx:
             raise ValueError("scalars from different prime contexts")
+        return ctx
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        ctx = self.context
-        if other.context is not ctx:
-            self._check(other)
-        r = self.value + other.value
-        if r.__class__ is not int and r.denominator == 1:
-            r = r.numerator
-        return _scalar(r, ctx)
+        ctx = self._context_with(other)
+        return PadicScalar(self.value + other.value, ctx)
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        ctx = self.context
-        if other.context is not ctx:
-            self._check(other)
-        r = self.value - other.value
-        if r.__class__ is not int and r.denominator == 1:
-            r = r.numerator
-        return _scalar(r, ctx)
+        ctx = self._context_with(other)
+        return PadicScalar(self.value - other.value, ctx)
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        ctx = self.context
-        if other.context is not ctx:
-            self._check(other)
-        r = self.value * other.value
-        if r.__class__ is not int and r.denominator == 1:
-            r = r.numerator
-        return _scalar(r, ctx)
+        ctx = self._context_with(other)
+        return PadicScalar(self.value * other.value, ctx)
 
     def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
-        ctx = self.context
-        if other.context is not ctx:
-            self._check(other)
-        r = Fraction(self.value, other.value)
-        return _scalar(r.numerator if r.denominator == 1 else r, ctx)
+        ctx = self._context_with(other)
+        return PadicScalar(Fraction(self.value, other.value), ctx)
 
     def __neg__(self) -> "PadicScalar":
-        s = _scalar(-self.value, self.context)
-        _set_ord(s, self._ord)
-        return s
+        return PadicScalar(-self.value, self.context)
 
     def __pow__(self, k: int) -> "PadicScalar":
-        value = self.value
-        if k >= 0 and value.__class__ is int:
-            return _scalar(value**k, self.context)
-        r = Fraction(value) ** k
-        return _scalar(r.numerator if r.denominator == 1 else r, self.context)
+        return PadicScalar(Fraction(self.value) ** k, self.context)
 
-    # Rational-value ordering; used for reproducible witness selection.
+    # The order of the rational values: Q_p itself has no field order.
     def __lt__(self, other: "PadicScalar") -> bool:
-        if other.context is not self.context:
-            self._check(other)
+        self._context_with(other)
         return self.value < other.value
 
     def __le__(self, other: "PadicScalar") -> bool:
-        if other.context is not self.context:
-            self._check(other)
+        self._context_with(other)
         return self.value <= other.value
 
     def __str__(self) -> str:
@@ -315,16 +291,6 @@ class PadicScalar:
 _set_value = PadicScalar.__dict__["value"].__set__
 _set_context = PadicScalar.__dict__["context"].__set__
 _set_ord = PadicScalar.__dict__["_ord"].__set__
-_new = object.__new__
-
-
-def _scalar(value: "int | Fraction", context: PrimeContext) -> PadicScalar:
-    """A scalar from a value already in normal form (module-private)."""
-    s = _new(PadicScalar)
-    _set_value(s, value)
-    _set_context(s, context)
-    _set_ord(s, None)
-    return s
 
 
 @dataclass(frozen=True)

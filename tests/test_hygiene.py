@@ -9,7 +9,8 @@ name from another module of the package, except the few that are shared on
 purpose, each listed with its reason.  The modules import each other
 without a cycle, and none passes the parser's token threshold.  The
 command line writes to stdout from one place: only `cli.dispatch` names
-`print` or `stdout`.
+`print` or `stdout`.  A scalar is built in one place: qp_core writes the
+`value` and `context` slots of PadicScalar only inside its `__init__`.
 """
 
 import ast
@@ -213,6 +214,90 @@ def test_check_sees_output_outside_dispatch():
         "    sys.stdout.write(text)\n"
     )
     assert output_outside(source, "dispatch") == [3, 10, 11]
+
+
+SCALAR_SLOTS = ("value", "context")
+
+
+def slot_writes(source: str, cls: str, slots=SCALAR_SLOTS) -> list:
+    """Line of each write of one of the slots outside `cls.__init__`: a call
+    of a slot's descriptor `__set__`, directly or through a module-level
+    alias, or an `object.__setattr__` or `setattr` that names the slot.  (A
+    plain assignment meets the class's frozen `__setattr__`.)"""
+    tree = ast.parse(source)
+
+    def is_setter(node) -> bool:
+        # <anything>.__dict__["<slot>"].__set__
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__set__"
+            and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.slice, ast.Constant)
+            and node.value.slice.value in slots
+        )
+
+    aliases = {
+        target.id
+        for top in tree.body
+        if isinstance(top, ast.Assign) and is_setter(top.value)
+        for target in top.targets
+        if isinstance(target, ast.Name)
+    }
+    inside = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == cls
+        for method in top.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+        for node in ast.walk(method)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside or not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        named = (
+            len(args) > 1
+            and isinstance(args[1], ast.Constant)
+            and args[1].value in slots
+            and (
+                (isinstance(func, ast.Name) and func.id == "setattr")
+                or (isinstance(func, ast.Attribute) and func.attr == "__setattr__")
+            )
+        )
+        if named or is_setter(func) or (isinstance(func, ast.Name) and func.id in aliases):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_a_scalar_is_built_only_by_its_constructor():
+    assert slot_writes((SRC / "qp_core.py").read_text(), "PadicScalar") == []
+
+
+def test_check_sees_slot_writes_outside_init():
+    source = (
+        "class PadicScalar:\n"
+        "    __slots__ = ('value', 'context', '_ord')\n"
+        "    def __init__(self, value, context):\n"
+        "        _set_value(self, value)\n"
+        "        object.__setattr__(self, 'context', context)\n"
+        "    def ord(self):\n"
+        "        _set_ord(self, 0)\n"
+        "        object.__setattr__(self, '_ord', 0)\n"
+        "    def __neg__(self):\n"
+        "        s = object.__new__(PadicScalar)\n"
+        "        _set_value(s, -self.value)\n"
+        "        object.__setattr__(s, 'context', self.context)\n"
+        "        return s\n"
+        "_set_value = PadicScalar.__dict__['value'].__set__\n"
+        "_set_ord = PadicScalar.__dict__['_ord'].__set__\n"
+        "def _scalar(value, context):\n"
+        "    s = object.__new__(PadicScalar)\n"
+        "    PadicScalar.__dict__['context'].__set__(s, context)\n"
+        "    setattr(s, 'value', value)\n"
+        "    return s\n"
+    )
+    assert slot_writes(source, "PadicScalar") == [11, 12, 18, 19]
 
 
 # Above 8,192 parser tokens CPython 3.11 needs about 0.5 MB more at its peak to

@@ -25,8 +25,8 @@ rationals = st.fractions(
 primes = st.sampled_from([2, 3, 5, 7])
 
 
-def scalar(p, value, den=None):
-    return PrimeContext(p).scalar(value, den)
+def scalar(p, value, den=1):
+    return PrimeContext(p).scalar(Fraction(value, den))
 
 
 class TestValuation:
@@ -108,7 +108,7 @@ class TestCosets:
         monkeypatch.setattr(
             qp_core, "_unit_residue", lambda x, v, n, p: (calls.append(x), unit_residue(x, v, n, p))[1]
         )
-        spec = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        spec = CosetSpec(ctx3.scalar(Fraction(2, 9)), 2, 1)
         assert calls == [Fraction(2, 9)]
         points = [ctx3.scalar(Fraction(u) * Fraction(3) ** k) for u in (1, 2, 4, 5, 11) for k in range(-2, 3)]
         verdicts = [in_coset(x.value, spec) for x in points]
@@ -153,14 +153,14 @@ class TestCosets:
 
     def test_equality_hash_and_repr_see_only_lam_m_and_n(self, ctx3):
         """The values a spec keeps for membership tests are not fields."""
-        spec = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        spec = CosetSpec(ctx3.scalar(Fraction(2, 9)), 2, 1)
         assert (spec.lam_ac, spec.lam_ord, spec.p) == (2, -2, 3)
-        twin = CosetSpec(ctx3.scalar(2, 9), 2, 1)
+        twin = CosetSpec(ctx3.scalar(Fraction(2, 9)), 2, 1)
         assert twin == spec and hash(twin) == hash(spec)
-        assert repr(spec) == f"CosetSpec(lam={ctx3.scalar(2, 9)!r}, m=2, n=1)"
+        assert repr(spec) == f"CosetSpec(lam={ctx3.scalar(Fraction(2, 9))!r}, m=2, n=1)"
         assert [f.name for f in dataclasses.fields(spec)] == ["lam", "m", "n"]
-        assert spec != CosetSpec(ctx3.scalar(2, 9), 2, 2)
-        assert spec != CosetSpec(ctx3.scalar(5, 9), 2, 1)
+        assert spec != CosetSpec(ctx3.scalar(Fraction(2, 9)), 2, 2)
+        assert spec != CosetSpec(ctx3.scalar(Fraction(5, 9)), 2, 1)
 
     @pytest.mark.parametrize("lam", [Fraction(2, 9), Fraction(0), Fraction(-6)])
     def test_copied_and_pickled_specs_test_membership_as_the_original(self, ctx3, lam):
@@ -193,7 +193,7 @@ class TestReduceModPower:
         assert ctx.scalar(10).reduce_mod_power(2).value == 1
         assert ctx.scalar(-1).reduce_mod_power(2).value == 8
         assert ctx.scalar(9).reduce_mod_power(1).value == 0
-        assert ctx.scalar(1, 3).reduce_mod_power(0).value == Fraction(1, 3)
+        assert ctx.scalar(Fraction(1, 3)).reduce_mod_power(0).value == Fraction(1, 3)
 
     @given(rationals, primes, st.integers(min_value=-3, max_value=5))
     def test_residue_is_in_class(self, x, p, k):

@@ -150,18 +150,18 @@ class TestRepresentation:
             assert a == b == c
             assert hash(a) == hash(b) == hash(c)
             assert type(a.value) is type(b.value) is type(c.value) is int
-        assert ctx3.scalar(3, 2) == ctx3.scalar(Fraction(3, 2))
-        assert type(ctx3.scalar(6, 2).value) is int
+        assert ctx3.scalar(Fraction(3, 2)) == ctx3.scalar("3/2") == ctx3.scalar("6/4")
+        assert type(ctx3.scalar(Fraction(6, 2)).value) is int
 
     def test_no_float_ever(self, ctx5):
         x, y = ctx5.scalar(10), ctx5.scalar(4)
-        results = [x / y, y / y, x**-2, ctx5.scalar(1, 5) ** -1, x / x, (x / y) * y]
+        results = [x / y, y / y, x**-2, ctx5.scalar(Fraction(1, 5)) ** -1, x / x, (x / y) * y]
         for z in results:
             assert type(z.value) in (int, Fraction)
             assert (type(z.value) is int) == (Fraction(z.value).denominator == 1)
-        half, third = ctx5.scalar(1, 2), ctx5.scalar(2, 3)
-        sums = (half + half, third + ctx5.scalar(1, 3), half - half, half - ctx5.scalar(5, 2))
-        for z in sums + (third * ctx5.scalar(3, 2),):
+        half, third = ctx5.scalar(Fraction(1, 2)), ctx5.scalar(Fraction(2, 3))
+        sums = (half + half, third + ctx5.scalar(Fraction(1, 3)), half - half, half - ctx5.scalar(Fraction(5, 2)))
+        for z in sums + (third * ctx5.scalar(Fraction(3, 2)),):
             assert type(z.value) is int
         assert type(ctx5.scalar(0.5).value) is Fraction
         assert type(ctx5.scalar(2.0).value) is int
@@ -221,6 +221,9 @@ class TestInterning:
             with pytest.raises(ValueError, match="different prime contexts"):
                 op(x, y)
         assert x != y
+        # the context check runs before the division by zero could
+        with pytest.raises(ValueError, match="different prime contexts"):
+            ctx3.scalar(1) / ctx5.scalar(0)
         with pytest.raises(ValueError, match="different prime contexts"):
             Ball(x, 1).contains(y)
         with pytest.raises(EvaluationError, match="disagree"):
