@@ -29,10 +29,10 @@ check_ball_correspondence tiles each ball from those values as map_ball
 does, and condition (d) reads the ball tree of the representatives
 c + p^r * i from the digits of i.
 The per-representative loops, and the search for the least pair that
-breaks (d), compute on the raw values of f and f' (see
-terms.compile_value) with qp_core.valuation and qp_core.residue; a
-PadicScalar is built only for what leaves a check: witnesses, image centres
-and ball centres.
+breaks (d), run over the raw representatives of Ball.representatives and
+the raw values of f and f' (see terms.compile_value), with
+qp_core.valuation and qp_core.residue; a PadicScalar is built only for
+what leaves a check: witnesses, image centres and ball centres.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from typing import Iterable, Mapping, Optional
 from .qp_core import (
     INFINITE_ORD,
     PadicScalar,
+    PrimeContext,
     format_ord,
     residue,
     valuation,
@@ -165,7 +166,8 @@ def _fiber_variable(f: Term, default: str) -> str:
 
 def _first_collision(keys: Iterable, points: list) -> Optional[tuple]:
     """(x, y, key) for the first point y whose key an earlier point x has, or
-    None.  keys is aligned with points and read lazily, up to y."""
+    None.  keys is aligned with points and read lazily, up to y; the points
+    and keys are raw values."""
     seen: dict = {}
     for key, y in zip(keys, points):
         if key in seen:
@@ -204,21 +206,26 @@ def _distance_break(images, p: int, base: int) -> Optional[tuple]:
     return min((pair for pair in found if pair is not None), default=None)
 
 
-def _tile(reps: list, images: list, depth: int):
-    """map_ball from the raw values of f at the depth-M representatives of a ball."""
-    ctx = reps[0].context
+def _scalars(points, ctx: PrimeContext) -> tuple:
+    """Raw witness points as scalars of ctx."""
+    return tuple(PadicScalar(x, ctx) for x in points)
+
+
+def _tile(reps: list, images: list, depth: int, ctx: PrimeContext):
+    """map_ball from the raw values of f at the raw depth-M representatives
+    of a ball."""
     p, first = ctx.p, images[0]
     radius = min(valuation(fx - first, p) for fx in images[1:])
     if radius == INFINITE_ORD:
         return NotABall(
-            (reps[0], reps[1]),
+            _scalars(reps[:2], ctx),
             f"f is constant ({first}) on the representatives; the image is a point",
         )
     image_ball = Ball(PadicScalar(first, ctx), radius)
     hit = _first_collision((residue(fx, radius + depth, p) for fx in images), reps)
     if hit is not None:
         return NotABall(
-            hit[:2],
+            _scalars(hit[:2], ctx),
             f"images of {hit[0]} and {hit[1]} collide in one residue class of "
             f"{image_ball}: the image does not tile a ball at depth {depth}",
         )
@@ -269,14 +276,14 @@ def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
         if o != ords[0]:
             return JacobianViolation(
                 ViolationKind.C_JAC_ORD_VARIES,
-                (reps[0], x),
+                _scalars((reps[0], x), ctx),
                 f"ord(f') is {format_ord(ords[0])} at {reps[0]} but {format_ord(o)} at {x}",
             )
     jac_ord = ords[0]
     if jac_ord == INFINITE_ORD:
         return JacobianViolation(
             ViolationKind.C_JAC_ORD_VARIES,
-            (reps[0],),
+            _scalars(reps[:1], ctx),
             f"ord(f') is {format_ord(jac_ord)} (derivative vanishes) at {reps[0]}",
         )
 
@@ -286,7 +293,7 @@ def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
     hit = _first_collision(images, reps)
     if hit is not None:
         return JacobianViolation(
-            ViolationKind.A_NOT_INJECTIVE, hit[:2], "f({}) = f({}) = {}".format(*hit)
+            ViolationKind.A_NOT_INJECTIVE, _scalars(hit[:2], ctx), "f({}) = f({}) = {}".format(*hit)
         )
     image_radius = jac_ord + ball.radius_ord
     first = images[0]
@@ -301,14 +308,14 @@ def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
     if hit is not None:
         return JacobianViolation(
             ViolationKind.A_IMAGE_NOT_BALL,
-            hit[:2],
+            _scalars(hit[:2], ctx),
             f"f({hit[0]}) and f({hit[1]}) collide in one residue class "
             f"of {image_ball}; the image cannot tile the ball",
         )
     if outside is not None:
         return JacobianViolation(
             ViolationKind.A_IMAGE_NOT_BALL,
-            (reps[0], reps[outside]),
+            _scalars((reps[0], reps[outside]), ctx),
             f"f({reps[outside]}) = {images[outside]} falls outside {image_ball}",
         )
 
@@ -317,10 +324,10 @@ def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
     if broken is not None:
         i, j = broken
         lhs = valuation(images[i] - images[j], p)
-        rhs = (reps[i] - reps[j]).ord() + jac_ord
+        rhs = valuation(reps[i] - reps[j], p) + jac_ord
         return JacobianViolation(
             ViolationKind.D_DISTANCE_MISMATCH,
-            (reps[i], reps[j]),
+            _scalars((reps[i], reps[j]), ctx),
             f"ord(f(x)-f(y)) = {lhs} but ord(f') + ord(x-y) = {rhs} "
             f"for x={reps[i]}, y={reps[j]}",
         )
@@ -340,7 +347,7 @@ def map_ball(f: Term, ball: Ball, depth: int):
     var = _fiber_variable(f, "t")
     reps = ball.representatives(depth)
     f_at = compile_value(f, ball.context)
-    return _tile(reps, [f_at({var: x}) for x in reps], depth)
+    return _tile(reps, [f_at({var: x}) for x in reps], depth, ball.context)
 
 
 def check_ball_correspondence(
@@ -376,13 +383,17 @@ def check_ball_correspondence(
     checked, kept = itertools.tee(f_at({var: x}) for x in points)
     hit = _first_collision(checked, points)
     if hit is not None:
-        return CorrespondenceFailure("not_injective", hit[:2], "f({}) = f({}) = {}".format(*hit))
+        return CorrespondenceFailure(
+            "not_injective", _scalars(hit[:2], ctx), "f({}) = f({}) = {}".format(*hit)
+        )
 
     values = list(kept)
     images = []
     size = ctx.p**depth
     for n, ball in enumerate(source_balls):
-        result = _tile(points[n * size : (n + 1) * size], values[n * size : (n + 1) * size], depth)
+        result = _tile(
+            points[n * size : (n + 1) * size], values[n * size : (n + 1) * size], depth, ctx
+        )
         if isinstance(result, NotABall):
             return CorrespondenceFailure(
                 "image_not_ball",
@@ -394,7 +405,7 @@ def check_ball_correspondence(
     candidates = []
     try:
         c = cell.center_at(y)
-        candidates.append(PadicScalar(f_at({var: c}), ctx))
+        candidates.append(PadicScalar(f_at({var: c.value}), ctx))
     except EvaluationError:
         pass
     candidates.append(ctx.scalar(0))

@@ -5,7 +5,10 @@ Lipschitz continuity over Q_p.
 
 Constants are carried as integer exponents of p throughout (C = p^k);
 empirical scans are lower bounds verified to a stated depth, certified
-constants are exact upper bounds on the scanned cell.
+constants are exact upper bounds on the scanned cell.  The scans, the local
+check and the counterexamples compute on raw window points and raw values
+of f (see regions.enumerate_window and terms.compile_value); a PadicScalar
+is built only for a witness.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional, Union
 
 from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, residue, valuation
@@ -160,17 +162,25 @@ def _function_variables(f: Union[Term, PiecewiseFunction]) -> tuple:
 
 
 def _evaluator(f, ctx: PrimeContext):
-    """f as a function of a binding to its raw value: a term is compiled
-    once, a piecewise function goes through evaluate_piecewise at each
-    point."""
+    """f as a function of a raw binding to its raw value: a term is
+    compiled once, a piecewise function goes through evaluate_piecewise at
+    each point."""
     if isinstance(f, PiecewiseFunction):
         return lambda binding: evaluate_piecewise(f, binding, ctx).value
     return compile_value(f, ctx)
 
 
+def _scalar_point(pt, ctx: PrimeContext):
+    """A raw point, or a tuple of raw coordinates, as scalars of ctx."""
+    if pt.__class__ is tuple:
+        return tuple(PadicScalar(c, ctx) for c in pt)
+    return PadicScalar(pt, ctx)
+
+
 def _tree_scan(points, values, p: int):
     """Best (ratio exponent, witness) over all pairs of distinct points;
-    values are the raw values of f at the points.
+    points are raw values or tuples of them, values the raw values of f at
+    the points, and the witness is a pair of points.
 
     Every pair across a class C of the ball tree of the points that splits
     at level k has ord(x - y) = k, and the largest |f(x) - f(y)| over those
@@ -185,7 +195,7 @@ def _tree_scan(points, values, p: int):
     all-pairs scan in index order would keep.
     """
     candidates = []
-    for split in splitting_classes(points):
+    for split in splitting_classes(points, p):
         anchor = values[split.members[0]]
         # the first child starts with the anchor itself, at ord INFINITE_ORD
         d = INFINITE_ORD
@@ -221,15 +231,15 @@ def empirical_lipschitz(
     verified to the stated depth; the reported witness is the
     lexicographically least pair achieving it.  Multi-variable functions
     are scanned on tuple grids with the max-norm distance.  Each candidate
-    point, a window point or a tuple of itertools.product, is bound as
+    point, a raw window point or a tuple of itertools.product, is bound as
     {name: value} and tested with exactly one eval_condition call, so that
     call counts the points tried and accepted.  The pairs are not visited
     one by one: a pass over the ball tree of the accepted points finds the
-    best ratio in O(N * levels) (see _tree_scan).
+    best ratio in O(N * levels) (see _tree_scan).  Only the two witness
+    points become scalars.
     """
     variables = _function_variables(f)
-    # sorted on the raw values, the order of PadicScalar.__lt__ without its calls
-    axis = sorted(enumerate_window(window, ctx), key=attrgetter("value"))
+    axis = sorted(enumerate_window(window, ctx))
     if len(variables) == 1:
         (var,) = variables
         bound = ((pt, {var: pt}) for pt in axis)
@@ -249,6 +259,8 @@ def empirical_lipschitz(
         raise EmptyRegion(f"no representative satisfies {format_condition(region)}")
 
     best, best_witness = _tree_scan(points, values, ctx.p)
+    if best_witness is not None:
+        best_witness = tuple(_scalar_point(pt, ctx) for pt in best_witness)
     return LipschitzReport(
         mode=Mode.EMPIRICAL_LOWER_BOUND,
         constant_exponent=best,
@@ -350,7 +362,7 @@ def check_bounded_derivative_local_lipschitz(
     p = ctx.p
     f_at, deriv_at = compile_value(f, ctx), compile_value(differentiate(f, var), ctx)
     in_region = compile_condition(region, ctx)
-    reps = sorted(enumerate_window(window, ctx), key=attrgetter("value"))
+    reps = sorted(enumerate_window(window, ctx))
     pts = [x for x in reps if in_region({var: x})]
     if not pts:
         return LocalLipschitzCheck("passed", None, "region has no representatives")
@@ -360,14 +372,14 @@ def check_bounded_derivative_local_lipschitz(
         if e > 0:
             return LocalLipschitzCheck(
                 "skipped",
-                (x,),
+                (PadicScalar(x, ctx),),
                 f"|f'({x})| = p^{e} > 1; the bounded-derivative premise fails",
             )
 
     # the depth-1 granularity ball of x, named by its residue mod p^(ord(x) + 1)
     groups: dict = {}
     for x in pts:
-        groups.setdefault(residue(x.value, valuation(x.value, p) + 1, p), []).append(x)
+        groups.setdefault(residue(x, valuation(x, p) + 1, p), []).append(x)
     for group in groups.values():
         vals = [f_at({var: x}) for x in group]
         pair = _local_break(group, vals, p)
@@ -375,7 +387,7 @@ def check_bounded_derivative_local_lipschitz(
             x, y = group[pair[0]], group[pair[1]]
             return LocalLipschitzCheck(
                 "failed",
-                (x, y),
+                (PadicScalar(x, ctx), PadicScalar(y, ctx)),
                 f"|f({x})-f({y})| > |{x}-{y}|",
             )
     return LocalLipschitzCheck(
@@ -385,7 +397,7 @@ def check_bounded_derivative_local_lipschitz(
 
 def _local_break(group, vals, p: int) -> Optional[tuple]:
     """Least (i, j) with ord(vals_i - vals_j) < ord(group_i - group_j), or
-    None; vals are raw values.
+    None; the group's points and vals are raw values.
 
     The pairs across a class of the ball tree of the group that splits at
     level k are at ord distance k, and such a pair breaks the bound exactly
@@ -393,7 +405,7 @@ def _local_break(group, vals, p: int) -> Optional[tuple]:
     when some value differs from the first one there.
     """
     found = []
-    for split in splitting_classes(group):
+    for split in splitting_classes(group, p):
         anchor = vals[split.members[0]]
         if all(valuation(vals[n] - anchor, p) >= split.level for n in split.members[1:]):
             continue
@@ -409,7 +421,7 @@ def _local_break(group, vals, p: int) -> Optional[tuple]:
 def _exloc_break(points, values, p: int) -> Optional[tuple]:
     """The first pair (i, j), in index order, that breaks an exloc identity,
     with 0 for the value identity and 1 for the distance identity; or None.
-    values are the raw values of f at the points.
+    points are raw window points and values the raw values of f at them.
 
     points ascend by valuation level.  A pair with ord x_i = a < b = ord x_j
     needs ord(f_i - f_j) = -b, checked before ord(x_i - x_j) = a.  Let c_v
@@ -420,13 +432,12 @@ def _exloc_break(points, values, p: int) -> Optional[tuple]:
     condition (least_ord_break).  The distance identity is the strict
     triangle law; it is checked on the first points of each pair of levels.
     """
-    xs = [x.value for x in points]
-    levels = [valuation(x, p) for x in xs]
+    levels = [valuation(x, p) for x in points]
     first: dict = {}
     for n, v in enumerate(levels):
         first.setdefault(v, n)
     anchors = list(itertools.combinations(sorted(first.items()), 2))
-    breaks = [((i, j), 1) for (a, i), (_, j) in anchors if valuation(xs[i] - xs[j], p) != a]
+    breaks = [((i, j), 1) for (a, i), (_, j) in anchors if valuation(points[i] - points[j], p) != a]
     if not (
         all(valuation(values[i] - values[j], p) == -b for (_, i), (b, j) in anchors)
         and all(valuation(values[n] - values[first[v]], p) > -v for n, v in enumerate(levels))
@@ -458,9 +469,12 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
     points = enumerate_window(window, ctx)
     values = {x: f({"t": x}) for x in points}
 
-    # local constancy on every granularity ball
+    # local constancy on every granularity ball x + p^(ord x + M) Z_p, probed
+    # at its representatives mod p^(ord x + M + 1); x, a window point, is the
+    # ball's canonical centre
     for x in points:
-        for probe in window.ball_of(x).representatives(1):
+        step = ctx.power(valuation(x, p) + window.depth)
+        for probe in (x + i * step for i in range(p)):
             if f({"t": probe}) != values[x]:
                 raise RuntimeError(f"local constancy broke at {x} vs {probe}")
 
@@ -468,20 +482,19 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
     broken = _exloc_break(points, [values[x] for x in points], p)
     if broken is not None:
         (i, j), identity = broken
-        x1, x2 = points[i], points[j]
+        x1, x2 = PadicScalar(points[i], ctx), PadicScalar(points[j], ctx)
         if identity == 0:
             raise RuntimeError(f"|f(x1)-f(x2)| != |x2|^-1 at ({x1}, {x2})")
         raise RuntimeError(f"|x1-x2| != |x1| at ({x1}, {x2})")
 
     entries = []
     for n in range(window.v_min + 1, window.v_max + 1):
-        x1 = PadicScalar(ctx.power(n - 1), ctx)
-        x2 = PadicScalar(ctx.power(n), ctx)
+        x1, x2 = ctx.power(n - 1), ctx.power(n)
         # the ratio exponent of |f(x1) - f(x2)| / |x1 - x2|
-        ratio = valuation(x1.value - x2.value, p) - valuation(f({"t": x1}) - f({"t": x2}), p)
+        ratio = valuation(x1 - x2, p) - valuation(f({"t": x1}) - f({"t": x2}), p)
         if ratio != 2 * n - 1:
             raise RuntimeError(f"trace ratio at level {n} is not 2n-1")
-        entries.append(TraceEntry(n, (x1, x2), ratio))
+        entries.append(TraceEntry(n, (PadicScalar(x1, ctx), PadicScalar(x2, ctx)), ratio))
     return CounterexampleTrace(ctx.p, (window.v_min, window.v_max), tuple(entries))
 
 
@@ -505,14 +518,13 @@ def counterexample_exloc2(n_max: int, ctx: PrimeContext) -> CounterexampleTrace:
     g = compile_value(LevelSpike(Variable("t")), ctx)
     entries = []
     derivative_entries = []
-    zero = ctx.scalar(0)
     for n in range(1, n_max + 1):
-        b_i = PadicScalar(ctx.power(n), ctx)
-        b_j = PadicScalar(ctx.power(n) + ctx.power(3 * n - 1), ctx)
+        b_i = ctx.power(n)
+        b_j = ctx.power(n) + ctx.power(3 * n - 1)
         # ords, not norm exponents: |b_i - b_j| = p^(-gap)
-        gap = valuation(b_i.value - b_j.value, p)
+        gap = valuation(b_i - b_j, p)
         # b_j lies on level n, outside the marked ball b_i + p^(3n) Z_p
-        if valuation(b_j.value, p) != n or gap >= 3 * n:
+        if valuation(b_j, p) != n or gap >= 3 * n:
             raise RuntimeError(f"witness b_j at level {n} is not an unmarked neighbor")
         if gap != 3 * n - 1:
             raise RuntimeError(f"|b_i - b_j| != p^(1-3n) at level {n}")
@@ -521,7 +533,7 @@ def counterexample_exloc2(n_max: int, ctx: PrimeContext) -> CounterexampleTrace:
         spread = valuation(g_i - g_j, p)
         if spread != 2 * n:
             raise RuntimeError(f"|g(b_i) - g(b_j)| != |b_i^2| at level {n}")
-        entries.append(TraceEntry(n, (b_i, b_j), gap - spread))
+        entries.append(TraceEntry(n, (PadicScalar(b_i, ctx), PadicScalar(b_j, ctx)), gap - spread))
         # |g(b_i) - g(0)| / |b_i|, as an exponent of p
-        derivative_entries.append((n, n - valuation(g_i - g({"t": zero}), p)))
+        derivative_entries.append((n, n - valuation(g_i - g({"t": 0}), p)))
     return CounterexampleTrace(ctx.p, (1, n_max), tuple(entries), tuple(derivative_entries))

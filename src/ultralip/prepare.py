@@ -21,9 +21,11 @@ level split + m, where the walk goes on; c_o's own child ball goes on one
 level deeper.  A ball holding a single center ends in a tail: one
 unbounded-depth cell per angular class.
 
-The pairwise center distances are computed once, when the FactoredTerm is
-built, and the sweep, verify_prepared and the profiles read them from the
-term: nothing is cached beside it.
+The raw center values, ord(u) and the pairwise center distances are
+computed once, when the FactoredTerm is built, and the sweep,
+verify_prepared and the profiles read them from the term: nothing is cached
+beside it.  verify_prepared computes on raw values; it builds a PadicScalar
+only for a witness, and a Ball only for a ball that holds a center.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord, valuation
+from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord, residue, valuation
 from .regions import Ball, Window
 from .cells import Cell, point_cell
 from .syntax import _Parser
@@ -55,9 +57,9 @@ class FactoredTerm:
     """u * prod (t - c_i)^(a_i) with distinct centers and nonzero integer
     exponents; the valuation is factor-by-factor and exact.
 
-    The centers, the exponents and the pairwise center distances are
-    computed once, when the term is built, and read by the sweep, the
-    verification and the profiles below."""
+    The centers, their raw values, the exponents, ord(u) and the pairwise
+    center distances are computed once, when the term is built, and read by
+    the sweep, the verification and the profiles below."""
 
     unit: PadicScalar
     factors: tuple  # of (PadicScalar, int)
@@ -75,13 +77,17 @@ class FactoredTerm:
             if exponent == 0:
                 raise ValueError("factor exponents must be nonzero")
         # outside the dataclass fields, so equality, hashing and repr still see
-        # only unit and factors; dist[i][j] = ord(c_i - c_j)
-        centers = tuple(c for c, _ in self.factors)
-        object.__setattr__(self, "centers", centers)
+        # only unit and factors; values[i] is the raw value of c_i and
+        # dist[i][j] = ord(c_i - c_j)
+        p = self.context.p
+        values = tuple(c.value for c, _ in self.factors)
+        object.__setattr__(self, "centers", tuple(c for c, _ in self.factors))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "exponents", tuple(a for _, a in self.factors))
+        object.__setattr__(self, "unit_ord", self.unit.ord())
         dist = tuple(
-            tuple(None if i == j else (ci - cj).ord() for j, cj in enumerate(centers))
-            for i, ci in enumerate(centers)
+            tuple(None if i == j else valuation(ci - cj, p) for j, cj in enumerate(values))
+            for i, ci in enumerate(values)
         )
         object.__setattr__(self, "dist", dist)
 
@@ -91,9 +97,9 @@ class FactoredTerm:
 
     def ord_at(self, t: PadicScalar) -> "int | float":
         """ord f(t) as the exact sum ord(u) + sum a_i ord(t - c_i)."""
-        total = self.unit.ord()
-        for center, exponent in self.factors:
-            o = (t - center).ord()
+        total, x, p = self.unit_ord, t.value, self.context.p
+        for c, exponent in zip(self.values, self.exponents):
+            o = valuation(x - c, p)
             if o == INFINITE_ORD:
                 if exponent > 0:
                     return INFINITE_ORD
@@ -122,7 +128,9 @@ class FactoredTerm:
     def tie_residue(self, j: int, i: int, m: int) -> int:
         """ac_m residue of (c_i - c_j) / p^dist: the angular class around c_j
         that points at c_i."""
-        return (self.centers[i] - self.centers[j]).ac(m)
+        # the residue of c_i - c_j mod p^(dist + m) is p^dist times its ac_m
+        ctx, d = self.context, self.dist[j][i]
+        return int(residue(self.values[i] - self.values[j], d + m, ctx.p) * ctx.power(-d))
 
     def profile(self, j: int, lo: int, hi: int, xi: Optional[int] = None, m: int = 1) -> tuple:
         """(exponent, H) on levels [lo, hi] around c_j: factors strictly closer
@@ -134,7 +142,7 @@ class FactoredTerm:
         xi - w mod p^m.  The class pointing at a tie partner (xi = w) is not
         resolvable at depth m and is never emitted."""
         e = self.exponents[j]
-        h = self.unit.ord()
+        h = self.unit_ord
         for i, d in enumerate(self.dist[j]):
             if i == j:
                 continue
@@ -291,7 +299,7 @@ def piece_contains(f: FactoredTerm, piece: PreparedPiece, t: PadicScalar) -> boo
     """Whether t lies in the piece: ord(t - c_j) in the level range and
     ac_m(t - c_j) = residue.  Both are read from t - c_j = num / den with the
     numerator and denominator cross-multiplied and not reduced."""
-    x, c = t.value, f.centers[piece.chosen_center_index].value
+    x, c = t.value, f.values[piece.chosen_center_index]
     if x.__class__ is int and c.__class__ is int:
         num, den = x - c, 1
     else:
@@ -335,26 +343,27 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
     """
     if depth < 1:
         raise ValueError("verification depth must be >= 1")
-    ctx = f.context
+    ctx, p = f.context, f.context.p
     j = piece.chosen_center_index
-    center = f.centers[j]
+    center = f.values[j]
 
     hi = piece.level_max
     last = piece.level_min + _LEVEL_CAP - 1 if hi is None else min(hi, piece.level_min + _LEVEL_CAP - 1)
     for a in range(piece.level_min, last + 1):
-        rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
-        ball = Ball(rep, a + piece.m)
+        radius = a + piece.m
+        # the canonical centre of the ball c_j + xi p^a + p^(a+m) Z_p
+        x = residue(center + piece.residue * ctx.power(a), radius, p)
         predicted = piece.h_exponent + piece.exponent * a
-        t = ball.center
-        ords = [valuation(t.value - c.value, ctx.p) for c in f.centers]
-        if all(o < ball.radius_ord for o in ords):
+        ords = [valuation(x - c, p) for c in f.values]
+        if all(o < radius for o in ords):
             # no center lies in the ball, so every ord(t - c_i) is constant
             # on it and its first representative decides the identity exactly
-            direct = f.unit.ord() + sum(e * o for e, o in zip(f.exponents, ords))
+            direct = f.unit_ord + sum(e * o for e, o in zip(f.exponents, ords))
             if direct != predicted:
-                return _mismatch(t, direct, predicted)
+                return _mismatch(PadicScalar(x, ctx), direct, predicted)
             continue
-        for t in ball.representatives(depth):
+        for rep in Ball(PadicScalar(x, ctx), radius).representatives(depth):
+            t = PadicScalar(rep, ctx)
             try:
                 direct = f.ord_at(t)
             except ZeroDivisionError as err:
@@ -377,7 +386,7 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
         # from outside the sweep need not satisfy
         return PrepareCheck(False, None, f"piece geometry is inconsistent: {err}")
     if expected != (piece.exponent, piece.h_exponent):
-        witness = PadicScalar(center.value + piece.residue * ctx.power(piece.level_min), ctx)
+        witness = PadicScalar(center + piece.residue * ctx.power(piece.level_min), ctx)
         return PrepareCheck(
             False,
             witness,

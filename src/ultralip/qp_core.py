@@ -19,9 +19,11 @@ it: an ``int``, or ``INFINITE_ORD = math.inf`` for zero, so ``int`` and
 ``math.inf`` model Z u {+inf} with its order and with ``inf + k = inf``.
 ``format_ord`` is the one place that writes a valuation as text.
 ``valuation(value, p)`` and ``residue(value, k, p)`` are ``ord`` and
-``reduce_mod_power(k).value`` on a raw value; the per-point kernels use them
-and build no scalar per step, so scalars exist for inputs, witnesses and
-centres.  The methods call them, so each rule has one implementation.
+``reduce_mod_power(k).value`` on a raw value.  Every per-point loop computes
+on raw values: window points, ball representatives, the bindings of compiled
+terms and their results are ints and Fractions, read with these kernels, so
+a scalar is built only at the edges, for inputs, witnesses and centres.
+The methods call the kernels, so each rule has one implementation.
 in_coset reads a raw value too.  Every prime has one context, so context
 checks are identity tests.
 """

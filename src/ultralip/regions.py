@@ -4,12 +4,19 @@ A ball is the set center + p^k Z_p.  Windows truncate Q_p to a finite
 range of valuations and a finite angular depth M, which makes exhaustive
 scans possible; every result obtained this way is labeled with the depth
 at which it was verified.
+
+Windows and balls yield raw points: enumerate_window and
+Ball.representatives return ints and Fractions in lowest terms (an int when
+integral), the values the compiled terms and the kernels of qp_core read,
+and splitting_classes takes them with the prime.  A PadicScalar is built
+only for what leaves an analysis: a witness, a centre or an input.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -48,16 +55,19 @@ class Ball:
     def contains(self, x: PadicScalar) -> bool:
         return (x - self.center).ord() >= self.radius_ord
 
-    def representatives(self, depth: int) -> list[PadicScalar]:
+    def representatives(self, depth: int) -> list:
         """One point per residue class of the ball mod p^(radius_ord + depth),
-        in canonical ascending order: center + p^radius_ord * r, r in [0, p^depth)."""
+        in canonical ascending order: the raw values center + p^radius_ord * r,
+        r in [0, p^depth), each an int when integral and a Fraction in lowest
+        terms otherwise."""
         if depth < 1:
             raise ValueError("representative depth must be >= 1")
-        step = self.context.power(self.radius_ord)
-        return [
-            PadicScalar(self.center.value + r * step, self.context)
-            for r in range(self.context.p**depth)
-        ]
+        c, step = self.center.value, self.context.power(self.radius_ord)
+        n = self.context.p**depth
+        if c.__class__ is int and step.__class__ is int:
+            return list(range(c, c + n * step, step))
+        points = [c + r * step for r in range(n)]
+        return [x.numerator if x.denominator == 1 else x for x in points]
 
     def __str__(self) -> str:
         return f"{self.center} + {self.context.p}^{self.radius_ord}"
@@ -123,22 +133,27 @@ class Window:
         return Ball(x, x.ord() + self.depth)
 
 
-def enumerate_window(window: Window, ctx: PrimeContext) -> tuple[PadicScalar, ...]:
+def enumerate_window(window: Window, ctx: PrimeContext) -> tuple:
     """One canonical representative p^v * u per residue class of the window,
-    as a tuple in level order.
+    as a tuple of raw values in level order: an int for v >= 0, else the
+    Fraction u / p^(-v), in lowest terms as u is a unit.
 
     v runs over the window levels and u over the units in [1, p^M).  Each
     point stands for its granularity ball rep + p^(v+M) Z_p, which
-    ``window.ball_of(rep)`` builds; these balls are pairwise disjoint and
-    partition the window exactly.  Zero is never enumerated: callers that
-    need it add it explicitly.  The number of points is
+    ``window.ball_of(ctx.scalar(rep))`` builds; these balls are pairwise
+    disjoint and partition the window exactly.  Zero is never enumerated:
+    callers that need it add it explicitly.  The number of points is
     (v_max - v_min + 1) * (p^M - p^(M-1)).
     """
     units = ctx.units_mod(window.depth)
     points = []
     for v in window.levels():
-        scale = ctx.power(v)
-        points.extend(PadicScalar(u * scale, ctx) for u in units)
+        if v >= 0:
+            scale = ctx.p**v
+            points.extend([u * scale for u in units])
+        else:
+            den = ctx.p**-v
+            points.extend([Fraction(u, den) for u in units])
     return tuple(points)
 
 
@@ -187,21 +202,21 @@ def _interleave(ints: Sequence[Sequence[int]], p: int) -> list:
     return keys
 
 
-def splitting_classes(points: Sequence) -> list:
+def splitting_classes(points: Sequence, p: int) -> list:
     """Every class of the ultrametric ball tree of points that splits.
 
-    A point is a PadicScalar in Z[1/p] or a tuple of n of them, and two
-    points agree mod p^k when every coordinate does: the ball of radius
-    p^(-k) of the max norm.  With lo the least finite ord of any coordinate,
-    each coordinate c becomes the integer c * p^(-lo) (zero becomes 0), and
-    two points agree mod p^k exactly when these integers agree mod
-    p^(k - lo).  For int coordinates lo is the ord of their gcd, one
-    math.gcd and one valuation.  A point of one coordinate is keyed by its
-    integer, read straight from its value.  A tuple keys to one
-    integer that interleaves the base-p digits of its coordinates
-    (_interleave): every coordinate c is reduced to r = c mod p^D with a D
-    common to all points and p^D > 2 * max |c|, and digit j of r_i goes to
-    position n*j + i.
+    A point is a raw value in Z[1/p], an int or a Fraction in lowest terms,
+    or a tuple of n of them, and two points agree mod p^k when every
+    coordinate does: the ball of radius p^(-k) of the max norm.  With lo
+    the least finite ord of any coordinate, each coordinate c becomes the
+    integer c * p^(-lo) (zero becomes 0), and two points agree mod p^k
+    exactly when these integers agree mod p^(k - lo).  For int coordinates
+    lo is the ord of their gcd, one math.gcd and one valuation.  A point of
+    one coordinate is keyed by its integer.  A tuple keys to one integer
+    that interleaves the base-p digits of its coordinates (_interleave):
+    every coordinate c is reduced to r = c mod p^D with a D common to all
+    points and p^D > 2 * max |c|, and digit j of r_i goes to position
+    n*j + i.
 
     The interleaving law: keys agree mod p^(n*k) exactly when every
     coordinate agrees mod p^k.  The residue of a key mod p^(n*k) holds the
@@ -223,12 +238,7 @@ def splitting_classes(points: Sequence) -> list:
     if not points:
         return []
     n = len(points[0]) if points[0].__class__ is tuple else 0
-    if n:
-        p = points[0][0].context.p
-        values = [c.value for pt in points for c in pt]
-    else:
-        p = points[0].context.p
-        values = [pt.value for pt in points]
+    values = [c for pt in points for c in pt] if n else points
     if all(v.__class__ is int for v in values):
         g = gcd(*values)
         lo = valuation(g, p) if g else 0

@@ -1,9 +1,12 @@
 """Evaluation, the polynomial normal form and differentiation of syntax's nodes.
 
 Evaluation compiles once per analysis.  compile_value and compile_condition
-compute on the raw int and Fraction values (an int when integral), and no
-compiled closure builds a PadicScalar; evaluate and evaluate_piecewise wrap
-the one value they return.  A polynomial in one variable (see polynomial)
+give closures over raw bindings, variable names to int and Fraction values
+(an int when integral), and no compiled closure builds or reads a
+PadicScalar.  evaluate, eval_condition and evaluate_piecewise take a point
+of scalars, raw values or both: they check the scalars against the context
+and unwrap them once, and evaluate and evaluate_piecewise wrap the one value
+they return.  A polynomial in one variable (see polynomial)
 runs Horner's rule on ints; every other node is a closure over its
 children's forms.  taylor_shift reads a polynomial about a ball
 c + p^r Z_p, in O(degree^2) int steps, for jacobian's Taylor-shift test.
@@ -89,36 +92,48 @@ class PieceDomainError(EvaluationError):
 # evaluation
 
 
-def _infer_context(point: Mapping, ctx: Optional[PrimeContext]) -> PrimeContext:
-    for v in point.values():
-        if ctx is not None and v.context is not ctx:
-            raise EvaluationError("point values disagree with the supplied context")
-        ctx = v.context
+def _bind(point: Mapping, ctx: Optional[PrimeContext]) -> tuple:
+    """(ctx, the raw binding of point).  Every scalar of the point must lie
+    in ctx, or in the context of the first scalar when ctx is None; a point
+    with no scalar needs ctx.  A point with no scalar is its own binding."""
+    raw = None
+    for name, v in point.items():
+        if isinstance(v, PadicScalar):
+            if ctx is not None and v.context is not ctx:
+                raise EvaluationError("point values disagree with the supplied context")
+            ctx = v.context
+            if raw is None:
+                raw = dict(point)
+            raw[name] = v.value
     if ctx is None:
         raise EvaluationError("no prime context available (empty point, no ctx)")
-    return ctx
+    return ctx, point if raw is None else raw
 
 
 def evaluate(t: Term, point: Mapping, ctx: Optional[PrimeContext] = None) -> PadicScalar:
     """Exact evaluation of a term at a rational point.
 
-    point maps variable names to PadicScalar values sharing one context.
+    point maps variable names to PadicScalar values sharing one context, to
+    raw values (an int, or a Fraction in lowest terms) read in ctx, or to
+    both.
     """
-    ctx = _infer_context(point, ctx)
-    return PadicScalar(compile_value(t, ctx)(point), ctx)
+    ctx, binding = _bind(point, ctx)
+    return PadicScalar(compile_value(t, ctx)(binding), ctx)
 
 
 def eval_condition(c: Condition, point: Mapping, ctx: Optional[PrimeContext] = None) -> bool:
-    """Exact truth value of a condition at a rational point."""
-    ctx = _infer_context(point, ctx)
-    return _memoised(c, ctx, _compile_cond)(point)
+    """Exact truth value of a condition at a rational point, given as for
+    evaluate."""
+    ctx, binding = _bind(point, ctx)
+    return _memoised(c, ctx, _compile_cond)(binding)
 
 
 def evaluate_piecewise(
     pf: PiecewiseFunction, point: Mapping, ctx: Optional[PrimeContext] = None
 ) -> PadicScalar:
-    """Evaluate a piecewise function; exactly one piece condition may hold."""
-    ctx = _infer_context(point, ctx)
+    """Evaluate a piecewise function at a point given as for evaluate;
+    exactly one piece condition may hold."""
+    ctx, point = _bind(point, ctx)
     pieces = _memoised(pf, ctx, _compile_pieces)
     matches = [body for cond, body in pieces if cond(point)]
     if not matches:
@@ -129,17 +144,18 @@ def evaluate_piecewise(
 
 
 def compile_value(t: Term, ctx: PrimeContext) -> Callable:
-    """t as a function of a point (variable names to PadicScalar values in
-    ctx) that returns the value of the PadicScalar evaluate would: an int,
-    or a Fraction when it is not integral.  The caller vouches that the
-    point's values lie in ctx; evaluate checks it.  A polynomial (see
+    """t as a function of a raw binding (variable names to ints and
+    Fractions in lowest terms, read in ctx) that returns the value of the
+    PadicScalar evaluate would: an int, or a Fraction when it is not
+    integral.  A polynomial (see
     polynomial) and each polynomial subterm of another term run Horner's
     rule on ints; every other node is a closure over its children's."""
     return _memoised(t, ctx, _compile)
 
 
 def compile_condition(c: Condition, ctx: PrimeContext) -> Callable:
-    """c as a function of a point that returns the bool eval_condition would."""
+    """c as a function of a raw binding that returns the bool eval_condition
+    would."""
     return _memoised(c, ctx, _compile_cond)
 
 
@@ -293,7 +309,7 @@ def taylor_shift(poly: tuple, centre: "int | Fraction", step: "int | Fraction") 
 
 
 def _horner(poly: tuple) -> Callable:
-    """A closure from a point to the value of poly, by Horner's rule on ints
+    """A closure from a raw binding to the value of poly, by Horner's rule on ints
     with one Fraction at the end when the value is not integral.  It reads
     its variable even where the coefficients cancel."""
     name, coeffs, den = poly
@@ -305,7 +321,7 @@ def _horner(poly: tuple) -> Callable:
 
     def horner(point):
         try:
-            x = point[name].value
+            x = point[name]
         except KeyError:
             raise UnboundVariableError(f"unbound variable {name!r}") from None
         acc = top
@@ -331,7 +347,7 @@ _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def _compile(t: Term, ctx: PrimeContext) -> Callable:
-    """A closure from a point to the value of t as an int, or as a Fraction
+    """A closure from a raw binding to the value of t as an int, or as a Fraction
     when it is not integral.  A polynomial other than a leaf runs Horner's
     rule, which can raise only UnboundVariableError.  Every other error is
     raised where the tree walk raised it, so a Div tests its denominator
@@ -344,7 +360,7 @@ def _compile(t: Term, ctx: PrimeContext) -> Callable:
 
         def variable(point):
             try:
-                return point[name].value
+                return point[name]
             except KeyError:
                 raise UnboundVariableError(f"unbound variable {name!r}") from None
 
@@ -409,7 +425,7 @@ _NORM_ORDER = {"<": operator.gt, "<=": operator.ge, "=": operator.eq}
 
 
 def _compile_cond(c: Condition, ctx: PrimeContext) -> Callable:
-    """A closure from a point to the truth value of c."""
+    """A closure from a raw binding to the truth value of c."""
     if isinstance(c, TrueCond):
         return lambda point: True
     if isinstance(c, NormCmp):

@@ -9,6 +9,11 @@ tuple_splitting_classes is the reference for the ball tree of
 regions.splitting_classes: the tree of caller-built integer key tuples,
 from level 0 of the keys.
 
+window_points and ball_points are the references for
+regions.enumerate_window and Ball.representatives: the points listed level
+by level and step by step in Fraction arithmetic, as the docstrings define
+them.
+
 all_pairs_overlap is the reference for regions.first_overlap: every pair
 in index order, where two balls overlap exactly when the one of smaller
 radius_ord holds the other's centre.
@@ -174,6 +179,22 @@ def tuple_splitting_classes(keys, p):
             out.append(SplitClass(level, members, labels, list(children.values())))
         stack.extend((level + 1, child) for child in children.values() if len(child) > 1)
     return out
+
+
+def window_points(v_min, v_max, depth, p):
+    """p^v * u for each level v in [v_min, v_max], in ascending order, and
+    each u in [1, p^depth) prime to p, in ascending order."""
+    return [
+        Fraction(p) ** v * u
+        for v in range(v_min, v_max + 1)
+        for u in range(1, p**depth)
+        if u % p
+    ]
+
+
+def ball_points(center, radius_ord, depth, p):
+    """center + i * p^radius_ord for i in [0, p^depth), in ascending order."""
+    return [Fraction(center) + i * Fraction(p) ** radius_ord for i in range(p**depth)]
 
 
 def balls_overlap(a: Ball, b: Ball) -> bool:
@@ -471,7 +492,7 @@ def exhaustive_verify_prepared(f, piece, depth):
     for a in range(piece.level_min, last + 1):
         rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
         ball = Ball(rep, a + piece.m)
-        for t in ball.representatives(depth):
+        for t in map(ctx.scalar, ball.representatives(depth)):
             try:
                 direct = f.ord_at(t)
             except ZeroDivisionError as err:

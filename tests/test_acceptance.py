@@ -89,7 +89,7 @@ def test_criterion_2_ball_formula_equivalence():
     ctx = PrimeContext(3)
     checked = 0
     for m in (1, 2):
-        for t in enumerate_window(Window(-2, 3, 3), ctx):
+        for t in map(ctx.scalar, enumerate_window(Window(-2, 3, 3), ctx)):
             a = t.ord()
             lam_residue = t.ac(m)
             lam = ctx.scalar(Fraction(lam_residue) * Fraction(3) ** a)
@@ -154,7 +154,7 @@ def test_criterion_4_exloc_reproduction():
     for p in (2, 3, 5):
         ctx = PrimeContext(p)
         window = Window(0, 4, 2)
-        points = enumerate_window(window, ctx)
+        points = [ctx.scalar(x) for x in enumerate_window(window, ctx)]
         values = {x: evaluate(f, {"t": x}, ctx) for x in points}
         # constancy on every granularity ball
         for x in points:
@@ -261,7 +261,7 @@ def test_criterion_6_preparation_oracle():
         sample = {}
         for c in f.centers:
             for x in enumerate_window(Window(window.v_min, window.v_max, 2), ctx):
-                sample[(c + x).value] = None
+                sample[c.value + x] = None
             for extra in (1, 2):
                 sample[c.value + ctx.power(window.v_max + extra)] = None
         for value in sample:

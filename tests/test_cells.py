@@ -83,17 +83,17 @@ class TestBallOfCell:
             for t in points[m]:
                 ball = ball_of_cell(cell, t)
                 for probe in ball.representatives(2):
-                    assert cell_contains(cell, probe)
+                    assert cell_contains(cell, ctx3.scalar(probe))
                 bigger = Ball(t, ball.radius_ord - 1)
                 assert any(
-                    not cell_contains(cell, probe) for probe in bigger.representatives(2)
+                    not cell_contains(cell, ctx3.scalar(probe)) for probe in bigger.representatives(2)
                 )
 
     def test_formula_equivalence(self, ctx3):
         """The translation construction t + p^(m + ord t) Z_p equals the level
         set {w : ord(w) = a, ac_m(w) = ac_m(lambda)} on every representative."""
         for m in (1, 2):
-            for t in enumerate_window(Window(-2, 2, m), ctx3):
+            for t in map(ctx3.scalar, enumerate_window(Window(-2, 2, m), ctx3)):
                 lam_residue = t.ac(m)
                 lam = ctx3.scalar(Fraction(lam_residue) * Fraction(3) ** t.ord())
                 cell = point_cell(ctx3.scalar(0), CosetSpec(lam, m, 1))
@@ -129,7 +129,7 @@ class TestEnumerateBalls:
             assert not oracles.balls_overlap(b1, b2)
         for b in balls:
             for probe in b.representatives(1):
-                assert cell_contains(cell, probe)
+                assert cell_contains(cell, ctx3.scalar(probe))
 
     def test_cell_ball_index(self, ctx3):
         cell = unit_coset_cell(ctx3, m=1, n=2)
@@ -151,7 +151,7 @@ class TestEnumerateBalls:
         assert [b.radius_ord for b in balls] == [1, 2, 3]
         for b in balls:
             for probe in b.representatives(1):
-                assert cell_contains(cell, probe, y)
+                assert cell_contains(cell, ctx3.scalar(probe), y)
         # a base point failing the base condition has no balls above it
         assert enumerate_balls(cell, {"y": ctx3.scalar(3)}, Window(0, 2, 1)) == []
 

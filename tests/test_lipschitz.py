@@ -120,9 +120,7 @@ class TestEmpirical:
         assert len(calls) == points
         names = sorted(calls[0])
         grid = itertools.product(enumerate_window(window, ctx3), repeat=len(names))
-        assert sorted(tuple(c[n].value for n in names) for c in calls) == sorted(
-            tuple(x.value for x in pt) for pt in grid
-        )
+        assert sorted(tuple(c[n] for n in names) for c in calls) == sorted(grid)
         accepted = [c for c in calls if eval_condition(cond, c, ctx3)]
         assert 0 < len(accepted) < points
 
@@ -262,7 +260,7 @@ class TestExloc:
         """|f(x1) - f(x2)| equals |x2|^(-1) exactly on every pair with
         |x2| < |x1|: the defining inequality is realized with equality."""
         f = parse_term("normval(t)")
-        reps = sorted(enumerate_window(Window(0, 3, 2), ctx3), key=lambda s: s.ord())
+        reps = sorted(map(ctx3.scalar, enumerate_window(Window(0, 3, 2), ctx3)), key=lambda s: s.ord())
         for x1, x2 in itertools.combinations(reps, 2):
             if x1.ord() == x2.ord():
                 continue
@@ -273,10 +271,10 @@ class TestExloc:
     def test_local_constancy(self, ctx3):
         f = parse_term("normval(t)")
         window = Window(0, 3, 2)
-        for x in enumerate_window(window, ctx3):
+        for x in map(ctx3.scalar, enumerate_window(window, ctx3)):
             expected = evaluate(f, {"t": x})
             for probe in window.ball_of(x).representatives(2):
-                assert evaluate(f, {"t": probe}) == expected
+                assert evaluate(f, {"t": probe}, ctx3) == expected
 
     def test_rejects_negative_window(self, ctx3):
         with pytest.raises(ValueError):

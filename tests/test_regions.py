@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_pairs_overlap, balls_overlap
+from oracles import all_pairs_overlap, ball_points, balls_overlap, window_points
 from ultralip.qp_core import PrimeContext
 from ultralip.regions import (
     Ball,
@@ -31,7 +31,8 @@ class TestBall:
     def test_representatives(self, ctx3):
         b = Ball(ctx3.scalar(1), 1)
         reps = b.representatives(2)
-        assert [r.value for r in reps] == [1, 4, 7, 10, 13, 16, 19, 22, 25]
+        assert reps == [1, 4, 7, 10, 13, 16, 19, 22, 25]
+        reps = [ctx3.scalar(r) for r in reps]
         assert all(b.contains(r) for r in reps)
         # one per residue class mod p^(radius+depth)
         assert len({r.reduce_mod_power(3).value for r in reps}) == len(reps)
@@ -44,10 +45,10 @@ class TestBall:
         b1 = Ball(ctx.scalar(c1), k1)
         b2 = Ball(ctx.scalar(c2), k2)
         big, small = (b1, b2) if k1 <= k2 else (b2, b1)
-        probe = small.representatives(1) + big.representatives(1)
+        probe = [ctx.scalar(x) for x in small.representatives(1) + big.representatives(1)]
         both = [x for x in probe if b1.contains(x) and b2.contains(x)]
         if balls_overlap(b1, b2):
-            assert both and all(big.contains(x) for x in small.representatives(2))
+            assert both and all(big.contains(ctx.scalar(x)) for x in small.representatives(2))
         else:
             assert not both
 
@@ -73,7 +74,7 @@ class TestEnumeration:
 
     def test_zero_excluded_and_granularity(self, ctx3):
         w = Window(-1, 2, 2)
-        for x in enumerate_window(w, ctx3):
+        for x in map(ctx3.scalar, enumerate_window(w, ctx3)):
             assert not x.is_zero
             ball = w.ball_of(x)
             assert ball.contains(x)
@@ -85,7 +86,7 @@ class TestEnumeration:
 
     def test_partition_disjoint(self, ctx3):
         w = Window(0, 1, 2)
-        balls = [w.ball_of(x) for x in enumerate_window(w, ctx3)]
+        balls = [w.ball_of(ctx3.scalar(x)) for x in enumerate_window(w, ctx3)]
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
                 assert not balls_overlap(balls[i], balls[j])
@@ -101,13 +102,13 @@ class TestEnumeration:
             if not w.v_min <= v <= w.v_max:
                 continue
             hits += 1
-            containing = [b for b in (w.ball_of(r) for r in rs) if b.contains(x)]
+            containing = [b for b in (w.ball_of(ctx3.scalar(r)) for r in rs) if b.contains(x)]
             assert len(containing) == 1
 
     def test_refinement_coherence(self, ctx3):
         coarse, fine = Window(0, 1, 2), Window(0, 1, 3)
-        coarse_balls = [coarse.ball_of(x) for x in enumerate_window(coarse, ctx3)]
-        for x in enumerate_window(fine, ctx3):
+        coarse_balls = [coarse.ball_of(ctx3.scalar(x)) for x in enumerate_window(coarse, ctx3)]
+        for x in map(ctx3.scalar, enumerate_window(fine, ctx3)):
             ball = fine.ball_of(x)
             inside = [
                 b for b in coarse_balls if b.radius_ord <= ball.radius_ord and b.contains(ball.center)
@@ -116,7 +117,30 @@ class TestEnumeration:
 
     def test_canonical_representatives(self, ctx3):
         rs = enumerate_window(Window(1, 1, 1), ctx3)
-        assert rs == (ctx3.scalar(3), ctx3.scalar(6))
+        assert rs == (3, 6)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_raw_points_match_the_listed_ones(self, data):
+        """enumerate_window and Ball.representatives give, in order, the
+        points their docstrings list, each an int exactly when it is
+        integral and a Fraction otherwise."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        ctx = PrimeContext(p)
+        depth = data.draw(st.integers(1, 3))
+        v_min = data.draw(st.integers(-3, 1))
+        v_max = v_min + data.draw(st.integers(0, 2))
+        points = enumerate_window(Window(v_min, v_max, depth), ctx)
+        assert isinstance(points, tuple)
+        assert list(points) == window_points(v_min, v_max, depth, p)
+        assert len(points) == (v_max - v_min + 1) * (p**depth - p ** (depth - 1))
+        centre = Fraction(data.draw(st.integers(-30, 30))) * Fraction(p) ** data.draw(st.integers(-2, 2))
+        radius = data.draw(st.integers(-2, 3))
+        ball = Ball(ctx.scalar(centre), radius)
+        reps = ball.representatives(depth)
+        assert reps == ball_points(ball.center.value, radius, depth, p)
+        for x in (*points, *reps):
+            assert x.__class__ is (int if Fraction(x).denominator == 1 else Fraction)
 
 
 class TestFirstOverlap:
@@ -143,7 +167,7 @@ class TestFirstOverlap:
         ctx = PrimeContext(p)
         lo = data.draw(st.integers(-2, 1))
         w = Window(lo, lo + data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2)))
-        balls = data.draw(st.permutations([w.ball_of(x) for x in enumerate_window(w, ctx)]))
+        balls = data.draw(st.permutations([w.ball_of(ctx.scalar(x)) for x in enumerate_window(w, ctx)]))
         assert first_overlap(balls) is None
         if data.draw(st.booleans()):
             extra = Ball(ctx.scalar(data.draw(st.integers(-20, 20))), data.draw(st.integers(-1, 4)))

@@ -226,6 +226,60 @@ class TestPiecewise:
             evaluate_piecewise(pf, {"t": ctx3.scalar(1)})
 
 
+class TestPointBoundary:
+    """evaluate, eval_condition and evaluate_piecewise take scalars, raw
+    values or both; scalars are checked against the context, raw values are
+    read in it."""
+
+    T = parse_term("x^2/3 + normval(y) - y")
+    C = parse_condition("|x| < |y| || x in 2*Q(1,1)")
+    PF = parse("piecewise(x, y) { |x| <= |y| -> x - y ; |y| < |x| -> y/x }")
+
+    def _all(self, point, ctx=None):
+        return (
+            _outcome(lambda: evaluate(self.T, point, ctx)),
+            _outcome(lambda: eval_condition(self.C, point, ctx)),
+            _outcome(lambda: evaluate_piecewise(self.PF, point, ctx)),
+        )
+
+    @pytest.mark.parametrize("point", [{"x": 2, "y": Fraction(1, 3)}, {}])
+    def test_a_raw_point_needs_a_context(self, point):
+        for outcome in self._all(point):
+            assert outcome[:2] == ("raises", terms.EvaluationError)
+            assert outcome[2] == "no prime context available (empty point, no ctx)"
+
+    def test_a_scalar_of_another_prime_is_refused(self, ctx3, ctx5):
+        for point in ({"x": ctx5.scalar(2), "y": ctx5.scalar(3)}, {"x": 2, "y": ctx5.scalar(3)}):
+            for outcome in self._all(point, ctx3):
+                assert outcome == (
+                    "raises", terms.EvaluationError, "point values disagree with the supplied context"
+                )
+        for outcome in self._all({"x": ctx3.scalar(2), "y": ctx5.scalar(3)}):
+            assert outcome[2] == "point values disagree with the supplied context"
+
+    @pytest.mark.parametrize("x, y", [(2, Fraction(1, 3)), (Fraction(3, 4), 9), (6, 3), (0, 5)])
+    def test_a_mixed_point_evaluates_like_the_scalar_point(self, ctx3, x, y):
+        scalar = {"x": ctx3.scalar(x), "y": ctx3.scalar(y)}
+        expected = self._all(scalar)
+        assert expected[0][0] == "value" and expected[2][0] == "value"
+        for point in ({"x": x, "y": ctx3.scalar(y)}, {"x": ctx3.scalar(x), "y": y}):
+            assert self._all(point) == expected
+        for point in (scalar, {"x": x, "y": y}, {"x": x, "y": ctx3.scalar(y)}):
+            assert self._all(point, ctx3) == expected
+
+    def test_piecewise_errors_read_alike_for_raw_points(self, ctx3):
+        gap = parse("piecewise(t) { ord(t) % 2 = 0 -> t }")
+        overlap = parse("piecewise(t) { |t| = |1| -> t ; t in 1*Q(1,1) -> 2*t }")
+        for pf, x, error in (
+            (gap, 3, "no piece covers the point {t=3}"),
+            (gap, Fraction(1, 3), "no piece covers the point {t=1/3}"),
+            (overlap, 1, "pieces overlap at the point {t=1}"),
+        ):
+            scalar = _outcome(lambda: evaluate_piecewise(pf, {"t": ctx3.scalar(x)}))
+            assert scalar[2] == error
+            assert _outcome(lambda: evaluate_piecewise(pf, {"t": x}, ctx3)) == scalar
+
+
 class TestDifferentiation:
     def _check_equal(self, got, expected, ctx, points=(1, 2, Fraction(5, 2), 9)):
         for v in points:
@@ -386,6 +440,11 @@ def _points(draw):
     return ctx, point
 
 
+def _raw(point):
+    """The raw binding that compiled closures read: each scalar's value."""
+    return {name: v.value for name, v in point.items()}
+
+
 def _outcome(run, ctx=None):
     """What a call gives: its value (and the value's type), or its error.
     With ctx, the call gives a raw value, read as a scalar of ctx."""
@@ -407,7 +466,7 @@ class TestCompiledAgainstTheWalk:
         ctx, point = at
         expected = _outcome(lambda: oracles._eval(t, point, ctx))
         assert _outcome(lambda: evaluate(t, point, ctx)) == expected
-        assert _outcome(lambda: compile_value(t, ctx)(point), ctx) == expected
+        assert _outcome(lambda: compile_value(t, ctx)(_raw(point)), ctx) == expected
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(random_conditions, _points())
@@ -415,7 +474,7 @@ class TestCompiledAgainstTheWalk:
         ctx, point = at
         expected = _outcome(lambda: oracles._eval_cond(c, point, ctx))
         assert _outcome(lambda: eval_condition(c, point, ctx)) == expected
-        assert _outcome(lambda: compile_condition(c, ctx)(point)) == expected
+        assert _outcome(lambda: compile_condition(c, ctx)(_raw(point))) == expected
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(random_piecewise, _points())
@@ -471,7 +530,7 @@ class TestCompiledAgainstTheWalk:
 
         monkeypatch.setattr(PadicScalar, "ord", refused)
         monkeypatch.setattr(PadicScalar, "ac", refused)
-        got = [(_outcome(lambda: holds(pt)), _outcome(lambda: value_at(pt), ctx3)) for pt in points]
+        got = [(_outcome(lambda: holds(_raw(pt))), _outcome(lambda: value_at(_raw(pt)), ctx3)) for pt in points]
         assert got == expected
         outcomes = [o for pair in expected for o in pair]
         assert {("holds", True), ("holds", False)} <= set(outcomes)
@@ -531,7 +590,7 @@ class TestClosedLanguage:
             for x, y in ((0, 1), (1, p), (p, 1), (p + p**3, p), (Fraction(1, p), 1)):
                 point = {"x": ctx.scalar(x), "y": ctx.scalar(y)}
                 expected = _outcome(lambda: walk(node, point, ctx))
-                assert _outcome(lambda: run(node, ctx)(point), ctx) == expected, (p, x, y)
+                assert _outcome(lambda: run(node, ctx)(_raw(point)), ctx) == expected, (p, x, y)
                 answered += expected[0] != "raises"
         assert answered, "no sample point gives a value"
         if is_term:
@@ -566,8 +625,8 @@ class TestCompiledMemo:
         t = parse_term("x^2 + 1")
         f3, f5 = compile_value(t, ctx3), compile_value(t, ctx5)
         assert compile_value(t, ctx3) is f3 and compile_value(t, ctx5) is f5 and f3 is not f5
-        assert f3({"x": ctx3.scalar(3)}) == 10
-        assert f5({"x": ctx5.scalar(3)}) == 10
+        assert f3({"x": 3}) == 10
+        assert f5({"x": 3}) == 10
         c = parse_condition("|x| < |1|")
         assert compile_condition(c, ctx3) is compile_condition(c, ctx3)
 
@@ -579,7 +638,7 @@ class TestCompiledMemo:
         monkeypatch.setattr(terms, "_compile", lambda t, ctx: (built.append(t), compile_(t, ctx))[1])
         t = parse_term("normval(x) + 1/(x-1)")
         point = {"x": ctx3.scalar(3)}
-        assert compile_value(t, ctx3)(point) == Fraction(5, 6)  # |3| + 1/2
+        assert compile_value(t, ctx3)(_raw(point)) == Fraction(5, 6)  # |3| + 1/2
         assert evaluate(t, point) == ctx3.scalar(Fraction(5, 6))
         assert evaluate(t, point, ctx3) == ctx3.scalar(Fraction(5, 6))
         assert [n for n in built if n is t] == [t]
@@ -695,7 +754,7 @@ class TestPolynomial:
         point = {"x": ctx.scalar(x)}
         expected = _outcome(lambda: oracles._eval(t, point, ctx))
         assert expected[0] == "value"
-        assert _outcome(lambda: compile_value(t, ctx)(point), ctx) == expected
+        assert _outcome(lambda: compile_value(t, ctx)(_raw(point)), ctx) == expected
         unbound = _outcome(lambda: compile_value(t, ctx)({}), ctx)
         assert unbound == _outcome(lambda: oracles._eval(t, {}, ctx))
         if "x" in free_variables(t):
@@ -739,7 +798,7 @@ class TestPolynomial:
         t_at = compile_value(t, ctx)
         for y in (0, 1, -2, 5, Fraction(1, 3), Fraction(-7, 4)):
             x = ctx.scalar(centre + step * y)
-            assert sum(c * y**i for i, c in enumerate(b)) == t_at({"x": x})
+            assert sum(c * y**i for i, c in enumerate(b)) == t_at({"x": x.value})
 
     def test_a_term_keeps_its_derivative(self, ctx3):
         f = parse_term("x^3 + 2*x")

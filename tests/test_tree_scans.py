@@ -77,6 +77,18 @@ def raw(values):
     return [v.value for v in values]
 
 
+def as_scalars(points, ctx):
+    """Raw points, or tuples of raw coordinates, as the scalars the all-pairs
+    oracles read."""
+    return [tuple(map(ctx.scalar, pt)) if isinstance(pt, tuple) else ctx.scalar(pt) for pt in points]
+
+
+def wrapped(result, ctx):
+    """A _tree_scan result with its raw witness points as scalars."""
+    best, witness = result
+    return best, None if witness is None else tuple(as_scalars(witness, ctx))
+
+
 def scalars(ctx):
     """Values with many equal residues, so ties between pairs are common."""
     return st.tuples(st.integers(-4, 4), st.integers(-2, 2)).map(
@@ -97,7 +109,9 @@ class TestEmpiricalScan:
         except EmptyRegion:
             assume(False)
         points = [
-            x for x in sorted(enumerate_window(window, ctx)) if eval_condition(region, {"t": x}, ctx)
+            ctx.scalar(x)
+            for x in sorted(enumerate_window(window, ctx))
+            if eval_condition(region, {"t": x}, ctx)
         ]
         values = [evaluate(f, {"t": x}, ctx) for x in points]
         assert (report.constant_exponent, report.witness) == scan_pairs(points, values)
@@ -112,7 +126,7 @@ class TestEmpiricalScan:
         points = [x for x, k in zip(axis, keep) if k]
         assume(points)
         values = data.draw(st.lists(scalars(ctx), min_size=len(points), max_size=len(points)))
-        assert _tree_scan(points, raw(values), p) == scan_pairs(points, values)
+        assert wrapped(_tree_scan(points, raw(values), p), ctx) == scan_pairs(as_scalars(points, ctx), values)
 
     @seeded
     @given(st.data())
@@ -121,6 +135,7 @@ class TestEmpiricalScan:
         ctx = PrimeContext(p)
         axis = sorted(enumerate_window(window, ctx))
         points = list(itertools.product(axis, repeat=2))
+        oracle_points = as_scalars(points, ctx)
         if data.draw(st.booleans()):
             mono = {
                 (i, j): data.draw(coefficient(p))
@@ -131,10 +146,10 @@ class TestEmpiricalScan:
             f = parse_term(" + ".join(f"({c})*x^{i}*y^{j}" for (i, j), c in mono.items()))
             report = empirical_lipschitz(f, parse_condition("true"), window, ctx)
             values = [evaluate(f, {"x": x, "y": y}, ctx) for x, y in points]
-            assert (report.constant_exponent, report.witness) == scan_pairs(points, values)
+            assert (report.constant_exponent, report.witness) == scan_pairs(oracle_points, values)
         else:
             values = data.draw(st.lists(scalars(ctx), min_size=len(points), max_size=len(points)))
-            assert _tree_scan(points, raw(values), p) == scan_pairs(points, values)
+            assert wrapped(_tree_scan(points, raw(values), p), ctx) == scan_pairs(oracle_points, values)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("src", ["t - t + 7", "x - x + 0*y"])
@@ -150,7 +165,7 @@ class TestLocalCheck:
     def _oracle(f, window, ctx):
         """The bounded-derivative local check with its pair loop done pairwise."""
         deriv = differentiate(f, "t")
-        pts = sorted(enumerate_window(window, ctx))
+        pts = sorted(map(ctx.scalar, enumerate_window(window, ctx)))
         for x in pts:
             e = evaluate(deriv, {"t": x}, ctx).norm_exponent()
             if e is not None and e > 0:
@@ -189,11 +204,11 @@ class TestLocalCheck:
         level = window.v_min
         group = [
             x
-            for x in enumerate_window(window, ctx)
+            for x in map(ctx.scalar, enumerate_window(window, ctx))
             if x.ord() == level and x.ac(1) == 1
         ]
         vals = data.draw(st.lists(scalars(ctx), min_size=len(group), max_size=len(group)))
-        assert _local_break(group, raw(vals), p) == local_pairs(group, vals)
+        assert _local_break(raw(group), raw(vals), p) == local_pairs(group, vals)
 
     def test_spike_fails_with_least_witness(self, ctx3):
         f = parse_term("levelspike(t)/9")
@@ -211,7 +226,7 @@ class TestDistanceCondition:
     @staticmethod
     def _isometry(ctx, center, radius, depth, jac, unit, shift):
         ball = Ball(ctx.scalar(center), radius)
-        reps = ball.representatives(depth)
+        reps = [ctx.scalar(x) for x in ball.representatives(depth)]
         slope = ctx.scalar(unit) * ctx.scalar(ctx.power(jac))
         return reps, [slope * x + ctx.scalar(shift) for x in reps]
 
@@ -259,7 +274,7 @@ class TestDistanceCondition:
         p = data.draw(st.sampled_from([2, 3, 5]))
         ctx = PrimeContext(p)
         depth = data.draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p]))
-        reps = Ball(ctx.scalar(0), 0).representatives(depth)
+        reps = [ctx.scalar(x) for x in Ball(ctx.scalar(0), 0).representatives(depth)]
         images = data.draw(st.lists(scalars(ctx), min_size=len(reps), max_size=len(reps)))
         base = data.draw(st.integers(-2, 1))
         assert _distance_break(raw(images), p, base) == distance_pairs(reps, images, base)
@@ -274,7 +289,7 @@ class TestDistanceCondition:
         f = parse_term(" + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs)))
         ball = Ball(ctx.scalar(data.draw(st.integers(0, 20))), data.draw(st.integers(0, 2)))
         result = check_jacobian_on_ball(f, ball, depth)
-        reps = ball.representatives(depth)
+        reps = [ctx.scalar(x) for x in ball.representatives(depth)]
         images = [evaluate(f, {"x": x}, ctx) for x in reps]
         if isinstance(result, JacobianCertificate):
             assert distance_pairs(reps, images, result.jac_ord) is None
@@ -290,25 +305,24 @@ class TestExlocIdentities:
     def test_tampered_values_match_all_pairs(self, data):
         p, window = data.draw(windows(v_min=st.integers(0, 1)))
         ctx = PrimeContext(p)
-        points = list(enumerate_window(window, ctx))
+        points = [ctx.scalar(x) for x in enumerate_window(window, ctx)]
         f = parse_term("normval(t)")
         values = [evaluate(f, {"t": x}, ctx) for x in points]
         for _ in range(data.draw(st.integers(0, 3))):
             i = data.draw(st.integers(0, len(points) - 1))
             values[i] = values[i] + data.draw(scalars(ctx))
-        raw = [v.value for v in values]
-        assert _exloc_break(points, raw, p) == exloc_pairs(points, values)
+        assert _exloc_break(raw(points), raw(values), p) == exloc_pairs(points, values)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_level_copied_onto_another_matches_all_pairs(self, p):
         """Each level's values agree, so only a comparison between levels
         sees that level 2 repeats the value of level 0."""
         ctx = PrimeContext(p)
-        points = list(enumerate_window(Window(0, 3, 1), ctx))
+        points = [ctx.scalar(x) for x in enumerate_window(Window(0, 3, 1), ctx)]
         values = [ctx.scalar(ctx.power(-(x.ord() % 2))) for x in points]
         expected = exloc_pairs(points, values)
         assert expected is not None
-        assert _exloc_break(points, [v.value for v in values], p) == expected
+        assert _exloc_break(raw(points), raw(values), p) == expected
 
     def test_normval_holds(self, ctx3):
         points = list(enumerate_window(Window(0, 3, 2), ctx3))
@@ -320,7 +334,7 @@ class TestSplittingClasses:
     def test_every_pair_crosses_one_split_at_its_distance(self, ctx3):
         points = [ctx3.scalar(x) for x in (0, 1, 4, 7, 9, 10, 27)]
         seen = {}
-        for split in splitting_classes(points):
+        for split in splitting_classes(raw(points), 3):
             for a, b in itertools.combinations(split.children, 2):
                 for i in a:
                     for j in b:
@@ -364,12 +378,12 @@ class TestSplittingClasses:
         values = data.draw(
             st.lists(st.tuples(*[coordinate] * n), min_size=1, max_size=30, unique=True)
         )
-        points = [tuple(ctx.scalar(c) for c in pt) for pt in values]
+        points = [tuple(ctx.scalar(c).value for c in pt) for pt in values]
         if n == 1:
             points = [pt[0] for pt in points]
         shift = max([0] + [-ctx.scalar(c).ord() for pt in values for c in pt if c])
         keys = [tuple(int(c * p**shift) for c in pt) for pt in values]
-        splits = splitting_classes(points)
+        splits = splitting_classes(points, p)
         expected = tuple_splitting_classes(keys, p)
         assert [(s.level + shift, s.members, s.children) for s in splits] == [
             (s.level, s.members, s.children) for s in expected
@@ -380,6 +394,5 @@ class TestSplittingClasses:
             assert len(pairs) == len(set(split.labels)) == len(set(oracle.labels))
 
     def test_duplicate_keys_rejected(self):
-        ctx2 = PrimeContext(2)
         with pytest.raises(ValueError):
-            splitting_classes([ctx2.scalar(1), ctx2.scalar(1)])
+            splitting_classes([1, 1], 2)
