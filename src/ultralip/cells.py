@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, in_coset, valuation
+from .qp_core import (
+    INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, in_coset, unit_residue, valuation,
+)
 from .regions import Ball, Window, first_overlap
 from .syntax import (
     Condition,
@@ -311,12 +313,12 @@ def _fit_with_center(balls: Sequence[Ball], d: PadicScalar, fiber_var: str) -> l
     ctx = d.context
     groups: dict = {}
     for ball in balls:
-        delta = ball.center - d
-        b = delta.ord()
+        delta = ball.center.value - d.value
+        b = valuation(delta, ctx.p)
         m = ball.radius_ord - b
         if m < 1:
             raise ValueError(f"candidate {d} is not separated from ball {ball}")
-        xi = delta.ac(m)
+        xi = unit_residue(delta, b, m, ctx.p)
         groups.setdefault((m, xi), set()).add(b)
     cells = []
     for (m, xi), levels in sorted(groups.items()):

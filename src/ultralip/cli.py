@@ -352,13 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, help, handler, *before_window, depth=None, function=False, cell=False, window=None):
+    def command(name, help, handler, depth=None, function=False, cell=False, window=None):
         """A subcommand with -p and --json; -M when it has a depth default;
         -f/--function when `function` is set (a string is its help); the
-        four cell flags when `cell` is set; the options of `before_window`,
-        (flags, keywords) pairs that the help lists ahead of --window; and
-        --window, required when `window` is True and otherwise defaulting
-        to it.  Returns the subparser, for the options that follow."""
+        four cell flags when `cell` is set; and --window, required when
+        `window` is True and otherwise defaulting to it.  Returns the
+        subparser, for the options that follow."""
         p = sub.add_parser(name, help=help)
         p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(handler=handler)
@@ -373,8 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--center", help="cell center rational (with --coset)")
             p.add_argument("--coset", metavar='"l*Q(m,n)"', help="cell coset, alternative to --cell")
             p.add_argument("--var", help="fiber variable name (default t)")
-        for flags, keywords in before_window:
-            p.add_argument(*flags, **keywords)
         if window is not None:
             required = window is True
             p.add_argument("--window", required=required, default=None if required else window, metavar="A:B")
@@ -399,11 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
         depth=3, function=True, cell=True, window=True,
     )
     p.add_argument("--candidate", action="append", help="extra image-cell center")
-    command(
+    p = command(
         "lipschitz", "empirical Lipschitz lower bound with witness", _cmd_lipschitz,
-        (("--region",), {"default": None, "help": "condition (default: true)"}),
         depth=2, function=True, window=True,
     )
+    p.add_argument("--region", help="condition (default: true)")
     p = command(
         "certify", "certified per-cell Lipschitz constant", _cmd_certify,
         depth=3, function=True, cell=True, window=True,

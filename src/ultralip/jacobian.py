@@ -26,8 +26,8 @@ in principle exist for non-polynomial terms.
 
 Each exhaustive check evaluates f once per representative;
 check_ball_correspondence tiles each ball from those values as map_ball
-does, and condition (d) reads the ball tree of the representatives
-c + p^r * i from the digits of i.
+does, and condition (d) reads the ball tree of the representatives that
+regions.splitting_classes builds, one least_ord_break per split class.
 The per-representative loops, and the search for the least pair that
 breaks (d), run over the raw representatives of Ball.representatives and
 the raw values of f and f' (see terms.compile_value), with
@@ -50,7 +50,7 @@ from .qp_core import (
     residue,
     valuation,
 )
-from .regions import Ball, Window, least_ord_break
+from .regions import Ball, Window, least_ord_break, splitting_classes
 from .cells import BallsOverlap, Cell, NoCandidateFits, enumerate_balls, fit_cell
 from .syntax import Term, free_variables
 from .terms import EvaluationError, compile_value, differentiate, polynomial, taylor_shift
@@ -176,32 +176,20 @@ def _first_collision(keys: Iterable, points: list) -> Optional[tuple]:
     return None
 
 
-def _distance_break(images, p: int, base: int) -> Optional[tuple]:
-    """Least (i, j) with ord(images[i] - images[j]) != base + ord(i - j), or None.
+def _distance_break(reps: list, images: list, jac_ord: int, p: int) -> Optional[tuple]:
+    """Least (i, j) with ord(images[i] - images[j]) != jac_ord +
+    ord(reps[i] - reps[j]), or None; reps and images are raw values.
 
-    images[i] is the raw value of the image of the representative
-    c + p^r * i of a ball, for i in [0, p^M).  The class q mod p^k, k < M,
-    of the digit tree has the children q + c * p^k, 0 <= c < p, which are
-    also their first members.  The identity holds on all pairs exactly when
-    in every class these have pairwise ord exactly base + k: by induction
-    from the leaves, every member of a child is then within p^(base+k+1) of
-    its first member.  Only when the check fails are the classes searched
-    for the least pair, on the same raw values.
+    Every pair lies across exactly one split class of the ball tree of reps,
+    whose level is ord(reps[i] - reps[j]) (regions.splitting_classes), so
+    each class is searched for its least pair whose images are not at ord
+    level + jac_ord (regions.least_ord_break).
     """
-    n = len(images)
-    levels = [k for k in range(n.bit_length()) if p**k < n]  # k < M, as n = p^M
-    classes = [(k, range(q, n, p**k)) for k in levels for q in range(p**k)]
-    if all(
-        valuation(images[a] - images[b], p) == base + k
-        for k, members in classes
-        for a, b in itertools.combinations(members[:p], 2)
-    ):
-        return None
     found = (
         least_ord_break(
-            members, [i % p ** (k + 1) for i in members], [images[i] for i in members], base + k, p
+            split.members, split.labels, [images[i] for i in split.members], split.level + jac_ord, p
         )
-        for k, members in classes
+        for split in splitting_classes(reps, p)
     )
     return min((pair for pair in found if pair is not None), default=None)
 
@@ -260,10 +248,9 @@ def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
     Checks, in this fixed order: (c) ord(f') constant and finite, (a)
     injectivity and that the image representatives tile a single ball of
     the radius forced by the derivative valuation, (d) the distance
-    identity on all pairs.  (d) is decided level by level on the ball tree
-    of the representatives, in about p/2 comparisons per representative
-    (see _distance_break); a violation names the least pair an all-pairs
-    scan would report.
+    identity on all pairs.  (d) is decided class by class on the ball tree
+    of the representatives (see _distance_break); a violation names the
+    least pair an all-pairs scan would report.
     """
     ctx = ball.context
     p = ctx.p
@@ -320,7 +307,7 @@ def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
         )
 
     # (d) the exact distance identity on all representative pairs
-    broken = _distance_break(images, p, image_radius)
+    broken = _distance_break(reps, images, jac_ord, p)
     if broken is not None:
         i, j = broken
         lhs = valuation(images[i] - images[j], p)

@@ -33,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord, residue, valuation
+from .qp_core import (
+    INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord, residue, unit_residue, valuation,
+)
 from .regions import Ball, Window
 from .cells import Cell, point_cell
 from .syntax import _Parser
@@ -110,27 +112,20 @@ class FactoredTerm:
     # geometry of the center set
 
     def balls(self, members: list, level: int) -> list:
-        """members grouped into the balls of the given level (centers at
-        distance >= level share one), each in index order."""
-        groups: list = []
+        """members grouped into the balls of the given level, in order of
+        first appearance, each in the order of members: centers share a ball
+        exactly when their residues mod p^level are equal."""
+        groups: dict = {}
         for i in members:
-            for group in groups:
-                if self.dist[group[0]][i] >= level:
-                    group.append(i)
-                    break
-            else:
-                groups.append([i])
-        return groups
+            groups.setdefault(residue(self.values[i], level, self.context.p), []).append(i)
+        return list(groups.values())
 
     def criticals(self, j: int) -> set:
         return {d for i, d in enumerate(self.dist[j]) if i != j}
 
     def tie_residue(self, j: int, i: int, m: int) -> int:
-        """ac_m residue of (c_i - c_j) / p^dist: the angular class around c_j
-        that points at c_i."""
-        # the residue of c_i - c_j mod p^(dist + m) is p^dist times its ac_m
-        ctx, d = self.context, self.dist[j][i]
-        return int(residue(self.values[i] - self.values[j], d + m, ctx.p) * ctx.power(-d))
+        """ac_m(c_i - c_j): the angular class around c_j that points at c_i."""
+        return unit_residue(self.values[i] - self.values[j], self.dist[j][i], m, self.context.p)
 
     def profile(self, j: int, lo: int, hi: int, xi: Optional[int] = None, m: int = 1) -> tuple:
         """(exponent, H) on levels [lo, hi] around c_j: factors strictly closer

@@ -18,8 +18,9 @@ and strings, values, hashes, equality and printing are those of the plain
 it: an ``int``, or ``INFINITE_ORD = math.inf`` for zero, so ``int`` and
 ``math.inf`` model Z u {+inf} with its order and with ``inf + k = inf``.
 ``format_ord`` is the one place that writes a valuation as text.
-``valuation(value, p)`` and ``residue(value, k, p)`` are ``ord`` and
-``reduce_mod_power(k).value`` on a raw value.  Every per-point loop computes
+``valuation(value, p)``, ``residue(value, k, p)`` and
+``unit_residue(value, ord, n, p)`` are ``ord``, ``reduce_mod_power(k).value``
+and ``ac(n)`` on a raw value.  Every per-point loop computes
 on raw values: window points, ball representatives, the bindings of compiled
 terms and their results are ints and Fractions, read with these kernels, so
 a scalar is built only at the edges, for inputs, witnesses and centres.
@@ -43,6 +44,7 @@ __all__ = [
     "format_ord",
     "valuation",
     "residue",
+    "unit_residue",
     "CosetSpec",
     "in_coset",
 ]
@@ -153,11 +155,11 @@ def residue(value: "int | Fraction", k: int, p: int) -> "int | Fraction":
     v = valuation(value, p)
     if v >= k:
         return 0
-    r = _unit_residue(value, v, k - v, p)
+    r = unit_residue(value, v, k - v, p)
     return r * p**v if v >= 0 else Fraction(r, p**-v)
 
 
-def _unit_residue(value: "int | Fraction", v: int, n: int, p: int) -> int:
+def unit_residue(value: "int | Fraction", v: int, n: int, p: int) -> int:
     """The unit part value / p^v, v = ord(value) finite, reduced mod p^n by
     exact modular inversion of its denominator: an int in [0, p^n)."""
     pn = p**n
@@ -232,7 +234,7 @@ class PadicScalar:
             raise ValueError("angular component depth must be >= 1")
         if not self.value:
             return 0
-        return _unit_residue(self.value, self.ord(), n, self.context.p)
+        return unit_residue(self.value, self.ord(), n, self.context.p)
 
     def reduce_mod_power(self, k: int) -> PadicScalar:
         """Canonical representative of x + p^k Z_p: the smallest nonnegative
@@ -349,5 +351,5 @@ def in_coset(value: "int | Fraction", spec: CosetSpec) -> bool:
     v = valuation(value, p)
     if (v - lam_ord) % spec.n:
         return False
-    return _unit_residue(value, v, spec.m, p) == spec.lam_ac
+    return unit_residue(value, v, spec.m, p) == spec.lam_ac
 

@@ -53,7 +53,10 @@ class Ball:
         return self.center.context
 
     def contains(self, x: PadicScalar) -> bool:
-        return (x - self.center).ord() >= self.radius_ord
+        """Whether x is in the ball: its residue mod p^radius_ord is the
+        canonical centre.  A scalar of another prime raises ValueError."""
+        p = self.center._context_with(x).p
+        return residue(x.value, self.radius_ord, p) == self.center.value
 
     def representatives(self, depth: int) -> list:
         """One point per residue class of the ball mod p^(radius_ord + depth),

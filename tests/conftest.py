@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from ultralip.qp_core import PrimeContext
 
@@ -12,6 +13,20 @@ def random_rational(rng: random.Random, p: int, spread: int = 4) -> Fraction:
     den = rng.randint(1, 999)
     k = rng.randint(-spread, spread)
     return Fraction(num, den) * Fraction(p) ** k
+
+
+def rationals(p: int):
+    """A strategy of ints and of rationals n/d * p^e, whose denominators
+    are prime to p or powers of it."""
+    return st.one_of(
+        st.integers(-200, 200),
+        st.builds(
+            lambda n, d, e: Fraction(n, d) * Fraction(p) ** e,
+            st.integers(-200, 200),
+            st.integers(1, 60),
+            st.integers(-3, 3),
+        ),
+    )
 
 
 @pytest.fixture(scope="session")

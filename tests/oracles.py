@@ -16,7 +16,7 @@ them.
 
 all_pairs_overlap is the reference for regions.first_overlap: every pair
 in index order, where two balls overlap exactly when the one of smaller
-radius_ord holds the other's centre.
+radius_ord holds the other's centre, by the ord of the scalar difference.
 
 The frac_* functions are references for the scalar kernel: the Q_p
 formulas of qp_core computed on Fractions only, with no integer fast path
@@ -27,6 +27,9 @@ the angular component of the quotient x / lambda.
 
 char_tokens is the reference for the term tokenizer: one character at a
 time, with the str predicates that define the token language.
+
+distance_balls is the reference for prepare.FactoredTerm.balls: the
+centers grouped by their pairwise distances, one group head at a time.
 
 worklist_prepare is the reference for prepare: the fix-point over level
 sets that the walk down the ball tree of the centers replaced.
@@ -199,9 +202,10 @@ def ball_points(center, radius_ord, depth, p):
 
 def balls_overlap(a: Ball, b: Ball) -> bool:
     """Whether two balls meet: the one of smaller radius_ord, the larger
-    set, holds the other's centre."""
+    set, holds the other's centre, ord(small.center - big.center) >= its
+    radius_ord."""
     big, small = (a, b) if a.radius_ord <= b.radius_ord else (b, a)
-    return big.contains(small.center)
+    return (small.center - big.center).ord() >= big.radius_ord
 
 
 def all_pairs_overlap(balls):
@@ -325,6 +329,21 @@ def char_tokens(source):
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+def distance_balls(f, members, level):
+    """members grouped into the balls of the given level by the pairwise
+    distances f.dist: each joins the first group whose first member is at
+    distance >= level, else starts a group of its own."""
+    groups = []
+    for i in members:
+        for group in groups:
+            if f.dist[group[0]][i] >= level:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def tie_partners(f, j, a):

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_verify_prepared, scalar_piece_contains, worklist_prepare
+from conftest import rationals
+from oracles import distance_balls, exhaustive_verify_prepared, scalar_piece_contains, worklist_prepare
 from ultralip.cells import format_cell
 from ultralip.qp_core import PadicScalar, PrimeContext
 from ultralip.regions import Ball, Window, enumerate_window
@@ -156,6 +157,20 @@ class TestFactoredTerm:
             if v not in poles:
                 t = ctx.scalar(v)
                 assert f.ord_at(t) == evaluate(term, {"t": t}).ord()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_balls_match_the_pairwise_grouping(self, data):
+        """Grouping by residue against grouping by the pairwise distances,
+        on int and Fraction centres and any order of members."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        ctx = PrimeContext(p)
+        values = data.draw(st.lists(rationals(p), min_size=1, max_size=8, unique_by=Fraction))
+        f = FactoredTerm(ctx.scalar(1), tuple((ctx.scalar(c), 1) for c in values))
+        order = data.draw(st.permutations(range(len(values))))
+        members = order[: data.draw(st.integers(1, len(values)))]
+        level = data.draw(st.integers(-3, 5))
+        assert f.balls(members, level) == distance_balls(f, members, level)
 
     def test_validation(self, ctx3):
         with pytest.raises(ValueError):

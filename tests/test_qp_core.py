@@ -104,9 +104,9 @@ class TestCosets:
         """ac_m(lambda) is computed once, when the spec is built, and each
         point gets one unit residue."""
         calls = []
-        unit_residue = qp_core._unit_residue
+        unit_residue = qp_core.unit_residue
         monkeypatch.setattr(
-            qp_core, "_unit_residue", lambda x, v, n, p: (calls.append(x), unit_residue(x, v, n, p))[1]
+            qp_core, "unit_residue", lambda x, v, n, p: (calls.append(x), unit_residue(x, v, n, p))[1]
         )
         spec = CosetSpec(ctx3.scalar(Fraction(2, 9)), 2, 1)
         assert calls == [Fraction(2, 9)]

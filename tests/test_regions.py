@@ -13,7 +13,7 @@ from ultralip.regions import (
     first_overlap,
 )
 
-from conftest import random_rational
+from conftest import random_rational, rationals
 
 
 class TestBall:
@@ -22,6 +22,23 @@ class TestBall:
         assert b.contains(ctx3.scalar(4))
         assert not b.contains(ctx3.scalar(2))
         assert Ball(ctx3.scalar(1), 2).contains(ctx3.scalar(10))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_contains_matches_the_scalar_route(self, data):
+        """Membership by residue against ord(x - c) >= r on the centre as
+        drawn, for int and Fraction centres and points; a point of another
+        prime is refused."""
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        ctx = PrimeContext(p)
+        rational = rationals(p)
+        c, r = data.draw(rational), data.draw(st.integers(-2, 4))
+        x = data.draw(st.one_of(rational, rational.map(lambda offset: c + offset)))
+        ball = Ball(ctx.scalar(c), r)
+        assert ball.contains(ctx.scalar(x)) == ((ctx.scalar(x) - ctx.scalar(c)).ord() >= r)
+        other = PrimeContext(data.draw(st.sampled_from([q for q in (2, 3, 5, 7) if q != p])))
+        with pytest.raises(ValueError, match="different prime contexts"):
+            ball.contains(other.scalar(x))
 
     def test_equality_is_set_equality(self, ctx3):
         assert Ball(ctx3.scalar(4), 1) == Ball(ctx3.scalar(1), 1)

@@ -17,7 +17,7 @@ import types
 
 import pytest
 
-from ultralip.cells import point_cell
+from ultralip.cells import fit_cell, point_cell
 from ultralip.jacobian import (
     BallCorrespondence,
     JacobianCertificate,
@@ -179,6 +179,20 @@ class TestJacobian:
             )
             counts.append((type(result), len(built.counted)))
         assert counts[0] == counts[1] == counts[2]
+
+    def test_fitting_the_image_balls_takes_no_scalar_difference(self, ctx3, monkeypatch):
+        """fit_cell reads ball membership and the angular classes of the
+        image centres with residue and unit_residue on raw values; the first
+        candidate lies in an image ball, so both are read."""
+        cell = point_cell(ctx3.scalar(0), CosetSpec(ctx3.scalar(1), 1, 1), fiber_var="x")
+        result = check_ball_correspondence(parse_term("x^2"), cell, {}, Window(0, 15, 1), 1)
+        assert isinstance(result, BallCorrespondence)
+        images = [image for _, image in result.pairs]
+        sub, differences = PadicScalar.__sub__, []
+        monkeypatch.setattr(PadicScalar, "__sub__", lambda x, y: (differences.append((x, y)), sub(x, y))[1])
+        fitted = fit_cell(images, [images[3].center, ctx3.scalar(0)], fiber_var="x")
+        assert fitted == [result.fitted_image_cell] and len(images) == 16
+        assert differences == []
 
 
 class TestPrepare:

@@ -233,18 +233,18 @@ class TestDistanceCondition:
     def test_isometry_passes(self, ctx3):
         radius, jac = 1, -1
         reps, images = self._isometry(ctx3, 1, radius, 3, jac, 2, 5)
-        assert _distance_break(raw(images), 3, radius + jac) is None
+        assert _distance_break(raw(reps), raw(images), jac, 3) is None
         assert distance_pairs(reps, images, jac) is None
 
     def test_swapped_classes_least_witness(self, ctx3):
         reps, images = self._isometry(ctx3, 0, 0, 2, 0, 1, 0)
         images[1], images[2] = images[2], images[1]
-        assert _distance_break(raw(images), 3, 0) == (1, 4) == distance_pairs(reps, images, 0)
+        assert _distance_break(raw(reps), raw(images), 0, 3) == (1, 4) == distance_pairs(reps, images, 0)
 
     def test_nudged_image_least_witness(self, ctx3):
         reps, images = self._isometry(ctx3, 0, 0, 2, 0, 1, 0)
         images[5] = images[5] + ctx3.scalar(3)
-        assert _distance_break(raw(images), 3, 0) == (5, 8) == distance_pairs(reps, images, 0)
+        assert _distance_break(raw(reps), raw(images), 0, 3) == (5, 8) == distance_pairs(reps, images, 0)
 
     @seeded
     @given(st.data())
@@ -266,7 +266,7 @@ class TestDistanceCondition:
             else:
                 step = ctx.scalar(ctx.power(radius + jac + data.draw(st.integers(0, depth))))
                 images[i] = images[i] + step
-        assert _distance_break(raw(images), p, radius + jac) == distance_pairs(reps, images, jac)
+        assert _distance_break(raw(reps), raw(images), jac, p) == distance_pairs(reps, images, jac)
 
     @seeded
     @given(st.data())
@@ -277,7 +277,7 @@ class TestDistanceCondition:
         reps = [ctx.scalar(x) for x in Ball(ctx.scalar(0), 0).representatives(depth)]
         images = data.draw(st.lists(scalars(ctx), min_size=len(reps), max_size=len(reps)))
         base = data.draw(st.integers(-2, 1))
-        assert _distance_break(raw(images), p, base) == distance_pairs(reps, images, base)
+        assert _distance_break(raw(reps), raw(images), base, p) == distance_pairs(reps, images, base)
 
     @seeded
     @given(st.data())
