@@ -27,7 +27,8 @@ in principle exist for non-polynomial terms.
 Each exhaustive check evaluates f once per representative;
 check_ball_correspondence tiles each ball from those values as map_ball
 does, and condition (d) reads the ball tree of the representatives that
-regions.splitting_classes builds, one least_ord_break per split class.
+regions.splitting_classes builds, one least_ord_break per split class
+across the children that regions.child_labels numbers.
 The per-representative loops, and the search for the least pair that
 breaks (d), run over the raw representatives of Ball.representatives and
 the raw values of f and f' (see terms.compile_value), with
@@ -50,7 +51,7 @@ from .qp_core import (
     residue,
     valuation,
 )
-from .regions import Ball, Window, least_ord_break, splitting_classes
+from .regions import Ball, Window, child_labels, least_ord_break, splitting_classes
 from .cells import BallsOverlap, Cell, NoCandidateFits, enumerate_balls, fit_cell
 from .syntax import Term, free_variables
 from .terms import EvaluationError, compile_value, differentiate, polynomial, taylor_shift
@@ -182,14 +183,15 @@ def _distance_break(reps: list, images: list, jac_ord: int, p: int) -> Optional[
 
     Every pair lies across exactly one split class of the ball tree of reps,
     whose level is ord(reps[i] - reps[j]) (regions.splitting_classes), so
-    each class is searched for its least pair whose images are not at ord
-    level + jac_ord (regions.least_ord_break).
+    each class is searched for its least pair across two children whose
+    images are not at ord level + jac_ord (regions.least_ord_break, with the
+    members labelled by their children through regions.child_labels).
     """
     found = (
         least_ord_break(
-            split.members, split.labels, [images[i] for i in split.members], split.level + jac_ord, p
+            members, child_labels(members, children), [images[i] for i in members], level + jac_ord, p
         )
-        for split in splitting_classes(reps, p)
+        for level, members, children in splitting_classes(reps, p)
     )
     return min((pair for pair in found if pair is not None), default=None)
 

@@ -21,6 +21,7 @@ from typing import Optional, Union
 from .qp_core import INFINITE_ORD, PadicScalar, PrimeContext, residue, valuation
 from .regions import (
     Window,
+    child_labels,
     enumerate_window,
     least_cross_pair,
     least_ord_break,
@@ -193,27 +194,55 @@ def _tree_scan(points, values, p: int):
     ord); such a j lies in another child, or its pair would beat the best
     ratio.  The least of these pairs over the classes is the pair an
     all-pairs scan in index order would keep.
+
+    The values are compared as integers.  With shift the largest ord of a
+    Fraction denominator, each value is num / (p^shift * unit), unit prime
+    to p (1 for an int or a power of p), so
+
+        ord(value_i - value_j) = ord(num_i * unit_j - num_j * unit_i) - shift,
+
+    and the ords below are those of the cross-multiplied numerators.
     """
+    shift = max((valuation(v.denominator, p) for v in values if v.__class__ is not int), default=0)
+    scale = p**shift
+    nums = []
+    units = []
+    for v in values:
+        if v.__class__ is int:
+            nums.append(v * scale)
+            units.append(1)
+        else:
+            unit, up = v.denominator, scale
+            while unit % p == 0:
+                unit //= p
+                up //= p
+            nums.append(v.numerator * up)
+            units.append(unit)
     candidates = []
-    for split in splitting_classes(points, p):
-        anchor = values[split.members[0]]
-        # the first child starts with the anchor itself, at ord INFINITE_ORD
+    for level, members, children in splitting_classes(points, p):
+        first = members[0]
+        num, unit = nums[first], units[first]
+        # the first child starts with the first member itself, at ord INFINITE_ORD
         d = INFINITE_ORD
-        for child in split.children:
-            e = valuation(values[child[0]] - anchor, p)
+        for child in children:
+            c = child[0]
+            e = valuation(nums[c] * unit - num * units[c], p)
             if e < d:
                 d = e
         if d != INFINITE_ORD:
-            candidates.append((split.level - d, d, split))
+            candidates.append((level + shift - d, d, members))
     if not candidates:
         return None, None
     best = max(ratio for ratio, _, _ in candidates)
     witnesses = []
-    for ratio, d, split in candidates:
+    for ratio, d, members in candidates:
         if ratio == best:
-            first = split.members[0]
-            j = next(j for j in split.members if valuation(values[j] - values[first], p) == d)
-            witnesses.append((first, j))
+            first = members[0]
+            num, unit = nums[first], units[first]
+            for j in members:
+                if valuation(nums[j] * unit - num * units[j], p) == d:
+                    witnesses.append((first, j))
+                    break
     i, j = min(witnesses)
     return best, (points[i], points[j])
 
@@ -402,15 +431,18 @@ def _local_break(group, vals, p: int) -> Optional[tuple]:
     The pairs across a class of the ball tree of the group that splits at
     level k are at ord distance k, and such a pair breaks the bound exactly
     when its values differ mod p^k.  Some pair of the class does exactly
-    when some value differs from the first one there.
+    when some value differs from the first one there, and then the least
+    such pair across two children is the least pair with differing residues
+    mod p^k and differing child labels (regions.least_cross_pair, the
+    members labelled by their children through regions.child_labels).
     """
     found = []
-    for split in splitting_classes(group, p):
-        anchor = vals[split.members[0]]
-        if all(valuation(vals[n] - anchor, p) >= split.level for n in split.members[1:]):
+    for level, members, children in splitting_classes(group, p):
+        anchor = vals[members[0]]
+        if all(valuation(vals[n] - anchor, p) >= level for n in members[1:]):
             continue
-        residues = [residue(vals[n], split.level, p) for n in split.members]
-        found.append(least_cross_pair(split.members, split.labels, residues, same=False))
+        residues = [residue(vals[n], level, p) for n in members]
+        found.append(least_cross_pair(members, child_labels(members, children), residues, same=False))
     return min(found, default=None)
 
 

@@ -10,15 +10,20 @@ Ball.representatives return ints and Fractions in lowest terms (an int when
 integral), the values the compiled terms and the kernels of qp_core read,
 and splitting_classes takes them with the prime.  A PadicScalar is built
 only for what leaves an analysis: a witness, a centre or an input.
+
+The ball tree of a point set is a list of bare (level, members, children)
+tuples of point indices, one per class that splits; a caller that needs
+a label per member, to search for pairs across two children, gets it from
+child_labels.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .qp_core import PadicScalar, PrimeContext, residue, valuation
 
@@ -27,8 +32,8 @@ __all__ = [
     "Window",
     "first_overlap",
     "enumerate_window",
-    "SplitClass",
     "splitting_classes",
+    "child_labels",
     "least_cross_pair",
     "least_ord_break",
 ]
@@ -164,20 +169,6 @@ def enumerate_window(window: Window, ctx: PrimeContext) -> tuple:
 # the ball tree of a finite point set
 
 
-class SplitClass(NamedTuple):
-    """Points that agree mod p^level and fall into two or more classes mod
-    p^(level+1).  labels[n] is an int residue that names the class mod
-    p^(level+1) of members[n]: two members share a child exactly when their
-    labels are equal.  children lists the members of each residue in order
-    of first appearance.
-    """
-
-    level: int
-    members: list
-    labels: list
-    children: list
-
-
 def _interleave(ints: Sequence[Sequence[int]], p: int) -> list:
     """One integer key per tuple of ints, whose residue mod p^(n*k) decides
     every coordinate mod p^k, for every k >= 0 (n = the tuple length).
@@ -206,7 +197,10 @@ def _interleave(ints: Sequence[Sequence[int]], p: int) -> list:
 
 
 def splitting_classes(points: Sequence, p: int) -> list:
-    """Every class of the ultrametric ball tree of points that splits.
+    """Every class of the ultrametric ball tree of points that splits, as a
+    tuple (level, members, children): the indices of the points that agree
+    mod p^level, and those members grouped into two or more classes mod
+    p^(level+1), in order of first appearance (child_labels numbers them).
 
     A point is a raw value in Z[1/p], an int or a Fraction in lowest terms,
     or a tuple of n of them, and two points agree mod p^k when every
@@ -227,16 +221,15 @@ def splitting_classes(points: Sequence, p: int) -> list:
     when every r_i agrees mod p^min(k, D).  For k <= D that is c_i mod p^k,
     as r_i = c_i mod p^D.  For k > D, agreement of c_i mod p^k gives equal
     r_i; and equal r_i give c_i = c'_i, since p^D divides c_i - c'_i while
-    |c_i - c'_i| <= 2 * max |c| < p^D.  So the label of a point at level k
-    is its key mod p^(n*(k + 1 - lo)), a plain int.
+    |c_i - c'_i| <= 2 * max |c| < p^D.  So the child of a point at level k
+    is named by its key mod p^(n*(k + 1 - lo)), a plain int.
 
     The tree starts at level lo, where all the points agree.  A pair of
     points at ord distance exactly k is a pair across two children of the
     level-k class holding both, so every pair lies across exactly one split
     class, whose level is the pair's ord distance.  Members ascend, and a
     class comes before its descendants.  Costs O(len(points) * levels): at
-    each level a class labels its members and groups them by label, in one
-    pass.
+    each level one loop groups a class's members by key residue in a dict.
     """
     if not points:
         return []
@@ -263,15 +256,31 @@ def splitting_classes(points: Sequence, p: int) -> list:
     stack = [(lo, list(range(len(keys))), step)]
     while stack:
         level, members, modulus = stack.pop()
-        labels = [keys[i] % modulus for i in members]
-        children = defaultdict(list)
-        for i, label in zip(members, labels):
-            children[label].append(i)
+        children: dict = {}
+        for i in members:
+            label = keys[i] % modulus
+            child = children.get(label)
+            if child is None:
+                children[label] = [i]
+            else:
+                child.append(i)
         groups = list(children.values())
         if len(groups) > 1:
-            out.append(SplitClass(level, members, labels, groups))
-        stack.extend((level + 1, child, modulus * step) for child in groups if len(child) > 1)
+            out.append((level, members, groups))
+        level += 1
+        modulus *= step
+        for child in groups:
+            if len(child) > 1:
+                stack.append((level, child, modulus))
     return out
+
+
+def child_labels(members: Sequence[int], children: Sequence[Sequence[int]]) -> list:
+    """The index in children of the child that holds each member, aligned
+    with members: two members of a split class share a child exactly when
+    their labels are equal."""
+    index = {i: label for label, child in enumerate(children) for i in child}
+    return [index[i] for i in members]
 
 
 def least_cross_pair(

@@ -59,7 +59,7 @@ from typing import Mapping
 from ultralip.cells import _greedy_progressions
 from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
-from ultralip.regions import Ball, SplitClass
+from ultralip.regions import Ball
 from ultralip.syntax import (
     Add,
     And,
@@ -158,7 +158,10 @@ def exloc_pairs(points, values):
 
 
 def tuple_splitting_classes(keys, p):
-    """Every class of the ultrametric ball tree of keys that splits.
+    """Every class of the ultrametric ball tree of keys that splits, as a
+    tuple (level, members, labels, children): labels[n] is the tuple of the
+    coordinates of members[n] mod p^(level+1), and children lists the
+    members of each label in order of first appearance.
 
     keys[i] is a tuple of integers, and two keys agree mod p^k when every
     coordinate does: the ball of radius p^(-k) of the max norm.  A pair of
@@ -179,7 +182,7 @@ def tuple_splitting_classes(keys, p):
         for i, label in zip(members, labels):
             children.setdefault(label, []).append(i)
         if len(children) > 1:
-            out.append(SplitClass(level, members, labels, list(children.values())))
+            out.append((level, members, labels, list(children.values())))
         stack.extend((level + 1, child) for child in children.values() if len(child) > 1)
     return out
 

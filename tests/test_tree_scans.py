@@ -32,7 +32,14 @@ from ultralip.lipschitz import (
     empirical_lipschitz,
 )
 from ultralip.qp_core import PrimeContext
-from ultralip.regions import Ball, Window, _interleave, enumerate_window, splitting_classes
+from ultralip.regions import (
+    Ball,
+    Window,
+    _interleave,
+    child_labels,
+    enumerate_window,
+    splitting_classes,
+)
 from ultralip.syntax import parse_condition, parse_term
 from ultralip.terms import differentiate, eval_condition, evaluate
 
@@ -90,9 +97,11 @@ def wrapped(result, ctx):
 
 
 def scalars(ctx):
-    """Values with many equal residues, so ties between pairs are common."""
-    return st.tuples(st.integers(-4, 4), st.integers(-2, 2)).map(
-        lambda nk: ctx.scalar(Fraction(nk[0]) * Fraction(ctx.p) ** nk[1])
+    """Values with many equal residues, so ties between pairs are common.
+    Half of them have a denominator with a unit part prime to p, 7, 11 or
+    13, as the values of rational functions do."""
+    return st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.sampled_from([1, 1, 1, 7, 11, 13])).map(
+        lambda nku: ctx.scalar(Fraction(nku[0], nku[2]) * Fraction(ctx.p) ** nku[1])
     )
 
 
@@ -150,6 +159,27 @@ class TestEmpiricalScan:
         else:
             values = data.draw(st.lists(scalars(ctx), min_size=len(points), max_size=len(points)))
             assert wrapped(_tree_scan(points, raw(values), p), ctx) == scan_pairs(oracle_points, values)
+
+    @pytest.mark.parametrize("src", ["normval(t)", "1/(t - 1/2)"])
+    def test_values_are_compared_without_fraction_subtraction(self, ctx3, monkeypatch, src):
+        """The scan reads each value difference off an integer
+        cross-multiplication, on values whose denominators are powers of p
+        (normval) and on values whose denominators have a unit part."""
+        f = parse_term(src)
+        points = sorted(enumerate_window(Window(-1, 2, 2), ctx3))
+        values = [evaluate(f, {"t": ctx3.scalar(x)}, ctx3).value for x in points]
+        assert any(v.__class__ is Fraction for v in values)
+        expected = scan_pairs(as_scalars(points, ctx3), as_scalars(values, ctx3))
+        differences = []
+        for name in ("__sub__", "__rsub__"):
+            sub = getattr(Fraction, name)
+            monkeypatch.setattr(
+                Fraction, name, lambda x, y, sub=sub: (differences.append((x, y)), sub(x, y))[1]
+            )
+        result = _tree_scan(points, values, 3)
+        monkeypatch.undo()
+        assert differences == []
+        assert wrapped(result, ctx3) == expected
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("src", ["t - t + 7", "x - x + 0*y"])
@@ -334,13 +364,13 @@ class TestSplittingClasses:
     def test_every_pair_crosses_one_split_at_its_distance(self, ctx3):
         points = [ctx3.scalar(x) for x in (0, 1, 4, 7, 9, 10, 27)]
         seen = {}
-        for split in splitting_classes(raw(points), 3):
-            for a, b in itertools.combinations(split.children, 2):
+        for level, _, children in splitting_classes(raw(points), 3):
+            for a, b in itertools.combinations(children, 2):
                 for i in a:
                     for j in b:
                         pair = (min(i, j), max(i, j))
                         assert pair not in seen
-                        seen[pair] = split.level
+                        seen[pair] = level
         for i, j in itertools.combinations(range(len(points)), 2):
             assert (points[i] - points[j]).ord() == seen[i, j]
 
@@ -364,8 +394,8 @@ class TestSplittingClasses:
     def test_matches_the_tuple_keyed_tree(self, data):
         """The tree of any finite set in Z[1/p]^n is the tree of the integer
         key tuples value * p^shift, shift clearing every denominator, with
-        levels shifted by shift; the int labels split each class as the
-        tuple labels do."""
+        levels shifted by shift; the children's int labels split each class
+        as the tuple labels do."""
         n = data.draw(st.sampled_from([1, 2, 3]))
         p = data.draw(st.sampled_from([2, 3, 5]))
         ctx = PrimeContext(p)
@@ -385,13 +415,14 @@ class TestSplittingClasses:
         keys = [tuple(int(c * p**shift) for c in pt) for pt in values]
         splits = splitting_classes(points, p)
         expected = tuple_splitting_classes(keys, p)
-        assert [(s.level + shift, s.members, s.children) for s in splits] == [
-            (s.level, s.members, s.children) for s in expected
+        assert [(level + shift, members, children) for level, members, children in splits] == [
+            (level, members, children) for level, members, _, children in expected
         ]
-        for split, oracle in zip(splits, expected):
-            assert all(label.__class__ is int for label in split.labels)
-            pairs = set(zip(split.labels, oracle.labels))
-            assert len(pairs) == len(set(split.labels)) == len(set(oracle.labels))
+        for (_, members, children), (_, _, oracle_labels, _) in zip(splits, expected):
+            labels = child_labels(members, children)
+            assert all(label.__class__ is int for label in labels)
+            pairs = set(zip(labels, oracle_labels))
+            assert len(pairs) == len(set(labels)) == len(set(oracle_labels))
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError):
