@@ -417,7 +417,7 @@ def check_ball_correspondence(
         return CorrespondenceFailure(
             "image_not_single_cell",
             tuple(fitted),
-            f"image balls need {len(fitted)} cells; a single cell was required",
+            f"image balls fit into {len(fitted)} cells, not one; a single cell was required",
         )
     return BallCorrespondence(tuple(zip(source_balls, images)), fitted[0], depth)
 

@@ -84,33 +84,19 @@ class Ball:
 def first_overlap(balls: Sequence[Ball]) -> Optional[tuple]:
     """The least (i, j), i < j, of two balls that overlap, or None.
 
-    Balls of radii r <= r' overlap exactly when the one of radius r holds
-    the centre of the other, that is when the two centres have equal
-    residue(., r, p); a ball's canonical centre is its own residue.  So
-    each ball j looks its centre up among the centres of every radius up to
-    its own and pairs with the least index i != j found there.  The least
-    overlapping pair (a, b) is among these pairs: the ball of (a, b) with
-    the larger radius, or b on a tie, finds a partner that pairs with it no
-    later than (a, b).  So the least of them is the first pair an all-pairs
-    scan in index order would report.  Costs O(len(balls) * radii).
+    Two balls are disjoint or nested, so they overlap exactly when the one
+    of smaller radius_ord, the larger set, holds the other's centre.  The
+    pairs are scanned in index order, one Ball.contains each: fit_cell's
+    lists hold one image ball per source level, so they are short.
     """
-    if not balls:
-        return None
-    ctx = balls[0].context
-    if any(ball.context is not ctx for ball in balls):
+    if any(ball.context is not balls[0].context for ball in balls):
         raise ValueError("balls from different prime contexts")
-    by_radius: dict = {}
-    for n, ball in enumerate(balls):
-        by_radius.setdefault(ball.radius_ord, {}).setdefault(ball.center.value, []).append(n)
-    found = []
-    for j, ball in enumerate(balls):
-        for r, centres in by_radius.items():
-            if r <= ball.radius_ord:
-                partners = centres.get(residue(ball.center.value, r, ctx.p))
-                if partners and partners[0] != j:
-                    i = partners[0]
-                    found.append((min(i, j), max(i, j)))
-    return min(found, default=None)
+    for i, a in enumerate(balls):
+        for j in range(i + 1, len(balls)):
+            b = balls[j]
+            if a.contains(b.center) if a.radius_ord <= b.radius_ord else b.contains(a.center):
+                return i, j
+    return None
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,13 @@ class TestFitCell:
         assert caught.value.pair == (1, 2)
         assert str(caught.value) == "input balls are not pairwise disjoint: 1 + 3^1 vs 4 + 3^2"
 
+    def test_an_overlap_is_reported_before_the_candidates_are_tried(self, ctx3):
+        """Both candidates lie inside a ball, but the overlap comes first."""
+        balls = [Ball(ctx3.scalar(1), 1), Ball(ctx3.scalar(4), 2)]
+        with pytest.raises(cells.BallsOverlap) as caught:
+            fit_cell(balls, [ctx3.scalar(1), ctx3.scalar(4)])
+        assert caught.value.pair == (0, 1)
+
 
 class TestMinProgressions:
     @settings(derandomize=True, deadline=None, max_examples=300)

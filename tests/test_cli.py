@@ -211,6 +211,21 @@ class TestJacobianCommands:
         assert code == 0
         assert "coset=1*Q(1,2)" in out
 
+    def test_correspondence_image_not_single_cell(self, capsys):
+        code, out, _ = run(
+            capsys, "correspondence", "-p", "3", "-f", "x^2+x", "--coset", "1*Q(2,1)",
+            "--var", "x", "--window=1:4", "-M", "2", "--json",
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "detail": "image balls fit into 2 cells, not one; a single cell was required",
+            "failure": "image_not_single_cell",
+            "witnesses": [
+                "cell(center=0; coset=9*Q(2,1); ord in [2,4]; var=x)",
+                "cell(center=0; coset=12*Q(2,1); ord in [1,1]; var=x)",
+            ],
+        }
+
 
 class TestLipschitzCommands:
     def test_empirical(self, capsys):

@@ -9,7 +9,7 @@ from oracles import balls_overlap, distance_pairs
 from ultralip import cells, jacobian
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PrimeContext
 from ultralip.regions import Ball, Window
-from ultralip.cells import point_cell
+from ultralip.cells import format_cell, parse_cell, point_cell
 from ultralip.jacobian import (
     BallCorrespondence,
     CorrespondenceFailure,
@@ -310,6 +310,19 @@ class TestCorrespondence:
         corr = check_ball_correspondence(f, coset_cell(ctx3), {}, Window(0, 0, 1), 2)
         assert isinstance(corr, CorrespondenceFailure)
         assert corr.kind == "no_candidate_fits"
+
+    def test_image_not_single_cell_reported(self, ctx3):
+        """The images split into two (m, xi) groups; the witnesses are the
+        fitted cells, in fit_cell's order."""
+        cell = parse_cell("cell(center=0; coset=1*Q(2,1); all; var=x)", ctx3)
+        corr = check_ball_correspondence(parse_term("x^2+x"), cell, {}, Window(1, 4, 1), 2)
+        assert isinstance(corr, CorrespondenceFailure)
+        assert corr.kind == "image_not_single_cell"
+        assert [format_cell(c) for c in corr.witnesses] == [
+            "cell(center=0; coset=9*Q(2,1); ord in [2,4]; var=x)",
+            "cell(center=0; coset=12*Q(2,1); ord in [1,1]; var=x)",
+        ]
+        assert corr.detail == "image balls fit into 2 cells, not one; a single cell was required"
 
     def test_extra_candidate_rescues(self, ctx3):
         f = parse_term("3 - 3/x")

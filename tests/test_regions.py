@@ -161,7 +161,8 @@ class TestEnumeration:
 
 
 class TestFirstOverlap:
-    """The least overlapping pair by residues against the pairwise loop."""
+    """The pair scan through Ball.contains against the oracle's pairwise
+    loop on scalar differences."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.data())
