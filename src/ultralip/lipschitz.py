@@ -502,11 +502,11 @@ def counterexample_exloc(window: Window, ctx: PrimeContext) -> CounterexampleTra
     values = {x: f({"t": x}) for x in points}
 
     # local constancy on every granularity ball x + p^(ord x + M) Z_p, probed
-    # at its representatives mod p^(ord x + M + 1); x, a window point, is the
-    # ball's canonical centre
+    # at its representatives mod p^(ord x + M + 1) other than x, the window
+    # point whose value values[x] holds
     for x in points:
         step = ctx.power(valuation(x, p) + window.depth)
-        for probe in (x + i * step for i in range(p)):
+        for probe in (x + i * step for i in range(1, p)):
             if f({"t": probe}) != values[x]:
                 raise RuntimeError(f"local constancy broke at {x} vs {probe}")
 

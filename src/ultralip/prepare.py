@@ -24,8 +24,9 @@ unbounded-depth cell per angular class.
 The raw center values, ord(u) and the pairwise center distances are
 computed once, when the FactoredTerm is built, and the sweep,
 verify_prepared and the profiles read them from the term: nothing is cached
-beside it.  verify_prepared computes on raw values; it builds a PadicScalar
-only for a witness, and a Ball only for a ball that holds a center.
+beside it.  verify_prepared checks every level of a piece, a tail up to two
+levels past its last critical distance; it computes on raw values, builds a
+PadicScalar only for a witness, and a Ball only for a ball that holds a center.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ __all__ = [
     "verify_prepared",
     "piece_contains",
 ]
-
-# levels of a piece that verify_prepared checks
-_LEVEL_CAP = 3
-
 
 @dataclass(frozen=True)
 class FactoredTerm:
@@ -325,26 +322,36 @@ def _mismatch(t: PadicScalar, direct: "int | float", predicted: int) -> PrepareC
 def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> PrepareCheck:
     """Check a prepared piece against direct factor evaluation.
 
-    On each ball c_j + xi p^a + p^(a+m) Z_p of the piece (levels a capped
-    at _LEVEL_CAP per piece), ord f(t) computed as ord(u) + sum a_i
-    ord(t - c_i) must equal h_exponent + exponent * a exactly.  A ball that
-    holds no center is decided exactly by one point, its canonical center:
-    every ord(t - c_i) is constant on it.  Only a ball that holds a center
-    (never one of the sweep's own pieces) is scanned at its depth-M
-    representatives, for the least failing point or the pole.
+    On each ball c_j + xi p^a + p^(a+m) Z_p of the piece, ord f(t) computed
+    as ord(u) + sum a_i ord(t - c_i) must equal h_exponent + exponent * a
+    exactly.  A ball that holds no center is decided exactly by one point,
+    its canonical center: every ord(t - c_i) is constant on it.  Only a ball
+    that holds a center (never one of the sweep's own pieces) is scanned at
+    its depth-M representatives, for the least failing point or the pole.
+
+    Every level of a bounded piece is checked, and a tail's levels up to
+    hi + 1, where hi = max(level_min, d + 1) over the distances
+    d = ord(c_i - c_j): on a level a >= hi no ball holds a center and every
+    ord(t - c_i), i != j, is the constant d, so the direct ord f is affine
+    in a, as is the prediction, and two affine functions that agree at hi
+    and hi + 1 agree on the whole tail.
     The (exponent, h) pair is additionally checked against the geometric
-    profile of the cell, which pins the exponent even on single-level
-    pieces where the identity alone cannot distinguish it.
+    profile of the cell on [level_min, hi], which pins the exponent even on
+    single-level pieces where the identity alone cannot distinguish it.
     """
     if depth < 1:
         raise ValueError("verification depth must be >= 1")
     ctx, p = f.context, f.context.p
     j = piece.chosen_center_index
     center = f.values[j]
-
+    criticals = f.criticals(j)
+    is_tie = piece.level_max == piece.level_min and piece.level_min in criticals
     hi = piece.level_max
-    last = piece.level_min + _LEVEL_CAP - 1 if hi is None else min(hi, piece.level_min + _LEVEL_CAP - 1)
-    for a in range(piece.level_min, last + 1):
+    if hi is None:
+        # a critical at or above level_min would make the profile raise,
+        # which is the desired failure for inconsistent pieces
+        hi = max([piece.level_min] + [d + 1 for d in criticals])
+    for a in range(piece.level_min, hi + 2 if piece.level_max is None else hi + 1):
         radius = a + piece.m
         # the canonical centre of the ball c_j + xi p^a + p^(a+m) Z_p
         x = residue(center + piece.residue * ctx.power(a), radius, p)
@@ -367,13 +374,6 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
             if direct != predicted:
                 return _mismatch(t, direct, predicted)
 
-    criticals = f.criticals(j)
-    is_tie = hi == piece.level_min and hi in criticals
-    if hi is None:
-        # an unbounded tail lies beyond every tie; a critical at or above
-        # level_min would make the profile raise, which is the desired
-        # failure for inconsistent pieces
-        hi = max([piece.level_min] + [d + 1 for d in criticals])
     try:
         expected = f.profile(j, piece.level_min, hi, piece.residue if is_tie else None, piece.m)
     except AssertionError as err:

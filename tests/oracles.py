@@ -35,7 +35,8 @@ worklist_prepare is the reference for prepare: the fix-point over level
 sets that the walk down the ball tree of the centers replaced.
 
 exhaustive_verify_prepared is the reference for verify_prepared: it
-evaluates ord f at every depth-M representative of every checked ball.
+evaluates ord f at every depth-M representative of every checked ball, and
+scans a tail two levels past the last level that verify_prepared checks.
 
 scalar_piece_contains is the reference for prepare.piece_contains: the ord
 and ac of the PadicScalar difference t - c_j.
@@ -57,7 +58,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ultralip.cells import _greedy_progressions
-from ultralip.prepare import _LEVEL_CAP, PrepareCheck, _make_piece
+from ultralip.prepare import PrepareCheck, _make_piece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
 from ultralip.regions import Ball
 from ultralip.syntax import (
@@ -494,11 +495,13 @@ def scalar_piece_contains(f, piece, t):
 
 def exhaustive_verify_prepared(f, piece, depth):
     """Check a prepared piece against direct factor evaluation: the reference
-    for verify_prepared, which decides a ball holding no center from one point.
+    for verify_prepared, which decides a ball holding no center from one point
+    and a tail from its two levels hi and hi + 1 past the critical distances.
 
-    For every depth-M representative t of the piece's balls (levels capped
-    at _LEVEL_CAP per piece), ord f(t) computed as ord(u) + sum a_i
-    ord(t - c_i) must equal h_exponent + exponent * ord(t - c_j) exactly.
+    For every depth-M representative t of the piece's balls, on every level
+    of a bounded piece and on the levels up to hi + 3 of a tail, ord f(t)
+    computed as ord(u) + sum a_i ord(t - c_i) must equal
+    h_exponent + exponent * ord(t - c_j) exactly.
     The (exponent, h) pair is additionally checked against the geometric
     profile of the cell, which pins the exponent even on single-level
     pieces where the identity alone cannot distinguish it.
@@ -508,9 +511,16 @@ def exhaustive_verify_prepared(f, piece, depth):
     ctx = f.context
     j = piece.chosen_center_index
     center = f.centers[j]
-
+    criticals = f.criticals(j)
+    is_tie = piece.level_max == piece.level_min and piece.level_min in criticals
     hi = piece.level_max
-    last = piece.level_min + _LEVEL_CAP - 1 if hi is None else min(hi, piece.level_min + _LEVEL_CAP - 1)
+    if hi is None:
+        # an unbounded tail lies beyond every tie; a critical at or above
+        # level_min would make the profile raise, which is the desired
+        # failure for inconsistent pieces
+        hi = max([piece.level_min] + [d + 1 for d in criticals])
+    last = hi + 3 if piece.level_max is None else hi
+
     for a in range(piece.level_min, last + 1):
         rep = PadicScalar(center.value + piece.residue * ctx.power(a), ctx)
         ball = Ball(rep, a + piece.m)
@@ -528,19 +538,11 @@ def exhaustive_verify_prepared(f, piece, depth):
                     f"ord f({t}) = {format_ord(direct)} but the piece predicts {predicted}",
                 )
 
-    criticals = f.criticals(j)
-    is_tie = piece.level_max == piece.level_min and piece.level_min in criticals
     try:
         if is_tie:
             expected = f.profile(j, piece.level_min, piece.level_min, piece.residue, piece.m)
         else:
-            hi_for_profile = piece.level_max
-            if hi_for_profile is None:
-                # an unbounded tail lies beyond every tie; a critical at or
-                # above level_min would make the profile raise, which is the
-                # desired failure for inconsistent pieces
-                hi_for_profile = max([piece.level_min] + [d + 1 for d in criticals])
-            expected = f.profile(j, piece.level_min, hi_for_profile)
+            expected = f.profile(j, piece.level_min, hi)
     except AssertionError as err:
         # the profiles assert the sweep's invariants, which a piece handed in
         # from outside the sweep need not satisfy

@@ -11,6 +11,8 @@ without a cycle, and none passes the parser's token threshold.  The
 command line writes to stdout from one place: only `cli.dispatch` names
 `print` or `stdout`.  A scalar is built in one place: qp_core writes the
 `value` and `context` slots of PadicScalar only inside its `__init__`.
+Every Hypothesis property under tests/ is derandomized, so each run of the
+suite draws the same examples.
 """
 
 import ast
@@ -24,6 +26,7 @@ import ultralip.syntax as syntax
 import ultralip.terms as terms
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ultralip"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -298,6 +301,90 @@ def test_check_sees_slot_writes_outside_init():
         "    return s\n"
     )
     assert slot_writes(source, "PadicScalar") == [11, 12, 18, 19]
+
+
+def _is_named(node, name: str) -> bool:
+    """Whether node names `name`, bare or as an attribute (hypothesis.given)."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _derandomizes(node) -> bool:
+    """Whether node is a call settings(..., derandomize=True, ...)."""
+    return (
+        isinstance(node, ast.Call)
+        and _is_named(node.func, "settings")
+        and any(
+            k.arg == "derandomize" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in node.keywords
+        )
+    )
+
+
+def random_properties(source: str) -> list:
+    """Name of each @given test, in source order, that no decorator
+    derandomizes: neither its own @settings(derandomize=True, ...) nor a
+    module-level settings object built so, such as `seeded`."""
+    tree = ast.parse(source)
+    seeded = {
+        target.id
+        for top in tree.body
+        if isinstance(top, ast.Assign) and _derandomizes(top.value)
+        for target in top.targets
+        if isinstance(target, ast.Name)
+    }
+    found = [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(d, ast.Call) and _is_named(d.func, "given") for d in node.decorator_list)
+        and not any(
+            _derandomizes(d) or (isinstance(d, ast.Name) and d.id in seeded) for d in node.decorator_list
+        )
+    ]
+    return [name for _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_hypothesis_properties_are_derandomized(path):
+    assert random_properties(path.read_text()) == []
+
+
+def test_check_sees_random_properties():
+    source = (
+        "import hypothesis\n"
+        "from hypothesis import given, settings, strategies as st\n"
+        "seeded = settings(derandomize=True, max_examples=5)\n"
+        "loose = settings(max_examples=5)\n"
+        "@seeded\n"
+        "@given(st.integers())\n"
+        "def test_module_seeded(n):\n"
+        "    pass\n"
+        "class TestProperties:\n"
+        "    @settings(derandomize=True, deadline=None)\n"
+        "    @given(st.integers())\n"
+        "    def test_own_seed(self, n):\n"
+        "        pass\n"
+        "    @settings(deadline=None)\n"
+        "    @given(st.integers())\n"
+        "    def test_own_settings(self, n):\n"
+        "        pass\n"
+        "    @loose\n"
+        "    @hypothesis.given(st.integers())\n"
+        "    def test_loose(self, n):\n"
+        "        pass\n"
+        "    @hypothesis.settings(derandomize=False)\n"
+        "    @given(st.integers())\n"
+        "    def test_explicitly_random(self, n):\n"
+        "        pass\n"
+        "    @given(st.integers())\n"
+        "    def test_bare(self, n):\n"
+        "        pass\n"
+        "def test_plain():\n"
+        "    pass\n"
+    )
+    assert random_properties(source) == ["test_own_settings", "test_loose", "test_explicitly_random", "test_bare"]
 
 
 # Above 8,192 parser tokens CPython 3.11 needs about 0.5 MB more at its peak to

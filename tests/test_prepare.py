@@ -254,6 +254,34 @@ class TestMutationSensitivity:
             assert check.detail == "ord f(0) = +inf but the piece predicts 4"
 
 
+    @pytest.mark.parametrize("level_max", [None, 4], ids=["tail", "bounded"])
+    def test_every_level_is_checked(self, ctx3, monkeypatch, level_max):
+        """A piece of 0 that runs past the center 27, at distance 3, with a
+        profile that trusts the piece: the direct check alone finds the zero
+        of f at 27, on the piece's fourth level."""
+        f = parse_factored("1 * (t - 0) * (t - 27)", ctx3)
+        run = next(p for p in prepare(f, Window(0, 2, 1)) if p.chosen_center_index == 0 and p.residue == 1)
+        piece = dataclasses.replace(run, level_max=level_max)
+        assert (piece.level_min, piece.exponent, piece.h_exponent) == (0, 2, 0)
+        own = (piece.exponent, piece.h_exponent)
+        monkeypatch.setattr(FactoredTerm, "profile", lambda f, j, lo, hi, xi=None, m=1: own)
+        check = verify_prepared(f, piece, 2)
+        assert not check.passed
+        assert check.witness == ctx3.scalar(27)
+        assert check.detail == "ord f(27) = +inf but the piece predicts 6"
+
+    def test_a_tail_is_decided_by_two_levels(self, ctx3, monkeypatch):
+        """A tail of a single center with the wrong slope agrees with f on its
+        first level only: the second level the check reads finds it."""
+        f = parse_factored("1 * (t - 0)", ctx3)
+        tail = dataclasses.replace(prepare(f, Window(0, 0, 1))[0], level_max=None, exponent=2)
+        assert (tail.level_min, tail.residue, tail.h_exponent) == (0, 1, 0)
+        monkeypatch.setattr(FactoredTerm, "profile", lambda f, j, lo, hi, xi=None, m=1: (2, 0))
+        check = verify_prepared(f, tail, 2)
+        assert not check.passed
+        assert check.witness == ctx3.scalar(3)
+        assert check.detail == "ord f(3) = 1 but the piece predicts 2"
+
 class TestRandomOracle:
     def _random_factored(self, rng, ctx, max_degree=4):
         k = rng.randint(1, 3)

@@ -195,6 +195,7 @@ class TestReduceModPower:
         assert ctx.scalar(9).reduce_mod_power(1).value == 0
         assert ctx.scalar(Fraction(1, 3)).reduce_mod_power(0).value == Fraction(1, 3)
 
+    @settings(derandomize=True)
     @given(rationals, primes, st.integers(min_value=-3, max_value=5))
     def test_residue_is_in_class(self, x, p, k):
         s = PrimeContext(p).scalar(x)
@@ -203,6 +204,7 @@ class TestReduceModPower:
 
 
 class TestUltrametricLaws:
+    @settings(derandomize=True)
     @given(rationals, rationals, primes)
     def test_strong_triangle(self, x, y, p):
         ctx = PrimeContext(p)
@@ -213,12 +215,14 @@ class TestUltrametricLaws:
         if a.ord() != b.ord():
             assert s == lo
 
+    @settings(derandomize=True)
     @given(rationals, rationals, primes)
     def test_multiplicativity(self, x, y, p):
         ctx = PrimeContext(p)
         a, b = ctx.scalar(x), ctx.scalar(y)
         assert (a * b).ord() == a.ord() + b.ord()
 
+    @settings(derandomize=True)
     @given(rationals, rationals, primes, st.integers(min_value=1, max_value=3))
     def test_ac_multiplicativity(self, x, y, p, n):
         ctx = PrimeContext(p)

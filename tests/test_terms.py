@@ -331,7 +331,7 @@ poly_terms = st.recursive(
 
 
 class TestDerivativeCorrectness:
-    @settings(max_examples=60, deadline=None)
+    @settings(derandomize=True, deadline=None, max_examples=60)
     @given(poly_terms, st.integers(-20, 20), st.integers(4, 9), st.sampled_from([2, 3, 5]))
     def test_ultrametric_gradient_check(self, f, x0, k, p):
         """For integer-coefficient polynomials and integer points, the Taylor
@@ -352,7 +352,7 @@ term_strategy = poly_terms  # round-trips reuse the generator plus extras
 
 
 class TestRoundTrip:
-    @settings(max_examples=120, deadline=None)
+    @settings(derandomize=True, deadline=None, max_examples=120)
     @given(term_strategy)
     def test_parse_print_roundtrip(self, t):
         assert parse_term(format_term(t)) == t
