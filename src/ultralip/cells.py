@@ -211,7 +211,10 @@ def point_cell(
     )
 
 
-def _greedy_progressions(levels: frozenset) -> tuple:
+def _greedy_progressions(levels: Iterable[int]) -> tuple:
+    """Partition of a finite integer set into arithmetic progressions, by
+    fit_cell's greedy rule.  Each progression (lo, hi, step) stands for
+    {lo, lo+step, ..., hi}; a singleton is (a, a, 1)."""
     out = []
     remaining = set(levels)
     while remaining:
@@ -233,51 +236,6 @@ def _greedy_progressions(levels: frozenset) -> tuple:
     return tuple(out)
 
 
-def _min_progressions(levels: frozenset) -> tuple:
-    """Partition of a finite integer set into arithmetic progressions.
-
-    Each progression (lo, hi, step) stands for {lo, lo+step, ..., hi}; a
-    singleton is (a, a, 1).  Up to 16 levels the search is exact and the
-    partition minimal: the least k with a partition into k progressions is
-    found by trying k = 0, 1, ... in turn.  Above 16 levels a greedy cover
-    is returned, which need not be minimal.
-    """
-    if len(levels) > 16:
-        return _greedy_progressions(levels)
-    failed: set = set()
-    k = 0
-    while (found := _progressions(levels, k, failed)) is None:
-        k += 1
-    return found
-
-
-def _progressions(levels: frozenset, k: int, failed: set) -> Optional[tuple]:
-    """The first partition of levels into at most k progressions, trying
-    the options for the least level in order, or None; failed holds the
-    (levels, k) already known to have none."""
-    if not levels:
-        return ()
-    if k < 1 or (levels, k) in failed:
-        return None
-    m = min(levels)
-    options = [((m, m, 1), levels - {m})]
-    for d in sorted({x - m for x in levels if x > m}):
-        chain = [m]
-        nxt = m + d
-        while nxt in levels:
-            chain.append(nxt)
-            nxt += d
-        for length in range(2, len(chain) + 1):
-            prog = (m, chain[length - 1], d)
-            options.append((prog, levels - frozenset(chain[:length])))
-    for prog, rest in options:
-        found = _progressions(rest, k - 1, failed)
-        if found is not None:
-            return (prog,) + found
-    failed.add((levels, k))
-    return None
-
-
 def fit_cell(
     balls: Sequence[Ball],
     candidate_centers: Iterable[PadicScalar],
@@ -289,9 +247,10 @@ def fit_cell(
     ball then has the unique description {w : ord(w-d) = b, ac_m(w-d) = xi}
     with m forced by the radius; balls are grouped by (m, xi) and each
     group's level set is split into arithmetic progressions, one cell per
-    progression.  The list is minimal when every group has at most 16
-    levels; a group with more levels is split by a greedy cover, which may
-    use more cells than needed.
+    progression.  A group whose levels form one progression gives one cell.
+    Any other group is split by one greedy rule: take the longest chain from
+    the least level, with the first step that reaches that length, and
+    repeat on the levels left.  The number of cells need not be the least.
     """
     balls = list(balls)
     overlap = first_overlap(balls)
@@ -301,11 +260,10 @@ def fit_cell(
         return []
     failures = {}
     for d in candidate_centers:
-        inside = [b for b in balls if b.contains(d)]
-        if inside:
-            failures[d] = inside[0]
-            continue
-        return _fit_with_center(balls, d, fiber_var)
+        holder = next((b for b in balls if b.contains(d)), None)
+        if holder is None:
+            return _fit_with_center(balls, d, fiber_var)
+        failures[d] = holder
     raise NoCandidateFits(failures)
 
 
@@ -322,7 +280,7 @@ def _fit_with_center(balls: Sequence[Ball], d: PadicScalar, fiber_var: str) -> l
         groups.setdefault((m, xi), set()).add(b)
     cells = []
     for (m, xi), levels in sorted(groups.items()):
-        for lo, hi, step in _min_progressions(frozenset(levels)):
+        for lo, hi, step in _greedy_progressions(levels):
             lam = PadicScalar(xi * ctx.power(lo), ctx)
             coset = CosetSpec(lam, m, step)
             cells.append(point_cell(d, coset, level_min=lo, level_max=hi, fiber_var=fiber_var))

@@ -41,10 +41,6 @@ scans a tail two levels past the last level that verify_prepared checks.
 scalar_piece_contains is the reference for prepare.piece_contains: the ord
 and ac of the PadicScalar difference t - c_j.
 
-memo_min_progressions is the reference for cells._min_progressions: the
-exhaustive search over every option for the least level, memoised for the
-length of one call, keeping the first option of least length.
-
 _eval and _eval_cond are the references for the compiled evaluator: the
 recursive walk over the term tree, one node at a time, with PadicScalar
 arithmetic at every node.  walk_piecewise evaluates a piecewise function
@@ -53,11 +49,9 @@ and frac_ac: p^(2n) where the angular component mod p^(2n) of a point of
 level n >= 1 is 1.
 """
 
-import functools
 from fractions import Fraction
 from typing import Mapping
 
-from ultralip.cells import _greedy_progressions
 from ultralip.prepare import PrepareCheck, _make_piece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
 from ultralip.regions import Ball
@@ -664,32 +658,3 @@ def walk_piecewise(pf, point, ctx):
         raise PieceOverlapError(f"pieces overlap at the point {_point_str(point)}")
     return _eval(matches[0], point, ctx)
 
-
-def memo_min_progressions(levels: frozenset) -> tuple:
-    """cells._min_progressions by the memoised search over all options."""
-
-    @functools.cache
-    def search(levels: frozenset) -> tuple:
-        if not levels:
-            return ()
-        if len(levels) > 16:
-            return _greedy_progressions(levels)
-        m = min(levels)
-        options = [((m, m, 1), levels - {m})]
-        for d in sorted({x - m for x in levels if x > m}):
-            chain = [m]
-            nxt = m + d
-            while nxt in levels:
-                chain.append(nxt)
-                nxt += d
-            for length in range(2, len(chain) + 1):
-                prog = (m, chain[length - 1], d)
-                options.append((prog, levels - frozenset(chain[:length])))
-        best = None
-        for prog, rest in options:
-            cand = (prog,) + search(frozenset(rest))
-            if best is None or len(cand) < len(best):
-                best = cand
-        return best
-
-    return search(levels)

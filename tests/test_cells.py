@@ -182,7 +182,7 @@ class TestFitCell:
         assert len(cells) == 1
         assert set(enumerate_balls(cells[0], {}, Window(0, 0, 1))) == set(balls)
 
-    def test_minimal_progressions(self, ctx3):
+    def test_levels_split_into_two_progressions(self, ctx3):
         balls = [Ball(ctx3.scalar(3**a), a + 1) for a in (0, 1, 2, 4)]
         cells = fit_cell(balls, [ctx3.scalar(0)])
         assert len(cells) == 2
@@ -210,18 +210,29 @@ class TestFitCell:
 
     @pytest.mark.parametrize(
         "levels",
-        [range(20), [*range(17), 18, 21, 24, 30]],
-        ids=["one progression", "three progressions"],
+        [range(20), [*range(17), 18, 21, 24, 30], [0, 1, 3, 4, 7]],
+        ids=["one progression", "three progressions", "three short progressions"],
     )
-    def test_greedy_cover_above_sixteen_levels(self, ctx3, levels):
-        """More than 16 levels in one (m, xi) group take the greedy cover;
-        its cells still give back exactly the input balls."""
+    def test_greedy_cover_gives_back_the_balls(self, ctx3, levels):
+        """The greedy cover of one (m, xi) group, at any number of levels,
+        has cells that give back exactly the input balls."""
         balls = [Ball(ctx3.scalar(3**b + 3 ** (b + 1)), b + 2) for b in levels]
         cells = fit_cell(balls, [ctx3.scalar(0)])
         covered = []
         for c in cells:
             covered.extend(enumerate_balls(c, {}, Window(0, max(levels), 1)))
         assert sorted(covered, key=lambda b: b.radius_ord) == balls
+
+    def test_the_greedy_rule_takes_the_first_longest_chain(self, ctx3):
+        """Levels {0,1,3,4,7}: from 0 every step reaches a chain of two, and
+        step 1 comes first; then {3,4} by step 1 again, and 7 alone.  Two
+        cells, {0,3} and {1,4,7} by step 3, would also cover them."""
+        balls = [Ball(ctx3.scalar(3**b), b + 1) for b in (0, 1, 3, 4, 7)]
+        assert [format_cell(c) for c in fit_cell(balls, [ctx3.scalar(0)])] == [
+            "cell(center=0; coset=1*Q(1,1); ord in [0,1])",
+            "cell(center=0; coset=27*Q(1,1); ord in [3,4])",
+            "cell(center=0; coset=2187*Q(1,1); ord in [7,7])",
+        ]
 
     def test_overlapping_input_rejected(self, ctx3):
         with pytest.raises(ValueError):
@@ -242,27 +253,51 @@ class TestFitCell:
         assert caught.value.pair == (0, 1)
 
 
-class TestMinProgressions:
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(st.integers(-10, 10), st.integers(0, 30), st.data())
-    def test_the_search_matches_the_memoised_one(self, lo, width, data):
-        levels = data.draw(st.frozensets(st.integers(lo, lo + width), max_size=12))
-        assert cells._min_progressions(levels) == oracles.memo_min_progressions(levels)
+def is_progression(levels) -> bool:
+    ordered = sorted(levels)
+    return len({b - a for a, b in zip(ordered, ordered[1:])}) <= 1
 
-    def test_a_long_progression_is_found_at_one(self, monkeypatch):
-        """Sixteen levels in one progression take one call for k = 0, one
-        for k = 1 and one per option of the least level: the singleton and
-        the 15 prefixes of the chain, the last of which covers them all."""
-        calls = []
-        search = cells._progressions
 
-        def counted(levels, k, failed):
-            calls.append(k)
-            return search(levels, k, failed)
-
-        monkeypatch.setattr(cells, "_progressions", counted)
-        assert cells._min_progressions(frozenset(range(-4, 28, 2))) == ((-4, 26, 2),)
-        assert len(calls) == 18 and max(calls) == 1
+class TestGreedyCover:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.integers(-20, 20),
+        st.integers(1, 12),
+        st.integers(1, 2),
+        st.dictionaries(
+            st.integers(-3, 8), st.lists(st.integers(0, 19), min_size=1, max_size=2, unique=True), min_size=1
+        ),
+    )
+    def test_the_cells_partition_each_group_into_progressions(self, p, num, den, m, picks):
+        """Balls d + u*p^b of radius b + m, with one or two unit residues u
+        per level b (picks[b] indexes the units mod p^m): the fitted cells
+        give back exactly the balls, each (m, u) group's cells partition its
+        levels into progressions, and a group gives one cell exactly when
+        its levels form one progression."""
+        ctx = PrimeContext(p)
+        d = Fraction(num, den)
+        units = ctx.units_mod(m)
+        groups, balls = {}, []
+        for b, indices in picks.items():
+            for u in {units[i % len(units)] for i in indices}:
+                groups.setdefault(u, set()).add(b)
+                balls.append(Ball(ctx.scalar(d + u * ctx.power(b)), b + m))
+        covered, covers = [], {}
+        for cell in fit_cell(balls, [ctx.scalar(d)]):
+            found = enumerate_balls(cell, {}, Window(-3, 8, 1))
+            lo, hi = cell.level_bounds({})
+            prog = range(lo, hi + 1, cell.coset.n)
+            assert cell.coset.m == m
+            assert [ball.radius_ord - m for ball in found] == list(prog)
+            covers.setdefault(cell.coset.lam_ac, []).append(prog)
+            covered.extend(found)
+        key = lambda ball: (ball.radius_ord, ball.center.value)
+        assert sorted(covered, key=key) == sorted(balls, key=key)
+        assert covers.keys() == groups.keys()
+        for u, cover in covers.items():
+            assert sorted(b for prog in cover for b in prog) == sorted(groups[u])
+            assert (len(cover) == 1) == is_progression(groups[u])
 
 
 class TestCellLiterals:

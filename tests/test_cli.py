@@ -227,6 +227,19 @@ class TestJacobianCommands:
         }
 
 
+    def test_correspondence_witnesses_follow_the_greedy_rule(self, capsys):
+        """The image levels {1,2,4} of one (m, xi) group split into the
+        first longest chain from 1, {1,2}, and then {4}."""
+        code, out, _ = run(
+            capsys, "correspondence", "-p", "2", "-f", "x^3+x", "--coset", "1*Q(1,2)",
+            "--var", "x", "--window=0:4", "-M", "1", "--json",
+        )
+        assert code == 1
+        assert json.loads(out)["witnesses"] == [
+            "cell(center=0; coset=2*Q(1,1); ord in [1,2]; var=x)",
+            "cell(center=0; coset=16*Q(1,1); ord in [4,4]; var=x)",
+        ]
+
 class TestLipschitzCommands:
     def test_empirical(self, capsys):
         code, out, _ = run(

@@ -12,7 +12,9 @@ command line writes to stdout from one place: only `cli.dispatch` names
 `print` or `stdout`.  A scalar is built in one place: qp_core writes the
 `value` and `context` slots of PadicScalar only inside its `__init__`.
 Every Hypothesis property under tests/ is derandomized, so each run of the
-suite draws the same examples.
+suite draws the same examples.  Every function of tests/oracles.py is
+referenced by a test module or by another oracle, so an oracle left behind
+by a deletion fails too.
 """
 
 import ast
@@ -69,6 +71,21 @@ def test_check_sees_unused_and_exported_names():
     assert unused_imports(source) == [(2, "json"), (3, "unused")]
 
 
+def references(top) -> set:
+    """Names that a module-level statement references, as a bare name, an
+    attribute or an imported alias, other than the name it defines."""
+    own = getattr(top, "name", None)
+    names = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names - {own}
+
+
 def orphans(sources: dict) -> list:
     """(module, name) of each module-level private function or class that no
     code in the given modules references outside its own definition."""
@@ -79,17 +96,7 @@ def orphans(sources: dict) -> list:
             own = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_") and not own.startswith("__"):
                 defined.append((module, own))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.asname or node.name
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
+            referenced |= references(top)
     return sorted(d for d in defined if d[1] not in referenced)
 
 
@@ -112,6 +119,41 @@ def test_check_sees_orphaned_helpers():
     }
     assert orphans(sources) == [("a.py", "_Orphan"), ("a.py", "_recursive")]
 
+
+def orphaned_oracles(oracle_source: str, test_sources: dict) -> list:
+    """Name of each module-level function of the oracle module that no test
+    module references, and no other oracle outside its own body."""
+    referenced = set()
+    for source in [oracle_source, *test_sources.values()]:
+        for top in ast.parse(source).body:
+            referenced |= references(top)
+    return sorted(
+        top.name
+        for top in ast.parse(oracle_source).body
+        if isinstance(top, ast.FunctionDef) and top.name not in referenced
+    )
+
+
+def test_every_oracle_has_a_test():
+    tests = {p.name: p.read_text() for p in TESTS.glob("test_*.py")}
+    assert orphaned_oracles((TESTS / "oracles.py").read_text(), tests) == []
+
+
+def test_check_sees_orphaned_oracles():
+    oracle_source = (
+        "from ultralip.cells import fit_cell\n"
+        "def by_test():\n    return fit_cell\n"
+        "def by_oracle():\n    pass\n"
+        "def caller():\n    return by_oracle()\n"
+        "def imported():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def orphan():\n    pass\n"
+    )
+    tests = {
+        "test_a.py": "import oracles\ndef test_x():\n    oracles.by_test()\n    oracles.caller()\n",
+        "test_b.py": "from oracles import imported\n",
+    }
+    assert orphaned_oracles(oracle_source, tests) == ["orphan", "recursive"]
 
 # the private names that a module may import from another, with the reason
 SHARED_PRIVATES = {
