@@ -24,11 +24,17 @@ checked exhaustively over the depth-M representatives of B: certificates
 carry the depth at which they were verified, and a deeper violation could
 in principle exist for non-polynomial terms.
 
-Each exhaustive check evaluates f once per representative;
-check_ball_correspondence tiles each ball from those values as map_ball
-does, and condition (d) reads the ball tree of the representatives that
-regions.splitting_classes builds, one least_ord_break per split class
-across the children that regions.child_labels numbers.
+check_ball_correspondence reads its images off the same shifts (see
+_shift_image) when f is a polynomial that passes the test on every source
+ball and the images are pairwise disjoint: then f is evaluated only at
+the cell centre.  Each ball is mapped bijectively onto its image, so no
+two representatives share a value and tiling them would give the same
+ball.  Every other correspondence, and map_ball always, evaluates f once
+per depth-M representative and tiles each ball from those values.  Each
+exhaustive check evaluates f once per representative, and condition (d)
+reads the ball tree of the representatives that regions.splitting_classes
+builds, one least_ord_break per split class across the children that
+regions.child_labels numbers.
 The per-representative loops, and the search for the least pair that
 breaks (d), run over the raw representatives of Ball.representatives and
 the raw values of f and f' (see terms.compile_value), with
@@ -51,7 +57,7 @@ from .qp_core import (
     residue,
     valuation,
 )
-from .regions import Ball, Window, child_labels, least_ord_break, splitting_classes
+from .regions import Ball, Window, child_labels, first_overlap, least_ord_break, splitting_classes
 from .cells import BallsOverlap, Cell, NoCandidateFits, enumerate_balls, fit_cell
 from .syntax import Term, free_variables
 from .terms import EvaluationError, compile_value, differentiate, polynomial, taylor_shift
@@ -233,15 +239,25 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
     if depth < 1:
         raise ValueError("certification depth must be >= 1")
     var = _fiber_variable(f, "t")
-    poly = polynomial(f)
-    if poly is not None and poly[0] is not None:
-        ctx = ball.context
-        b = taylor_shift(poly, ball.center.value, ctx.power(ball.radius_ord))
-        lead = valuation(b[1], ctx.p) if len(b) > 1 else INFINITE_ORD
-        if lead != INFINITE_ORD and all(valuation(c, ctx.p) > lead for c in b[2:]):
-            image = Ball(PadicScalar(b[0], ctx), lead)
-            return JacobianCertificate(ball, image, lead - ball.radius_ord, depth)
+    image = _shift_image(f, ball)
+    if image is not None:
+        return JacobianCertificate(ball, image, image.radius_ord - ball.radius_ord, depth)
     return _exhaustive_certificate(f, var, ball, depth)
+
+
+def _shift_image(f: Term, ball: Ball) -> Optional[Ball]:
+    """The image f(c) + p^(ord b_1) Z_p of the ball c + p^r Z_p under f,
+    read off the Taylor shift (see the module docstring), or None when f is
+    not a polynomial in one variable or fails the test on the ball."""
+    poly = polynomial(f)
+    if poly is None or poly[0] is None:
+        return None
+    ctx = ball.context
+    b = taylor_shift(poly, ball.center.value, ctx.power(ball.radius_ord))
+    lead = valuation(b[1], ctx.p) if len(b) > 1 else INFINITE_ORD
+    if lead == INFINITE_ORD or any(valuation(c, ctx.p) <= lead for c in b[2:]):
+        return None
+    return Ball(PadicScalar(b[0], ctx), lead)
 
 
 def _exhaustive_certificate(f: Term, var: str, ball: Ball, depth: int):
@@ -339,33 +355,11 @@ def map_ball(f: Term, ball: Ball, depth: int):
     return _tile(reps, [f_at({var: x}) for x in reps], depth, ball.context)
 
 
-def check_ball_correspondence(
-    f: Term,
-    cell: Cell,
-    y: Optional[Mapping],
-    window: Window,
-    depth: int,
-    extra_candidates: Iterable[PadicScalar] = (),
-):
-    """Map every ball of a cell above y and fit the images into one cell.
-
-    f must be injective on the enumerated representatives of the fiber
-    (checked, failure reported); every ball image must be a ball; the
-    images are then fitted around candidate centers (f at the cell center
-    when defined, 0, and caller extras), and fit_cell reports the first
-    pair of images that are not disjoint.
-    Success returns the ball pairing and the fitted image cell.
-    """
-    y = y or {}
-    var = _fiber_variable(f, cell.fiber_var)
-    ctx = cell.context
-    source_balls = enumerate_balls(cell, y, window)
-    if not source_balls:
-        return CorrespondenceFailure(
-            "no_balls_in_window", (), f"the cell has no balls with level in {window}"
-        )
-
-    f_at = compile_value(f, ctx)
+def _tiled_images(f_at, var: str, source_balls: list, depth: int, ctx: PrimeContext):
+    """The image of each source ball, tiled from the values of f at the
+    depth-M representatives, or the CorrespondenceFailure of the first
+    collision across all of them or of the first ball whose image is not
+    a ball."""
     points = [x for ball in source_balls for x in ball.representatives(depth)]
     # the collision check runs f lazily, up to the first repeated value, and
     # tee keeps the values it read for the tiling
@@ -390,6 +384,50 @@ def check_ball_correspondence(
                 f"image of {ball} is not a ball: {result.detail}",
             )
         images.append(result)
+    return images
+
+
+def check_ball_correspondence(
+    f: Term,
+    cell: Cell,
+    y: Optional[Mapping],
+    window: Window,
+    depth: int,
+    extra_candidates: Iterable[PadicScalar] = (),
+):
+    """Map every ball of a cell above y and fit the images into one cell.
+
+    When f is a polynomial that passes the Taylor-shift test on every
+    source ball and the shift images are pairwise disjoint, the images are
+    read off the shifts and f is evaluated only at the cell center.  f
+    then bijects each ball onto its image, so the depth-M route below
+    would find no collision and tile each ball onto the same image.
+
+    Otherwise f is evaluated once per depth-M representative of the
+    balls: it must be injective on them (checked, failure reported), and
+    every ball image must be a ball.  Either way the images are then
+    fitted around candidate centers (f at the cell center when defined,
+    0, and caller extras), and fit_cell reports the first pair of images
+    that are not disjoint.
+    Success returns the ball pairing and the fitted image cell.
+    """
+    y = y or {}
+    var = _fiber_variable(f, cell.fiber_var)
+    ctx = cell.context
+    source_balls = enumerate_balls(cell, y, window)
+    if not source_balls:
+        return CorrespondenceFailure(
+            "no_balls_in_window", (), f"the cell has no balls with level in {window}"
+        )
+    if depth < 1:
+        raise ValueError("representative depth must be >= 1")
+
+    f_at = compile_value(f, ctx)
+    images = [_shift_image(f, ball) for ball in source_balls]
+    if any(image is None for image in images) or first_overlap(images) is not None:
+        images = _tiled_images(f_at, var, source_balls, depth, ctx)
+        if isinstance(images, CorrespondenceFailure):
+            return images
 
     candidates = []
     try:

@@ -14,7 +14,8 @@ command line writes to stdout from one place: only `cli.dispatch` names
 Every Hypothesis property under tests/ is derandomized, so each run of the
 suite draws the same examples.  Every function of tests/oracles.py is
 referenced by a test module or by another oracle, so an oracle left behind
-by a deletion fails too.
+by a deletion fails too.  Only jacobian's shift helper calls
+terms.taylor_shift, so the Taylor-shift test has one implementation.
 """
 
 import ast
@@ -154,6 +155,43 @@ def test_check_sees_orphaned_oracles():
         "test_b.py": "from oracles import imported\n",
     }
     assert orphaned_oracles(oracle_source, tests) == ["orphan", "recursive"]
+
+
+def users(sources: dict, name: str) -> list:
+    """(module, definition) of each module-level statement other than an
+    import that references `name` (see references); a statement that
+    defines nothing is given by its line."""
+    return sorted(
+        (module, getattr(top, "name", f"line {top.lineno}"))
+        for module, source in sources.items()
+        for top in ast.parse(source).body
+        if not isinstance(top, (ast.Import, ast.ImportFrom)) and name in references(top)
+    )
+
+
+def test_one_helper_shifts_polynomials():
+    # the Taylor-shift test and the image it gives have one implementation
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert users(sources, "taylor_shift") == [("jacobian.py", "_shift_image")]
+
+
+def test_check_sees_every_user():
+    sources = {
+        "a.py": "__all__ = ['shift']\ndef shift(n):\n    return shift(n - 1)\n",
+        "b.py": (
+            "from .a import shift\n"
+            "from . import a\n"
+            "def bare():\n    return shift(0)\n"
+            "class Attribute:\n    def method(self):\n        return a.shift(1)\n"
+            "alias = shift\n"
+            "def nested():\n    def inner():\n        return shift\n"
+            "def other():\n    return 'shift'\n"
+        ),
+    }
+    assert users(sources, "shift") == [
+        ("b.py", "Attribute"), ("b.py", "bare"), ("b.py", "line 8"), ("b.py", "nested")
+    ]
+
 
 # the private names that a module may import from another, with the reason
 SHARED_PRIVATES = {

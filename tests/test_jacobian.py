@@ -1,4 +1,7 @@
+import collections
+import contextlib
 import dataclasses
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import balls_overlap, distance_pairs
-from ultralip import cells, jacobian
+from ultralip import cells, jacobian, regions
+from ultralip.cli import main
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PrimeContext
 from ultralip.regions import Ball, Window
 from ultralip.cells import format_cell, parse_cell, point_cell
@@ -24,6 +28,14 @@ from ultralip.jacobian import (
 )
 from ultralip.syntax import parse_term
 from ultralip.terms import differentiate, evaluate
+
+
+def run_cli(argv) -> tuple:
+    """The exit code and the standard output of the command line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def coset_cell(ctx, lam=1, m=1, n=1, var="x"):
@@ -233,6 +245,29 @@ class TestMapBall:
         assert isinstance(result, NotABall)
 
 
+def random_correspondence(rng):
+    """(argv, f, cell, window, depth): a polynomial of degree 1 to 4 with
+    rational coefficients, on the cell of the coset lam*Q(m, n) about a
+    centre 0 or not, at p in {2, 3, 5}, over a window of one to four levels
+    at a depth in [1, 3]; argv is the correspondence command that asks the
+    same."""
+    p = rng.choice((2, 3, 5))
+    ctx = PrimeContext(p)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(1, 4))]
+    coeffs.append(Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 1, 2))))
+    src = " + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs))
+    centre = rng.choice((0, 0, rng.randint(-6, 6), Fraction(rng.randint(1, 5), rng.choice((2, 3)))))
+    coset = f"{rng.choice((1, 2, p, 7))}*Q({rng.randint(1, 2)},{rng.randint(1, 2)})"
+    v_min = rng.randint(-1, 2)
+    window, depth = Window(v_min, v_min + rng.randint(0, 3), 1), rng.randint(1, 3)
+    cell = parse_cell(f"cell(center={centre}; coset={coset}; all; var=x)", ctx)
+    argv = [
+        "correspondence", "-p", str(p), "-f", src, "--coset", coset, f"--center={centre}", "--var", "x",
+        f"--window={window.v_min}:{window.v_max}", "-M", str(depth), "--json",
+    ]
+    return argv, parse_term(src), cell, window, depth
+
+
 class TestCorrespondence:
     def test_square_levels_double(self, ctx3):
         corr = check_ball_correspondence(
@@ -338,20 +373,94 @@ class TestCorrespondence:
         assert isinstance(corr, CorrespondenceFailure)
         assert corr.kind == "no_balls_in_window"
 
-    def test_f_is_evaluated_once_per_representative(self, ctx3, monkeypatch):
-        calls = []
-        compile_value = jacobian.compile_value
+    @staticmethod
+    def _count_evaluations(monkeypatch) -> tuple:
+        """The points f is evaluated at, and the balls whose representatives
+        are built, in order, from here on."""
+        calls, built = [], []
+        compile_value, representatives = jacobian.compile_value, Ball.representatives
 
         def counting(term, ctx):
             f_at = compile_value(term, ctx)
             return lambda point: (calls.append(point["x"]), f_at(point))[1]
 
         monkeypatch.setattr(jacobian, "compile_value", counting)
+        monkeypatch.setattr(
+            Ball, "representatives", lambda ball, depth: (built.append(ball), representatives(ball, depth))[1]
+        )
+        return calls, built
+
+    def test_f_is_evaluated_once_per_representative(self, ctx3, monkeypatch):
+        """A term that is not a polynomial is tiled from its values."""
+        calls, built = self._count_evaluations(monkeypatch)
+        cell = coset_cell(ctx3)
+        corr = check_ball_correspondence(parse_term("x^3*normval(x)"), cell, {}, Window(0, 2, 1), 2)
+        assert isinstance(corr, BallCorrespondence) and len(corr.pairs) == 3
+        sources = [source for source, _ in corr.pairs]
+        assert built == sources
+        reps = [x for source in sources for x in Ball.representatives(source, 2)]
+        assert calls == reps + [cell.center_at({}).value]
+
+    def test_a_shift_correspondence_evaluates_f_only_at_the_centre(self, ctx3, monkeypatch):
+        """x^3 passes the shift test on every ball of the window, and its
+        images are disjoint: no representative is built."""
+        calls, built = self._count_evaluations(monkeypatch)
         cell = coset_cell(ctx3)
         corr = check_ball_correspondence(parse_term("x^3"), cell, {}, Window(0, 2, 1), 2)
-        assert isinstance(corr, BallCorrespondence) and len(corr.pairs) == 3
-        reps = [x for source, _ in corr.pairs for x in source.representatives(2)]
-        assert calls == reps + [cell.center_at({}).value]
+        assert isinstance(corr, BallCorrespondence)
+        assert [image for _, image in corr.pairs] == [
+            Ball(ctx3.scalar(1), 2), Ball(ctx3.scalar(27), 5), Ball(ctx3.scalar(729), 8)
+        ]
+        assert built == []
+        assert calls == [cell.center_at({}).value]
+
+    @pytest.mark.parametrize("src", ["x^3", "x^3*normval(x)"], ids=["shift", "tiled"])
+    def test_depth_below_one_raises_after_the_window_check(self, ctx3, src):
+        f = parse_term(src)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            check_ball_correspondence(f, coset_cell(ctx3), {}, Window(0, 2, 1), 0)
+        empty = point_cell(ctx3.scalar(0), CosetSpec(ctx3.scalar(1), 1, 5), fiber_var="x")
+        corr = check_ball_correspondence(f, empty, {}, Window(1, 4, 1), 0)
+        assert corr.kind == "no_balls_in_window"
+
+    def test_overlapping_shift_images_take_the_tiled_route(self, ctx3, monkeypatch):
+        """x^2 passes the shift test on every ball of 1 + 1*Q(1,1), but the
+        images of the balls at levels 0 and 1 overlap, so the failure is the
+        tiled route's."""
+        cell = parse_cell("cell(center=1; coset=1*Q(1,1); all; var=x)", ctx3)
+        f, window = parse_term("x^2"), Window(0, 3, 1)
+        balls = cells.enumerate_balls(cell, {}, window)
+        assert None not in [jacobian._shift_image(f, ball) for ball in balls]
+        tiled = []
+        tiled_images = jacobian._tiled_images
+        monkeypatch.setattr(jacobian, "_tiled_images", lambda *args: (tiled.append(args), tiled_images(*args))[1])
+        corr = check_ball_correspondence(f, cell, {}, window, 2)
+        assert len(tiled) == 1
+        assert corr.kind == "images_overlap"
+        assert corr.witnesses == (Ball(ctx3.scalar(2), 1), Ball(ctx3.scalar(4), 2))
+
+    def test_the_shift_route_is_the_tiled_route(self, monkeypatch):
+        """Seeded draws through the API and the command line, against the
+        same calls with the shift test made to fail, which forces the
+        tiled route.  The draws reach every way the shift route can fall
+        back."""
+        rng = random.Random(32)
+        seen = collections.Counter()
+        for _ in range(300):
+            argv, f, cell, window, depth = random_correspondence(rng)
+            shifts = [jacobian._shift_image(f, ball) for ball in cells.enumerate_balls(cell, {}, window)]
+            route = "fails" if None in shifts else "overlap" if shifts and regions.first_overlap(shifts) else "shift"
+            result = check_ball_correspondence(f, cell, {}, window, depth)
+            printed = run_cli(argv)
+            with monkeypatch.context() as patched:
+                patched.setattr(jacobian, "_shift_image", lambda f, ball: None)
+                assert check_ball_correspondence(f, cell, {}, window, depth) == result, argv
+                assert run_cli(argv) == printed, argv
+            seen[route, getattr(result, "kind", "correspondence")] += 1
+        kinds = {kind for _, kind in seen}
+        assert {"not_injective", "images_overlap", "image_not_single_cell"} <= kinds, seen
+        assert seen["shift", "correspondence"] and seen["shift", "image_not_single_cell"], seen
+        assert seen["overlap", "images_overlap"] and seen["fails", "correspondence"], seen
 
     def test_a_collision_is_reported_before_a_later_undefined_point(self, ctx3):
         # f(1) = f(4) = -4 + 1/3, and f is undefined at the next
