@@ -1,5 +1,13 @@
 """Command-line front door: parse inputs, dispatch analyses, emit reports.
 
+A command line is read by one parser: when its first word names a
+command, that command's parser reads the rest.  The top-level parser reads
+the whole line only when that pass cannot decide: an empty line, a first
+word that names no command (-h, a typo or an abbreviation), or words the
+command's parser does not know.  So help, "invalid choice" and
+"unrecognized arguments" come from the same parser as they would from the
+top-level one, and the Namespace is the same either way.
+
 Each command's handler returns its exit code, its JSON payload and its
 text, and prints nothing; `dispatch` prints the payload (under --json) or
 the text once the handler has returned, so a usage or internal error leaves
@@ -64,6 +72,14 @@ class UsageError(Exception):
 # Errors that describe bad input, reported as "error: ..." with exit 2;
 # ValueError is the type the library raises when it validates arguments.
 _USAGE_ERRORS = (UsageError, TermError, ValueError, EmptyRegion, CenterNotZero, ZeroCellHasNoBalls)
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    """An integer option that counts levels or digits, which must be >= 1;
+    the error names the option as the user typed it."""
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
+    return value
 
 
 def _window(args, depth=1):
@@ -168,7 +184,7 @@ def _cmd_ord(args, ctx: PrimeContext) -> tuple:
 
 
 def _cmd_ac(args, ctx: PrimeContext) -> tuple:
-    r = _scalar(args.value, ctx).ac(args.n)
+    r = _scalar(args.value, ctx).ac(_at_least_one("-n", args.n))
     return 0, {"residue": r, "modulus": ctx.p**args.n}, f"{r} mod {ctx.p}^{args.n}"
 
 
@@ -283,7 +299,7 @@ def _cmd_certify(args, ctx: PrimeContext) -> tuple:
 
 def _cmd_prepare(args, ctx: PrimeContext) -> tuple:
     f = parse_factored(args.function, ctx)
-    pieces = prepare(f, _window(args), m_depth=args.m_depth)
+    pieces = prepare(f, _window(args), m_depth=_at_least_one("--m-depth", args.m_depth))
     checks = [(piece, verify_prepared(f, piece, args.depth)) for piece in pieces] if args.verify else []
     failures = [(piece, check) for piece, check in checks if not check.passed]
     payload = {
@@ -321,7 +337,7 @@ def _cmd_example(args, ctx: PrimeContext) -> tuple:
         ]
     else:
         _window(args, None)  # checked as for exloc, though exloc2 reads --levels
-        trace = counterexample_exloc2(args.levels, ctx)
+        trace = counterexample_exloc2(_at_least_one("--levels", args.levels), ctx)
         lines = [f"C^1 with zero derivative, not locally Lipschitz at 0 (p = {ctx.p}):"]
     for e in trace.entries:
         lines.append(f"  n={e.level}: pair ({e.witness[0]}, {e.witness[1]})  ratio = {ctx.p}^{e.ratio_exponent}")
@@ -342,15 +358,20 @@ def _cmd_example(args, ctx: PrimeContext) -> tuple:
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+|:-?\d+)?$|^-\d*\.\d+$")
 
 
-# Built once per process: assembling the parser costs more than most one-line
-# commands, and parse_args leaves the parser unchanged, so callers can share it.
+# Built once per process: assembling the parsers costs more than most one-line
+# commands, and parsing leaves them unchanged, so callers can share them.
+# Returns the top-level parser and the map from each command name to its
+# parser.  `_parse` reads a command line with the named command's parser
+# alone; the top-level parser reads it only when that pass cannot decide
+# (see the module docstring).
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
     top = argparse.ArgumentParser(
         prog="ultralip",
         description="Exact p-adic Lipschitz analysis of semialgebraic functions.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def command(name, help, handler, depth=None, function=False, cell=False, window=None):
         """A subcommand with -p and --json; -M when it has a depth default;
@@ -358,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         four cell flags when `cell` is set; and --window, required when
         `window` is True and otherwise defaulting to it.  Returns the
         subparser, for the options that follow."""
-        p = sub.add_parser(name, help=help)
+        p = commands[name] = sub.add_parser(name, help=help)
         p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(handler=handler)
         p.add_argument("-p", "--prime", type=int, required=True, help="the prime p")
@@ -416,14 +437,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("example", "reproduce a counterexample family", _cmd_example, depth=2, window="0:4")
     p.add_argument("which", choices=["exloc", "exloc2"])
     p.add_argument("--levels", type=int, default=5, help="levels for exloc2")
-    return top
+    return top, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The Namespace of a command line, as the top-level parser's
+    parse_args would build it, in one pass where the first word names a
+    command."""
+    top, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return top.parse_args(argv)
 
 
 def dispatch(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
-        if getattr(args, "depth", 1) < 1:
-            raise UsageError(f"depth must be >= 1, got {args.depth}")
+        _at_least_one("depth", getattr(args, "depth", 1))
         code, payload, text = args.handler(args, PrimeContext(args.prime))
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else text)
         return code

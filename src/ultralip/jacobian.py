@@ -57,7 +57,7 @@ from .qp_core import (
     residue,
     valuation,
 )
-from .regions import Ball, Window, child_labels, first_overlap, least_ord_break, splitting_classes
+from .regions import Ball, Window, child_labels, least_ord_break, splitting_classes
 from .cells import BallsOverlap, Cell, NoCandidateFits, enumerate_balls, fit_cell
 from .syntax import Term, free_variables
 from .terms import EvaluationError, compile_value, differentiate, polynomial, taylor_shift
@@ -355,6 +355,18 @@ def map_ball(f: Term, ball: Ball, depth: int):
     return _tile(reps, [f_at({var: x}) for x in reps], depth, ball.context)
 
 
+def _shift_images(f: Term, source_balls: list) -> Optional[list]:
+    """The shift image of every source ball (see _shift_image), or None
+    from the first ball that fails the test."""
+    images = []
+    for ball in source_balls:
+        image = _shift_image(f, ball)
+        if image is None:
+            return None
+        images.append(image)
+    return images
+
+
 def _tiled_images(f_at, var: str, source_balls: list, depth: int, ctx: PrimeContext):
     """The image of each source ball, tiled from the values of f at the
     depth-M representatives, or the CorrespondenceFailure of the first
@@ -402,6 +414,9 @@ def check_ball_correspondence(
     read off the shifts and f is evaluated only at the cell center.  f
     then bijects each ball onto its image, so the depth-M route below
     would find no collision and tile each ball onto the same image.
+    fit_cell's overlap scan is the one that tells: when two shift images
+    overlap, f is not injective on the balls, and the depth-M route runs
+    to report its least collision, or the same overlap when there is none.
 
     Otherwise f is evaluated once per depth-M representative of the
     balls: it must be injective on them (checked, failure reported), and
@@ -423,11 +438,10 @@ def check_ball_correspondence(
         raise ValueError("representative depth must be >= 1")
 
     f_at = compile_value(f, ctx)
-    images = [_shift_image(f, ball) for ball in source_balls]
-    if any(image is None for image in images) or first_overlap(images) is not None:
-        images = _tiled_images(f_at, var, source_balls, depth, ctx)
-        if isinstance(images, CorrespondenceFailure):
-            return images
+    shifted = _shift_images(f, source_balls)
+    images = shifted or _tiled_images(f_at, var, source_balls, depth, ctx)
+    if isinstance(images, CorrespondenceFailure):
+        return images
 
     candidates = []
     try:
@@ -440,6 +454,12 @@ def check_ball_correspondence(
     try:
         fitted = fit_cell(images, candidates, fiber_var=var)
     except BallsOverlap as err:
+        if images is shifted:
+            # f is not injective on the balls: the tiled route reports the
+            # least collision, and tiles the same images when there is none
+            tiled = _tiled_images(f_at, var, source_balls, depth, ctx)
+            if isinstance(tiled, CorrespondenceFailure):
+                return tiled
         i, j = err.pair
         return CorrespondenceFailure(
             "images_overlap",

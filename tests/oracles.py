@@ -41,6 +41,10 @@ scans a tail two levels past the last level that verify_prepared checks.
 scalar_piece_contains is the reference for prepare.piece_contains: the ord
 and ac of the PadicScalar difference t - c_j.
 
+top_level_parse is the reference for cli._parse: the whole command line
+read by the top-level parser, which finds the command name and hands the
+words after it to the command's parser.
+
 _eval and _eval_cond are the references for the compiled evaluator: the
 recursive walk over the term tree, one node at a time, with PadicScalar
 arithmetic at every node.  walk_piecewise evaluates a piecewise function
@@ -52,6 +56,7 @@ level n >= 1 is 1.
 from fractions import Fraction
 from typing import Mapping
 
+from ultralip.cli import _build_parser
 from ultralip.prepare import PrepareCheck, _make_piece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
 from ultralip.regions import Ball
@@ -658,3 +663,6 @@ def walk_piecewise(pf, point, ctx):
         raise PieceOverlapError(f"pieces overlap at the point {_point_str(point)}")
     return _eval(matches[0], point, ctx)
 
+
+def top_level_parse(argv):
+    return _build_parser()[0].parse_args(argv)

@@ -1,8 +1,15 @@
+import collections
+import contextlib
+import io
 import json
+import random
+import shlex
+from pathlib import Path
 
 import pytest
 
-from ultralip.cli import main
+from oracles import top_level_parse
+from ultralip.cli import _build_parser, _parse, main
 
 
 def run(capsys, *argv):
@@ -438,3 +445,170 @@ class TestContract:
         _, second, _ = run(capsys, *args)
         assert first == second
         json.loads(first)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["prepare", "-p", "5", "-f", "1 * (t - 0)", "--window=0:2", "--m-depth", "0"], "--m-depth must be >= 1, got 0"),
+            (["example", "exloc2", "-p", "3", "--levels", "0"], "--levels must be >= 1, got 0"),
+            (["ac", "-p", "3", "-n", "0", "45"], "-n must be >= 1, got 0"),
+            (["ac", "-p", "3", "-n", "-2", "45"], "-n must be >= 1, got -2"),
+        ],
+        ids=["m-depth", "levels", "n", "n-negative"],
+    )
+    def test_a_count_below_one_names_its_flag(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    def test_a_bad_value_is_reported_before_the_digit_count(self, capsys):
+        code, out, err = run(capsys, "ac", "-p", "3", "-n", "0", "abc")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad rational 'abc'")
+
+
+def parse_outcome(parse, argv) -> tuple:
+    """What parse(argv) gives: its Namespace as a dict, or the code of the
+    SystemExit it raised; then the stdout and the stderr it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exit:
+            result = ("exit", exit.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+# option values and stray words for the drawn command lines: negative
+# rationals and windows, malformed numbers, and words argparse reads as
+# options or as the end of the options
+VALUES = [
+    "3", "5", "0", "-1", "45/2", "-27/4", "-27", "-.5", "1.5", "0:3", "-2:3", "-2:-1", "0:4", "x^2",
+    "1 * (t - 0)", "1 + 3^1", "1*Q(1,1)", "cell(center=0; coset=1*Q(1,1); all; var=x)", "t=3", "exloc", "exloc2",
+]
+INTS = ["3", "5", "2", "0", "-1"]
+STRAYS = ["--", "-h", "--help", "--bogus", "-x", "-", "--pr", "--wind", "-M", "-27/4", "-2:3"]
+
+
+def random_argv(rng: random.Random) -> list:
+    """A command line drawn from a command's option table: most of its
+    options in a random order, each value mostly of the option's type,
+    missing or joined with "="; now and then a stray word; and a first word
+    that is the command, or an abbreviation of it, an unknown word, or an
+    option."""
+    if rng.random() < 0.03:
+        return []
+    name, parser = rng.choice(list(_build_parser()[1].items()))
+
+    def value(action) -> str:
+        """Mostly a value of the action's type or among its choices."""
+        fitting = action.choices or (INTS if action.type is int else VALUES)
+        return rng.choice(list(fitting) if rng.random() < 0.9 else VALUES)
+
+    groups = []
+    for action in parser._actions:
+        if not action.option_strings:
+            groups.append([value(action)])
+            continue
+        flag = rng.choice(action.option_strings)
+        if rng.random() > (0.03 if flag in ("-h", "--help") else 0.9):
+            continue
+        if action.nargs == 0:
+            groups.append([flag])
+        elif rng.random() < 0.04:
+            groups.append([flag])  # the value is missing
+        elif flag.startswith("--") and rng.random() < 0.3:
+            groups.append([f"{flag}={value(action)}"])
+        else:
+            groups.append([flag, value(action)])
+    rng.shuffle(groups)
+    for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
+        groups.insert(rng.randint(0, len(groups)), [rng.choice(STRAYS)])
+    roll = rng.random()
+    head = name if roll < 0.85 else name[: rng.randint(1, len(name) - 1)] if roll < 0.9 else rng.choice(
+        ["nosuch", "-h", "--", "-p"]
+    )
+    return [head] + [word for group in groups for word in group]
+
+
+def readme_tour() -> list:
+    """The argv of each command of the README's CLI quick tour."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## CLI quick tour", 1)[1].split("Exit codes", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in tour.splitlines() if line.startswith("ultralip ")]
+
+
+class TestParse:
+    """`_parse` reads a command line in one pass with the named command's
+    parser; the top-level parse is its oracle."""
+
+    def test_one_pass_parse_is_the_top_level_parse(self):
+        rng = random.Random(33)
+        seen = collections.Counter()
+        for _ in range(600):
+            argv = random_argv(rng)
+            result = parse_outcome(_parse, argv)
+            assert result == parse_outcome(top_level_parse, argv), argv
+            outcome = "parsed" if isinstance(result[0], dict) else f"exit {result[0][1]}"
+            seen[outcome] += 1
+            seen["empty" if not argv else "command" if argv[0] in _build_parser()[1] else "other head"] += 1
+            seen.update(word for word in ("--", "-h", "--bogus", "-27/4", "-2:3") if word in argv[1:])
+            seen["missing value"] += "expected one argument" in result[2]
+            seen["unrecognized"] += "unrecognized arguments" in result[2]
+            seen["invalid choice"] += "invalid choice" in result[2]
+        for case in ("parsed", "exit 0", "exit 2", "empty", "other head", "--", "-h", "--bogus", "-27/4", "-2:3",
+                     "missing value", "unrecognized", "invalid choice"):
+            assert seen[case] >= 3, (case, seen)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord", "-p", "3", "--", "-27/4"],
+            ["ord", "--", "-p", "3", "45"],
+            ["ord", "-p", "3", "45", "--", "--json"],
+            ["ac", "-p", "3", "--", "-n", "2"],
+            ["example", "-p", "3", "--", "exloc"],
+            ["ord", "-p", "3", "--json", "--", "--"],
+            ["cert", "-p", "3"],
+            ["--", "ord", "-p", "3", "45"],
+        ],
+    )
+    def test_hand_picked_command_lines(self, argv):
+        assert parse_outcome(_parse, argv) == parse_outcome(top_level_parse, argv)
+
+    @pytest.mark.parametrize("argv", readme_tour(), ids=lambda argv: " ".join(argv[:3]))
+    def test_a_valid_command_line_takes_one_pass(self, monkeypatch, argv):
+        top = _build_parser()[0]
+
+        def refused(argv):
+            raise AssertionError(f"the top-level parser read {argv}")
+
+        monkeypatch.setattr(top, "parse_args", refused)
+        assert _parse(argv).command == argv[0]
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            ([], "ultralip: error:"),
+            (["nosuch"], "ultralip: error:"),
+            (["ord"], "ultralip ord: error:"),
+            (["ord", "-p", "3", "45", "--bogus"], "ultralip: error: unrecognized arguments"),
+        ],
+        ids=["empty", "nosuch", "ord", "bogus"],
+    )
+    def test_usage_errors_name_the_parser_that_reports(self, capsys, argv, prefix):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit.value.code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(prefix)
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["-h"], "usage: ultralip [-h]"), (["certify", "-p", "3", "-h"], "usage: ultralip certify ")],
+        ids=["top", "certify"],
+    )
+    def test_help_goes_to_stdout(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit.value.code, err) == (0, "")
+        assert out.startswith(usage)

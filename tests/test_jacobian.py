@@ -439,6 +439,32 @@ class TestCorrespondence:
         assert corr.kind == "images_overlap"
         assert corr.witnesses == (Ball(ctx3.scalar(2), 1), Ball(ctx3.scalar(4), 2))
 
+    def test_the_shift_test_stops_at_the_first_failing_ball(self, ctx3, monkeypatch):
+        """x^2 + x fails the shift test on 1 + 3^1 (ord b_1 = ord b_2 = 2)
+        and passes it on the deeper balls, which are not shifted."""
+        shifted = []
+        shift_image = jacobian._shift_image
+        monkeypatch.setattr(jacobian, "_shift_image", lambda f, ball: (shifted.append(ball), shift_image(f, ball))[1])
+        f, cell, window = parse_term("x^2 + x"), coset_cell(ctx3), Window(0, 2, 1)
+        check_ball_correspondence(f, cell, {}, window, 2)
+        assert shifted == [Ball(ctx3.scalar(1), 1)]
+        balls = cells.enumerate_balls(cell, {}, window)
+        assert [shift_image(f, ball) is None for ball in balls] == [True, False, False]
+
+    def test_a_shift_correspondence_scans_for_overlap_once(self, ctx3, monkeypatch):
+        """fit_cell's scan of the shift images is the only one."""
+        calls = []
+        for module in (regions, cells, jacobian):
+            if hasattr(module, "first_overlap"):
+                original = module.first_overlap
+                monkeypatch.setattr(
+                    module, "first_overlap", lambda balls, original=original: (calls.append(balls), original(balls))[1]
+                )
+        cell = parse_cell("cell(center=0; coset=1*Q(1,1); all; var=x)", ctx3)
+        corr = check_ball_correspondence(parse_term("x^3"), cell, {}, Window(0, 8, 3), 3)
+        assert isinstance(corr, BallCorrespondence) and len(corr.pairs) == 9
+        assert calls == [[image for _, image in corr.pairs]]
+
     def test_the_shift_route_is_the_tiled_route(self, monkeypatch):
         """Seeded draws through the API and the command line, against the
         same calls with the shift test made to fail, which forces the
