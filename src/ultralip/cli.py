@@ -300,30 +300,31 @@ def _cmd_certify(args, ctx: PrimeContext) -> tuple:
 def _cmd_prepare(args, ctx: PrimeContext) -> tuple:
     f = parse_factored(args.function, ctx)
     pieces = prepare(f, _window(args), m_depth=_at_least_one("--m-depth", args.m_depth))
-    checks = [(piece, verify_prepared(f, piece, args.depth)) for piece in pieces] if args.verify else []
-    failures = [(piece, check) for piece, check in checks if not check.passed]
+    cells = [format_cell(p.cell) for p in pieces]
+    checks = [verify_prepared(f, piece, args.depth) for piece in pieces] if args.verify else []
+    failures = [(cell, check) for cell, check in zip(cells, checks) if not check.passed]
     payload = {
         "term": str(f),
         "pieces": [
             {
-                "cell": format_cell(p.cell),
+                "cell": cell,
                 "center_index": p.chosen_center_index,
                 "exponent": p.exponent,
                 "h_exponent": p.h_exponent,
             }
-            for p in pieces
+            for cell, p in zip(cells, pieces)
         ],
     }
     lines = [f"{len(pieces)} pieces for {f}:"] + [
-        f"  {format_cell(p.cell)}   ord f = {p.h_exponent} + {p.exponent}*ord(t-c{p.chosen_center_index})"
-        for p in pieces
+        f"  {cell}   ord f = {p.h_exponent} + {p.exponent}*ord(t-c{p.chosen_center_index})"
+        for cell, p in zip(cells, pieces)
     ]
     if args.verify:
         payload["verified"] = not failures
         payload["verify_depth"] = args.depth
         verdict = f"{len(failures)} pieces FAIL" if failures else "all pieces pass"
         lines.append(f"verification at depth {args.depth}: {verdict}")
-        lines += [f"  FAIL {format_cell(piece.cell)}: {check.detail}" for piece, check in failures]
+        lines += [f"  FAIL {cell}: {check.detail}" for cell, check in failures]
     return (1 if failures else 0), payload, "\n".join(lines)
 
 
@@ -456,7 +457,7 @@ def _parse(argv) -> argparse.Namespace:
 def dispatch(argv) -> int:
     args = _parse(argv)
     try:
-        _at_least_one("depth", getattr(args, "depth", 1))
+        _at_least_one("-M/--depth", getattr(args, "depth", 1))
         code, payload, text = args.handler(args, PrimeContext(args.prime))
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else text)
         return code

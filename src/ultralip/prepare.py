@@ -24,9 +24,13 @@ unbounded-depth cell per angular class.
 The raw center values, ord(u) and the pairwise center distances are
 computed once, when the FactoredTerm is built, and the sweep,
 verify_prepared and the profiles read them from the term: nothing is cached
-beside it.  verify_prepared checks every level of a piece, a tail up to two
-levels past its last critical distance; it computes on raw values, builds a
-PadicScalar only for a witness, and a Ball only for a ball that holds a center.
+beside it.  A piece is plain data: the term, the chosen center's index, the
+exponent e, H, the level range, the angular class and its depth m.  Its Cell
+is built from those fields each time it is read, so the sweep builds no Cell
+and no PadicScalar.  verify_prepared checks every level of a piece, a tail up
+to two levels past its last critical distance; it computes on raw values,
+builds a PadicScalar only for a witness, and a Ball only for a ball that holds
+a center.
 """
 
 from __future__ import annotations
@@ -94,15 +98,16 @@ class FactoredTerm:
     def context(self) -> PrimeContext:
         return self.unit.context
 
-    def ord_at(self, t: PadicScalar) -> "int | float":
-        """ord f(t) as the exact sum ord(u) + sum a_i ord(t - c_i)."""
-        total, x, p = self.unit_ord, t.value, self.context.p
+    def ord_at(self, x) -> "int | float":
+        """ord f(x) at the raw value x, an int or a Fraction, as the exact
+        sum ord(u) + sum a_i ord(x - c_i)."""
+        total, p = self.unit_ord, self.context.p
         for c, exponent in zip(self.values, self.exponents):
             o = valuation(x - c, p)
             if o == INFINITE_ORD:
                 if exponent > 0:
                     return INFINITE_ORD
-                raise ZeroDivisionError(f"pole of f at t = {t}")
+                raise ZeroDivisionError(f"pole of f at t = {x}")
             total += exponent * o
         return total
 
@@ -167,15 +172,17 @@ def parse_factored(text: str, ctx: PrimeContext) -> FactoredTerm:
 
 @dataclass(frozen=True)
 class PreparedPiece:
-    """One cell of the preparation with its exact norm profile.
+    """One cell of the preparation with its exact norm profile, as plain data.
 
     On the cell, ord f(t) = h_exponent + exponent * ord(t - c_j) where
-    c_j is the chosen center; level_min/level_max give the cell's
-    ord(t - c_j) range (level_max None means unbounded depth) and residue
-    is the ac_m class of t - c_j.
+    c_j = term.centers[chosen_center_index] is the chosen center;
+    level_min/level_max give the cell's ord(t - c_j) range (level_max None
+    means unbounded depth) and residue is the ac_m class of t - c_j.  The
+    Cell is not stored: `cell` builds it from these fields when it is read,
+    so it is always the cell that verify_prepared and piece_contains check.
     """
 
-    cell: Cell
+    term: FactoredTerm
     chosen_center_index: int
     exponent: int
     h_exponent: int
@@ -183,6 +190,19 @@ class PreparedPiece:
     level_max: Optional[int]
     residue: int
     m: int
+
+    @property
+    def cell(self) -> Cell:
+        """The point cell c_j + residue * p^level_min * Q(m, 1) on the levels
+        [level_min, level_max]."""
+        ctx = self.term.context
+        lam = PadicScalar(self.residue * ctx.power(self.level_min), ctx)
+        return point_cell(
+            self.term.centers[self.chosen_center_index],
+            CosetSpec(lam, self.m, 1),
+            self.level_min,
+            self.level_max,
+        )
 
 
 @dataclass(frozen=True)
@@ -224,7 +244,7 @@ def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
 
     def emit(j: int, lo: int, level_max: Optional[int], profile: tuple) -> None:
         for xi in units:
-            pieces.append(_make_piece(f, j, lo, level_max, xi, m_depth, *profile))
+            pieces.append(PreparedPiece(f, j, *profile, lo, level_max, xi, m_depth))
 
     def walk(members: list, a: int, bounded: bool) -> None:
         # members share the ball of level a around their least index o, so
@@ -242,7 +262,7 @@ def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
         for xi in units:
             if xi not in skip:
                 e, h = f.profile(o, split, split, xi, m_depth)
-                pieces.append(_make_piece(f, o, split, split, xi, m_depth, e, h))
+                pieces.append(PreparedPiece(f, o, e, h, split, split, xi, m_depth))
         walk(f.balls(members, split + 1)[0], split + 1, False)
         for ball in f.balls(partners, split + m_depth):
             walk(ball, split + m_depth, False)
@@ -251,36 +271,6 @@ def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
         walk(ball, v_min, True)
     pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
     return pieces
-
-
-def _make_piece(
-    f: FactoredTerm,
-    j: int,
-    lo: int,
-    level_max: Optional[int],
-    xi: int,
-    m: int,
-    exponent: int,
-    h_exponent: int,
-) -> PreparedPiece:
-    ctx = f.context
-    lam = PadicScalar(xi * ctx.power(lo), ctx)
-    cell = point_cell(
-        f.centers[j],
-        CosetSpec(lam, m, 1),
-        level_min=lo,
-        level_max=level_max,
-    )
-    return PreparedPiece(
-        cell=cell,
-        chosen_center_index=j,
-        exponent=exponent,
-        h_exponent=h_exponent,
-        level_min=lo,
-        level_max=level_max,
-        residue=xi,
-        m=m,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +355,13 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
                 return _mismatch(PadicScalar(x, ctx), direct, predicted)
             continue
         for rep in Ball(PadicScalar(x, ctx), radius).representatives(depth):
-            t = PadicScalar(rep, ctx)
             try:
-                direct = f.ord_at(t)
+                direct = f.ord_at(rep)
             except ZeroDivisionError as err:
                 # a piece from outside the sweep may contain a center
-                return PrepareCheck(False, t, f"{err}, inside the piece")
+                return PrepareCheck(False, PadicScalar(rep, ctx), f"{err}, inside the piece")
             if direct != predicted:
-                return _mismatch(t, direct, predicted)
+                return _mismatch(PadicScalar(rep, ctx), direct, predicted)
 
     try:
         expected = f.profile(j, piece.level_min, hi, piece.residue if is_tie else None, piece.m)

@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ultralip.cli import _build_parser
-from ultralip.prepare import PrepareCheck, _make_piece
+from ultralip.prepare import PrepareCheck, PreparedPiece
 from ultralip.qp_core import INFINITE_ORD, CosetSpec, PadicScalar, PrimeContext, format_ord
 from ultralip.regions import Ball
 from ultralip.syntax import (
@@ -472,11 +472,11 @@ def worklist_prepare(f, window, m_depth=1):
                     if xi in skip:
                         continue
                     e, h = f.profile(j, lo, lo, xi, m_depth)
-                    pieces.append(_make_piece(f, j, lo, level_max, xi, m_depth, e, h))
+                    pieces.append(PreparedPiece(f, j, e, h, lo, level_max, xi, m_depth))
             else:
                 e, h = f.profile(j, lo, hi)
                 for xi in units:
-                    pieces.append(_make_piece(f, j, lo, level_max, xi, m_depth, e, h))
+                    pieces.append(PreparedPiece(f, j, e, h, lo, level_max, xi, m_depth))
     pieces.sort(key=lambda p: (p.chosen_center_index, p.level_min, p.residue))
     return pieces
 
@@ -525,7 +525,7 @@ def exhaustive_verify_prepared(f, piece, depth):
         ball = Ball(rep, a + piece.m)
         for t in map(ctx.scalar, ball.representatives(depth)):
             try:
-                direct = f.ord_at(t)
+                direct = f.ord_at(t.value)
             except ZeroDivisionError as err:
                 # a piece from outside the sweep may contain a center
                 return PrepareCheck(False, t, f"{err}, inside the piece")

@@ -453,8 +453,10 @@ class TestContract:
             (["example", "exloc2", "-p", "3", "--levels", "0"], "--levels must be >= 1, got 0"),
             (["ac", "-p", "3", "-n", "0", "45"], "-n must be >= 1, got 0"),
             (["ac", "-p", "3", "-n", "-2", "45"], "-n must be >= 1, got -2"),
+            (["jacobian", "-p", "3", "-f", "x", "--ball", "1 + 3^1", "-M", "0"], "-M/--depth must be >= 1, got 0"),
+            (["jacobian", "-p", "3", "-f", "x", "--ball", "1 + 3^1", "--depth", "0"], "-M/--depth must be >= 1, got 0"),
         ],
-        ids=["m-depth", "levels", "n", "n-negative"],
+        ids=["m-depth", "levels", "n", "n-negative", "M", "depth"],
     )
     def test_a_count_below_one_names_its_flag(self, capsys, argv, err):
         assert run(capsys, *argv) == (2, "", f"error: {err}\n")

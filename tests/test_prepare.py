@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rationals
 from oracles import distance_balls, exhaustive_verify_prepared, scalar_piece_contains, worklist_prepare
-from ultralip.cells import format_cell
-from ultralip.qp_core import PadicScalar, PrimeContext
+from ultralip.cells import cell_contains, format_cell, point_cell
+from ultralip.qp_core import CosetSpec, PadicScalar, PrimeContext
 from ultralip.regions import Ball, Window, enumerate_window
 from ultralip.syntax import parse_term
 from ultralip.terms import evaluate
@@ -135,7 +135,7 @@ class TestFactoredTerm:
         term = parse_term(str(f))
         for v in (0, 2, Fraction(1, 5), 10):
             t = ctx5.scalar(v)
-            assert f.ord_at(t) == evaluate(term, {"t": t}).ord()
+            assert f.ord_at(t.value) == evaluate(term, {"t": t}).ord()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.data())
@@ -156,7 +156,7 @@ class TestFactoredTerm:
         for v in data.draw(st.lists(rationals | st.sampled_from(centers), min_size=1, max_size=5)):
             if v not in poles:
                 t = ctx.scalar(v)
-                assert f.ord_at(t) == evaluate(term, {"t": t}).ord()
+                assert f.ord_at(t.value) == evaluate(term, {"t": t}).ord()
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -183,7 +183,7 @@ class TestFactoredTerm:
     def test_pole_at_center(self, ctx3):
         f = parse_factored("1 * (t - 1)^-1", ctx3)
         with pytest.raises(ZeroDivisionError):
-            f.ord_at(ctx3.scalar(1))
+            f.ord_at(1)
 
 
 class TestMutationSensitivity:
@@ -356,6 +356,51 @@ class TestWalkOracle:
         f, window, m_depth = case
         walked = [piece_key(p) for p in prepare(f, window, m_depth)]
         assert walked == [piece_key(p) for p in worklist_prepare(f, window, m_depth)]
+
+
+def cell_of(piece):
+    """The point cell around c_j in the class residue * p^level_min * Q(m, 1)
+    on the piece's levels, built from its fields."""
+    ctx = piece.term.context
+    lam = ctx.scalar(piece.residue * ctx.power(piece.level_min))
+    return point_cell(
+        piece.term.centers[piece.chosen_center_index],
+        CosetSpec(lam, piece.m, 1),
+        piece.level_min,
+        piece.level_max,
+    )
+
+
+class TestPieceCell:
+    """A piece stores no cell: `cell` is built from the fields that
+    verify_prepared and piece_contains read, so it follows every change."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(branching_terms(), st.data())
+    def test_the_cell_follows_the_fields(self, case, data):
+        f, window, m_depth = case
+        pieces = prepare(f, window, m_depth)
+        assert all(piece.term is f and piece.cell == cell_of(piece) for piece in pieces)
+        piece = data.draw(st.sampled_from(pieces))
+        p, lo, hi = f.context.p, piece.level_min, piece.level_max
+        changes = {
+            "chosen_center_index": st.integers(0, len(f.centers) - 1),
+            "level_min": st.integers(lo - 3, lo + 3 if hi is None else hi),
+            "level_max": st.one_of(st.none(), st.integers(lo, lo + 3)),
+            "residue": st.sampled_from(f.context.units_mod(piece.m)),
+            "m": st.integers(piece.m, 3),  # so the residue stays a class mod p^m
+        }
+        points = st.builds(
+            lambda c, u, e: c.value + u * Fraction(p) ** e,
+            st.sampled_from(f.centers),
+            st.integers(-(p**3), p**3),
+            st.integers(lo - 2, lo + 4),
+        )
+        for name, values in changes.items():
+            changed = dataclasses.replace(piece, **{name: data.draw(values, label=name)})
+            assert changed.cell == cell_of(changed)
+            for x in map(f.context.scalar, data.draw(st.lists(points, min_size=1, max_size=4))):
+                assert cell_contains(changed.cell, x) == piece_contains(f, changed, x)
 
 
 MUTATIONS = ("exponent", "h", "center", "levels", "tail", "residue", "holds a center")

@@ -195,14 +195,30 @@ class TestJacobian:
         assert differences == []
 
 
+PREPARED = pytest.mark.parametrize(
+    "text, p, window, m",
+    [
+        ("7 * (t - 2) * (t - 11)^2 * (t - 29)^-1", 3, Window(0, 2, 1), 1),
+        ("3 * (t - 1/5) * (t - 26)^3 * (t - 1)", 5, Window(-1, 3, 1), 2),
+    ],
+)
+
+
 class TestPrepare:
-    @pytest.mark.parametrize(
-        "text, p, window, m",
-        [
-            ("7 * (t - 2) * (t - 11)^2 * (t - 29)^-1", 3, Window(0, 2, 1), 1),
-            ("3 * (t - 1/5) * (t - 26)^3 * (t - 1)", 5, Window(-1, 3, 1), 2),
-        ],
-    )
+    @PREPARED
+    def test_the_sweep_builds_no_scalar_and_no_cell(self, built, monkeypatch, text, p, window, m):
+        """A piece is plain data: the sweep builds neither the scalar
+        lambda nor the cell, which the piece builds when its cell is read."""
+        f = parse_factored(text, PrimeContext(p))
+        cells = []
+        spy = lambda *args, **kwargs: (cells.append(args), point_cell(*args, **kwargs))[1]
+        # the package re-exports the function prepare under the module's name
+        monkeypatch.setattr(sys.modules[prepare.__module__], "point_cell", spy)
+        pieces = run_counted(built, lambda: prepare(f, window, m))
+        assert len(pieces) > 1 and built.new == [] and cells == []
+        assert pieces[0].cell is not None and len(cells) == 1
+
+    @PREPARED
     def test_verify_builds_nothing_on_the_sweeps_pieces(self, built, text, p, window, m):
         f = parse_factored(text, PrimeContext(p))
         pieces = prepare(f, window, m)
@@ -210,3 +226,21 @@ class TestPrepare:
             check = run_counted(built, lambda: verify_prepared(f, piece, 3))
             assert check.passed and check.witness is None
             assert built.new == []
+
+    def test_a_ball_holding_a_center_is_scanned_on_raw_values(self, built):
+        """The level-0 ball of class 2 around 0 holds the centers 1/2 and
+        39367/2 = 1/2 + 3^9 of opposite exponents, closer to each other than
+        p^(radius + M) at both depths, so ord f is constant on the
+        representatives and the scan reads every one of them.  Only the ball
+        is built, at either depth."""
+        f = parse_factored("1 * (t - 0) * (t - 1/2) * (t - 39367/2)^-1", PrimeContext(3))
+        piece = dataclasses.replace(
+            prepare(f, Window(0, 0, 1))[0],
+            chosen_center_index=0, level_min=0, level_max=0, residue=2, m=1, exponent=1, h_exponent=0,
+        )
+        counts = []
+        for depth in (2, 4):
+            check = run_counted(built, lambda: verify_prepared(f, piece, depth))
+            assert not check.passed and check.witness is None
+            counts.append(len(built.counted))
+        assert counts == [1, 1]
