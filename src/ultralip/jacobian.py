@@ -59,7 +59,7 @@ from .qp_core import (
 )
 from .regions import Ball, Window, child_labels, least_ord_break, splitting_classes
 from .cells import BallsOverlap, Cell, NoCandidateFits, enumerate_balls, fit_cell
-from .syntax import Term, free_variables
+from .syntax import Term, fiber_variable
 from .terms import EvaluationError, compile_value, differentiate, polynomial, taylor_shift
 
 __all__ = [
@@ -163,14 +163,6 @@ class CertificateCheck:
     detail: str
 
 
-def _fiber_variable(f: Term, default: str) -> str:
-    """The one variable of f, or default when f has none."""
-    names = free_variables(f)
-    if len(names) > 1:
-        raise ValueError(f"term must be univariate, found variables {names}")
-    return names[0] if names else default
-
-
 def _first_collision(keys: Iterable, points: list) -> Optional[tuple]:
     """(x, y, key) for the first point y whose key an earlier point x has, or
     None.  keys is aligned with points and read lazily, up to y; the points
@@ -238,7 +230,7 @@ def check_jacobian_on_ball(f: Term, ball: Ball, depth: int):
     """
     if depth < 1:
         raise ValueError("certification depth must be >= 1")
-    var = _fiber_variable(f, "t")
+    var = fiber_variable(f, "t")
     image = _shift_image(f, ball)
     if image is not None:
         return JacobianCertificate(ball, image, image.radius_ord - ball.radius_ord, depth)
@@ -349,7 +341,7 @@ def map_ball(f: Term, ball: Ball, depth: int):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    var = _fiber_variable(f, "t")
+    var = fiber_variable(f, "t")
     reps = ball.representatives(depth)
     f_at = compile_value(f, ball.context)
     return _tile(reps, [f_at({var: x}) for x in reps], depth, ball.context)
@@ -427,12 +419,13 @@ def check_ball_correspondence(
     Success returns the ball pairing and the fitted image cell.
     """
     y = y or {}
-    var = _fiber_variable(f, cell.fiber_var)
+    var = fiber_variable(f, cell.fiber_var)
     ctx = cell.context
     source_balls = enumerate_balls(cell, y, window)
     if not source_balls:
         return CorrespondenceFailure(
-            "no_balls_in_window", (), f"the cell has no balls with level in {window}"
+            "no_balls_in_window", (),
+            f"the cell has no balls with level in [{window.v_min},{window.v_max}]",
         )
     if depth < 1:
         raise ValueError("representative depth must be >= 1")

@@ -35,6 +35,7 @@ from .syntax import (
     PiecewiseFunction,
     Term,
     Variable,
+    fiber_variable,
     format_condition,
     free_variables,
 )
@@ -43,7 +44,6 @@ from .jacobian import (
     BallCorrespondence,
     CorrespondenceFailure,
     JacobianViolation,
-    _fiber_variable,
     check_jacobian_on_ball,
 )
 
@@ -387,7 +387,7 @@ def check_bounded_derivative_local_lipschitz(
     its ball tree (see _local_break); the witness is the first failing pair
     in the order of an all-pairs scan.
     """
-    var = _fiber_variable(f, "t")
+    var = fiber_variable(f, "t")
     p = ctx.p
     f_at, deriv_at = compile_value(f, ctx), compile_value(differentiate(f, var), ctx)
     in_region = compile_condition(region, ctx)

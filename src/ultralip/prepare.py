@@ -280,7 +280,10 @@ def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
 def piece_contains(f: FactoredTerm, piece: PreparedPiece, t: PadicScalar) -> bool:
     """Whether t lies in the piece: ord(t - c_j) in the level range and
     ac_m(t - c_j) = residue.  Both are read from t - c_j = num / den with the
-    numerator and denominator cross-multiplied and not reduced."""
+    numerator and denominator cross-multiplied and not reduced.  f must be
+    the piece's own term."""
+    if f is not piece.term and f != piece.term:
+        raise ValueError("the piece was prepared from another term")
     x, c = t.value, f.values[piece.chosen_center_index]
     if x.__class__ is int and c.__class__ is int:
         num, den = x - c, 1
@@ -328,7 +331,10 @@ def verify_prepared(f: FactoredTerm, piece: PreparedPiece, depth: int) -> Prepar
     The (exponent, h) pair is additionally checked against the geometric
     profile of the cell on [level_min, hi], which pins the exponent even on
     single-level pieces where the identity alone cannot distinguish it.
+    f must be the piece's own term.
     """
+    if f is not piece.term and f != piece.term:
+        raise ValueError("the piece was prepared from another term")
     if depth < 1:
         raise ValueError("verification depth must be >= 1")
     ctx, p = f.context, f.context.p

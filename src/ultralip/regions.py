@@ -117,9 +117,6 @@ class Window:
     def levels(self) -> range:
         return range(self.v_min, self.v_max + 1)
 
-    def __str__(self) -> str:
-        return f"ord in [{self.v_min},{self.v_max}] @ depth {self.depth}"
-
     def ball_of(self, x: PadicScalar) -> Ball:
         """The granularity ball x + p^(ord(x) + depth) Z_p of a point x != 0."""
         if x.is_zero:

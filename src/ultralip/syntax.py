@@ -75,6 +75,7 @@ __all__ = [
     "format_term",
     "format_condition",
     "free_variables",
+    "fiber_variable",
     "TermError",
     "ParseError",
 ]
@@ -799,3 +800,10 @@ def free_variables(node) -> tuple:
     walk(node)
     return tuple(seen)
 
+
+def fiber_variable(f: Term, default: str) -> str:
+    """The one variable of f, or default when f has none."""
+    names = free_variables(f)
+    if len(names) > 1:
+        raise ValueError(f"term must be univariate, found variables {names}")
+    return names[0] if names else default

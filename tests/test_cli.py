@@ -247,6 +247,19 @@ class TestJacobianCommands:
             "cell(center=0; coset=16*Q(1,1); ord in [4,4]; var=x)",
         ]
 
+    def test_correspondence_no_balls_names_the_levels(self, capsys):
+        """The window's levels hold no ball of the cell; -M is the depth of
+        the representatives and is not part of the levels."""
+        code, out, _ = run(
+            capsys, "correspondence", "-p", "3", "-f", "x^2", "--coset", "3*Q(1,2)",
+            "--var", "x", "--window=0:0", "-M", "2",
+        )
+        assert code == 1
+        assert out == (
+            "correspondence failed (no_balls_in_window): "
+            "the cell has no balls with level in [0,0]\n"
+        )
+
 class TestLipschitzCommands:
     def test_empirical(self, capsys):
         code, out, _ = run(

@@ -1,25 +1,30 @@
 """Static hygiene of the package source, checked with the stdlib ast module.
 
-Every module-level import in src/ultralip/*.py (except the package's
-__init__, which re-exports) must be used in its module or listed in the
-module's __all__.  Every module-level private function or class must be
-referenced somewhere in src/ultralip outside its own body.  An import or a
-helper left behind by a deletion fails here.  No module imports a private
-name from another module of the package, except the few that are shared on
-purpose, each listed with its reason.  The modules import each other
-without a cycle, and none passes the parser's token threshold.  The
-command line writes to stdout from one place: only `cli.dispatch` names
-`print` or `stdout`.  A scalar is built in one place: qp_core writes the
-`value` and `context` slots of PadicScalar only inside its `__init__`.
-Every Hypothesis property under tests/ is derandomized, so each run of the
-suite draws the same examples.  Every function of tests/oracles.py is
-referenced by a test module or by another oracle, so an oracle left behind
-by a deletion fails too.  Only jacobian's shift helper calls
-terms.taylor_shift, so the Taylor-shift test has one implementation.
+Every module-level import in src/ultralip/*.py must be used in its module
+or listed in the module's __all__.  Every module-level private function or
+class must be referenced somewhere in src/ultralip outside its own body.
+An import or a helper left behind by a deletion fails here.  No module
+imports a private name from another module of the package, except the few
+that are shared on purpose, each listed with its reason.  The modules
+import each other without a cycle, and none passes the parser's token
+threshold.  Each module, imported alone in a fresh interpreter, loads
+exactly the package root and its closure under the import graph: the root
+re-exports nothing, so no module is loaded only because another was
+imported.  The command line writes to stdout from one place: only
+`cli.dispatch` names `print` or `stdout`.  A scalar is built in one place:
+qp_core writes the `value` and `context` slots of PadicScalar only inside
+its `__init__`.  Every Hypothesis property under tests/ is derandomized,
+so each run of the suite draws the same examples.  Every function of
+tests/oracles.py is referenced by a test module or by another oracle, so
+an oracle left behind by a deletion fails too.  Only jacobian's shift
+helper calls terms.taylor_shift, so the Taylor-shift test has one
+implementation.
 """
 
 import ast
 import graphlib
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -196,7 +201,6 @@ def test_check_sees_every_user():
 # the private names that a module may import from another, with the reason
 SHARED_PRIVATES = {
     "_Parser": "syntax is the one reader of literal text",
-    "_fiber_variable": "jacobian's one-variable rule, which the local check shares",
 }
 
 
@@ -255,6 +259,53 @@ def test_check_sees_import_cycles():
     assert graph == {"a": {"b"}, "b": {"a"}}
     with pytest.raises(graphlib.CycleError):
         list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def closure(graph: dict, module: str) -> set:
+    """module and every module it reaches in the import graph."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph.get(name, ()))
+    return seen
+
+
+def loaded_alone(root: Path, package: str, module: str) -> set:
+    """Names of the package's modules that a fresh interpreter holds after
+    importing package.module alone, with root as the only added path."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        f"import {package}.{module}\n"
+        f"print(*(n for n in sys.modules if n.partition('.')[0] == {package!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-W", "error", "-c", code, str(root)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_module_imported_alone_loads_its_import_closure(path):
+    graph = import_graph({p.stem: p.read_text() for p in MODULES})
+    expected = {"ultralip"} | {f"ultralip.{m}" for m in closure(graph, path.stem)}
+    assert loaded_alone(SRC.parent, "ultralip", path.stem) == expected
+
+
+def test_check_sees_modules_loaded_by_the_package_root(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .b import g\n")
+    (package / "a.py").write_text("def f():\n    pass\n")
+    (package / "b.py").write_text("from .a import f\ng = f\n")
+    (package / "c.py").write_text("")
+    graph = import_graph({p.stem: p.read_text() for p in package.glob("[!_]*.py")})
+    assert closure(graph, "a") == {"a"} and closure(graph, "b") == {"a", "b"}
+    assert loaded_alone(tmp_path, "pkg", "a") == {"pkg", "pkg.a", "pkg.b"}
+    assert loaded_alone(tmp_path, "pkg", "c") == {"pkg", "pkg.a", "pkg.b", "pkg.c"}
 
 
 def output_outside(source: str, owner: str) -> list:

@@ -564,6 +564,32 @@ class TestPieceContains:
                 contains(f, piece, ctx3.scalar(1))
 
 
+class TestThePiecesOwnTerm:
+    """verify_prepared and piece_contains read the centers from f and the
+    cell from piece.term, so f must be the term the piece was prepared from."""
+
+    TEXT = "7 * (t - 2) * (t - 11)^2 * (t - 29)^-1"
+
+    def test_another_term_is_refused(self):
+        f = parse_factored(self.TEXT, PrimeContext(3))
+        other = parse_factored("7 * (t - 2) * (t - 11)^2 * (t - 28)^-1", PrimeContext(3))
+        for piece in prepare(f, Window(-1, 2, 1), 2):
+            with pytest.raises(ValueError, match="prepared from another term"):
+                verify_prepared(other, piece, 2)
+            with pytest.raises(ValueError, match="prepared from another term"):
+                piece_contains(other, piece, f.centers[0])
+
+    def test_the_same_term_parsed_twice_passes(self):
+        f = parse_factored(self.TEXT, PrimeContext(3))
+        twin = parse_factored(self.TEXT, PrimeContext(3))
+        assert twin is not f and twin == f
+        for piece in prepare(f, Window(-1, 2, 1), 2):
+            assert verify_prepared(twin, piece, 2).passed
+            for t in (-1, 5, 2 + 3**2, 11 + 2 * 3, 29 - 3**3):
+                x = f.context.scalar(t)
+                assert piece_contains(twin, piece, x) == piece_contains(f, piece, x)
+
+
 def random_unitish(rng, p):
     num = rng.randint(1, 50) * rng.choice([-1, 1])
     den = rng.randint(1, 50)

@@ -17,6 +17,7 @@ import types
 
 import pytest
 
+import ultralip.prepare
 from ultralip.cells import fit_cell, point_cell
 from ultralip.jacobian import (
     BallCorrespondence,
@@ -212,8 +213,7 @@ class TestPrepare:
         f = parse_factored(text, PrimeContext(p))
         cells = []
         spy = lambda *args, **kwargs: (cells.append(args), point_cell(*args, **kwargs))[1]
-        # the package re-exports the function prepare under the module's name
-        monkeypatch.setattr(sys.modules[prepare.__module__], "point_cell", spy)
+        monkeypatch.setattr(ultralip.prepare, "point_cell", spy)
         pieces = run_counted(built, lambda: prepare(f, window, m))
         assert len(pieces) > 1 and built.new == [] and cells == []
         assert pieces[0].cell is not None and len(cells) == 1
