@@ -154,7 +154,8 @@ def enumerate_balls(cell: Cell, y: Optional[Mapping], window: Window) -> list:
 
     Levels run over window values congruent to ord(lambda) mod n and
     compatible with the alpha/beta bounds; the returned balls are pairwise
-    disjoint, ordered by level.
+    disjoint, ordered by level.  Only the window's levels are read, never
+    its depth.
     """
     y = y or {}
     if cell.is_zero_cell:

@@ -84,7 +84,9 @@ def _at_least_one(flag: str, value: int) -> int:
 
 def _window(args, depth=1):
     """--window "a:b" as a Window at the given depth; with depth None the
-    text is only checked."""
+    text is only checked.  enumerate-balls, correspondence, certify and
+    prepare take the default depth 1, which nothing reads: their library
+    calls read only the window's levels."""
     try:
         lo, hi = args.window.split(":")
         lo, hi = int(lo), int(hi)
@@ -262,9 +264,7 @@ def _cmd_lipschitz(args, ctx: PrimeContext) -> tuple:
     if isinstance(f, Condition):
         raise UsageError("lipschitz expects a term or piecewise function")
     region = parse_condition(args.region) if args.region else TrueCond()
-    report = empirical_lipschitz(
-        f, region, _window(args, args.depth), ctx, region_text=args.region or "true"
-    )
+    report = empirical_lipschitz(f, region, _window(args, args.depth), ctx)
     c_str = _norm_str(ctx.p, report.constant_exponent) if report.constant_exponent is not None else "0 (f constant on region)"
     witness = "" if report.witness is None else f"\n  witness: ({', '.join(map(_w_str, report.witness))})"
     text = (
@@ -374,12 +374,12 @@ def _build_parser() -> tuple:
     sub = top.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def command(name, help, handler, depth=None, function=False, cell=False, window=None):
+    def command(name, help, handler, depth=None, function=None, cell=False, window=None):
         """A subcommand with -p and --json; -M when it has a depth default;
-        -f/--function when `function` is set (a string is its help); the
-        four cell flags when `cell` is set; and --window, required when
-        `window` is True and otherwise defaulting to it.  Returns the
-        subparser, for the options that follow."""
+        -f/--function when `function`, its help, is given; the four cell
+        flags when `cell` is set; and --window, required when `window` is
+        True and otherwise defaulting to it.  Returns the subparser, for the
+        options that follow."""
         p = commands[name] = sub.add_parser(name, help=help)
         p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(handler=handler)
@@ -387,8 +387,8 @@ def _build_parser() -> tuple:
         p.add_argument("--json", action="store_true", help="emit JSON")
         if depth is not None:  # only the commands that read args.depth
             p.add_argument("-M", "--depth", type=int, default=depth, help="verification depth")
-        if function:
-            p.add_argument("-f", "--function", required=True, help=function if isinstance(function, str) else None)
+        if function is not None:
+            p.add_argument("-f", "--function", required=True, help=function)
         if cell:
             p.add_argument("--cell", help="cell literal cell(...)")
             p.add_argument("--center", help="cell center rational (with --coset)")
@@ -396,47 +396,50 @@ def _build_parser() -> tuple:
             p.add_argument("--var", help="fiber variable name (default t)")
         if window is not None:
             required = window is True
-            p.add_argument("--window", required=required, default=None if required else window, metavar="A:B")
+            p.add_argument(
+                "--window", required=required, default=None if required else window, metavar="A:B",
+                help="the levels ord in [A,B]" + ("" if required else f" (default {window})"),
+            )
         return p
 
-    p = command("eval", "evaluate a term at a rational point", _cmd_eval, function=True)
-    p.add_argument("--at", action="append", metavar="NAME=RAT")
+    p = command("eval", "evaluate a term at a rational point", _cmd_eval, function="term or piecewise function")
+    p.add_argument("--at", action="append", metavar="NAME=RAT", help="a variable's value (repeatable)")
     p = command("ord", "p-adic valuation of a rational", _cmd_ord)
-    p.add_argument("value")
+    p.add_argument("value", help="rational [-]int[/int]")
     p = command("ac", "angular component mod p^n", _cmd_ac)
     p.add_argument("-n", type=int, default=1, help="modulus depth")
-    p.add_argument("value")
+    p.add_argument("value", help="rational [-]int[/int]")
     p = command("ball-of-cell", "maximal ball of a cell through a point", _cmd_ball_of_cell, cell=True)
     p.add_argument("--t", required=True, help="fiber point (rational)")
     command("enumerate-balls", "balls of a cell in a window", _cmd_enumerate_balls, cell=True, window=True)
-    p = command("jacobian", "certify the Jacobian property on a ball", _cmd_jacobian, depth=3, function=True)
-    p.add_argument("--ball", required=True, metavar='"c + p^k"')
-    p = command("map-ball", "image of a ball under a term", _cmd_map_ball, depth=3, function=True)
-    p.add_argument("--ball", required=True, metavar='"c + p^k"')
+    p = command("jacobian", "certify the Jacobian property on a ball", _cmd_jacobian, depth=3, function="term f")
+    p.add_argument("--ball", required=True, metavar='"c + p^k"', help="the ball c + p^k Z_p")
+    p = command("map-ball", "image of a ball under a term", _cmd_map_ball, depth=3, function="term f")
+    p.add_argument("--ball", required=True, metavar='"c + p^k"', help="the ball c + p^k Z_p")
     p = command(
         "correspondence", "ball correspondence of a cell under f", _cmd_correspondence,
-        depth=3, function=True, cell=True, window=True,
+        depth=3, function="term f", cell=True, window=True,
     )
     p.add_argument("--candidate", action="append", help="extra image-cell center")
     p = command(
         "lipschitz", "empirical Lipschitz lower bound with witness", _cmd_lipschitz,
-        depth=2, function=True, window=True,
+        depth=2, function="term or piecewise function", window=True,
     )
     p.add_argument("--region", help="condition (default: true)")
     p = command(
         "certify", "certified per-cell Lipschitz constant", _cmd_certify,
-        depth=3, function=True, cell=True, window=True,
+        depth=3, function="term f", cell=True, window=True,
     )
-    p.add_argument("--candidate", action="append")
+    p.add_argument("--candidate", action="append", help="extra image-cell center")
     p.add_argument("--epsilon-exponent", type=int, default=0, help="epsilon = p^e")
     p = command(
         "prepare", "prepared cell decomposition of a factored term", _cmd_prepare,
-        depth=3, function='"u * (t - c1)^a1 * ..."', window=True,
+        depth=3, function='factored term "u * (t - c1)^a1 * ..."', window=True,
     )
-    p.add_argument("--m-depth", type=int, default=1)
+    p.add_argument("--m-depth", type=int, default=1, help="coset depth m of the cells")
     p.add_argument("--verify", action="store_true", help="run the oracle on each piece")
     p = command("example", "reproduce a counterexample family", _cmd_example, depth=2, window="0:4")
-    p.add_argument("which", choices=["exloc", "exloc2"])
+    p.add_argument("which", choices=["exloc", "exloc2"], help="the counterexample family")
     p.add_argument("--levels", type=int, default=5, help="levels for exloc2")
     return top, commands
 

@@ -416,7 +416,8 @@ def check_ball_correspondence(
     fitted around candidate centers (f at the cell center when defined,
     0, and caller extras), and fit_cell reports the first pair of images
     that are not disjoint.
-    Success returns the ball pairing and the fitted image cell.
+    Success returns the ball pairing and the fitted image cell.  Only the
+    window's levels are read; the representative depth is `depth`.
     """
     y = y or {}
     var = fiber_variable(f, cell.fiber_var)

@@ -252,7 +252,6 @@ def empirical_lipschitz(
     region: Condition,
     window: Window,
     ctx: PrimeContext,
-    region_text: Optional[str] = None,
 ) -> LipschitzReport:
     """Largest ratio |f(x1)-f(x2)| / |x1-x2| over all representative pairs.
 
@@ -265,7 +264,8 @@ def empirical_lipschitz(
     call counts the points tried and accepted.  The pairs are not visited
     one by one: a pass over the ball tree of the accepted points finds the
     best ratio in O(N * levels) (see _tree_scan).  Only the two witness
-    points become scalars.
+    points become scalars.  The report labels its region with
+    format_condition(region), the condition scanned.
     """
     variables = _function_variables(f)
     axis = sorted(enumerate_window(window, ctx))
@@ -295,7 +295,7 @@ def empirical_lipschitz(
         constant_exponent=best,
         witness=best_witness,
         depth=window.depth,
-        region=region_text if region_text is not None else format_condition(region),
+        region=format_condition(region),
     )
 
 

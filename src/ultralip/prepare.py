@@ -233,7 +233,8 @@ def prepare(f: FactoredTerm, window: Window, m_depth: int = 1) -> list:
     unbounded, and a center alone in its ball ends in a tail (level_max
     None).  All cells use coset depth m_depth (ties split into
     ac_(m_depth) classes) and step n = 1.  Output is ordered by (center
-    index, level, residue).
+    index, level, residue).  Only the window's levels are read, never its
+    depth.
     """
     if m_depth < 1:
         raise ValueError("m_depth must be >= 1")

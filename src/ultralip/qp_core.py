@@ -14,9 +14,11 @@ integer and a ``Fraction`` (denominator > 1) otherwise.  The constructor is
 the one place a scalar is built: it normalises every value to that form, so
 no value is ever a float.  Because ``3 == Fraction(3)`` with equal hashes
 and strings, values, hashes, equality and printing are those of the plain
-``Fraction`` representation.  A scalar computes its ``ord`` once and keeps
-it: an ``int``, or ``INFINITE_ORD = math.inf`` for zero, so ``int`` and
-``math.inf`` model Z u {+inf} with its order and with ``inf + k = inf``.
+``Fraction`` representation.  ``PadicScalar`` is a frozen dataclass with
+an instance dict.  It computes its ``ord`` once and keeps it in a field
+that equality, hashing and repr do not read: an ``int``, or
+``INFINITE_ORD = math.inf`` for zero, so ``int`` and ``math.inf`` model
+Z u {+inf} with its order and with ``inf + k = inf``.
 ``format_ord`` is the one place that writes a valuation as text.
 ``valuation(value, p)``, ``residue(value, k, p)`` and
 ``unit_residue(value, ord, n, p)`` are ``ord``, ``reduce_mod_power(k).value``
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -173,41 +175,28 @@ def unit_residue(value: "int | Fraction", v: int, n: int, p: int) -> int:
     return num * pow(den, -1, pn) % pn
 
 
+@dataclass(frozen=True, init=False)
 class PadicScalar:
     """An exact rational viewed p-adically.
 
     ``value`` is an int when the scalar is an integer and a Fraction
-    otherwise; ``context`` is its PrimeContext.  Scalars are immutable and
-    hash and compare equal by (value, context).  The valuation is computed
-    on first use and cached; norm exponent and angular components are
+    otherwise; ``context`` is its PrimeContext.  A frozen dataclass with an
+    instance dict, hashed and compared by (value, context).  The valuation
+    is computed on first use and cached in ``_ord``, which equality, hash
+    and repr do not read; norm exponent and angular components are
     computed on demand and are exact.
     """
 
-    __slots__ = ("value", "context", "_ord")
+    value: "int | Fraction"
+    context: PrimeContext
+    _ord: "int | float | None" = field(init=False, compare=False, repr=False)
 
     def __init__(self, value: object, context: PrimeContext) -> None:
         if value.__class__ is not int:
             value = _normalise(value)
-        _set_value(self, value)
-        _set_context(self, context)
-        _set_ord(self, None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return (PadicScalar, (self.value, self.context))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PadicScalar:
-            return NotImplemented
-        return self.value == other.value and other.context is self.context
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.context))
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "_ord", None)
 
     # -- valuation-layer queries -------------------------------------
 
@@ -220,7 +209,7 @@ class PadicScalar:
         v = self._ord
         if v is None:
             v = valuation(self.value, self.context.p)
-            _set_ord(self, v)
+            object.__setattr__(self, "_ord", v)
         return v
 
     def norm_exponent(self) -> "int | None":
@@ -289,12 +278,6 @@ class PadicScalar:
 
     def __repr__(self) -> str:
         return f"PadicScalar({self.value}, p={self.context.p})"
-
-
-# Slot setters that bypass the frozen __setattr__.
-_set_value = PadicScalar.__dict__["value"].__set__
-_set_context = PadicScalar.__dict__["context"].__set__
-_set_ord = PadicScalar.__dict__["_ord"].__set__
 
 
 @dataclass(frozen=True)

@@ -764,38 +764,24 @@ def format_condition(c: Condition) -> str:
 
 
 def free_variables(node) -> tuple:
-    """Variable names in first-occurrence order."""
-    seen: list = []
+    """Variable names in first-occurrence order: each node's fields are
+    walked in declaration order, tuples item by item, and anything else
+    (declared names, constants, the cache) is skipped."""
+    if not isinstance(node, _Node):
+        raise TypeError(f"not an AST node: {node!r}")
+    seen: dict = {}
 
     def walk(x):
         if isinstance(x, Variable):
-            if x.name not in seen:
-                seen.append(x.name)
-        elif isinstance(x, (Add, Sub, Mul, Div)):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, IntPow):
-            walk(x.base)
-        elif isinstance(x, (NormVal, LevelSpike)):
-            walk(x.arg)
-        elif isinstance(x, NormCmp):
-            walk(x.lhs)
-            walk(x.rhs)
-        elif isinstance(x, (OrdCongruence, CosetMember)):
-            walk(x.term)
-        elif isinstance(x, (And, Or)):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Not):
-            walk(x.inner)
-        elif isinstance(x, PiecewiseFunction):
-            for cond, body in x.pieces:
-                walk(cond)
-                walk(body)
-        elif isinstance(x, (RationalConst, TrueCond)):
-            pass
-        else:
-            raise TypeError(f"not an AST node: {x!r}")
+            seen[x.name] = None
+        elif isinstance(x, _Node):
+            # the instance dict holds the fields in declaration order, and
+            # reads faster than dataclasses.fields(); the _cache dict is skipped
+            for child in vars(x).values():
+                walk(child)
+        elif isinstance(x, tuple):
+            for child in x:
+                walk(child)
 
     walk(node)
     return tuple(seen)

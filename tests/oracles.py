@@ -45,6 +45,9 @@ top_level_parse is the reference for cli._parse: the whole command line
 read by the top-level parser, which finds the command name and hands the
 words after it to the command's parser.
 
+walk_free_variables is the reference for syntax.free_variables: one
+isinstance branch per node class, naming the children of each.
+
 _eval and _eval_cond are the references for the compiled evaluator: the
 recursive walk over the term tree, one node at a time, with PadicScalar
 arithmetic at every node.  walk_piecewise evaluates a piecewise function
@@ -75,6 +78,7 @@ from ultralip.syntax import (
     Or,
     OrdCongruence,
     ParseError,
+    PiecewiseFunction,
     RationalConst,
     Sub,
     Term,
@@ -662,6 +666,48 @@ def walk_piecewise(pf, point, ctx):
     if len(matches) > 1:
         raise PieceOverlapError(f"pieces overlap at the point {_point_str(point)}")
     return _eval(matches[0], point, ctx)
+
+
+# ---------------------------------------------------------------------------
+# free variables, one branch per node class
+
+
+def walk_free_variables(node) -> tuple:
+    """Variable names in first-occurrence order."""
+    seen: list = []
+
+    def walk(x):
+        if isinstance(x, Variable):
+            if x.name not in seen:
+                seen.append(x.name)
+        elif isinstance(x, (Add, Sub, Mul, Div)):
+            walk(x.left)
+            walk(x.right)
+        elif isinstance(x, IntPow):
+            walk(x.base)
+        elif isinstance(x, (NormVal, LevelSpike)):
+            walk(x.arg)
+        elif isinstance(x, NormCmp):
+            walk(x.lhs)
+            walk(x.rhs)
+        elif isinstance(x, (OrdCongruence, CosetMember)):
+            walk(x.term)
+        elif isinstance(x, (And, Or)):
+            walk(x.left)
+            walk(x.right)
+        elif isinstance(x, Not):
+            walk(x.inner)
+        elif isinstance(x, PiecewiseFunction):
+            for cond, body in x.pieces:
+                walk(cond)
+                walk(body)
+        elif isinstance(x, (RationalConst, TrueCond)):
+            pass
+        else:
+            raise TypeError(f"not an AST node: {x!r}")
+
+    walk(node)
+    return tuple(seen)
 
 
 def top_level_parse(argv):

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import io
@@ -268,6 +269,14 @@ class TestLipschitzCommands:
         assert code == 0
         assert "C = 3^-1" in out
 
+    def test_the_region_label_is_the_scanned_condition(self, capsys):
+        code, out, _ = run(
+            capsys, "lipschitz", "-p", "3", "-f", "x^2", "--window=0:1", "-M", "1",
+            "--region", "|x|<=|1|", "--json",
+        )
+        assert code == 0
+        assert '"region":"|x| <= |1|"' in out
+
     def test_certify(self, capsys):
         code, out, _ = run(
             capsys, "certify", "-p", "3", "-f", "x^2",
@@ -441,6 +450,15 @@ class TestContract:
         assert "Traceback" in err
         assert "AssertionError: sweep invariant broken" in err
         assert "internal error" in err
+
+    def test_every_option_has_a_help_line(self):
+        missing = [
+            f"{name} {'/'.join(action.option_strings) or action.dest}"
+            for name, parser in _build_parser()[1].items()
+            for action in parser._actions
+            if not action.help and not isinstance(action, argparse._HelpAction)
+        ]
+        assert missing == []
 
     def test_depth_zero_exit_two(self, capsys):
         code, _, err = run(

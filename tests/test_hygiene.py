@@ -12,7 +12,7 @@ exactly the package root and its closure under the import graph: the root
 re-exports nothing, so no module is loaded only because another was
 imported.  The command line writes to stdout from one place: only
 `cli.dispatch` names `print` or `stdout`.  A scalar is built in one place:
-qp_core writes the `value` and `context` slots of PadicScalar only inside
+qp_core writes the `value` and `context` fields of PadicScalar only inside
 its `__init__`.  Every Hypothesis property under tests/ is derandomized,
 so each run of the suite draws the same examples.  Every function of
 tests/oracles.py is referenced by a test module or by another oracle, so
@@ -350,33 +350,15 @@ def test_check_sees_output_outside_dispatch():
     assert output_outside(source, "dispatch") == [3, 10, 11]
 
 
-SCALAR_SLOTS = ("value", "context")
+SCALAR_FIELDS = ("value", "context")
 
 
-def slot_writes(source: str, cls: str, slots=SCALAR_SLOTS) -> list:
-    """Line of each write of one of the slots outside `cls.__init__`: a call
-    of a slot's descriptor `__set__`, directly or through a module-level
-    alias, or an `object.__setattr__` or `setattr` that names the slot.  (A
-    plain assignment meets the class's frozen `__setattr__`.)"""
+def field_writes(source: str, cls: str, fields=SCALAR_FIELDS) -> list:
+    """Line of each write of one of the fields outside `cls.__init__`: an
+    `object.__setattr__` or `setattr` that names the field, or a store into
+    the instance dict under its name.  (A plain assignment meets the frozen
+    dataclass's `__setattr__`.)"""
     tree = ast.parse(source)
-
-    def is_setter(node) -> bool:
-        # <anything>.__dict__["<slot>"].__set__
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr == "__set__"
-            and isinstance(node.value, ast.Subscript)
-            and isinstance(node.value.slice, ast.Constant)
-            and node.value.slice.value in slots
-        )
-
-    aliases = {
-        target.id
-        for top in tree.body
-        if isinstance(top, ast.Assign) and is_setter(top.value)
-        for target in top.targets
-        if isinstance(target, ast.Name)
-    }
     inside = {
         id(node)
         for top in tree.body
@@ -387,51 +369,62 @@ def slot_writes(source: str, cls: str, slots=SCALAR_SLOTS) -> list:
     }
     lines = []
     for node in ast.walk(tree):
-        if id(node) in inside or not isinstance(node, ast.Call):
+        if id(node) in inside:
             continue
-        func, args = node.func, node.args
-        named = (
-            len(args) > 1
-            and isinstance(args[1], ast.Constant)
-            and args[1].value in slots
-            and (
-                (isinstance(func, ast.Name) and func.id == "setattr")
-                or (isinstance(func, ast.Attribute) and func.attr == "__setattr__")
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            named = (
+                len(args) > 1
+                and isinstance(args[1], ast.Constant)
+                and args[1].value in fields
+                and (
+                    (isinstance(func, ast.Name) and func.id == "setattr")
+                    or (isinstance(func, ast.Attribute) and func.attr == "__setattr__")
+                )
             )
-        )
-        if named or is_setter(func) or (isinstance(func, ast.Name) and func.id in aliases):
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            # <anything>.__dict__["<field>"] = ...
+            named = (
+                isinstance(node.value, ast.Attribute)
+                and node.value.attr == "__dict__"
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value in fields
+            )
+        else:
+            continue
+        if named:
             lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_a_scalar_is_built_only_by_its_constructor():
-    assert slot_writes((SRC / "qp_core.py").read_text(), "PadicScalar") == []
+    assert field_writes((SRC / "qp_core.py").read_text(), "PadicScalar") == []
 
 
-def test_check_sees_slot_writes_outside_init():
+def test_check_sees_field_writes_outside_init():
     source = (
+        "@dataclass(frozen=True, init=False)\n"
         "class PadicScalar:\n"
-        "    __slots__ = ('value', 'context', '_ord')\n"
+        "    value: int\n"
+        "    context: object\n"
         "    def __init__(self, value, context):\n"
-        "        _set_value(self, value)\n"
+        "        object.__setattr__(self, 'value', value)\n"
         "        object.__setattr__(self, 'context', context)\n"
         "    def ord(self):\n"
-        "        _set_ord(self, 0)\n"
         "        object.__setattr__(self, '_ord', 0)\n"
         "    def __neg__(self):\n"
         "        s = object.__new__(PadicScalar)\n"
-        "        _set_value(s, -self.value)\n"
+        "        object.__setattr__(s, 'value', -self.value)\n"
         "        object.__setattr__(s, 'context', self.context)\n"
         "        return s\n"
-        "_set_value = PadicScalar.__dict__['value'].__set__\n"
-        "_set_ord = PadicScalar.__dict__['_ord'].__set__\n"
         "def _scalar(value, context):\n"
         "    s = object.__new__(PadicScalar)\n"
-        "    PadicScalar.__dict__['context'].__set__(s, context)\n"
+        "    object.__setattr__(s, 'context', context)\n"
         "    setattr(s, 'value', value)\n"
+        "    s.__dict__['value'] = value\n"
         "    return s\n"
     )
-    assert slot_writes(source, "PadicScalar") == [11, 12, 18, 19]
+    assert field_writes(source, "PadicScalar") == [12, 13, 17, 18, 19]
 
 
 def _is_named(node, name: str) -> bool:

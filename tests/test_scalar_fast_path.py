@@ -189,6 +189,13 @@ class TestRepresentation:
         x = ctx3.scalar(18)
         assert x.ord() is x.ord()
 
+    def test_the_cached_ord_is_not_compared(self, ctx3):
+        for value in (18, Fraction(5, 9), 0):
+            x, y = ctx3.scalar(value), ctx3.scalar(value)
+            x.ord()
+            assert x._ord is not None and y._ord is None
+            assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
     def test_copies_keep_value_and_context(self):
         ctx7 = PrimeContext(7)
         x = ctx7.scalar(Fraction(98, 3))

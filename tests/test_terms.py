@@ -366,12 +366,6 @@ class TestRoundTrip:
             assert parse_condition(format_condition(c)) == c
 
 
-class TestFreeVariables:
-    def test_order_of_first_occurrence(self):
-        t = parse_term("y*(x+y) - z")
-        assert free_variables(t) == ("y", "x", "z")
-
-
 # ---------------------------------------------------------------------------
 # the compiled evaluator against the tree walk
 
@@ -417,6 +411,22 @@ random_piecewise = st.builds(
     st.just(("x", "y")),
     st.lists(st.tuples(random_conditions, random_terms), min_size=1, max_size=3).map(tuple),
 )
+
+
+class TestFreeVariables:
+    def test_order_of_first_occurrence(self):
+        t = parse_term("y*(x+y) - z")
+        assert free_variables(t) == ("y", "x", "z")
+
+    def test_declared_but_unused_names_are_not_reported(self):
+        pf = parse("piecewise(z, y, x) { |x| <= |1| -> x^2 ; !(|x| <= |1|) -> 1 }")
+        assert pf.variables == ("z", "y", "x")
+        assert free_variables(pf) == ("x",)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(random_terms, random_conditions, random_piecewise))
+    def test_the_field_walk_matches_the_class_ladder(self, node):
+        assert free_variables(node) == oracles.walk_free_variables(node)
 
 
 @st.composite
